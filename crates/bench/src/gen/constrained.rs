@@ -225,7 +225,7 @@ mod tests {
 
     #[test]
     fn effective_deletions_always_hit_a_fact() {
-        // Cover the bench configurations (E1/E8 use 8–16 facts/pred),
+        // Cover the bench configurations (E1 uses 8–16 facts/pred),
         // not just the default spec.
         for facts_per_pred in [4, 8, 16] {
             let spec = LayeredSpec {

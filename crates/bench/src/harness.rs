@@ -110,7 +110,7 @@ pub fn banner(id: &str, claim: &str) {
 }
 
 /// Median timings of one batched-vs-sequential deletion comparison
-/// (shared by E1's multi-update sweep and E8's part 2).
+/// (E1's multi-update sweep).
 #[derive(Debug, Clone, Copy)]
 pub struct BatchedDeletionTimings {
     /// One `stdel_delete_batch` pass over the whole deletion set.
@@ -124,16 +124,6 @@ pub struct BatchedDeletionTimings {
 }
 
 impl BatchedDeletionTimings {
-    /// Sequential-over-batch latency ratio for StDel.
-    pub fn stdel_ratio(&self) -> f64 {
-        self.stdel_sequential.as_secs_f64() / self.stdel_batch.as_secs_f64().max(1e-9)
-    }
-
-    /// Sequential-over-batch latency ratio for Extended DRed.
-    pub fn dred_ratio(&self) -> f64 {
-        self.dred_sequential.as_secs_f64() / self.dred_batch.as_secs_f64().max(1e-9)
-    }
-
     /// Batched StDel update throughput (deletions per second).
     pub fn stdel_ops_per_sec(&self, k: usize) -> f64 {
         k as f64 / self.stdel_batch.as_secs_f64().max(1e-9)

@@ -8,8 +8,9 @@
 
 use mmv_constraints::{Value, ValueSet};
 use mmv_domains::Domain;
+use mmv_obs::sync::{read_clean, write_clean};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::RwLock;
 
 /// The `sensors` domain: `sensors:read(i)` returns the current readings
 /// of sensor `i` (a small set of integers).
@@ -27,35 +28,9 @@ impl SensorDomain {
         }
     }
 
-    /// Reads the sensor table. A panic while a writer held the lock
-    /// poisons it, but every write is a whole-`Vec<i64>` slot swap that
-    /// a panic can interrupt, not tear — so the poison is cleared and
-    /// the guard recovered rather than propagating the panic into
-    /// every later reader.
-    fn read_readings(&self) -> RwLockReadGuard<'_, Vec<Vec<i64>>> {
-        match self.readings.read() {
-            Ok(g) => g,
-            Err(p) => {
-                self.readings.clear_poison();
-                p.into_inner()
-            }
-        }
-    }
-
-    /// Write side of [`SensorDomain::read_readings`], same recovery.
-    fn write_readings(&self) -> RwLockWriteGuard<'_, Vec<Vec<i64>>> {
-        match self.readings.write() {
-            Ok(g) => g,
-            Err(p) => {
-                self.readings.clear_poison();
-                p.into_inner()
-            }
-        }
-    }
-
     /// Number of sensors.
     pub fn len(&self) -> usize {
-        self.read_readings().len()
+        read_clean(&self.readings).len()
     }
 
     /// Whether there are no sensors.
@@ -65,7 +40,7 @@ impl SensorDomain {
 
     /// Overwrites sensor `i`'s readings (an external update).
     pub fn set(&self, i: usize, values: Vec<i64>) {
-        let mut r = self.write_readings();
+        let mut r = write_clean(&self.readings);
         if let Some(slot) = r.get_mut(i) {
             *slot = values;
             self.version.fetch_add(1, Ordering::Relaxed); // order: the RwLock write guard orders the data; the version only needs atomicity
@@ -84,7 +59,7 @@ impl Domain for SensorDomain {
                 let Some(i) = args.first().and_then(|v| v.as_int()) else {
                     return ValueSet::Empty;
                 };
-                let r = self.read_readings();
+                let r = read_clean(&self.readings);
                 match usize::try_from(i).ok().and_then(|i| r.get(i)) {
                     Some(vals) => ValueSet::finite(vals.iter().map(|&v| Value::Int(v))),
                     None => ValueSet::Empty,
@@ -154,7 +129,7 @@ mod tests {
         let s2 = s.clone();
         // Poison the RwLock by panicking while holding the write guard.
         let _ = std::thread::spawn(move || {
-            let _g = s2.write_readings();
+            let _g = write_clean(&s2.readings);
             panic!("poison the sensor lock");
         })
         .join();

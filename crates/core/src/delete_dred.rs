@@ -22,12 +22,14 @@
 use crate::atom::ConstrainedAtom;
 use crate::program::{Clause, ConstrainedDatabase};
 use crate::tp::{
-    collect_combos, delta_plan, derive, group_by_pred, DeltaSource, FixpointConfig, FixpointError,
-    FixpointStats, ParallelFixpoint, RoundScope, RoundState, ATOM_SLOT,
+    collect_combos, derive, derive_combo, Candidate, DeltaSource, Derivation, Engine, EngineStats,
+    FixpointConfig, FixpointError, FixpointStats, Gate, Split, ATOM_SLOT,
 };
 use crate::view::{canonicalize, EntryId, MaterializedView, SupportMode};
 use mmv_constraints::fxhash::{FxHashMap, FxHashSet};
-use mmv_constraints::{satisfiable_with, Constraint, DomainResolver, Lit, Truth, VarGen};
+use mmv_constraints::{
+    satisfiable_with, Constraint, DomainResolver, Lit, SolverConfig, Truth, VarGen,
+};
 use std::fmt;
 use std::sync::Arc;
 
@@ -134,7 +136,7 @@ pub fn dred_delete_batch(
 fn dred_delete_inner(
     db: &ConstrainedDatabase,
     view: &mut MaterializedView,
-    gen: &mut mmv_constraints::VarGen,
+    gen: &mut VarGen,
     deletions: &[ConstrainedAtom],
     resolver: &dyn DomainResolver,
     config: &FixpointConfig,
@@ -309,162 +311,40 @@ fn dred_delete_inner(
     }
 
     // ---- Step 3: rederive within the P_OUT regions over P' ----------------
-    // From here on the region map is only read (shared with the
-    // rederivation pool tasks when parallelism is on).
-    let pout_by_pred = Arc::new(pout_by_pred);
+    // `T_{P''} ↑ ω (M')`: the shared round driver over the rewritten
+    // program, with the region gate in place of the operator's.
     let pprime = rewrite_for_deletion_gated(db, &del, gen, resolver, config, &mut stats);
+    let gate = RederiveGate {
+        regions: Arc::new(pout_by_pred),
+        solver: config.solver.clone(),
+    };
     let mut delta_ids: Vec<EntryId> = view.live_entries().map(|(id, _)| id).collect();
+    let before = view.len();
     // Constrained facts (empty-body clauses) of P' can themselves restore
     // deleted regions — e.g. Example 4's independent `A(X) <- X >= 3`.
     for (_, clause) in pprime.clauses() {
-        if !clause.body.is_empty() {
+        if !clause.body.is_empty() || !gate.runs(clause) {
             continue;
         }
-        let Some(regions) = pout_by_pred.get(&clause.head_pred) else {
-            continue;
-        };
-        let Some(derived) = derive(clause, &[], gen) else {
-            continue;
-        };
-        let mut overlaps = false;
-        for p in regions {
-            if p.args.len() != derived.atom.args.len() {
-                continue;
-            }
-            let ppsi = p
-                .constraint_at(&derived.atom.args, gen)
-                .expect("arity checked");
-            stats.solver_calls += 1;
-            if satisfiable_with(
-                &derived.atom.constraint.clone().and(ppsi),
-                resolver,
-                &config.solver,
-            ) != Truth::Unsat
-            {
-                overlaps = true;
-                break;
-            }
-        }
-        if !overlaps {
-            continue;
-        }
-        stats.solver_calls += 1;
-        if satisfiable_with(&derived.atom.constraint, resolver, &config.solver) != Truth::Unsat {
-            if let Some(id) = view.insert(derived.atom, None, vec![]) {
-                delta_ids.push(id);
-                stats.rederived += 1;
-            }
+        let restored = derive(clause, &[], gen)
+            .and_then(|d| gate.restores(d.atom, resolver, gen, &mut stats.solver_calls));
+        if let Some(id) = restored.and_then(|atom| view.insert(atom, None, vec![])) {
+            delta_ids.push(id);
         }
     }
-    let mut round_state = RoundState::new();
-    let mut plan: Vec<usize> = Vec::new();
-    let mut rounds = 0usize;
-    let parallel = config.parallel.as_ref().filter(|p| p.pool.threads() > 1);
-    while !delta_ids.is_empty() {
-        rounds += 1;
-        if rounds > config.max_iterations {
-            return Err(DredError::Budget(FixpointError::IterationBudget {
-                iterations: rounds,
-            }));
-        }
-        let scope = round_state.begin(view, &delta_ids);
-        let delta_by_pred = group_by_pred(view, &delta_ids);
-        let mut next_ids: Vec<EntryId> = Vec::new();
-        if let Some(par) = parallel {
-            rederive_round_parallel(
-                par,
-                &pprime,
-                &pout_by_pred,
-                view,
-                gen,
-                &scope,
-                &delta_by_pred,
-                config,
-                &mut stats,
-                &mut jstats,
-                &mut next_ids,
-                &mut plan,
-            )?;
-            delta_ids = next_ids;
-            continue;
-        }
-        for (_, clause) in pprime.clauses() {
-            // Only derivations that might restore a deleted region matter.
-            let Some(regions) = pout_by_pred.get(&clause.head_pred) else {
-                continue;
-            };
-            let n = clause.body.len();
-            if n == 0 {
-                continue;
-            }
-            delta_plan(&clause.body, &delta_by_pred, &mut plan);
-            for (k, &dpos) in plan.iter().enumerate() {
-                let dlist = delta_by_pred
-                    .get(&clause.body[dpos].pred)
-                    .expect("planned positions carry delta");
-                combos.clear();
-                collect_combos(
-                    view,
-                    &clause.body,
-                    dpos,
-                    &plan[..k],
-                    &DeltaSource::Entries(dlist),
-                    Some(&scope),
-                    &mut jstats,
-                    &mut combos,
-                );
-                for chunk in combos.chunks_exact(n) {
-                    let derived = {
-                        let children: Vec<&ConstrainedAtom> =
-                            chunk.iter().map(|&id| &view.entry(id).atom).collect();
-                        derive(clause, &children, gen)
-                    };
-                    let Some(derived) = derived else {
-                        continue;
-                    };
-                    // Keep only derivations overlapping some deleted
-                    // region (P''-style pruning), and only solvable ones.
-                    let mut overlaps = false;
-                    for p in regions {
-                        if p.args.len() != derived.atom.args.len() {
-                            continue;
-                        }
-                        let ppsi = p
-                            .constraint_at(&derived.atom.args, gen)
-                            .expect("arity checked");
-                        stats.solver_calls += 1;
-                        if satisfiable_with(
-                            &derived.atom.constraint.clone().and(ppsi),
-                            resolver,
-                            &config.solver,
-                        ) != Truth::Unsat
-                        {
-                            overlaps = true;
-                            break;
-                        }
-                    }
-                    if !overlaps {
-                        continue;
-                    }
-                    stats.solver_calls += 1;
-                    if satisfiable_with(&derived.atom.constraint, resolver, &config.solver)
-                        != Truth::Unsat
-                    {
-                        if let Some(id) = view.insert(derived.atom, None, vec![]) {
-                            next_ids.push(id);
-                            stats.rederived += 1;
-                            if view.len() > config.max_entries {
-                                return Err(DredError::Budget(FixpointError::EntryBudget {
-                                    entries: view.len(),
-                                }));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        delta_ids = next_ids;
-    }
+    let engine = Engine {
+        db: &pprime,
+        resolver,
+        config,
+        gate,
+    };
+    let rederive = engine
+        .run(view, gen, delta_ids)
+        .map_err(DredError::Budget)?;
+    // Rederivation only inserts.
+    stats.rederived = view.len() - before;
+    stats.solver_calls += rederive.solver_calls;
+    jstats.absorb(&rederive.fixpoint);
 
     // ---- Hygiene: drop weakened entries that became unsolvable ------------
     for id in touched {
@@ -483,169 +363,66 @@ fn dred_delete_inner(
     Ok(stats)
 }
 
-/// What one rederivation pool task hands back: the atoms that survived
-/// the region-overlap and solvability gates (in enumeration order), its
-/// private counters, and its variable generator's high mark.
-struct RederiveTaskOutput {
-    atoms: Vec<ConstrainedAtom>,
-    solver_calls: usize,
-    jstats: FixpointStats,
-    gen_high: u32,
+/// Rederivation's gate for the shared round driver: only clauses whose
+/// head predicate lost a region run, and a derivation is kept only if it
+/// can restore instances inside one (the `P''` pruning) and is solvable.
+#[derive(Clone)]
+struct RederiveGate {
+    /// The `P_OUT` regions by predicate, shared with the pool tasks.
+    regions: Arc<FxHashMap<Arc<str>, Vec<ConstrainedAtom>>>,
+    solver: SolverConfig,
 }
 
-/// One parallel rederivation round of Extended DRed — the same frozen
-/// decomposition as `tp::round_parallel` (see there for the
-/// determinism argument), specialized to the rederivation frontier:
-/// one pool task per `(P' clause with a deleted region,
-/// delta-position)` split, each running the candidate-local
-/// region-overlap and solvability checks itself, merged back in
-/// submission order. Rederivation rounds only insert (the
-/// over-deletion's `replace_constraint` rewrites all happen before the
-/// frontier starts), so the frozen clone enumerates exactly what the
-/// live view would.
-#[allow(clippy::too_many_arguments)]
-fn rederive_round_parallel(
-    par: &ParallelFixpoint,
-    pprime: &ConstrainedDatabase,
-    pout_by_pred: &Arc<FxHashMap<Arc<str>, Vec<ConstrainedAtom>>>,
-    view: &mut MaterializedView,
-    gen: &mut VarGen,
-    scope: &RoundScope,
-    delta_by_pred: &FxHashMap<Arc<str>, Vec<EntryId>>,
-    config: &FixpointConfig,
-    stats: &mut ExtDredStats,
-    jstats: &mut FixpointStats,
-    next_ids: &mut Vec<EntryId>,
-    plan: &mut Vec<usize>,
-) -> Result<(), DredError> {
-    let mut splits: Vec<(&Clause, usize, Vec<usize>)> = Vec::new();
-    for (_, clause) in pprime.clauses() {
-        if clause.body.is_empty() || !pout_by_pred.contains_key(&clause.head_pred) {
-            continue;
-        }
-        delta_plan(&clause.body, delta_by_pred, plan);
-        for (k, &dpos) in plan.iter().enumerate() {
-            splits.push((clause, dpos, plan[..k].to_vec()));
-        }
-    }
-    let frozen = Arc::new(view.clone());
-    let base_watermark = gen.watermark();
-    let solver = Arc::new(config.solver.clone());
-    let tasks: Vec<_> = splits
-        .into_iter()
-        .map(|(clause, dpos, older)| {
-            let frozen = Arc::clone(&frozen);
-            let scope = scope.clone();
-            let clause = clause.clone();
-            let dlist = delta_by_pred
-                .get(&clause.body[dpos].pred)
-                .expect("planned positions carry delta")
-                .clone();
-            let regions = Arc::clone(pout_by_pred);
-            let resolver = Arc::clone(&par.resolver);
-            let solver = Arc::clone(&solver);
-            move || {
-                let mut jstats = FixpointStats::default();
-                let mut solver_calls = 0usize;
-                let mut gen = VarGen::starting_at(base_watermark);
-                let mut combos: Vec<EntryId> = Vec::new();
-                collect_combos(
-                    &frozen,
-                    &clause.body,
-                    dpos,
-                    &older,
-                    &DeltaSource::Entries(&dlist),
-                    Some(&scope),
-                    &mut jstats,
-                    &mut combos,
-                );
-                let n = clause.body.len();
-                let regions = regions
-                    .get(&clause.head_pred)
-                    .expect("splits are gated on a deleted region");
-                let mut atoms = Vec::new();
-                for chunk in combos.chunks_exact(n) {
-                    let derived = {
-                        let children: Vec<&ConstrainedAtom> =
-                            chunk.iter().map(|&id| &frozen.entry(id).atom).collect();
-                        derive(&clause, &children, &mut gen)
-                    };
-                    let Some(derived) = derived else {
-                        continue;
-                    };
-                    let mut overlaps = false;
-                    for p in regions {
-                        if p.args.len() != derived.atom.args.len() {
-                            continue;
-                        }
-                        let ppsi = p
-                            .constraint_at(&derived.atom.args, &mut gen)
-                            .expect("arity checked");
-                        solver_calls += 1;
-                        if satisfiable_with(
-                            &derived.atom.constraint.clone().and(ppsi),
-                            resolver.as_ref(),
-                            &solver,
-                        ) != Truth::Unsat
-                        {
-                            overlaps = true;
-                            break;
-                        }
-                    }
-                    if !overlaps {
-                        continue;
-                    }
-                    solver_calls += 1;
-                    if satisfiable_with(&derived.atom.constraint, resolver.as_ref(), &solver)
-                        != Truth::Unsat
-                    {
-                        atoms.push(derived.atom);
-                    }
-                }
-                RederiveTaskOutput {
-                    atoms,
-                    solver_calls,
-                    jstats,
-                    gen_high: gen.watermark(),
-                }
+impl RederiveGate {
+    /// The region-overlap test: `atom` survives iff it overlaps some
+    /// `P_OUT` region of its predicate and is itself solvable.
+    fn restores(
+        &self,
+        atom: ConstrainedAtom,
+        resolver: &dyn DomainResolver,
+        gen: &mut VarGen,
+        solver_calls: &mut usize,
+    ) -> Option<ConstrainedAtom> {
+        let overlaps = self.regions.get(&atom.pred)?.iter().any(|p| {
+            if p.args.len() != atom.args.len() {
+                return false;
             }
-        })
-        .collect();
-    let results = par.pool.run(tasks);
-    let mut outputs = Vec::with_capacity(results.len());
-    for r in results {
-        match r {
-            Ok(o) => outputs.push(o),
-            Err(payload) => {
-                return Err(DredError::Budget(FixpointError::WorkerPanic {
-                    message: crate::pool::panic_message(payload.as_ref()),
-                }))
-            }
+            let ppsi = p.constraint_at(&atom.args, gen).expect("arity checked");
+            *solver_calls += 1;
+            satisfiable_with(&atom.constraint.clone().and(ppsi), resolver, &self.solver)
+                != Truth::Unsat
+        });
+        if !overlaps {
+            return None;
         }
+        *solver_calls += 1;
+        (satisfiable_with(&atom.constraint, resolver, &self.solver) != Truth::Unsat).then_some(atom)
     }
-    // Deterministic merge in submission order; the plain view's own
-    // dedup drops cross-split duplicates exactly as it does for the
-    // sequential round's inserts.
-    let mut gen_high = base_watermark;
-    for out in outputs {
-        stats.solver_calls += out.solver_calls;
-        jstats.absorb(&out.jstats);
-        gen_high = gen_high.max(out.gen_high);
-        for atom in out.atoms {
-            if let Some(id) = view.insert(atom, None, vec![]) {
-                next_ids.push(id);
-                stats.rederived += 1;
-                if view.len() > config.max_entries {
-                    gen.reserve_below(gen_high);
-                    return Err(DredError::Budget(FixpointError::EntryBudget {
-                        entries: view.len(),
-                    }));
-                }
-            }
-        }
+}
+
+impl Gate for RederiveGate {
+    fn runs(&self, clause: &Clause) -> bool {
+        self.regions.contains_key(&clause.head_pred)
     }
-    gen.reserve_below(gen_high);
-    Ok(())
+
+    fn admit(
+        &self,
+        view: &MaterializedView,
+        split: &Split<'_>,
+        chunk: &[EntryId],
+        resolver: &dyn DomainResolver,
+        gen: &mut VarGen,
+        stats: &mut EngineStats,
+    ) -> Option<Candidate> {
+        let d = derive_combo(view, split.clause, chunk, gen)?;
+        let atom = self.restores(d.atom, resolver, gen, &mut stats.solver_calls)?;
+        // A plain view keeps no derivation metadata.
+        let rederived = Derivation {
+            atom,
+            children_args: Vec::new(),
+        };
+        Some((None, rederived))
+    }
 }
 
 /// The paper's clause rewrite (4): every clause whose head predicate is
@@ -697,7 +474,7 @@ pub fn rewrite_for_deletion(
 fn rewrite_for_deletion_gated(
     db: &ConstrainedDatabase,
     del: &[ConstrainedAtom],
-    gen: &mut mmv_constraints::VarGen,
+    gen: &mut VarGen,
     resolver: &dyn DomainResolver,
     config: &FixpointConfig,
     stats: &mut ExtDredStats,

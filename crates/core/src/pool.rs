@@ -2,9 +2,10 @@
 //!
 //! Writer lanes already parallelize maintenance *across* independent
 //! clause components; a [`WorkerPool`] parallelizes *within* one — the
-//! independent delta positions of a [`tp`][crate::tp] propagation round
-//! and Extended DRed's rederivation frontier partition cleanly into
-//! tasks that only read a frozen pre-round view. One pool is shared by
+//! independent `(clause, delta-position)` splits of a semi-naive round
+//! (propagation or Extended DRed's rederivation; one driver in
+//! [`tp`][crate::tp] runs both) are tasks that only read a frozen
+//! pre-round view. One pool is shared by
 //! every lane of a service, so a skewed workload (one hot component)
 //! still saturates the machine.
 //!
@@ -12,11 +13,11 @@
 //!
 //! - **Deterministic merge.** [`WorkerPool::run`] takes a `Vec` of
 //!   closures and returns their results *in submission order*,
-//!   whichever worker ran each one. Callers submit tasks in the exact
-//!   order the sequential loop would visit them and fold the results
-//!   back in that same order — parallel output stays syntactically
-//!   identical to sequential (see [`tp`][crate::tp] for why the tasks
-//!   are independent in the first place).
+//!   whichever worker ran each one. The round driver submits a round's
+//!   splits in the exact order its inline executor would run them and
+//!   folds the results back in that same order — pooled output stays
+//!   syntactically identical to inline (see [`tp`][crate::tp] for why
+//!   the tasks are independent in the first place).
 //! - **Work stealing.** Each worker owns a deque; submission deals
 //!   tasks round-robin. A worker that drains its own queue pops from
 //!   the other queues (a *steal*, counted in
@@ -27,8 +28,8 @@
 //!   `run` useful even on a machine with a single core.
 //! - **Panic containment.** Every task runs under `catch_unwind`; the
 //!   payload comes back to the submitting thread as that task's `Err`
-//!   result (see [`WorkerPool::run`]'s contract). The maintenance
-//!   engines convert it into
+//!   result (see [`WorkerPool::run`]'s contract). The round driver
+//!   converts it into
 //!   [`FixpointError::WorkerPanic`][crate::tp::FixpointError] — an
 //!   error, not a re-panic — so a lane that submitted a doomed round
 //!   rolls back through the service's ordinary error path with its
@@ -37,11 +38,14 @@
 //! - **No unsafe.** The crate forbids `unsafe`; workers are plain
 //!   long-lived `std::thread`s and tasks are `'static` boxed closures
 //!   that own (`Arc`-clone) everything they touch.
-//! - **Poison-proof.** The pool's own queue and lull mutexes recover
-//!   from poison instead of `expect`ing on it (see `lock_clean`'s
-//!   rationale): infrastructure that exists to contain panics must not
-//!   itself panic on the evidence of one. A `run` against a poisoned
-//!   pool degrades to the submitting thread draining the queues
+//! - **Poison-proof.** The pool's own queue, lull and hook mutexes
+//!   recover from poison instead of `expect`ing on it
+//!   ([`mmv_obs::sync`]): infrastructure that exists to contain panics
+//!   must not itself panic on the evidence of one, and every critical
+//!   section under those guards is a plain `VecDeque` push/pop, an empty
+//!   wait slot or a hook call that is *expected* to panic in tests —
+//!   none can leave torn state. A `run` against a poisoned pool
+//!   degrades to the submitting thread draining the queues
 //!   sequentially — slower, never stuck, never unwinding into the
 //!   lane.
 //!
@@ -51,6 +55,7 @@
 //! callback fired before each task, so a hook that panics exercises
 //! exactly the mid-task worker panic the containment exists for.
 
+use mmv_obs::sync::lock_clean;
 use mmv_obs::{Counter, Gauge, MetricsRegistry};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -63,27 +68,6 @@ use std::time::Duration;
 /// A queued unit of work: owns everything it touches, reports through
 /// the channel it captured.
 type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Locks a pool mutex, recovering from poison instead of panicking.
-///
-/// The pool exists to *contain* panics, so its own locks must never
-/// re-raise one. Poison here can only mean a thread died while holding
-/// a queue or lull guard — and every critical section under those
-/// guards is a plain `VecDeque` push/pop or an empty wait slot, none
-/// of which can leave torn state. Clearing the poison and carrying on
-/// is therefore always sound; in the worst case (every worker somehow
-/// gone) the submitting thread's assist loop still drains the queues
-/// sequentially, so `run` completes degraded rather than panicking the
-/// lane that called it.
-fn lock_clean<T: ?Sized>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => {
-            m.clear_poison();
-            p.into_inner()
-        }
-    }
-}
 
 /// Test-only hook fired (under the containment boundary) before each
 /// task, with the task's submission index.
@@ -170,14 +154,7 @@ impl Inner {
     fn fire_fault(&self, index: usize) {
         // order: pairs with set_fault_hook's Release so the armed hook is visible
         if self.fault_armed.load(Ordering::Acquire) {
-            let mut guard = match self.fault.lock() {
-                Ok(g) => g,
-                Err(p) => {
-                    self.fault.clear_poison();
-                    p.into_inner()
-                }
-            };
-            if let Some(hook) = guard.as_mut() {
+            if let Some(hook) = lock_clean(&self.fault).as_mut() {
                 hook(index);
             }
         }
@@ -199,15 +176,11 @@ fn worker_loop(inner: Arc<Inner>, home: usize) {
         }
         // Timed wait: a notify can race the queue check, so never sleep
         // unbounded. 1ms keeps the idle pool cheap and the wake latency
-        // invisible next to a fixpoint round.
+        // invisible next to a fixpoint round. A poisoned wake-up needs
+        // no handling: the guard is dropped either way and the next
+        // `lock_clean` clears the flag.
         let guard = lock_clean(&inner.lull);
-        let _ = inner
-            .signal
-            .wait_timeout(guard, Duration::from_millis(1))
-            .unwrap_or_else(|p| {
-                inner.lull.clear_poison();
-                p.into_inner()
-            });
+        drop(inner.signal.wait_timeout(guard, Duration::from_millis(1)));
     }
 }
 
@@ -270,14 +243,7 @@ impl WorkerPool {
         self.inner
             .fault_armed
             .store(hook.is_some(), Ordering::Release); // order: publishes the armed flag to workers' Acquire fast-path check
-        let mut guard = match self.inner.fault.lock() {
-            Ok(g) => g,
-            Err(p) => {
-                self.inner.fault.clear_poison();
-                p.into_inner()
-            }
-        };
-        *guard = hook;
+        *lock_clean(&self.inner.fault) = hook;
     }
 
     /// Runs `tasks` to completion and returns their results in
@@ -287,7 +253,7 @@ impl WorkerPool {
     ///
     /// Each result is a [`std::thread::Result`]: a task that panicked
     /// yields `Err(payload)` instead of tearing down its worker. The
-    /// caller decides what a panic means; the maintenance paths turn
+    /// caller decides what a panic means; the round driver turns
     /// the first one (in submission order) into
     /// [`FixpointError::WorkerPanic`][crate::tp::FixpointError], which
     /// fails the batch through the service's ordinary rollback path
@@ -470,13 +436,14 @@ mod tests {
         // holding their guards — the only way these can ever poison,
         // since no user code runs under them in production.
         let inner = Arc::clone(&pool.inner);
-        let _ = std::thread::spawn(move || {
+        let poisoner = std::thread::spawn(move || {
             let _q = inner.queues[0].lock().unwrap();
             let _l = inner.lull.try_lock();
             panic!("poison the pool locks");
-        })
-        .join();
-        assert!(pool.inner.queues[0].is_poisoned());
+        });
+        // (Not `is_poisoned()`: an idle worker's next pop may already
+        // have recovered the queue lock by the time we look.)
+        assert!(poisoner.join().is_err(), "died holding both guards");
         // The pool still runs every task to completion: submission,
         // worker pops, and the caller-assist drain all recover the
         // locks instead of panicking the submitting lane.

@@ -47,18 +47,53 @@
 //! entry is enumerated exactly once per round, without building
 //! per-round `HashSet`s or rescanning the view.
 //!
-//! # Intra-round parallelism
+//! # One round driver, two executors
+//!
+//! `T_P`/`W_P` propagation and Extended DRed's rederivation are the same
+//! loop — plan the round's `(clause, delta-position)` splits
+//! (`plan_splits`), enumerate and gate each split (`run_split`), fold
+//! the surviving candidates into the view in plan order — and run it
+//! through the same `Engine`. An engine contributes only its `Gate`:
+//! support-dedup → `derive` → operator admission for propagation;
+//! `derive` → "overlaps a `P_OUT` region" → solvable for rederivation
+//! (in `delete_dred`).
 //!
 //! The splits of one round are mutually independent — each enumerates
-//! against the frozen round-start state, and a round only inserts — so
-//! with [`FixpointConfig::parallel`] set they run as [`WorkerPool`]
-//! tasks over a frozen (`Arc`-bump) clone of the view, each with a
-//! private variable generator, and the caller thread merges the
-//! candidate derivations back *in submission order*: the inserted
-//! entries, their ids, supports, and the next round's delta are
-//! syntactically identical to the sequential engine's (pinned by the
-//! `engine_equivalence` proptest at several pool widths). See
-//! `round_parallel` for the full argument.
+//! against the round-start state (the scope's watermark hides whatever
+//! the round inserts, and a round only inserts) — so *who* runs them is
+//! the driver's choice, made per round from what it can observe, never
+//! from an option:
+//!
+//! * **Inline**: with no [`FixpointConfig::parallel`] pool or a 1-wide
+//!   one, the caller thread runs `run_split` → merge split by split
+//!   against the live view, renaming with the live variable generator.
+//! * **Pooled**: otherwise the view is frozen once (a handful of `Arc`
+//!   bumps), every split becomes one owning [`WorkerPool`] task calling
+//!   the same `run_split` with a private generator started at the live
+//!   one's watermark, the frozen handle is dropped as soon as the tasks
+//!   are back, and the outputs are merged in submission order. A task
+//!   panic surfaces as [`FixpointError::WorkerPanic`] before any merge.
+//!
+//! Both executors produce syntactically identical views: entries below
+//! the watermark are immutable, so a split enumerates the same
+//! combinations over the live view and over its clone; candidates are
+//! inserted in the same (plan, enumeration) order; and `insert` drops a
+//! duplicate an earlier split of the round already produced. Pooled
+//! tasks may reuse each other's fresh variable numbers, harmlessly —
+//! `derive` renames every child per derivation and all equality here
+//! (canonicalization, support dedup) is renaming-insensitive; the merge
+//! bumps the live generator past every task's high mark. The
+//! `engine_equivalence` proptest and the `batch_equivalence` pool sweeps
+//! (widths 1/2/N) therefore test one engine under two executors.
+//!
+//! Only bookkeeping may differ, and only in multi-split rounds: inline,
+//! a later split dedups against what earlier splits of the round already
+//! merged and skips the `derive`; pooled, it dedups against the frozen
+//! view and the duplicate falls at the merge — so `derivations_tried`,
+//! `pruned_*` and a gate's solver calls can be slightly higher pooled
+//! (still deterministic at any width ≥ 2). The store's copy-on-write
+//! counters do not differ: the frozen handle is gone before the first
+//! merge insert, so no page the writer already owns is shared again.
 
 use crate::atom::ConstrainedAtom;
 use crate::normalize::normalize;
@@ -98,8 +133,8 @@ pub struct FixpointConfig {
     /// one thread), each round's independent `(clause, delta-position)`
     /// splits run as pool tasks over a frozen round-start view, with a
     /// deterministic submission-order merge — see
-    /// [the module docs][self#intra-round-parallelism]. `None` (the
-    /// default) is the plain sequential engine.
+    /// [the module docs][self#one-round-driver-two-executors]. `None`
+    /// (the default) runs every round on the caller thread.
     pub parallel: Option<ParallelFixpoint>,
 }
 
@@ -315,7 +350,7 @@ pub fn fixpoint_seeded(
             stats.pruned_syntactic += 1;
             continue;
         };
-        if !admit(op, &d.atom.constraint, resolver, config, &mut stats) {
+        if !admit(op, &d.atom.constraint, resolver, &config.solver, &mut stats) {
             continue;
         }
         let support =
@@ -336,7 +371,7 @@ pub fn fixpoint_seeded(
 /// per-round set is built and no full rescan happens.
 ///
 /// The scope owns its stamp vector behind an `Arc` (cheaply cloned, no
-/// borrow of the [`RoundState`]), so a parallel round can hand one copy
+/// borrow of the [`RoundState`]), so a pooled round can hand one copy
 /// to every pool task.
 #[derive(Clone)]
 pub(crate) struct RoundScope {
@@ -354,17 +389,15 @@ impl RoundScope {
     }
 }
 
-/// Reusable round-freeze state for semi-naive drivers (the fixpoint
-/// engine and DRed's rederivation): owns the stamp vector and token
-/// counter behind [`RoundScope`], so the freeze mechanics live in one
-/// place.
-pub(crate) struct RoundState {
+/// The round driver's freeze state across the rounds of one run: owns
+/// the stamp vector and token counter behind [`RoundScope`].
+struct RoundState {
     stamps: Arc<Vec<u64>>,
     token: u64,
 }
 
 impl RoundState {
-    pub fn new() -> Self {
+    fn new() -> Self {
         RoundState {
             stamps: Arc::new(Vec::new()),
             token: 0,
@@ -375,7 +408,7 @@ impl RoundState {
     /// delta with a fresh token. (`Arc::make_mut` copies the stamp
     /// vector only if a previous round's tasks still hold it — they
     /// never do: every task completes before its round's merge.)
-    pub fn begin(&mut self, view: &MaterializedView, delta: &[EntryId]) -> RoundScope {
+    fn begin(&mut self, view: &MaterializedView, delta: &[EntryId]) -> RoundScope {
         self.token += 1;
         let watermark = view.entry_slots();
         let stamps = Arc::make_mut(&mut self.stamps);
@@ -393,10 +426,7 @@ impl RoundState {
 
 /// Groups live entry ids by predicate (the per-round delta partition —
 /// O(|delta|), never a view rescan).
-pub(crate) fn group_by_pred(
-    view: &MaterializedView,
-    ids: &[EntryId],
-) -> FxHashMap<Arc<str>, Vec<EntryId>> {
+fn group_by_pred(view: &MaterializedView, ids: &[EntryId]) -> FxHashMap<Arc<str>, Vec<EntryId>> {
     let mut out: FxHashMap<Arc<str>, Vec<EntryId>> = FxHashMap::default();
     for &id in ids {
         out.entry(view.entry(id).atom.pred.clone())
@@ -569,8 +599,7 @@ fn combos_rec(
 }
 
 /// The per-clause, per-round delta plan, filled into the caller-held
-/// scratch buffer `plan` (the round loops are allocation-free): the
-/// body positions whose predicate carries delta entries this round,
+/// scratch buffer `plan`: the body positions whose predicate carries delta entries this round,
 /// ordered by ascending *estimated fan-out* — the number of delta
 /// entries the position would seed the enumeration with (ties fall
 /// back to clause order, keeping the plan deterministic).
@@ -582,11 +611,10 @@ fn combos_rec(
 /// frozen entries, which keeps the splits disjoint and exhaustive under
 /// any permutation. Leading with the smallest delta list means the
 /// cheapest, most selective source drives the first (and therefore
-/// every "all"-sourced) split — previously the splits ran in clause
-/// order regardless of fan-out. The enumerated combination set is
+/// every "all"-sourced) split. The enumerated combination set is
 /// identical under any order, which the `engine_equivalence` proptest
 /// pins.
-pub(crate) fn delta_plan(
+fn delta_plan(
     body: &[BodyAtom],
     delta_by_pred: &FxHashMap<Arc<str>, Vec<EntryId>>,
     plan: &mut Vec<usize>,
@@ -694,357 +722,348 @@ pub(crate) fn propagate(
 ) -> Result<(), FixpointError> {
     // The var gen leaves the view for the duration of the run so that
     // `derive` can standardize apart while the child atoms stay borrowed
-    // from the view — the per-combination deep clone the engine used to
-    // pay to appease the borrow checker is gone.
+    // from the view.
     let mut gen = std::mem::take(view.var_gen_mut());
-    let ctx = EngineCtx {
+    let engine = Engine {
         db,
         resolver,
-        op,
         config,
+        gate: OperatorGate {
+            op,
+            solver: config.solver.clone(),
+        },
     };
-    let result = propagate_rounds(&ctx, view, &mut gen, delta, stats);
+    let result = engine.run(view, &mut gen, delta);
     *view.var_gen_mut() = gen;
-    result
-}
-
-struct EngineCtx<'a> {
-    db: &'a ConstrainedDatabase,
-    resolver: &'a dyn DomainResolver,
-    op: Operator,
-    config: &'a FixpointConfig,
-}
-
-fn propagate_rounds(
-    ctx: &EngineCtx<'_>,
-    view: &mut MaterializedView,
-    gen: &mut VarGen,
-    mut delta: Vec<EntryId>,
-    stats: &mut FixpointStats,
-) -> Result<(), FixpointError> {
-    let mut rounds = RoundState::new();
-    let mut combos: Vec<EntryId> = Vec::new();
-    let mut plan: Vec<usize> = Vec::new();
-    let parallel = ctx
-        .config
-        .parallel
-        .as_ref()
-        .filter(|p| p.pool.threads() > 1);
-    // Semi-naive rounds.
-    while !delta.is_empty() {
-        stats.iterations += 1;
-        if stats.iterations > ctx.config.max_iterations {
-            return Err(FixpointError::IterationBudget {
-                iterations: stats.iterations,
-            });
-        }
-        let scope = rounds.begin(view, &delta);
-        let delta_by_pred = group_by_pred(view, &delta);
-        let mut next_delta: Vec<EntryId> = Vec::new();
-        match parallel {
-            Some(par) => round_parallel(
-                ctx,
-                par,
-                view,
-                gen,
-                &scope,
-                &delta_by_pred,
-                stats,
-                &mut next_delta,
-                &mut plan,
-            )?,
-            None => round_sequential(
-                ctx,
-                view,
-                gen,
-                &scope,
-                &delta_by_pred,
-                stats,
-                &mut next_delta,
-                &mut plan,
-                &mut combos,
-            )?,
-        }
-        delta = next_delta;
-    }
+    stats.absorb(&result?.fixpoint);
     Ok(())
 }
 
-/// One sequential semi-naive round: every `(clause, delta-position)`
-/// split of the plan, enumerated, derived and inserted in order.
-#[allow(clippy::too_many_arguments)]
-fn round_sequential(
-    ctx: &EngineCtx<'_>,
-    view: &mut MaterializedView,
+/// What an engine plugs into the shared round driver ([`Engine`]): which
+/// clauses take part in its rounds, and which enumerated combinations
+/// become view entries. Everything else — planning, enumeration, the
+/// choice of executor, the merge — is the driver's and identical for
+/// every engine. A gate is cloned into each pool task, so it owns
+/// (`Arc`-shares) whatever it reads.
+pub(crate) trait Gate: Clone + Send + 'static {
+    /// Whether `clause` takes part in this engine's rounds.
+    fn runs(&self, _clause: &Clause) -> bool {
+        true
+    }
+
+    /// Decides one combination: `chunk` holds one entry id of `view` per
+    /// body atom of `split.clause` (all below the round's watermark,
+    /// hence immutable). Returns what to insert, or `None` to drop the
+    /// combination. Anything else it reads of `view` may only serve to
+    /// drop a combination the merge's `insert` would reject anyway: the
+    /// live view and a frozen round-start clone must admit the same
+    /// entries.
+    fn admit(
+        &self,
+        view: &MaterializedView,
+        split: &Split<'_>,
+        chunk: &[EntryId],
+        resolver: &dyn DomainResolver,
+        gen: &mut VarGen,
+        stats: &mut EngineStats,
+    ) -> Option<Candidate>;
+}
+
+/// A combination that passed its engine's gate, ready for
+/// [`MaterializedView::insert`].
+pub(crate) type Candidate = (Option<Support>, Derivation);
+
+/// Counters of one driver run (or of one split of it): the join
+/// engine's, plus the solver calls a gate chooses to report (Extended
+/// DRed does).
+#[derive(Default)]
+pub(crate) struct EngineStats {
+    pub fixpoint: FixpointStats,
+    pub solver_calls: usize,
+}
+
+/// The `T_P`/`W_P` gate: support-level dedup, `derive`, then the
+/// operator's admission test.
+#[derive(Clone)]
+struct OperatorGate {
+    op: Operator,
+    solver: SolverConfig,
+}
+
+impl Gate for OperatorGate {
+    fn admit(
+        &self,
+        view: &MaterializedView,
+        split: &Split<'_>,
+        chunk: &[EntryId],
+        resolver: &dyn DomainResolver,
+        gen: &mut VarGen,
+        stats: &mut EngineStats,
+    ) -> Option<Candidate> {
+        let stats = &mut stats.fixpoint;
+        stats.derivations_tried += 1;
+        // Support-level dedup before paying for construction; the
+        // support is assembled once, from Arc-shared child supports,
+        // and reused for the insert.
+        let support = if view.mode() == SupportMode::WithSupports {
+            let s = Support::node(
+                Producer::Clause(split.cid),
+                chunk
+                    .iter()
+                    .map(|&id| view.entry(id).support.clone().expect("WithSupports entry"))
+                    .collect(),
+            );
+            if view.entry_by_support(&s).is_some() {
+                return None;
+            }
+            Some(s)
+        } else {
+            None
+        };
+        let Some(d) = derive_combo(view, split.clause, chunk, gen) else {
+            stats.pruned_syntactic += 1;
+            return None;
+        };
+        admit(self.op, &d.atom.constraint, resolver, &self.solver, stats).then_some((support, d))
+    }
+}
+
+/// [`derive`] over a combination of view entries.
+pub(crate) fn derive_combo(
+    view: &MaterializedView,
+    clause: &Clause,
+    chunk: &[EntryId],
     gen: &mut VarGen,
-    scope: &RoundScope,
-    delta_by_pred: &FxHashMap<Arc<str>, Vec<EntryId>>,
-    stats: &mut FixpointStats,
-    next_delta: &mut Vec<EntryId>,
-    plan: &mut Vec<usize>,
-    combos: &mut Vec<EntryId>,
-) -> Result<(), FixpointError> {
-    let mode = view.mode();
-    for (cid, clause) in ctx.db.clauses() {
-        let n = clause.body.len();
-        if n == 0 {
+) -> Option<Derivation> {
+    let children: Vec<&ConstrainedAtom> = chunk.iter().map(|&id| &view.entry(id).atom).collect();
+    derive(clause, &children, gen)
+}
+
+/// One `(clause, delta-position)` split of a round: body position
+/// `dpos` draws from `delta` (this round's delta entries of that
+/// position's predicate), the positions in `older` — the delta of
+/// earlier splits of the same clause's [`delta_plan`] — from the frozen
+/// non-delta entries, and every other position from all frozen entries.
+pub(crate) struct Split<'a> {
+    pub cid: ClauseId,
+    pub clause: &'a Clause,
+    dpos: usize,
+    older: Vec<usize>,
+    delta: &'a [EntryId],
+}
+
+/// The round's splits in sequential iteration order: clauses in
+/// database order, each clause's positions in [`delta_plan`] order.
+/// Both executors consume this list front to back, which is what makes
+/// their output identical.
+fn plan_splits<'a, G: Gate>(
+    db: &'a ConstrainedDatabase,
+    gate: &G,
+    delta_by_pred: &'a FxHashMap<Arc<str>, Vec<EntryId>>,
+) -> Vec<Split<'a>> {
+    let mut splits = Vec::new();
+    let mut plan = Vec::new();
+    for (cid, clause) in db.clauses() {
+        if clause.body.is_empty() || !gate.runs(clause) {
             continue;
         }
-        delta_plan(&clause.body, delta_by_pred, plan);
+        delta_plan(&clause.body, delta_by_pred, &mut plan);
         for (k, &dpos) in plan.iter().enumerate() {
-            let dlist = delta_by_pred
-                .get(&clause.body[dpos].pred)
-                .expect("planned positions carry delta");
-            combos.clear();
-            collect_combos(
-                view,
-                &clause.body,
+            splits.push(Split {
+                cid,
+                clause,
                 dpos,
-                &plan[..k],
-                &DeltaSource::Entries(dlist),
-                Some(scope),
-                stats,
-                combos,
-            );
-            for chunk in combos.chunks_exact(n) {
-                stats.derivations_tried += 1;
-                // Support-level dedup before paying for construction;
-                // the support is assembled once, from Arc-shared
-                // child supports, and reused for the insert.
-                let support = if mode == SupportMode::WithSupports {
-                    let s = Support::node(
-                        Producer::Clause(cid),
-                        chunk
-                            .iter()
-                            .map(|&id| view.entry(id).support.clone().expect("WithSupports entry"))
-                            .collect(),
-                    );
-                    if view.entry_by_support(&s).is_some() {
-                        continue;
-                    }
-                    Some(s)
-                } else {
-                    None
-                };
-                let derived = {
-                    let children: Vec<&ConstrainedAtom> =
-                        chunk.iter().map(|&id| &view.entry(id).atom).collect();
-                    derive(clause, &children, gen)
-                };
-                let Some(d) = derived else {
-                    stats.pruned_syntactic += 1;
-                    continue;
-                };
-                if !admit(ctx.op, &d.atom.constraint, ctx.resolver, ctx.config, stats) {
-                    continue;
-                }
-                if let Some(id) = view.insert(d.atom, support, d.children_args) {
-                    next_delta.push(id);
-                    if view.len() > ctx.config.max_entries {
-                        return Err(FixpointError::EntryBudget {
-                            entries: view.len(),
-                        });
-                    }
-                }
-            }
+                older: plan[..k].to_vec(),
+                delta: &delta_by_pred[&clause.body[dpos].pred],
+            });
         }
     }
-    Ok(())
+    splits
 }
 
-/// What one pool task hands back to the round's merge: its candidate
-/// derivations in enumeration order, its private stats, and the high
+/// What one split hands to the merge: the candidates that passed the
+/// gate, in enumeration order; the split's own counters; and the high
 /// mark of the variable generator it renamed with.
-struct TaskOutput {
-    candidates: Vec<(Option<Support>, Derivation)>,
-    stats: FixpointStats,
+struct SplitOutput {
+    candidates: Vec<Candidate>,
+    stats: EngineStats,
     gen_high: u32,
 }
 
-/// One parallel semi-naive round. The decomposition mirrors the
-/// sequential round exactly: one pool task per `(clause,
-/// delta-position)` split, submitted in the sequential iteration order.
-///
-/// Why a task may run against a *frozen clone* of the round-start view:
-/// a propagation round only inserts (never removes or rewrites), and
-/// the round scope's watermark filter already excludes every entry
-/// inserted during the round from enumeration — so the live view and
-/// the frozen clone enumerate byte-identical combination sets, and
-/// entries (immutable once inserted) referenced by id resolve
-/// identically in both. The clone itself is a handful of `Arc` bumps
-/// under the persistent store.
-///
-/// Why the merge is deterministic: task results come back in submission
-/// order, candidates within a task in enumeration order, so the merge
-/// loop below inserts exactly the entries the sequential round inserts,
-/// in the same order — ids, supports and the delta for the next round
-/// are identical. The one divergence is bookkeeping: a duplicate
-/// produced by an *earlier split of the same round* is skipped before
-/// `derive` sequentially but detected only at the merge here, so the
-/// `derivations_tried`/`pruned_*` counters can differ slightly from the
-/// sequential run's. They are still deterministic for any thread count
-/// (every task dedups against the same frozen view).
-///
-/// Variable hygiene: each task renames with a private generator started
-/// at the live generator's watermark, so task output never collides
-/// with the view; two tasks may reuse the same fresh numbers, which is
-/// harmless because `derive` renames every child per derivation and all
-/// equality in the system (canonicalization, support dedup) is
-/// renaming-insensitive. The merge bumps the live generator past every
-/// task's high mark.
-///
-/// A task panic surfaces here, on the submitting thread, in submission
-/// order, as [`FixpointError::WorkerPanic`] — an *error*, not a
-/// re-panic, so the submitting lane's mutex is never poisoned and the
-/// service's ordinary rollback-on-error path restores every touched
-/// lane. The merge never runs for a panicked round, so the view holds
-/// exactly the pre-round state, and the pool's workers survive.
-#[allow(clippy::too_many_arguments)]
-fn round_parallel(
-    ctx: &EngineCtx<'_>,
-    par: &ParallelFixpoint,
-    view: &mut MaterializedView,
-    gen: &mut VarGen,
+/// Enumerates one split against `view` and gates every combination —
+/// the only place a round calls [`collect_combos`]. The inline executor
+/// passes the live view and generator, the pooled one the frozen clone
+/// and a private generator.
+fn run_split<G: Gate>(
+    view: &MaterializedView,
+    split: &Split<'_>,
     scope: &RoundScope,
-    delta_by_pred: &FxHashMap<Arc<str>, Vec<EntryId>>,
-    stats: &mut FixpointStats,
-    next_delta: &mut Vec<EntryId>,
-    plan: &mut Vec<usize>,
-) -> Result<(), FixpointError> {
-    let mode = view.mode();
-    // The round's splits, in sequential iteration order.
-    let mut splits: Vec<(ClauseId, &Clause, usize, Vec<usize>)> = Vec::new();
-    for (cid, clause) in ctx.db.clauses() {
-        if clause.body.is_empty() {
-            continue;
-        }
-        delta_plan(&clause.body, delta_by_pred, plan);
-        for (k, &dpos) in plan.iter().enumerate() {
-            splits.push((cid, clause, dpos, plan[..k].to_vec()));
-        }
-    }
-    let frozen = Arc::new(view.clone());
-    let base_watermark = gen.watermark();
-    let config = Arc::new(ctx.config.clone());
-    let op = ctx.op;
-    let tasks: Vec<_> = splits
-        .into_iter()
-        .map(|(cid, clause, dpos, older)| {
-            let frozen = Arc::clone(&frozen);
-            let scope = scope.clone();
-            let clause = clause.clone();
-            let dlist = delta_by_pred
-                .get(&clause.body[dpos].pred)
-                .expect("planned positions carry delta")
-                .clone();
-            let resolver = Arc::clone(&par.resolver);
-            let config = Arc::clone(&config);
-            move || {
-                let mut stats = FixpointStats::default();
-                let mut gen = VarGen::starting_at(base_watermark);
-                let mut combos: Vec<EntryId> = Vec::new();
-                collect_combos(
-                    &frozen,
-                    &clause.body,
-                    dpos,
-                    &older,
-                    &DeltaSource::Entries(&dlist),
-                    Some(&scope),
-                    &mut stats,
-                    &mut combos,
-                );
-                let n = clause.body.len();
-                let mut candidates = Vec::new();
-                for chunk in combos.chunks_exact(n) {
-                    stats.derivations_tried += 1;
-                    let support = if mode == SupportMode::WithSupports {
-                        let s = Support::node(
-                            Producer::Clause(cid),
-                            chunk
-                                .iter()
-                                .map(|&id| {
-                                    frozen
-                                        .entry(id)
-                                        .support
-                                        .clone()
-                                        .expect("WithSupports entry")
-                                })
-                                .collect(),
-                        );
-                        if frozen.entry_by_support(&s).is_some() {
-                            continue;
-                        }
-                        Some(s)
-                    } else {
-                        None
-                    };
-                    let derived = {
-                        let children: Vec<&ConstrainedAtom> =
-                            chunk.iter().map(|&id| &frozen.entry(id).atom).collect();
-                        derive(&clause, &children, &mut gen)
-                    };
-                    let Some(d) = derived else {
-                        stats.pruned_syntactic += 1;
-                        continue;
-                    };
-                    if !admit(
-                        op,
-                        &d.atom.constraint,
-                        resolver.as_ref(),
-                        &config,
-                        &mut stats,
-                    ) {
-                        continue;
-                    }
-                    candidates.push((support, d));
-                }
-                TaskOutput {
-                    candidates,
-                    stats,
-                    gen_high: gen.watermark(),
-                }
-            }
-        })
+    resolver: &dyn DomainResolver,
+    gate: &G,
+    gen: &mut VarGen,
+) -> SplitOutput {
+    let mut stats = EngineStats::default();
+    let mut combos: Vec<EntryId> = Vec::new();
+    collect_combos(
+        view,
+        &split.clause.body,
+        split.dpos,
+        &split.older,
+        &DeltaSource::Entries(split.delta),
+        Some(scope),
+        &mut stats.fixpoint,
+        &mut combos,
+    );
+    let candidates = combos
+        .chunks_exact(split.clause.body.len())
+        .filter_map(|chunk| gate.admit(view, split, chunk, resolver, gen, &mut stats))
         .collect();
-    let results = par.pool.run(tasks);
-    let mut outputs = Vec::with_capacity(results.len());
-    for r in results {
-        match r {
-            Ok(o) => outputs.push(o),
-            Err(payload) => {
-                return Err(FixpointError::WorkerPanic {
-                    message: crate::pool::panic_message(payload.as_ref()),
-                })
-            }
-        }
+    SplitOutput {
+        candidates,
+        stats,
+        gen_high: gen.watermark(),
     }
-    // Deterministic merge, on the caller thread, in submission order.
-    // The live-view dedup re-check catches duplicates across splits of
-    // this round (the frozen view could not see them); plain mode's
-    // `insert` dedups internally.
-    let mut gen_high = base_watermark;
-    for out in outputs {
-        stats.absorb(&out.stats);
-        gen_high = gen_high.max(out.gen_high);
-        for (support, d) in out.candidates {
-            if let Some(s) = &support {
-                if view.entry_by_support(s).is_some() {
-                    continue;
-                }
+}
+
+/// The one semi-naive round driver, shared by `T_P`/`W_P` propagation
+/// and Extended DRed's rederivation: the engines differ only in their
+/// [`Gate`]. See [the module docs][self#one-round-driver-two-executors].
+pub(crate) struct Engine<'a, G> {
+    pub db: &'a ConstrainedDatabase,
+    pub resolver: &'a dyn DomainResolver,
+    pub config: &'a FixpointConfig,
+    pub gate: G,
+}
+
+impl<G: Gate> Engine<'_, G> {
+    /// Closes `view` under the engine's clauses, starting from `delta`.
+    /// `gen` is the view's variable generator, taken out of the view by
+    /// the caller for the duration of the run.
+    pub fn run(
+        &self,
+        view: &mut MaterializedView,
+        gen: &mut VarGen,
+        mut delta: Vec<EntryId>,
+    ) -> Result<EngineStats, FixpointError> {
+        let mut stats = EngineStats::default();
+        let mut rounds = RoundState::new();
+        while !delta.is_empty() {
+            stats.fixpoint.iterations += 1;
+            if stats.fixpoint.iterations > self.config.max_iterations {
+                return Err(FixpointError::IterationBudget {
+                    iterations: stats.fixpoint.iterations,
+                });
             }
+            let scope = rounds.begin(view, &delta);
+            let delta_by_pred = group_by_pred(view, &delta);
+            let splits = plan_splits(self.db, &self.gate, &delta_by_pred);
+            delta = self.round(view, gen, splits, &scope, &mut stats)?;
+        }
+        Ok(stats)
+    }
+
+    /// One round: runs every split — inline, or pooled when a pool of
+    /// more than one thread is configured — and merges the outputs into
+    /// `view` in plan order; returns the inserted ids (the next round's
+    /// delta).
+    fn round(
+        &self,
+        view: &mut MaterializedView,
+        gen: &mut VarGen,
+        splits: Vec<Split<'_>>,
+        scope: &RoundScope,
+        stats: &mut EngineStats,
+    ) -> Result<Vec<EntryId>, FixpointError> {
+        let mut next = Vec::new();
+        let pooled = self
+            .config
+            .parallel
+            .as_ref()
+            .filter(|par| par.pool.threads() > 1 && !splits.is_empty());
+        let Some(par) = pooled else {
+            for split in &splits {
+                let out = run_split(view, split, scope, self.resolver, &self.gate, gen);
+                self.merge(view, gen, out, stats, &mut next)?;
+            }
+            return Ok(next);
+        };
+        // Pool jobs are `'static`: each owns its split, an `Arc` bump of
+        // the frozen view and of the scope, and a private generator
+        // started at the live one's watermark.
+        let frozen = Arc::new(view.clone());
+        let base_watermark = gen.watermark();
+        let tasks: Vec<_> = splits
+            .into_iter()
+            .map(|split| {
+                let frozen = Arc::clone(&frozen);
+                let scope = scope.clone();
+                let (cid, clause, dpos, older) =
+                    (split.cid, split.clause.clone(), split.dpos, split.older);
+                let delta = split.delta.to_vec();
+                let resolver = Arc::clone(&par.resolver);
+                let gate = self.gate.clone();
+                move || {
+                    let split = Split {
+                        cid,
+                        clause: &clause,
+                        dpos,
+                        older,
+                        delta: &delta,
+                    };
+                    let mut gen = VarGen::starting_at(base_watermark);
+                    run_split(&frozen, &split, &scope, resolver.as_ref(), &gate, &mut gen)
+                }
+            })
+            .collect();
+        let results = par.pool.run(tasks);
+        // Every task has finished and dropped its handle; dropping ours
+        // before the first insert leaves the store's pages exactly as
+        // shared as they were at round start, so the merge copies only
+        // what an inline round would.
+        drop(frozen);
+        // A task panic is an *error* on the submitting thread, not a
+        // re-panic: nothing has been merged, so the view holds the
+        // pre-round state, the caller's locks stay unpoisoned, and the
+        // pool's workers survive.
+        let outputs = results
+            .into_iter()
+            .collect::<Result<Vec<SplitOutput>, _>>()
+            .map_err(|payload| FixpointError::WorkerPanic {
+                message: crate::pool::panic_message(payload.as_ref()),
+            })?;
+        for out in outputs {
+            self.merge(view, gen, out, stats, &mut next)?;
+        }
+        Ok(next)
+    }
+
+    /// Folds one split's output into the live view. `insert` itself
+    /// drops a candidate whose support (or, in plain mode, canonical
+    /// form) an earlier split of this round already produced — the
+    /// duplicates a frozen view could not see.
+    fn merge(
+        &self,
+        view: &mut MaterializedView,
+        gen: &mut VarGen,
+        out: SplitOutput,
+        stats: &mut EngineStats,
+        next: &mut Vec<EntryId>,
+    ) -> Result<(), FixpointError> {
+        stats.fixpoint.absorb(&out.stats.fixpoint);
+        stats.solver_calls += out.stats.solver_calls;
+        gen.reserve_below(out.gen_high);
+        for (support, d) in out.candidates {
             if let Some(id) = view.insert(d.atom, support, d.children_args) {
-                next_delta.push(id);
-                if view.len() > ctx.config.max_entries {
-                    gen.reserve_below(gen_high);
+                next.push(id);
+                if view.len() > self.config.max_entries {
                     return Err(FixpointError::EntryBudget {
                         entries: view.len(),
                     });
                 }
             }
         }
+        Ok(())
     }
-    gen.reserve_below(gen_high);
-    Ok(())
 }
 
 /// The operator's admission test for a derived constraint.
@@ -1052,13 +1071,13 @@ fn admit(
     op: Operator,
     constraint: &Constraint,
     resolver: &dyn DomainResolver,
-    config: &FixpointConfig,
+    solver: &SolverConfig,
     stats: &mut FixpointStats,
 ) -> bool {
     match op {
         Operator::Wp => true,
         Operator::Tp => {
-            if satisfiable_with(constraint, resolver, &config.solver) == Truth::Unsat {
+            if satisfiable_with(constraint, resolver, solver) == Truth::Unsat {
                 stats.pruned_unsolvable += 1;
                 false
             } else {
@@ -1485,7 +1504,7 @@ mod engine_equivalence {
             let Some(d) = derive(clause, &[], view.var_gen_mut()) else {
                 continue;
             };
-            if !admit(op, &d.atom.constraint, resolver, config, &mut stats) {
+            if !admit(op, &d.atom.constraint, resolver, &config.solver, &mut stats) {
                 continue;
             }
             let support = matches!(mode, SupportMode::WithSupports)
@@ -1563,7 +1582,13 @@ mod engine_equivalence {
                                 derive(clause, &refs, view.var_gen_mut())
                             };
                             if let Some(d) = derived {
-                                if admit(op, &d.atom.constraint, resolver, config, &mut stats) {
+                                if admit(
+                                    op,
+                                    &d.atom.constraint,
+                                    resolver,
+                                    &config.solver,
+                                    &mut stats,
+                                ) {
                                     if let Some(id) = view.insert(d.atom, support, d.children_args)
                                     {
                                         next_delta.push(id);
@@ -1702,7 +1727,7 @@ mod engine_equivalence {
                             i.is_ok()
                         ),
                     }
-                    // Pool sweep: the parallel engine must be
+                    // Pool sweep: the pooled executor must be
                     // syntactically identical to sequential at every
                     // pool width (supports included).
                     for pool in sweep_pools() {

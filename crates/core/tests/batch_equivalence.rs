@@ -355,6 +355,9 @@ proptest! {
             let mut batched = base.clone();
             apply_batch(&w.db, &mut batched, &batch, &NoDomains, Operator::Tp, &cfg)
                 .expect("batch");
+            // `base` still shares every page with `batched`, so these are
+            // the copies the batch cost a writer beside a live snapshot.
+            let inline_share = batched.share_stats();
             let mut sequential = base;
             for d in &w.deletes {
                 match mode {
@@ -391,6 +394,7 @@ proptest! {
                     ..cfg.clone()
                 };
                 let mut parallel = build(&w.db, mode);
+                let snapshot = parallel.clone();
                 apply_batch(&w.db, &mut parallel, &batch, &NoDomains, Operator::Tp, &par)
                     .expect("parallel batch");
                 prop_assert!(
@@ -400,6 +404,18 @@ proptest! {
                     pool.threads(),
                     w.db
                 );
+                // The pooled executor's frozen round-start clone must be
+                // gone before each merge: a multi-round batch copies the
+                // same pages and keys as the inline run, not more.
+                prop_assert_eq!(
+                    parallel.share_stats(),
+                    inline_share,
+                    "apply_batch/{:?}/pool={} copy-on-write counters differ from the no-pool run on\n{}",
+                    mode,
+                    pool.threads(),
+                    w.db
+                );
+                drop(snapshot);
             }
         }
     }

@@ -16,9 +16,9 @@
 //! update".
 
 use crate::manager::Domain;
-use crate::sync::{read_clean, write_clean};
 use mmv_constraints::fxhash::FxHashMap;
 use mmv_constraints::{Value, ValueSet};
+use mmv_obs::sync::{read_clean, write_clean};
 use std::sync::{Arc, RwLock};
 
 /// A synthetic face identity.

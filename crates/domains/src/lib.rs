@@ -27,7 +27,6 @@ pub mod face;
 pub mod manager;
 pub mod relational;
 pub mod spatial;
-mod sync;
 pub mod text;
 pub mod versioned;
 

@@ -11,9 +11,9 @@
 //! domain mutations change later resolutions, which is exactly the
 //! function-behaviour-over-time model (`d:f_t`) of Section 4.
 
-use crate::sync::lock_clean;
 use mmv_constraints::fxhash::FxHashMap;
 use mmv_constraints::{DomainResolver, Value, ValueSet};
+use mmv_obs::sync::lock_clean;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 

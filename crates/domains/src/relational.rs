@@ -4,8 +4,8 @@
 //! `in(A, paradox:select_eq('phonebook', "name", X))`.
 
 use crate::manager::Domain;
-use crate::sync::read_clean;
 use mmv_constraints::{Value, ValueSet};
+use mmv_obs::sync::read_clean;
 use mmv_storage::Catalog;
 use std::sync::{Arc, RwLock};
 

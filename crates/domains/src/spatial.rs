@@ -8,9 +8,9 @@
 //! points) is preserved, and results are stable across runs and seeds.
 
 use crate::manager::Domain;
-use crate::sync::{read_clean, write_clean};
 use mmv_constraints::fxhash::FxHashMap;
 use mmv_constraints::{Value, ValueSet};
+use mmv_obs::sync::{read_clean, write_clean};
 use std::hash::{Hash, Hasher};
 use std::sync::RwLock;
 

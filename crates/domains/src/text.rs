@@ -3,9 +3,9 @@
 //! domain exposes keyword search and membership predicates.
 
 use crate::manager::Domain;
-use crate::sync::{read_clean, write_clean};
 use mmv_constraints::fxhash::FxHashMap;
 use mmv_constraints::{Value, ValueSet};
+use mmv_obs::sync::{read_clean, write_clean};
 use std::sync::RwLock;
 
 #[derive(Default)]

@@ -2,7 +2,7 @@
 //! crate's public surface.
 //!
 //! Every domain guards its store behind a poison-recovering lock (see
-//! `crates/domains/src/sync.rs`): a panic while a guard is held must
+//! `mmv_obs::sync`): a panic while a guard is held must
 //! cost exactly the panicking caller, never brick the domain for later
 //! readers — the per-lane recovery contract the service's writer lanes
 //! carry (PR 5) and the bench sensors fix demonstrated (PR 8). The

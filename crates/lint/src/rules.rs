@@ -4,7 +4,7 @@
 //! prior change and that the compiler cannot enforce:
 //!
 //! - `lock-expect`: a panicking thread must never cascade — poisoned
-//!   locks are recovered (`clear_poison` + `into_inner`), not
+//!   locks are recovered (the `mmv_obs::sync` guards), not
 //!   re-raised via `.unwrap()`/`.expect()`.
 //! - `vfs-confine`: storage I/O goes through the fault-injecting
 //!   `Vfs`; raw `std::fs` anywhere else is a fault-coverage blind
@@ -173,7 +173,7 @@ fn lock_expect(path: &str, ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
                     line,
                     "lock-expect",
                     format!(
-                        "{} on a `.{callee}()` result re-raises lock poison; recover with clear_poison + into_inner (see domains::sync)",
+                        "{} on a `.{callee}()` result re-raises lock poison; lock through mmv_obs::sync::{{lock_clean, read_clean, write_clean}}",
                         &pat[..pat.len() - 1]
                     ),
                 );
@@ -545,7 +545,7 @@ mod tests {
         assert!(diags("crates/bench/src/harness.rs", src).is_empty());
         // Bin entry points are exempt from vfs-confine (they still owe
         // forbid-unsafe, which is another rule's business).
-        assert!(!diags("crates/bench/src/bin/e8_service.rs", src)
+        assert!(!diags("crates/bench/src/bin/e1_deletion.rs", src)
             .iter()
             .any(|d| d.rule == "vfs-confine"));
     }

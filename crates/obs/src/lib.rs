@@ -32,6 +32,7 @@
 mod expo;
 mod metric;
 mod registry;
+pub mod sync;
 mod trace;
 
 pub use expo::validate_prometheus;

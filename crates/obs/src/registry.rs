@@ -8,9 +8,10 @@
 //! cost: it snapshots each atomic once and formats the copies.
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 use crate::metric::{Counter, Gauge, Histogram, HIST_BUCKETS};
+use crate::sync::lock_clean;
 
 /// Unit of a histogram's raw observations; controls how exposition scales
 /// values.
@@ -76,7 +77,7 @@ pub struct MetricsRegistry {
 
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let fams = self.lock();
+        let fams = lock_clean(&self.families);
         f.debug_struct("MetricsRegistry")
             .field("families", &fams.len())
             .finish_non_exhaustive()
@@ -112,17 +113,6 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    fn lock(&self) -> MutexGuard<'_, BTreeMap<&'static str, Family>> {
-        // Never poison: a panicking scraper must not brick registration.
-        match self.families.lock() {
-            Ok(g) => g,
-            Err(p) => {
-                self.families.clear_poison();
-                p.into_inner()
-            }
-        }
-    }
-
     /// Binds an existing [`Counter`] handle under `name` with `labels`.
     pub fn register_counter(
         &self,
@@ -132,7 +122,7 @@ impl MetricsRegistry {
         handle: &Counter,
     ) {
         debug_assert!(valid_name(name), "invalid metric name {name:?}");
-        let mut fams = self.lock();
+        let mut fams = lock_clean(&self.families);
         let fam = fams.entry(name).or_insert_with(|| Family {
             help,
             unit: Unit::Count,
@@ -154,7 +144,7 @@ impl MetricsRegistry {
         handle: &Gauge,
     ) {
         debug_assert!(valid_name(name), "invalid metric name {name:?}");
-        let mut fams = self.lock();
+        let mut fams = lock_clean(&self.families);
         let fam = fams.entry(name).or_insert_with(|| Family {
             help,
             unit: Unit::Count,
@@ -177,7 +167,7 @@ impl MetricsRegistry {
         handle: &Histogram,
     ) {
         debug_assert!(valid_name(name), "invalid metric name {name:?}");
-        let mut fams = self.lock();
+        let mut fams = lock_clean(&self.families);
         let fam = fams.entry(name).or_insert_with(|| Family {
             help,
             unit,
@@ -205,7 +195,7 @@ impl MetricsRegistry {
         let handle = Counter::new();
         let owned = owned_labels(labels);
         {
-            let mut fams = self.lock();
+            let mut fams = lock_clean(&self.families);
             if let Some(Family {
                 kind: FamilyKind::Counter(series),
                 ..
@@ -224,7 +214,7 @@ impl MetricsRegistry {
     pub fn gauge(&self, name: &'static str, help: &'static str) -> Gauge {
         let handle = Gauge::new();
         {
-            let fams = self.lock();
+            let fams = lock_clean(&self.families);
             if let Some(Family {
                 kind: FamilyKind::Gauge(series),
                 ..
@@ -243,7 +233,7 @@ impl MetricsRegistry {
     pub fn histogram(&self, name: &'static str, help: &'static str, unit: Unit) -> Histogram {
         let handle = Histogram::new();
         {
-            let fams = self.lock();
+            let fams = lock_clean(&self.families);
             if let Some(Family {
                 kind: FamilyKind::Histogram(series),
                 ..
@@ -265,7 +255,7 @@ impl MetricsRegistry {
     /// `_count` is derived from the same bucket snapshot the `le` samples
     /// came from, so a scrape is never internally torn.
     pub fn render_prometheus(&self) -> String {
-        let fams = self.lock();
+        let fams = lock_clean(&self.families);
         let mut out = String::new();
         for (name, fam) in fams.iter() {
             out.push_str(&format!("# HELP {name} {}\n", fam.help));
@@ -304,7 +294,7 @@ impl MetricsRegistry {
     /// Histogram series report `count`, `sum`, `max`, and derived
     /// `p50`/`p90`/`p99` (scaled per the family's [`Unit`]).
     pub fn render_json(&self) -> String {
-        let fams = self.lock();
+        let fams = lock_clean(&self.families);
         let mut out = String::from("{\"metrics\":[");
         let mut first_fam = true;
         for (name, fam) in fams.iter() {

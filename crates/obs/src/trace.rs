@@ -5,6 +5,7 @@
 //! last N completed traces in a [`TraceRing`], queryable via
 //! `ViewService::recent_traces()` without stopping writers.
 
+use crate::sync::lock_clean;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -143,22 +144,12 @@ impl TraceRing {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<BatchTrace>> {
-        match self.buf.lock() {
-            Ok(g) => g,
-            Err(p) => {
-                self.buf.clear_poison();
-                p.into_inner()
-            }
-        }
-    }
-
     /// Appends a trace, evicting the oldest once full.
     pub fn push(&self, trace: BatchTrace) {
         if self.cap == 0 {
             return;
         }
-        let mut buf = self.lock();
+        let mut buf = lock_clean(&self.buf);
         if buf.len() == self.cap {
             buf.pop_front();
         }
@@ -167,7 +158,7 @@ impl TraceRing {
 
     /// The retained traces, oldest first.
     pub fn recent(&self) -> Vec<BatchTrace> {
-        self.lock().iter().copied().collect()
+        lock_clean(&self.buf).iter().copied().collect()
     }
 
     /// Maximum number of retained traces.

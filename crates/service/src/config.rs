@@ -225,8 +225,8 @@ pub struct ServiceConfig {
     /// Worker threads in the shared intra-lane work-stealing pool
     /// (`None`: the `MMV_POOL_THREADS` environment variable if set,
     /// otherwise [`std::thread::available_parallelism`]). A resolved
-    /// width of 1 disables intra-lane parallelism entirely — batches
-    /// run the sequential fixpoint paths.
+    /// width of 1 disables intra-lane parallelism entirely — every
+    /// round runs on the lane's own thread.
     pub pool_threads: Option<usize>,
 }
 

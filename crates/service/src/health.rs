@@ -25,11 +25,12 @@
 //! epoch it happened at and a human-readable reason — the audit trail
 //! the README's operations section points at.
 
+use mmv_obs::sync::lock_clean;
 use mmv_obs::{Counter, Gauge};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -194,16 +195,6 @@ pub(crate) struct Health {
 }
 
 impl Health {
-    fn lock(&self) -> MutexGuard<'_, HealthInner> {
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(p) => {
-                self.inner.clear_poison();
-                p.into_inner()
-            }
-        }
-    }
-
     fn shift(&self, guard: &mut HealthInner, set: impl FnOnce(&mut HealthInner), reason: &str) {
         let from = guard.state();
         set(guard);
@@ -229,13 +220,17 @@ impl Health {
 
     /// The current state.
     pub(crate) fn current(&self) -> ServiceHealth {
-        self.lock().state()
+        lock_clean(&self.inner).state()
     }
 
     /// A copy of the transition journal (the newest
     /// [`HEALTH_TRANSITION_CAP`] transitions, oldest first).
     pub(crate) fn transitions(&self) -> Vec<HealthTransition> {
-        self.lock().transitions.iter().cloned().collect()
+        lock_clean(&self.inner)
+            .transitions
+            .iter()
+            .cloned()
+            .collect()
     }
 
     /// Every transition ever recorded, including ones the ring evicted.
@@ -270,7 +265,7 @@ impl Health {
     /// in `mmv_health_transitions_total` so operators see the event in
     /// the same audit trail as storage flips.
     pub(crate) fn lane_event(&self, reason: &str) {
-        let mut guard = self.lock();
+        let mut guard = lock_clean(&self.inner);
         let state = guard.state();
         if guard.transitions.len() == HEALTH_TRANSITION_CAP {
             guard.transitions.pop_front();
@@ -286,25 +281,25 @@ impl Health {
 
     /// A persistent WAL failure: → ReadOnly.
     pub(crate) fn wal_failed(&self, reason: &str) {
-        let mut g = self.lock();
+        let mut g = lock_clean(&self.inner);
         self.shift(&mut g, |i| i.wal_down = true, reason);
     }
 
     /// The probe re-proved the WAL: leave ReadOnly.
     pub(crate) fn wal_restored(&self, reason: &str) {
-        let mut g = self.lock();
+        let mut g = lock_clean(&self.inner);
         self.shift(&mut g, |i| i.wal_down = false, reason);
     }
 
     /// A persistent checkpoint failure: → Degraded (unless ReadOnly).
     pub(crate) fn checkpoint_failed(&self, reason: &str) {
-        let mut g = self.lock();
+        let mut g = lock_clean(&self.inner);
         self.shift(&mut g, |i| i.checkpoint_down = true, reason);
     }
 
     /// A checkpoint landed: clear the degraded flag.
     pub(crate) fn checkpoint_ok(&self) {
-        let mut g = self.lock();
+        let mut g = lock_clean(&self.inner);
         self.shift(&mut g, |i| i.checkpoint_down = false, "checkpoint written");
     }
 }

@@ -96,10 +96,11 @@ use mmv_core::batch::{apply_batch_ticketed, BatchError, BatchStats, UpdateBatch}
 use mmv_core::delete_dred::DredError;
 use mmv_core::parser::WalPayload;
 use mmv_core::pool::WorkerPool;
-use mmv_core::shard::{ShardId, ShardMap, ShardSpec};
+use mmv_core::shard::{ShardId, ShardMap};
 use mmv_core::tp::{fixpoint, FixpointConfig, FixpointError, Operator, ParallelFixpoint};
 use mmv_core::view::ShareStats;
 use mmv_core::{ConstrainedDatabase, InstanceError, MaterializedView, SupportMode};
+use mmv_obs::sync::{lock_clean, read_clean, write_clean};
 use mmv_obs::{BatchTrace, HistogramSnapshot, MetricsRegistry, Stage};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -222,19 +223,6 @@ struct DurableState {
     checkpoint_every: u64,
 }
 
-/// Locks a mutex whose guarded state a panic can never leave torn
-/// (counters, append-only logs, the hook slot): a poisoned guard is
-/// recovered as-is.
-fn lock_clean<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => {
-            m.clear_poison();
-            p.into_inner()
-        }
-    }
-}
-
 /// A batch's reserved external-insertion ticket range, rolled back on
 /// drop unless committed. The rollback covers every way maintenance
 /// can fail to publish — an error return *or a panic unwinding out of
@@ -328,9 +316,9 @@ pub struct ViewService {
     op: Operator,
     config: FixpointConfig,
     /// The shared intra-lane work-stealing pool, `None` when the
-    /// resolved width is 1 (parallelism disabled — batches run the
-    /// sequential fixpoint paths). When present, `config.parallel`
-    /// routes every lane's hot loops through it.
+    /// resolved width is 1 (parallelism disabled — every round runs on
+    /// the lane's own thread). When present, `config.parallel` lets the
+    /// round driver submit every lane's rounds to it.
     pool: Option<Arc<WorkerPool>>,
     shards: Arc<ShardMap>,
     /// Per lane: the sub-database of the shard's clauses.
@@ -668,44 +656,6 @@ impl ViewService {
         Ok((svc, report))
     }
 
-    /// Positional construction, superseded by [`ViewService::builder`].
-    #[deprecated(since = "0.6.0", note = "use ViewService::builder()")]
-    pub fn build(
-        db: ConstrainedDatabase,
-        resolver: SharedResolver,
-        op: Operator,
-        mode: SupportMode,
-        config: FixpointConfig,
-    ) -> Result<Self, ServiceError> {
-        ViewService::builder()
-            .resolver(resolver)
-            .operator(op)
-            .mode(mode)
-            .fixpoint(config)
-            .build(db)
-    }
-
-    /// Positional construction with an explicit shard layout,
-    /// superseded by [`ViewService::builder`] +
-    /// [`ViewServiceBuilder::shards`].
-    #[deprecated(since = "0.6.0", note = "use ViewService::builder().shards(spec)")]
-    pub fn build_with_shards(
-        db: ConstrainedDatabase,
-        resolver: SharedResolver,
-        op: Operator,
-        mode: SupportMode,
-        config: FixpointConfig,
-        spec: ShardSpec,
-    ) -> Result<Self, ServiceError> {
-        ViewService::builder()
-            .resolver(resolver)
-            .operator(op)
-            .mode(mode)
-            .fixpoint(config)
-            .shards(spec)
-            .build(db)
-    }
-
     /// Splits a built view into per-shard views: each lane re-hosts
     /// its predicates' entries (supports and children metadata moved
     /// verbatim — clause numbering is global, so they stay valid
@@ -774,7 +724,7 @@ impl ViewService {
         // The shared work-stealing pool: builder override, then the
         // MMV_POOL_THREADS environment variable, then the host's
         // available parallelism. Width 1 means no pool at all — every
-        // lane runs the sequential fixpoint paths. An explicitly
+        // lane runs its rounds on its own thread. An explicitly
         // pre-wired `config.parallel` (a caller-owned pool) is
         // respected as-is.
         let threads = Self::resolve_pool_threads(pool_threads);
@@ -981,24 +931,12 @@ impl ViewService {
     /// swaps `Arc`s and bumps counters, so a panic can interrupt but
     /// never tear it.
     fn read_published(&self) -> RwLockReadGuard<'_, Published> {
-        match self.published.read() {
-            Ok(g) => g,
-            Err(p) => {
-                self.published.clear_poison();
-                p.into_inner()
-            }
-        }
+        read_clean(&self.published)
     }
 
     /// Write side of [`ViewService::read_published`], same recovery.
     fn write_published(&self) -> RwLockWriteGuard<'_, Published> {
-        match self.published.write() {
-            Ok(g) => g,
-            Err(p) => {
-                self.published.clear_poison();
-                p.into_inner()
-            }
-        }
+        write_clean(&self.published)
     }
 
     /// Locks one writer lane, recovering it if a previous batch's panic

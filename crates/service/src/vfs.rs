@@ -17,11 +17,12 @@
 //! persistent ones are raw `EIO`/`ENOSPC` (surfaced, flipping the
 //! service read-only until the fault heals).
 
+use mmv_obs::sync::lock_clean;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 /// The storage operation being attempted — attribution for
 /// [`crate::wal::StorageError`] and the selector vocabulary for
@@ -339,7 +340,7 @@ pub struct FaultVfs {
 
 impl fmt::Debug for FaultVfs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = self.lock();
+        let s = lock_clean(&self.state);
         f.debug_struct("FaultVfs")
             .field("seed", &s.plan.seed)
             .field("ops", &s.ops)
@@ -414,21 +415,11 @@ impl FaultVfs {
         })
     }
 
-    fn lock(&self) -> MutexGuard<'_, FaultState> {
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(p) => {
-                self.state.clear_poison();
-                p.into_inner()
-            }
-        }
-    }
-
     /// Clears persistent faults (EIO, ENOSPC, fsync-down, and
     /// `PathContains` scripts) — "the disk came back". A simulated
     /// crash is not healable.
     pub fn heal(&self) {
-        let mut s = self.lock();
+        let mut s = lock_clean(&self.state);
         s.persistent = None;
         s.sync_down = false;
         s.transient_left = 0;
@@ -440,12 +431,12 @@ impl FaultVfs {
     /// Whether a simulated crash has fired (every later op fails; the
     /// directory is frozen as the crash image).
     pub fn crashed(&self) -> bool {
-        self.lock().crashed
+        lock_clean(&self.state).crashed
     }
 
     /// Operation counters and the indices where faults fired.
     pub fn stats(&self) -> FaultStats {
-        let s = self.lock();
+        let s = lock_clean(&self.state);
         FaultStats {
             ops: s.ops,
             injected: s.injected.clone(),
@@ -484,7 +475,7 @@ impl FaultVfs {
     /// One eligible operation: advance the counters, consult the
     /// scripts, then the random bands.
     fn decide(&self, op: StorageOp, path: &Path) -> Verdict {
-        let s = &mut *self.lock();
+        let s = &mut *lock_clean(&self.state);
         let idx = s.ops;
         s.ops += 1;
         s.m_ops.inc();
@@ -674,7 +665,7 @@ impl Vfs for Arc<FaultVfs> {
     }
 
     fn register_metrics(&self, registry: &mmv_obs::MetricsRegistry) {
-        let s = self.lock();
+        let s = lock_clean(&self.state);
         registry.register_counter(
             "mmv_vfs_fault_ops_total",
             "Fault-eligible storage operations seen by the FaultVfs",

@@ -87,12 +87,13 @@
 use crate::health::RetryPolicy;
 use crate::vfs::{StdVfs, StorageOp, Vfs, VfsFile};
 use mmv_core::parser::{parse_wal_payload, render_wal_payload, WalPayload};
+use mmv_obs::sync::lock_clean;
 use mmv_obs::Counter;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -321,16 +322,6 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
-}
-
-fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => {
-            m.clear_poison();
-            p.into_inner()
-        }
-    }
 }
 
 /// An open segment file plus the path it was opened under (for error

@@ -117,9 +117,9 @@ proptest! {
             ).expect("oracle evaluates");
 
             // The sharded service sweeps the intra-lane pool width
-            // (1 = sequential paths, 2 and 4 = parallel rounds); the
-            // single-lane reference always runs sequentially, so every
-            // width is checked against the same sequential state.
+            // (1 = no pool, 2 and 4 = pooled rounds); the
+            // single-lane reference always runs inline, so every
+            // width is checked against the same inline state.
             for pool_threads in [1usize, 2, 4] {
             let sharded = ViewService::builder()
                 .mode(mode)
@@ -204,7 +204,10 @@ fn concurrent_readers_observe_monotone_untorn_epochs() {
                 let mut last_global = 0u64;
                 let mut last_shard = [0u64; COMPONENTS];
                 let mut reads = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                // At least one read before honouring `stop`: a reader
+                // first scheduled after the writers finish still checks
+                // the final state.
+                loop {
                     let snap = svc.snapshot();
                     assert!(snap.epoch() >= last_global, "global epoch regressed");
                     last_global = snap.epoch();
@@ -245,6 +248,9 @@ fn concurrent_readers_observe_monotone_untorn_epochs() {
                         .expect("read a");
                     assert_eq!(in_b, in_a, "torn chain inside one shard snapshot");
                     reads += 1;
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 reads
             })

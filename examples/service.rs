@@ -6,7 +6,9 @@
 //! "who is a suspect?" off consistent snapshots — no reader ever blocks
 //! on maintenance or observes a half-applied batch.
 //!
-//! Run: `cargo run --example service`
+//! Run: `cargo run --example service [-- <scrape-file>]` — with a path,
+//! the service's final Prometheus scrape is written there (CI feeds it
+//! to `promcheck`).
 
 use mmv::constraints::{NoDomains, SolverConfig, Value};
 use mmv::core::batch::UpdateBatch;
@@ -114,4 +116,9 @@ fn main() {
         .expect("replay");
     assert!(replayed.syntactically_equal(&snap.merged_view()));
     println!("log replay reproduces the served view ✓");
+
+    if let Some(path) = std::env::args().nth(1) {
+        std::fs::write(&path, service.metrics().render_prometheus()).expect("write the scrape");
+        println!("metrics scrape written to {path}");
+    }
 }
