@@ -1,7 +1,7 @@
 // mmv-lint-fixture: crates/service/src/rogue.rs
 //! Known-violation corpus for `lock-order`: lane and publication
 //! locks combine only inside the canonical helpers, lanes are only
-//! multiply acquired in apply_inner's ascending loop, and nobody
+//! multiply acquired in lock_lanes' ascending loop, and nobody
 //! touches the raw fields directly.
 use std::sync::{Mutex, RwLock};
 
@@ -44,13 +44,17 @@ impl Rogue {
         drop((g, p));
     }
 
-    fn apply_inner(&self) {
-        // The one sanctioned combination: ascending lanes, then the
-        // publication lock.
+    fn lock_lanes(&self) {
+        // The one sanctioned multi-lane acquisition: ascending order.
         let a = self.lock_lane(0);
         let b = self.lock_lane(1);
-        let p = self.read_published();
-        drop((a, b, p));
+        drop((a, b));
+    }
+
+    fn locks_the_batch_then_reads_the_table(&self) {
+        self.lock_lanes();
+        let epoch = self.read_published(); //~ lock-order
+        drop(epoch);
     }
 
     fn single_lane_is_fine(&self) {

@@ -383,14 +383,17 @@ fn forbid_unsafe(path: &str, ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
 
 /// The only functions allowed to acquire lane/publication locks
 /// directly or in combination. `lock_lane` and the published-snapshot
-/// guards are the single homes for direct acquisition; `apply_inner`
-/// is the one place lane and publication locks legitimately meet, and
-/// its multi-lane loop acquires in ascending shard order.
+/// guards are the single homes for direct acquisition (`lock_lane`
+/// also reads the published table, to recover a poisoned lane);
+/// `lock_lanes` is the one multi-lane acquisition, in ascending shard
+/// order. The commit-path stages that take the publication lock while
+/// lanes are held (`commit`, `publish`, `abort`) are handed the guards
+/// by their caller — they acquire no lane, so they need no entry here.
 const CANONICAL_LOCK_FNS: &[&str] = &[
     "lock_lane",
     "read_published",
     "write_published",
-    "apply_inner",
+    "lock_lanes",
 ];
 
 fn lock_order(path: &str, ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
@@ -419,8 +422,8 @@ fn lock_order(path: &str, ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
             );
         }
     }
-    // Helper-call combinations outside apply_inner: collect per-fn
-    // call sites, skipping the helpers' own definitions.
+    // Helper-call combinations outside the canonical functions:
+    // collect per-fn call sites, skipping the helpers' own definitions.
     for f in &ctx.fns {
         if CANONICAL_LOCK_FNS.contains(&f.name.as_str()) {
             continue;
@@ -429,6 +432,7 @@ fn lock_order(path: &str, ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
         let mut pub_calls: Vec<usize> = Vec::new();
         for (pat, is_lane) in [
             ("lock_lane(", true),
+            ("lock_lanes(", true),
             ("read_published(", false),
             ("write_published(", false),
         ] {
@@ -459,7 +463,7 @@ fn lock_order(path: &str, ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
                 lane_calls[1],
                 "lock-order",
                 format!(
-                    "`{}` acquires two lane locks; multi-lane acquisition happens only in apply_inner's ascending-shard loop",
+                    "`{}` acquires two lane locks; multi-lane acquisition happens only in lock_lanes' ascending-shard loop",
                     f.name
                 ),
             );
@@ -471,7 +475,7 @@ fn lock_order(path: &str, ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
                 *pub_calls.iter().chain(&lane_calls).max().unwrap(),
                 "lock-order",
                 format!(
-                    "`{}` holds a lane lock and the publication lock together; only apply_inner may combine them",
+                    "`{}` acquires a lane lock and the publication lock together; only the canonical helpers may combine them",
                     f.name
                 ),
             );
@@ -596,7 +600,7 @@ mod tests {
             "fn sneaky(&self) {\n",
             "    let g = self.lanes[0].lock();\n",
             "}\n",
-            "fn apply_inner(&self) {\n",
+            "fn lock_lanes(&self) {\n",
             "    let a = self.lock_lane(0);\n",
             "    let b = self.lock_lane(1);\n",
             "    let p = self.write_published();\n",

@@ -367,17 +367,23 @@ impl ViewServiceBuilder {
         db: ConstrainedDatabase,
     ) -> Result<(ViewService, RecoveryReport), ServiceError> {
         let Some(dir) = self.config.durability.dir().map(Path::to_path_buf) else {
-            return Err(ServiceError::Storage(StorageError::io(
-                StorageOp::ReadDir,
-                "<no durable dir>",
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "recover() needs Durability::durable(dir)",
-                ),
-            )));
+            return Err(not_durable());
         };
         ViewService::recover(&dir, db, self.config)
     }
+}
+
+/// The error for asking a non-durable configuration for durable
+/// storage: recovery has no directory to read.
+pub(crate) fn not_durable() -> ServiceError {
+    ServiceError::Storage(StorageError::io(
+        StorageOp::ReadDir,
+        "<no durable dir>",
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "recover() needs Durability::durable(dir)",
+        ),
+    ))
 }
 
 /// What [`ViewService::recover`] found and did.

@@ -25,10 +25,10 @@
 //!   they observe the last *published* consistent state, never a
 //!   half-maintained view or a torn multi-shard epoch.
 //! * **An update log** — an append-only [`UpdateLog`] of applied
-//!   batches (epoch, batch, stats, latency) and lane recoveries that
-//!   can be replayed onto a freshly built view to reproduce the served
-//!   state (recovery), and that the equivalence tests use to pin batch
-//!   determinism.
+//!   batches (epoch, ticket base, batch — exactly a WAL frame's
+//!   content) and lane recoveries that can be replayed onto a freshly
+//!   built view to reproduce the served state (recovery), and that the
+//!   equivalence tests use to pin batch determinism.
 //! * **Durability** — opt-in via [`Durability::durable`]: every batch
 //!   is appended to a segmented write-ahead log *before* it is
 //!   published, with group-commit fsync batching ([`wal`]); a
@@ -93,8 +93,8 @@ pub mod worker;
 pub use checkpoint::CheckpointStats;
 pub use config::{Durability, ObsOptions, RecoveryReport, ServiceConfig, ViewServiceBuilder};
 pub use health::{HealthTransition, RetryPolicy, ServiceHealth, HEALTH_TRANSITION_CAP};
-pub use log::{DurableLog, LogRecord, LogSink, Recovery, ReplayError, UpdateLog};
-pub use service::{Applied, FaultHook, LogRead, ServiceError, SharedResolver, ViewService};
+pub use log::{LogRecord, Recovery, ReplayError, UpdateLog};
+pub use service::{Applied, FaultHook, ServiceError, SharedResolver, ViewService};
 pub use snapshot::{Epoch, PublishStats, ServiceSnapshot, ViewSnapshot};
 pub use vfs::{
     Fault, FaultPlan, FaultStats, FaultVfs, OpSel, ScriptedFault, StdVfs, StorageOp, Vfs,

@@ -3,55 +3,47 @@
 //! The log is the service's recovery and audit story: replaying it onto
 //! a freshly built view reproduces the writer's final state, because
 //! batch application is deterministic (same database, same batches,
-//! same order ⇒ syntactically equal view). The service tests pin
-//! exactly that property, and the batch-vs-sequential equivalence
-//! suite leans on it to compare maintenance strategies. Under a sharded
-//! writer the guarantee covers sequentially applied batches (and
-//! concurrent delete-only loads); insert-carrying batches applied
-//! *concurrently* — whether racing on different lanes or on the same
-//! one — may reserve their external tickets in a different order than
-//! they publish, in which case the replayed view is instance-identical
-//! but the opaque `External(t)` support tickets can be permuted.
+//! same order, same tickets ⇒ syntactically equal view). The service
+//! tests pin exactly that property, and the batch-vs-sequential
+//! equivalence suite leans on it to compare maintenance strategies.
+//! Replay and recovery reissue each batch's recorded tickets and epoch,
+//! so both are syntactically identical to the served view under any
+//! interleaving of the writers; concurrently rolled-back batches may
+//! leave epoch and ticket gaps, which neither path depends on.
+//!
+//! A [`LogRecord`] is exactly the content of a WAL batch frame
+//! ([`mmv_core::parser::WalPayload::Batch`]): one format for the
+//! in-memory and the durable log. What a batch cost lives elsewhere —
+//! in [`Applied`][crate::Applied], the trace ring and the metrics
+//! registry.
 //!
 //! Besides applied batches, the log records writer-lane *recoveries*
 //! ([`Recovery`]): a lane whose mutex was poisoned by a panicking batch
 //! and was rebuilt from its last published shard snapshot.
 //!
-//! Durable sinks surface storage failures as [`StorageError`] —
-//! attributed with the failing path and operation and classified
-//! transient/persistent — and support *retraction*
-//! ([`LogSink::retract`]): under group commit a record is mirrored
-//! when its frame is appended, but the batch only publishes once the
-//! frame is durable, so a failed durability wait rolls the mirror
-//! back too (the WAL frame itself is truncated by the flusher).
+//! Records support *retraction* ([`UpdateLog::retract`]): under group
+//! commit a record is mirrored when its frame is appended, but the
+//! batch only publishes once the frame is durable, so a failed
+//! durability wait rolls the mirror back too (the WAL frame itself is
+//! truncated by the flusher).
 
-use crate::snapshot::{Epoch, PublishStats};
-use crate::wal::{StorageError, Wal};
+use crate::snapshot::Epoch;
 use mmv_constraints::DomainResolver;
-use mmv_core::batch::{apply_batch, BatchError, BatchStats, UpdateBatch};
-use mmv_core::parser::{render_wal_batch, render_wal_payload, WalPayload};
+use mmv_core::batch::{apply_batch_ticketed, BatchError, UpdateBatch};
 use mmv_core::tp::{fixpoint, FixpointConfig, Operator};
 use mmv_core::{ConstrainedDatabase, FixpointError, MaterializedView, SupportMode};
-use std::sync::Arc;
-use std::time::Duration;
 
-/// One applied batch: what was applied, when (epoch), and what it cost.
+/// One applied batch: what was applied, when (epoch), and under which
+/// external-insertion tickets.
 #[derive(Debug, Clone)]
 pub struct LogRecord {
     /// The epoch the batch produced (the snapshot published after it).
     pub epoch: Epoch,
+    /// The first of the batch's reserved external-insertion tickets:
+    /// insertion `i` was applied under ticket `ticket_base + i`.
+    pub ticket_base: u64,
     /// The batch itself.
     pub batch: UpdateBatch,
-    /// Maintenance statistics of the application.
-    pub stats: BatchStats,
-    /// Wall-clock maintenance latency of the application.
-    pub latency: Duration,
-    /// Publication cost of the epoch (snapshot swap time, copied-vs-
-    /// shared page counts).
-    pub publish: PublishStats,
-    /// How many writer lanes the batch touched (0 for an empty batch;
-    /// ≥ 2 means a cross-shard two-phase publish).
-    pub shards_touched: usize,
 }
 
 /// One writer-lane recovery: the lane's mutex was found poisoned (a
@@ -94,163 +86,6 @@ impl std::error::Error for ReplayError {
     }
 }
 
-/// Where the service's applied batches go: the in-memory [`UpdateLog`]
-/// and the durable [`DurableLog`] share this interface, so the write
-/// path is identical either way. The sink is called inside the
-/// publication critical section — frames (for durable sinks) and
-/// records append in global epoch order.
-pub trait LogSink: Send {
-    /// Appends one applied-batch record. `ticket_base` is the batch's
-    /// reserved external-insertion ticket base, recorded so replay
-    /// issues the same tickets. Durable sinks write the WAL frame
-    /// *first* (write-ahead: an error leaves the in-memory mirror
-    /// untouched and the batch unpublished) and return its LSN; the
-    /// in-memory sink returns `None`.
-    fn append(&mut self, record: LogRecord, ticket_base: u64) -> Result<Option<u64>, StorageError>;
-
-    /// [`LogSink::append`] with batch-lifecycle tracing: a durable sink
-    /// records the WAL-render and WAL-append stage times into `trace`;
-    /// the in-memory sink just delegates (its append has no WAL stages).
-    fn append_traced(
-        &mut self,
-        record: LogRecord,
-        ticket_base: u64,
-        trace: &mut mmv_obs::BatchTrace,
-    ) -> Result<Option<u64>, StorageError> {
-        let _ = &trace;
-        self.append(record, ticket_base)
-    }
-
-    /// Removes the record appended at `epoch` again: the deferred
-    /// group-commit durability wait failed after the record was
-    /// already mirrored, and the batch is being rolled back. (The WAL
-    /// frame itself is truncated by the flusher's give-up path; this
-    /// only un-mirrors.)
-    fn retract(&mut self, epoch: Epoch);
-
-    /// Records a writer-lane recovery. `global_epoch` is the current
-    /// global epoch (durable sinks use it as the WAL frame's epoch
-    /// lower bound).
-    fn record_recovery(&mut self, recovery: Recovery, global_epoch: Epoch);
-
-    /// The in-memory mirror every sink maintains (what
-    /// [`ViewService::log`][crate::ViewService::log] exposes).
-    fn memory(&self) -> &UpdateLog;
-
-    /// Detaches the in-memory mirror, leaving the sink empty — used
-    /// when recovery upgrades the replay-time in-memory sink to a
-    /// durable one without losing the replayed records.
-    fn take_memory(&mut self) -> UpdateLog;
-}
-
-impl LogSink for UpdateLog {
-    fn append(
-        &mut self,
-        record: LogRecord,
-        _ticket_base: u64,
-    ) -> Result<Option<u64>, StorageError> {
-        UpdateLog::append(self, record);
-        Ok(None)
-    }
-
-    fn retract(&mut self, epoch: Epoch) {
-        UpdateLog::retract(self, epoch);
-    }
-
-    fn record_recovery(&mut self, recovery: Recovery, _global_epoch: Epoch) {
-        UpdateLog::record_recovery(self, recovery);
-    }
-
-    fn memory(&self) -> &UpdateLog {
-        self
-    }
-
-    fn take_memory(&mut self) -> UpdateLog {
-        std::mem::take(self)
-    }
-}
-
-/// The durable sink: every appended record is first written as a
-/// [`WalPayload::Batch`] frame to the write-ahead log, then mirrored
-/// in memory. Lane recoveries are journaled best-effort (the in-memory
-/// record always lands; a WAL append failure only costs the audit
-/// trail, never the lane recovery itself).
-pub struct DurableLog {
-    mem: UpdateLog,
-    wal: Arc<Wal>,
-}
-
-impl DurableLog {
-    /// A durable sink over `wal` with an empty in-memory mirror.
-    pub(crate) fn new(wal: Arc<Wal>) -> Self {
-        DurableLog {
-            mem: UpdateLog::new(),
-            wal,
-        }
-    }
-
-    /// A durable sink adopting an existing in-memory mirror (the
-    /// records recovery just replayed).
-    pub(crate) fn with_memory(wal: Arc<Wal>, mem: UpdateLog) -> Self {
-        DurableLog { mem, wal }
-    }
-}
-
-impl std::fmt::Debug for DurableLog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DurableLog")
-            .field("records", &self.mem.len())
-            .field("recoveries", &self.mem.recoveries().len())
-            .finish()
-    }
-}
-
-impl LogSink for DurableLog {
-    fn append(&mut self, record: LogRecord, ticket_base: u64) -> Result<Option<u64>, StorageError> {
-        let frame = render_wal_batch(record.epoch, ticket_base, &record.batch);
-        let lsn = self.wal.append(record.epoch, &frame)?;
-        self.mem.append(record);
-        Ok(Some(lsn))
-    }
-
-    fn append_traced(
-        &mut self,
-        record: LogRecord,
-        ticket_base: u64,
-        trace: &mut mmv_obs::BatchTrace,
-    ) -> Result<Option<u64>, StorageError> {
-        let frame = trace.time(mmv_obs::Stage::WalRender, || {
-            render_wal_batch(record.epoch, ticket_base, &record.batch)
-        });
-        let lsn = trace.time(mmv_obs::Stage::WalAppend, || {
-            self.wal.append(record.epoch, &frame)
-        })?;
-        self.mem.append(record);
-        Ok(Some(lsn))
-    }
-
-    fn retract(&mut self, epoch: Epoch) {
-        self.mem.retract(epoch);
-    }
-
-    fn record_recovery(&mut self, recovery: Recovery, global_epoch: Epoch) {
-        let payload = WalPayload::Recovery {
-            shard: recovery.shard,
-            epoch: recovery.epoch,
-        };
-        let _ = self.wal.append(global_epoch, &render_wal_payload(&payload));
-        self.mem.record_recovery(recovery);
-    }
-
-    fn memory(&self) -> &UpdateLog {
-        &self.mem
-    }
-
-    fn take_memory(&mut self) -> UpdateLog {
-        std::mem::take(&mut self.mem)
-    }
-}
-
 /// An append-only, in-memory log of applied batches and lane
 /// recoveries.
 #[derive(Debug, Clone, Default)]
@@ -266,8 +101,8 @@ impl UpdateLog {
     }
 
     /// Appends a record. Records must arrive in ascending epoch order
-    /// (the writer appends inside the publication critical section, so
-    /// this is structural, not racy).
+    /// (the writer allocates the epoch and appends under one hold of
+    /// the log lock, so this is structural, not racy).
     pub fn append(&mut self, record: LogRecord) {
         debug_assert!(
             self.records.last().is_none_or(|r| r.epoch < record.epoch),
@@ -316,10 +151,10 @@ impl UpdateLog {
     }
 
     /// Replays the log onto a freshly built view: builds `op ↑ ω (∅)`
-    /// of `db` in `mode`, then re-applies every logged batch in order.
-    /// The result is syntactically equal to the writer's view at the
-    /// last logged epoch — the recovery path after losing the
-    /// materialized state.
+    /// of `db` in `mode`, then re-applies every logged batch in order
+    /// under its recorded tickets. The result is syntactically equal
+    /// to the writer's view at the last logged epoch — the recovery
+    /// path after losing the materialized state.
     pub fn replay(
         &self,
         db: &ConstrainedDatabase,
@@ -331,7 +166,10 @@ impl UpdateLog {
         let (mut view, _) =
             fixpoint(db, resolver, op, mode, config).map_err(ReplayError::Fixpoint)?;
         for record in &self.records {
-            apply_batch(db, &mut view, &record.batch, resolver, op, config)
+            let tickets: Vec<u64> = (0..record.batch.inserts.len() as u64)
+                .map(|i| record.ticket_base + i)
+                .collect();
+            apply_batch_ticketed(db, &mut view, &record.batch, &tickets, resolver, op, config)
                 .map_err(|e| ReplayError::Batch(record.epoch, e))?;
         }
         Ok(view)
@@ -342,6 +180,7 @@ impl UpdateLog {
 mod tests {
     use super::*;
     use mmv_constraints::{CmpOp, Constraint, NoDomains, Term, Var};
+    use mmv_core::batch::apply_batch;
     use mmv_core::{BodyAtom, Clause, ConstrainedAtom};
 
     fn x() -> Term {
@@ -385,6 +224,7 @@ mod tests {
         )
         .unwrap();
         let mut log = UpdateLog::new();
+        let mut tickets = 0u64;
         for (epoch, batch) in [
             UpdateBatch::deleting(vec![point(3)]),
             UpdateBatch::deleting(vec![point(5)]).insert(point(12)),
@@ -392,15 +232,15 @@ mod tests {
         .into_iter()
         .enumerate()
         {
-            let stats =
-                apply_batch(&db, &mut view, &batch, &NoDomains, Operator::Tp, &cfg).unwrap();
+            // `apply_batch` draws the view's own tickets: 0, 1, … in
+            // request order — the record's base is the next one.
+            let ticket_base = tickets;
+            tickets += batch.inserts.len() as u64;
+            apply_batch(&db, &mut view, &batch, &NoDomains, Operator::Tp, &cfg).unwrap();
             log.append(LogRecord {
                 epoch: epoch as Epoch + 1,
+                ticket_base,
                 batch,
-                stats,
-                latency: Duration::ZERO,
-                publish: PublishStats::default(),
-                shards_touched: 1,
             });
         }
         assert_eq!(log.len(), 2);

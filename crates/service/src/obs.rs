@@ -201,10 +201,6 @@ impl StageClock {
         }
     }
 
-    pub(crate) fn enabled(&self) -> bool {
-        self.last.is_some()
-    }
-
     /// Records the time since the last mark into `stage` and re-marks.
     pub(crate) fn lap(&mut self, stage: Stage) {
         if let Some(last) = &mut self.last {
@@ -255,7 +251,6 @@ mod tests {
         let mut clock = StageClock::new(false);
         clock.lap(Stage::Apply);
         clock.mark();
-        assert!(!clock.enabled());
         assert!(clock.finish().is_none());
     }
 

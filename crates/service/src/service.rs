@@ -14,42 +14,54 @@
 //! cross-shard batches acquire their lanes in canonical (ascending
 //! shard id) order, which makes lane deadlock impossible.
 //!
-//! Publication is **two-phase**: after maintenance, each touched lane's
+//! # The commit path
+//!
+//! Every batch runs one pipeline, one function per stage: route it to
+//! its lanes, lock them, maintain each lane's view, **commit**, then
+//! hand a due checkpoint to the background thread and record
+//! telemetry. Commit is the only way a batch becomes visible, and it
+//! publishes in **two phases**: after maintenance, each touched lane's
 //! view is frozen into a per-shard [`ViewSnapshot`] (phase one, an
-//! `Arc`-bump clone under the CoW store), and then all of them are
-//! swapped into the published table inside one critical section of a
-//! small publication lock, which also advances the global epoch (phase
-//! two). Readers call [`ViewService::snapshot`], which clones the whole
-//! table under the same lock into a composite [`ServiceSnapshot`] —
-//! so a reader observes either none or all of a cross-shard batch's
-//! shard snapshots, never a torn multi-shard epoch. Queries then run
-//! entirely on the caller's own handles, unsynchronized: readers are
-//! never blocked by maintenance and never observe a half-applied batch.
-//! The global epoch (one tick per batch) and every shard epoch (one
-//! tick per batch touching the shard) increase monotonically.
+//! `Arc`-bump clone under the CoW store); then, under the log lock, the
+//! batch is given its global epoch and its [`LogRecord`] is appended,
+//! and all frozen snapshots are swapped into the published table
+//! inside one critical section of a small publication lock, which also
+//! advances the global epoch (phase two). Readers call
+//! [`ViewService::snapshot`], which clones the prebuilt composite
+//! [`ServiceSnapshot`] under the same lock — so a reader observes
+//! either none or all of a cross-shard batch's shard snapshots, never
+//! a torn multi-shard epoch. Queries then run entirely on the caller's
+//! own handles, unsynchronized: readers are never blocked by
+//! maintenance and never observe a half-applied batch. The global
+//! epoch (one tick per batch) and every shard epoch (one tick per
+//! batch touching the shard) increase monotonically.
 //!
 //! # Durability
 //!
-//! With [`Durability::durable`] the same critical section also appends
-//! the batch as a write-ahead-log frame *before* the swap — a frame
-//! that fails to reach the OS rejects the batch like any other error —
-//! and the writer then waits (outside all locks) for the group-commit
-//! flusher to make the frame durable ([`crate::wal`]). A background
-//! thread periodically checkpoints the whole served view
+//! With [`Durability::durable`] commit first writes the record as a
+//! write-ahead-log frame, under the same hold of the log lock and
+//! *before* the record is mirrored or anything is swapped — a frame
+//! that fails to reach the OS rejects the batch like any other error.
+//! Where the append itself settles durability ([`FsyncPolicy::Always`],
+//! [`FsyncPolicy::Never`]) the swap follows at once; under
+//! [`FsyncPolicy::GroupCommit`] the writer releases the log lock and
+//! waits — its lanes still locked — for the flusher to make the frame
+//! durable ([`crate::wal`]), and only then swaps. A background thread
+//! periodically checkpoints the whole served view
 //! ([`crate::checkpoint`]); [`ViewService::recover`] rebuilds the
 //! service from the newest valid checkpoint plus the WAL tail.
 //!
 //! # Failure semantics
 //!
-//! A batch that fails with an error publishes nothing: every locked
-//! lane's writer view is restored from its last published shard
-//! snapshot (an `Arc` re-adoption, not a rebuild) and the batch is
-//! rejected with [`ServiceError::Batch`] (or
-//! [`ServiceError::Storage`], when the WAL append failed). Under
-//! [`FsyncPolicy::GroupCommit`] publication is *deferred* until the
-//! flusher reports the frame durable — the touched lanes stay locked
-//! across the wait — so a batch whose fsync fails is rolled back
-//! (lanes, log record, epoch) before any reader could observe it.
+//! A batch can fail at three points — maintenance, the WAL append, the
+//! durability wait — and all three undo it through the same abort:
+//! every locked lane's writer view and shard epoch are restored from
+//! its last published shard snapshot (an `Arc` re-adoption, not a
+//! rebuild), its tickets and epoch are handed back, and a record
+//! already mirrored is retracted. Nothing was swapped before any of
+//! them, so no reader could observe the batch; it is rejected with
+//! [`ServiceError::Batch`] (or [`ServiceError::Storage`], when the WAL
+//! failed).
 //!
 //! # Degraded serving
 //!
@@ -78,30 +90,29 @@
 //! writer view is rebuilt from its last published shard snapshot, and a
 //! [`Recovery`] record is logged — so exactly the panicking batch is
 //! lost, and the service keeps serving and accepting batches on every
-//! lane. (Historically the writer was a single lane whose poisoned lock
-//! made every later call panic; the per-lane recovery above replaced
-//! that.)
+//! lane.
 
 use crate::checkpoint::{self, CheckpointStats, Checkpointer};
-use crate::config::{Durability, ObsOptions, RecoveryReport, ServiceConfig, ViewServiceBuilder};
+use crate::config::{not_durable, Durability, RecoveryReport, ServiceConfig, ViewServiceBuilder};
 use crate::health::{Health, HealthProbe, HealthTransition, ServiceHealth};
-use crate::log::{DurableLog, LogRecord, LogSink, Recovery, ReplayError, UpdateLog};
+use crate::log::{LogRecord, Recovery, ReplayError, UpdateLog};
 use crate::obs::{ServiceObs, StageClock};
 use crate::snapshot::{Epoch, PublishStats, ServiceSnapshot, ViewSnapshot};
-use crate::vfs::{StdVfs, StorageOp, Vfs};
+use crate::vfs::StorageOp;
 use crate::wal::{self, FsyncPolicy, StorageError, Wal, WalStats};
 use mmv_constraints::solver::SolverConfig;
 use mmv_constraints::{DomainResolver, Value};
 use mmv_core::batch::{apply_batch_ticketed, BatchError, BatchStats, UpdateBatch};
 use mmv_core::delete_dred::DredError;
-use mmv_core::parser::WalPayload;
+use mmv_core::parser::{render_wal_batch, render_wal_payload, WalPayload};
 use mmv_core::pool::WorkerPool;
 use mmv_core::shard::{ShardId, ShardMap};
 use mmv_core::tp::{fixpoint, FixpointConfig, FixpointError, Operator, ParallelFixpoint};
 use mmv_core::view::ShareStats;
-use mmv_core::{ConstrainedDatabase, InstanceError, MaterializedView, SupportMode};
+use mmv_core::{ConstrainedDatabase, InstanceError, MaterializedView};
 use mmv_obs::sync::{lock_clean, read_clean, write_clean};
 use mmv_obs::{BatchTrace, HistogramSnapshot, MetricsRegistry, Stage};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
@@ -197,6 +208,16 @@ struct LaneState {
     epoch: Epoch,
 }
 
+impl LaneState {
+    /// Re-adopts the lane's last published shard snapshot, view and
+    /// epoch — a few `Arc` bumps, not a rebuild — dropping whatever an
+    /// unpublished batch left in the writer view.
+    fn readopt(&mut self, published: &ViewSnapshot) {
+        self.view = published.view().clone();
+        self.epoch = published.epoch();
+    }
+}
+
 /// The published table: one frozen snapshot per shard plus the global
 /// epoch, swapped together under the publication lock. The composite
 /// is prebuilt here at publish time so a reader's
@@ -206,11 +227,13 @@ struct Published {
     shards: Vec<Arc<ViewSnapshot>>,
     epoch: Epoch,
     composite: Arc<ServiceSnapshot>,
-    /// Batches appended to the WAL whose publication is deferred on
-    /// the group-commit flusher. Checkpoints are staged only when this
-    /// is zero: a composite snapshotted with a lower-epoch batch still
-    /// in flight would claim WAL coverage it does not have.
-    deferred_inflight: usize,
+    /// Batches that hold an allocated epoch — a frame in, or on its
+    /// way into, the WAL — and are not yet swapped in (under group
+    /// commit: waiting on the flusher). Checkpoints are staged only
+    /// when the publishing batch leaves this at zero: a composite
+    /// snapshotted with a lower-epoch batch still in flight would
+    /// claim WAL coverage it does not have.
+    unpublished: usize,
 }
 
 /// The durable half of the service: the open WAL, the background
@@ -226,12 +249,12 @@ struct DurableState {
 /// A batch's reserved external-insertion ticket range, rolled back on
 /// drop unless committed. The rollback covers every way maintenance
 /// can fail to publish — an error return *or a panic unwinding out of
-/// `apply`* — so the global counter stays in step with what
-/// [`UpdateLog::replay`] will draw (a panicked batch must not burn
-/// tickets: its lanes recover to the pre-batch published state). The
-/// rollback is conditional on nothing having interleaved, which makes
-/// it exact under sequential use — the scope of the replay guarantee
-/// (see `crate::log`).
+/// `apply`* (a panicked batch must not burn tickets: its lanes recover
+/// to the pre-batch published state). It is conditional on nothing
+/// having interleaved, so numbering stays gapless under sequential
+/// use; a concurrently rolled-back batch may leave a gap, which
+/// neither replay nor recovery depends on — both reissue each batch's
+/// recorded tickets (see `crate::log`).
 struct TicketReservation<'a> {
     counter: &'a Mutex<u64>,
     base: u64,
@@ -252,9 +275,9 @@ impl<'a> TicketReservation<'a> {
         }
     }
 
-    /// Marks the tickets as consumed — called once the batch's shard
-    /// snapshots are published (the point of no return).
-    fn commit(mut self) {
+    /// Marks the tickets as consumed — called at the swap that
+    /// publishes the batch (the point of no return).
+    fn commit(&mut self) {
         self.committed = true;
     }
 }
@@ -272,33 +295,43 @@ impl Drop for TicketReservation<'_> {
 }
 
 /// Replay context for one logged batch: publish under the *recorded*
-/// epoch with the *recorded* ticket base, and skip the WAL (the record
-/// being replayed is already on disk).
+/// epoch with the *recorded* ticket base. (Recovery replays before the
+/// durable stack is opened, so the record being replayed — already on
+/// disk — is not written again.)
 struct ReplayCtx {
     epoch: Epoch,
     ticket_base: u64,
 }
 
-/// A borrowed view of the service's update log (see
-/// [`ViewService::log`]): derefs to [`UpdateLog`]. The guard holds the
-/// log lock — writers block while it lives, and calling
-/// [`ViewService::apply`] from the same thread while holding one
-/// deadlocks — so read what you need and drop it (or `clone()` the
-/// `UpdateLog` out for longer inspection).
-pub struct LogRead<'a>(MutexGuard<'a, Box<dyn LogSink>>);
-
-impl std::ops::Deref for LogRead<'_> {
-    type Target = UpdateLog;
-
-    fn deref(&self) -> &UpdateLog {
-        self.0.memory()
-    }
+/// One lane's share of a routed batch: its requests, and the positions
+/// its insertions held in the whole batch (the ticket offsets).
+struct LanePart<'b> {
+    shard: ShardId,
+    batch: Cow<'b, UpdateBatch>,
+    insert_positions: Vec<usize>,
 }
 
-impl fmt::Debug for LogRead<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self.0.memory(), f)
-    }
+/// A batch's frozen next shard snapshots, awaiting the swap.
+type Frozen = Vec<(ShardId, Arc<ViewSnapshot>)>;
+
+/// A batch in flight between lane acquisition and publication: the
+/// locked lanes (ascending shard order) and the ticket range — the
+/// state [`ViewService::abort`] restores.
+struct Txn<'a> {
+    lanes: Vec<(ShardId, MutexGuard<'a, LaneState>)>,
+    ticket_base: u64,
+    /// `None` during replay, which reuses the recorded tickets.
+    reservation: Option<TicketReservation<'a>>,
+}
+
+/// What [`ViewService::commit`] published.
+struct Committed {
+    epoch: Epoch,
+    /// Entries in the published composite right after the swap.
+    view_entries: usize,
+    /// The composite to hand to the checkpointer, when the batch
+    /// landed on the checkpoint cadence.
+    checkpoint: Option<Arc<ServiceSnapshot>>,
 }
 
 /// A long-lived concurrent view service over one constrained database.
@@ -325,10 +358,11 @@ pub struct ViewService {
     lane_dbs: Vec<ConstrainedDatabase>,
     lanes: Vec<Mutex<LaneState>>,
     published: RwLock<Published>,
-    /// The update-log sink (in-memory, or WAL-backed). Lock order: the
-    /// sink lock is always taken *before* the publication lock by any
-    /// thread that holds both.
-    log: Mutex<Box<dyn LogSink>>,
+    /// The update log; a durable service writes each record's WAL
+    /// frame under the same lock, first. Lock order: the log lock is
+    /// always taken *before* the publication lock by any thread that
+    /// holds both.
+    log: Mutex<UpdateLog>,
     /// Global external-insertion ticket counter: each batch reserves
     /// one ticket per insertion request, so a split batch issues the
     /// same tickets the unsplit batch would.
@@ -336,7 +370,7 @@ pub struct ViewService {
     /// The next-global-epoch allocator (the last allocated epoch).
     /// Under deferred publication the *published* epoch lags frames
     /// already in the WAL, so allocation cannot read it; this counter
-    /// is the source of truth, advanced under the sink lock so WAL
+    /// is the source of truth, advanced under the log lock so WAL
     /// frames append in epoch order.
     next_epoch: Mutex<Epoch>,
     /// Health state machine + transition journal (shared with the
@@ -382,68 +416,12 @@ impl ViewService {
         db: ConstrainedDatabase,
         config: ServiceConfig,
     ) -> Result<Self, ServiceError> {
-        let ServiceConfig {
-            resolver,
-            op,
-            mode,
-            fixpoint: fx,
-            shards: spec,
-            durability,
-            retry,
-            observability,
-            pool_threads,
-            ..
-        } = config;
-        let (view, _) =
-            fixpoint(&db, resolver.as_ref(), op, mode, &fx).map_err(ServiceError::Build)?;
-        let shards = Arc::new(ShardMap::from_db(&db, &spec));
-        let lane_views = Self::split_view(view, &shards, mode);
-        let lane_epochs = vec![0; lane_views.len()];
-        let mut svc = Self::assemble(AssembleParts {
-            db,
-            resolver,
-            op,
-            config: fx,
-            shards,
-            lane_views,
-            lane_epochs,
-            epoch: 0,
-            tickets: 0,
-            obs: observability,
-            pool_threads,
-        });
-        if let Durability::Durable {
-            dir,
-            fsync,
-            checkpoint_every,
-            segment_bytes,
-            vfs,
-            probe_interval,
-        } = durability
-        {
-            Self::require_fresh_dir(&dir)?;
-            let wal = Wal::open_with(vfs.clone(), &dir, fsync, segment_bytes, 1, retry)
-                .map_err(ServiceError::Storage)?;
-            vfs.register_metrics(&svc.obs.registry);
-            wal.metrics().register_into(&svc.obs.registry);
-            let checkpointer = Checkpointer::spawn_with(
-                vfs,
-                dir,
-                op,
-                wal.clone(),
-                retry,
-                svc.health.clone(),
-                probe_interval,
-            );
-            checkpointer.metrics().register_into(&svc.obs.registry);
-            let probe = HealthProbe::spawn(svc.health.clone(), wal.clone(), probe_interval);
-            svc.log = Mutex::new(Box::new(DurableLog::new(wal.clone())));
-            svc.durable = Some(DurableState {
-                _probe: probe,
-                wal,
-                checkpointer,
-                checkpoint_every,
-            });
+        let shards = Arc::new(ShardMap::from_db(&db, &config.shards));
+        let lanes = Self::base_lanes(&db, &config, &shards)?;
+        let mut svc = Self::assemble(db, &config, shards, lanes, 0, 0);
+        if let Some(dir) = config.durability.dir() {
+            Self::require_fresh_dir(dir)?;
+            svc.open_durable(dir, &config, 1)?;
         }
         Ok(svc)
     }
@@ -452,52 +430,28 @@ impl ViewService {
     /// checkpoint (if any — otherwise the base fixpoint is rebuilt),
     /// replays every WAL record past it through the normal ticketed
     /// batch path, truncates a torn final frame per the torn-tail
-    /// contract, and reopens the WAL for appending. The recovered view
-    /// is syntactically identical to the pre-crash served view (for
-    /// sequentially applied batches; see the ticket-permutation caveat
-    /// in [`crate::log`]).
+    /// contract, and reopens the WAL for appending. Replay reissues
+    /// each batch's recorded tickets and epoch, so the recovered view
+    /// is syntactically identical to the pre-crash served view under
+    /// any interleaving of the original writers.
     ///
     /// `config` must match the database the WAL was written against
-    /// (same operator, support mode, and shard layout); fsync and
-    /// checkpoint knobs are taken from `config.durability` when it is
-    /// durable (its directory is ignored in favor of `dir`).
+    /// (same operator, support mode, and shard layout) and be durable
+    /// (anything else is a [`ServiceError::Storage`]); its fsync and
+    /// checkpoint knobs apply, its directory is ignored in favor of
+    /// `dir`.
     pub fn recover(
         dir: &Path,
         db: ConstrainedDatabase,
         config: ServiceConfig,
     ) -> Result<(Self, RecoveryReport), ServiceError> {
-        let ServiceConfig {
-            resolver,
-            op,
-            mode,
-            fixpoint: fx,
-            shards: spec,
-            durability,
-            retry,
-            observability,
-            pool_threads,
-            ..
-        } = config;
-        let (fsync, checkpoint_every, segment_bytes, vfs, probe_interval) = match durability {
-            Durability::Durable {
-                fsync,
-                checkpoint_every,
-                segment_bytes,
-                vfs,
-                probe_interval,
-                ..
-            } => (fsync, checkpoint_every, segment_bytes, vfs, probe_interval),
-            _ => (
-                FsyncPolicy::GroupCommit(std::time::Duration::ZERO),
-                256,
-                8 << 20,
-                Arc::new(StdVfs) as Arc<dyn Vfs>,
-                std::time::Duration::from_millis(250),
-            ),
-        };
+        if config.durability.dir().is_none() {
+            return Err(not_durable());
+        }
+        let (op, mode) = (config.op, config.mode);
         let chk = checkpoint::load_newest(dir).map_err(ServiceError::Storage)?;
         let scan = wal::scan_dir(dir, true).map_err(ServiceError::Storage)?;
-        let shards = Arc::new(ShardMap::from_db(&db, &spec));
+        let shards = Arc::new(ShardMap::from_db(&db, &config.shards));
         let mismatch = |detail: String| {
             ServiceError::Storage(StorageError::Corrupt {
                 file: dir.to_path_buf(),
@@ -505,7 +459,7 @@ impl ViewService {
                 detail,
             })
         };
-        let (lane_views, lane_epochs, base_epoch, base_tickets) = match &chk {
+        let (lanes, base_epoch, base_tickets) = match &chk {
             Some(c) => {
                 if c.mode != mode {
                     return Err(mismatch(format!(
@@ -560,32 +514,18 @@ impl ViewService {
                         );
                     }
                 }
-                let lane_epochs: Vec<Epoch> = c.shards.iter().map(|(e, _)| *e).collect();
-                (lane_views, lane_epochs, c.epoch, c.tickets)
+                let lane_epochs = c.shards.iter().map(|(e, _)| *e);
+                let lanes = lane_views.into_iter().zip(lane_epochs).collect();
+                (lanes, c.epoch, c.tickets)
             }
-            None => {
-                let (view, _) =
-                    fixpoint(&db, resolver.as_ref(), op, mode, &fx).map_err(ServiceError::Build)?;
-                let lane_views = Self::split_view(view, &shards, mode);
-                let lane_epochs = vec![0; lane_views.len()];
-                (lane_views, lane_epochs, 0, 0)
-            }
+            None => (Self::base_lanes(&db, &config, &shards)?, 0, 0),
         };
-        let mut svc = Self::assemble(AssembleParts {
-            db,
-            resolver,
-            op,
-            config: fx,
-            shards,
-            lane_views,
-            lane_epochs,
-            epoch: base_epoch,
-            tickets: base_tickets,
-            obs: observability,
-            pool_threads,
-        });
+        let mut svc = Self::assemble(db, &config, shards, lanes, base_epoch, base_tickets);
+        // Replay runs on the still in-memory service: the batches go
+        // through the normal commit path — landing in the log as they
+        // did originally — but no frame is written, since `durable` is
+        // only opened below.
         let mut replayed = 0u64;
-        let mut recoveries: Vec<Recovery> = Vec::new();
         for payload in &scan.payloads {
             match payload {
                 WalPayload::Batch {
@@ -608,66 +548,89 @@ impl ViewService {
                     })?;
                     replayed += 1;
                 }
-                WalPayload::Batch { .. } | WalPayload::Checkpoint { .. } => {}
-                WalPayload::Recovery { shard, epoch } => recoveries.push(Recovery {
-                    shard: *shard,
-                    epoch: *epoch,
-                }),
+                WalPayload::Recovery { shard, epoch } => {
+                    lock_clean(&svc.log).record_recovery(Recovery {
+                        shard: *shard,
+                        epoch: *epoch,
+                    })
+                }
                 _ => {}
             }
         }
-        let recovered_epoch = svc.read_published().epoch;
-        let wal = Wal::open_with(vfs.clone(), dir, fsync, segment_bytes, scan.next_seq, retry)
-            .map_err(ServiceError::Storage)?;
-        vfs.register_metrics(&svc.obs.registry);
-        wal.metrics().register_into(&svc.obs.registry);
-        let checkpointer = Checkpointer::spawn_with(
-            vfs,
-            dir.to_path_buf(),
-            op,
-            wal.clone(),
-            retry,
-            svc.health.clone(),
-            probe_interval,
-        );
-        checkpointer.metrics().register_into(&svc.obs.registry);
-        let probe = HealthProbe::spawn(svc.health.clone(), wal.clone(), probe_interval);
-        {
-            let mut sink = lock_clean(&svc.log);
-            let mut mem = sink.take_memory();
-            for r in recoveries {
-                mem.record_recovery(r);
-            }
-            *sink = Box::new(DurableLog::with_memory(wal.clone(), mem));
-        }
-        svc.durable = Some(DurableState {
-            _probe: probe,
-            wal,
-            checkpointer,
-            checkpoint_every,
-        });
+        svc.open_durable(dir, &config, scan.next_seq)?;
         let report = RecoveryReport {
             checkpoint_epoch: chk.as_ref().map(|c| c.epoch),
             replayed_records: replayed,
-            recovered_epoch,
+            recovered_epoch: svc.epoch(),
             torn_tail: scan.torn_tail,
             segments_scanned: scan.segments,
         };
         Ok((svc, report))
     }
 
-    /// Splits a built view into per-shard views: each lane re-hosts
-    /// its predicates' entries (supports and children metadata moved
-    /// verbatim — clause numbering is global, so they stay valid
-    /// against the lane's restricted sub-database). A single lane
-    /// adopts the built view as-is.
-    fn split_view(
-        mut view: MaterializedView,
+    /// Opens the durable stack over `dir` — the WAL (next segment
+    /// `start_seq`), the background checkpointer and the health probe —
+    /// and registers their instruments: the one place fresh
+    /// construction and recovery wire durability, so both take every
+    /// parameter from `config.durability`.
+    fn open_durable(
+        &mut self,
+        dir: &Path,
+        config: &ServiceConfig,
+        start_seq: u64,
+    ) -> Result<(), ServiceError> {
+        let Durability::Durable {
+            fsync,
+            checkpoint_every,
+            segment_bytes,
+            vfs,
+            probe_interval,
+            ..
+        } = &config.durability
+        else {
+            return Err(not_durable());
+        };
+        let retry = config.retry;
+        let wal = Wal::open_with(vfs.clone(), dir, *fsync, *segment_bytes, start_seq, retry)
+            .map_err(ServiceError::Storage)?;
+        vfs.register_metrics(&self.obs.registry);
+        wal.metrics().register_into(&self.obs.registry);
+        let checkpointer = Checkpointer::spawn_with(
+            vfs.clone(),
+            dir.to_path_buf(),
+            self.op,
+            wal.clone(),
+            retry,
+            self.health.clone(),
+            *probe_interval,
+        );
+        checkpointer.metrics().register_into(&self.obs.registry);
+        let probe = HealthProbe::spawn(self.health.clone(), wal.clone(), *probe_interval);
+        self.durable = Some(DurableState {
+            _probe: probe,
+            wal,
+            checkpointer,
+            checkpoint_every: *checkpoint_every,
+        });
+        Ok(())
+    }
+
+    /// The lanes of a service starting from scratch, every shard at
+    /// epoch 0: the base view `op ↑ ω (∅)` of `db`, split by shard —
+    /// each lane re-hosts its predicates' entries (supports and
+    /// children metadata moved verbatim — clause numbering is global,
+    /// so they stay valid against the lane's restricted sub-database).
+    /// A single lane adopts the built view as-is.
+    fn base_lanes(
+        db: &ConstrainedDatabase,
+        config: &ServiceConfig,
         shards: &ShardMap,
-        mode: SupportMode,
-    ) -> Vec<MaterializedView> {
+    ) -> Result<Vec<(MaterializedView, Epoch)>, ServiceError> {
+        let (resolver, mode) = (config.resolver.as_ref(), config.mode);
+        let (mut view, _) = fixpoint(db, resolver, config.op, mode, &config.fixpoint)
+            .map_err(ServiceError::Build)?;
         if shards.is_single() {
-            return vec![view];
+            return Ok(vec![(view, 0)]);
         }
         let gen = view.var_gen_mut().clone();
         let mut lane_views: Vec<MaterializedView> = (0..shards.num_shards())
@@ -677,31 +640,28 @@ impl ViewService {
             let s = shards.shard_of(&e.atom.pred);
             lane_views[s].insert(e.atom.clone(), e.support.clone(), e.children_args.clone());
         }
-        lane_views
+        Ok(lane_views.into_iter().map(|v| (v, 0)).collect())
     }
 
-    /// Assembles the in-memory service from prepared lanes (shared by
+    /// Assembles the in-memory service from prepared lanes — each a
+    /// shard view and its shard epoch — at global `epoch` (shared by
     /// fresh construction and recovery).
-    fn assemble(parts: AssembleParts) -> ViewService {
-        let AssembleParts {
-            db,
-            resolver,
-            op,
-            mut config,
-            shards,
-            lane_views,
-            lane_epochs,
-            epoch,
-            tickets,
-            obs: obs_opts,
-            pool_threads,
-        } = parts;
+    fn assemble(
+        db: ConstrainedDatabase,
+        config: &ServiceConfig,
+        shards: Arc<ShardMap>,
+        lane_views: Vec<(MaterializedView, Epoch)>,
+        epoch: Epoch,
+        tickets: u64,
+    ) -> ViewService {
+        let resolver = config.resolver.clone();
+        let mut fx = config.fixpoint.clone();
         let lane_dbs: Vec<ConstrainedDatabase> = (0..shards.num_shards())
             .map(|s| shards.restrict_db(&db, s))
             .collect();
         let mut published = Vec::with_capacity(lane_views.len());
         let mut lanes = Vec::with_capacity(lane_views.len());
-        for (lane_view, lane_epoch) in lane_views.into_iter().zip(lane_epochs) {
+        for (lane_view, lane_epoch) in lane_views {
             // The lane adopts a structurally-shared clone of the
             // published shard snapshot (a few Arc bumps).
             let snapshot = Arc::new(ViewSnapshot::new(lane_epoch, lane_view));
@@ -718,7 +678,7 @@ impl ViewService {
         ));
         let health = Arc::new(Health::default());
         health.note_epoch(epoch);
-        let obs = ServiceObs::new(&obs_opts, shards.num_shards());
+        let obs = ServiceObs::new(&config.observability, shards.num_shards());
         health.register_into(&obs.registry);
         obs.publish_epoch_hint(epoch);
         // The shared work-stealing pool: builder override, then the
@@ -727,11 +687,11 @@ impl ViewService {
         // lane runs its rounds on its own thread. An explicitly
         // pre-wired `config.parallel` (a caller-owned pool) is
         // respected as-is.
-        let threads = Self::resolve_pool_threads(pool_threads);
-        let pool = if threads > 1 && config.parallel.is_none() {
+        let threads = Self::resolve_pool_threads(config.pool_threads);
+        let pool = if threads > 1 && fx.parallel.is_none() {
             let pool = Arc::new(WorkerPool::new(threads));
             pool.metrics().register_into(&obs.registry);
-            config.parallel = Some(ParallelFixpoint {
+            fx.parallel = Some(ParallelFixpoint {
                 pool: Arc::clone(&pool),
                 resolver: resolver.clone(),
             });
@@ -742,8 +702,8 @@ impl ViewService {
         ViewService {
             db,
             resolver,
-            op,
-            config,
+            op: config.op,
+            config: fx,
             pool,
             shards,
             lane_dbs,
@@ -752,9 +712,9 @@ impl ViewService {
                 shards: published,
                 epoch,
                 composite,
-                deferred_inflight: 0,
+                unpublished: 0,
             }),
-            log: Mutex::new(Box::new(UpdateLog::new())),
+            log: Mutex::new(UpdateLog::new()),
             tickets: Mutex::new(tickets),
             next_epoch: Mutex::new(epoch),
             health,
@@ -954,15 +914,24 @@ impl ViewService {
                     let p = self.read_published();
                     (p.shards[shard].clone(), p.epoch)
                 };
-                g.view = snap.view().clone();
-                g.epoch = snap.epoch();
-                lock_clean(&self.log).record_recovery(
-                    Recovery {
+                g.readopt(&snap);
+                let recovery = Recovery {
+                    shard,
+                    epoch: snap.epoch(),
+                };
+                let mut log = lock_clean(&self.log);
+                if let Some(d) = &self.durable {
+                    // Journaled best-effort, with the global epoch as
+                    // the frame's epoch lower bound: a WAL append
+                    // failure only costs the audit trail, never the
+                    // lane recovery itself.
+                    let frame = render_wal_payload(&WalPayload::Recovery {
                         shard,
-                        epoch: snap.epoch(),
-                    },
-                    global_epoch,
-                );
+                        epoch: recovery.epoch,
+                    });
+                    let _ = d.wal.append(global_epoch, &frame);
+                }
+                log.record_recovery(recovery);
                 g
             }
         }
@@ -983,11 +952,11 @@ impl ViewService {
 
     /// Applies one batch as a transaction: split it by shard, lock the
     /// touched lanes in canonical order, maintain each lane's view with
-    /// its own sub-database, then publish all touched shard snapshots
-    /// atomically (two-phase publish) and append to the log — for a
-    /// durable service the WAL frame is written *before* the swap, and
-    /// under group commit the swap itself waits for the flusher to
-    /// make the frame durable. Batches on disjoint shards run
+    /// its own sub-database, then commit — append the log record (for
+    /// a durable service the WAL frame first, write-ahead; under group
+    /// commit the writer then waits for the flusher to make the frame
+    /// durable) and publish all touched shard snapshots atomically
+    /// (two-phase publish). Batches on disjoint shards run
     /// concurrently; readers are never blocked.
     ///
     /// On error every touched lane's writer view is restored from its
@@ -1004,6 +973,8 @@ impl ViewService {
         result
     }
 
+    /// The writer pipeline, one call per [`Stage`] seam: route → lock
+    /// lanes → maintain → commit → checkpoint hand-off and telemetry.
     fn apply_inner(
         &self,
         batch: UpdateBatch,
@@ -1012,312 +983,62 @@ impl ViewService {
         // Fail fast while read-only: the batch is rejected before any
         // lane is locked or ticket reserved, so degraded-mode writes
         // cost almost nothing and never contend with readers. (Replay
-        // is exempt — it rebuilds recorded history, it doesn't write.)
-        if replay.is_none() && self.health.current() == ServiceHealth::ReadOnly {
+        // runs before the durable stack that flips health exists.)
+        if self.health.current() == ServiceHealth::ReadOnly {
             return Err(ServiceError::ReadOnly);
         }
         // The per-batch stage stopwatch. Disabled (or during replay,
-        // whose WAL stages never run), it is inert: no clock reads on
-        // the uninstrumented path.
+        // which rebuilds history rather than serving it), it is inert:
+        // no clock reads on the uninstrumented path.
         let mut clock = StageClock::new(self.obs.enabled && replay.is_none());
-        // Route the batch. The common case — every request in one
-        // shard (always true single-lane) — borrows the batch as-is;
-        // only genuinely cross-shard batches pay the split's per-atom
-        // clones.
-        let touched: BTreeSet<ShardId> = batch
-            .deletes
-            .iter()
-            .chain(&batch.inserts)
-            .map(|a| self.shards.shard_of(&a.pred))
-            .collect();
-        let whole_positions: Vec<usize> = (0..batch.inserts.len()).collect();
-        let split_parts;
-        // Per touched shard, ascending: its slice of the batch and the
-        // original positions of its insertions (the ticket offsets).
-        let parts: Vec<(ShardId, &UpdateBatch, &[usize])> = if touched.len() <= 1 {
-            touched
-                .iter()
-                .map(|&s| (s, &batch, whole_positions.as_slice()))
-                .collect()
-        } else {
-            split_parts = self.shards.split(&batch);
-            split_parts
-                .iter()
-                .map(|p| (p.shard, &p.batch, p.insert_positions.as_slice()))
-                .collect()
-        };
+        let parts = self.route(&batch);
         clock.lap(Stage::Split);
-        // Reserve the batch's external-insertion tickets: one per
-        // request, globally ordered, so shard-split insertion supports
-        // match the single-lane (and log-replay) numbering. The RAII
-        // reservation rolls the counter back if the batch errors or
-        // panics before publication. Replay skips the counter and uses
-        // the recorded base instead.
-        let n_inserts = batch.inserts.len() as u64;
-        let (ticket_base, mut reservation) = match &replay {
-            Some(ctx) => (ctx.ticket_base, None),
-            None => {
-                let r = TicketReservation::reserve(&self.tickets, n_inserts);
-                (r.base, Some(r))
-            }
+        let (ticket_base, reservation) =
+            self.tickets_for(batch.inserts.len() as u64, replay.as_ref());
+        let mut txn = Txn {
+            lanes: self.lock_lanes(&parts),
+            ticket_base,
+            reservation,
         };
-        // Lock the touched lanes in ascending shard order (parts are
-        // sorted) — the canonical order that makes deadlock impossible.
-        // The waiters gauge brackets each acquisition so scrapers see
-        // per-lane queueing while it happens.
-        let mut guards: Vec<(ShardId, MutexGuard<'_, LaneState>)> = parts
-            .iter()
-            .map(|&(s, _, _)| {
-                if self.obs.enabled {
-                    self.obs.lane_waiters[s].inc();
-                }
-                let g = self.lock_lane(s);
-                if self.obs.enabled {
-                    self.obs.lane_waiters[s].dec();
-                }
-                (s, g)
-            })
-            .collect();
         clock.lap(Stage::LockWait);
-        let befores: Vec<ShareStats> = guards.iter().map(|(_, g)| g.view.share_stats()).collect();
+        let befores: Vec<ShareStats> = txn
+            .lanes
+            .iter()
+            .map(|(_, g)| g.view.share_stats())
+            .collect();
 
         // Obs-gated: `None` (no clock read) when observability is off,
         // so the reported batch latency is zero rather than measured.
         let start = clock.now();
-        let mut stats = BatchStats::empty();
-        for (&(shard, part_batch, positions), (_, guard)) in parts.iter().zip(guards.iter_mut()) {
-            // Fault injection (tests): may panic, poisoning every lane
-            // this call still holds — exactly a mid-batch writer panic.
-            // The armed flag keeps the hot path off the shared hook
-            // mutex when no hook is installed.
-            // order: pairs with set_fault_hook's Release; the mutex orders the hook value
-            if self.fault_armed.load(Ordering::Acquire) {
-                if let Some(hook) = lock_clean(&self.fault).as_mut() {
-                    hook(shard);
-                }
-            }
-            let tickets: Vec<u64> = positions.iter().map(|&i| ticket_base + i as u64).collect();
-            match apply_batch_ticketed(
-                &self.lane_dbs[shard],
-                &mut guard.view,
-                part_batch,
-                &tickets,
-                self.resolver.as_ref(),
-                self.op,
-                &self.config,
-            ) {
-                Ok(s) => stats.absorb(&s),
-                Err(e) => {
-                    // Roll back every touched lane — the failing part
-                    // may have half-applied, and earlier parts must not
-                    // outlive a rejected transaction. Re-adopting the
-                    // published handles is a few Arc bumps.
-                    {
-                        let p = self.read_published();
-                        for (s, g) in guards.iter_mut() {
-                            g.view = p.shards[*s].view().clone();
-                        }
-                    }
-                    // A contained pool-worker panic arrives here as an
-                    // ordinary batch error — the lane mutex was never
-                    // poisoned — and the rollback above *is* the lane
-                    // recovery. Journal it in the health audit trail.
-                    if let Some(msg) = worker_panic(&e) {
-                        self.health.lane_event(&format!(
-                            "writer lane {shard} recovered after pool worker panic: {msg}"
-                        ));
-                    }
-                    // `reservation` drops here, un-reserving the
-                    // tickets (exact under sequential use).
-                    return Err(ServiceError::Batch(e));
-                }
-            }
-        }
-        let latency = clock.since(start);
-        clock.lap(Stage::Apply);
-        let shards_touched = parts.len();
-        drop(parts); // releases the borrow of `batch` for the log record
-
-        // ---- Two-phase publish -----------------------------------------
-        // Phase one: freeze each touched lane into its next shard
-        // snapshot (Arc bumps under the shared store, O(touched)).
-        let publish_start = clock.now();
-        let mut publish = PublishStats::default();
-        let mut frozen: Vec<(ShardId, Arc<ViewSnapshot>)> = Vec::with_capacity(guards.len());
-        for ((shard, guard), before) in guards.iter_mut().zip(&befores) {
-            guard.epoch += 1;
-            let after = guard.view.share_stats();
-            publish.entry_pages_copied += after.entry_pages_copied - before.entry_pages_copied;
-            publish.entry_pages_total += after.entry_pages;
-            publish.pred_indexes_copied += after.pred_indexes_copied - before.pred_indexes_copied;
-            publish.pred_indexes_total += after.pred_indexes;
-            let (by_const_copied, slot_copied) = after.key_copies_since(before);
-            publish.by_const_keys_copied += by_const_copied;
-            publish.by_const_keys_total += after.by_const_keys;
-            publish.slot_keys_copied += slot_copied;
-            frozen.push((
-                *shard,
-                Arc::new(ViewSnapshot::new(guard.epoch, guard.view.clone())),
-            ));
-        }
-        // Phase two: append the log record (for a durable sink: write
-        // the WAL frame — write-ahead, so a failed append rejects the
-        // batch with nothing published), then swap all touched shards
-        // and advance the global epoch inside one publication critical
-        // section — readers see the whole batch or none of it, and WAL
-        // frames append in epoch order (the epoch allocator is bumped
-        // under the sink lock) even when disjoint batches publish
-        // concurrently. Under an inline fsync policy the append itself
-        // settles durability, so the swap happens right here; under
-        // group commit it is *deferred* until the flusher reports the
-        // frame durable, so no reader ever observes an epoch that an
-        // fsync failure could still roll back. Lock order: sink before
-        // publication, for every thread that holds both.
-        let defer_publish = replay.is_none()
-            && self
-                .durable
-                .as_ref()
-                .is_some_and(|d| matches!(d.wal.policy(), FsyncPolicy::GroupCommit(_)));
-        let mut frozen = Some(frozen);
-        let mut checkpoint_snapshot: Option<Arc<ServiceSnapshot>> = None;
-        let (epoch, wait_lsn) = {
-            let mut sink = lock_clean(&self.log);
-            let epoch = {
-                let mut ne = lock_clean(&self.next_epoch);
-                match &replay {
-                    Some(ctx) => {
-                        *ne = (*ne).max(ctx.epoch);
-                        ctx.epoch
-                    }
-                    None => {
-                        *ne += 1;
-                        *ne
-                    }
-                }
-            };
-            // The view size after this publish: touched shards at
-            // their frozen size, the rest as published. (Relative to
-            // the *published* table — with other batches' publications
-            // still deferred this is a statistic, not an invariant.)
-            {
-                let p = self.read_published();
-                let frozen = frozen.as_ref().expect("not yet consumed");
-                let mut total = 0usize;
-                let mut fi = 0;
-                for (s, snap) in p.shards.iter().enumerate() {
-                    if fi < frozen.len() && frozen[fi].0 == s {
-                        total += frozen[fi].1.len();
-                        fi += 1;
-                    } else {
-                        total += snap.len();
-                    }
-                }
-                stats.view_entries = total;
-            }
-            publish.publish_latency = clock.since(publish_start);
-            let record = LogRecord {
-                epoch,
-                batch,
-                stats,
-                latency,
-                publish,
-                shards_touched,
-            };
-            // WAL render and append time themselves inside the traced
-            // sink; the plain path skips even that bookkeeping.
-            let appended = if clock.enabled() {
-                sink.append_traced(record, ticket_base, &mut clock.trace)
-            } else {
-                sink.append(record, ticket_base)
-            };
-            let lsn = match appended {
-                Ok(lsn) => lsn,
-                Err(e) => {
-                    // The WAL rejected the frame: the batch must not
-                    // publish. Restore every touched lane (view *and*
-                    // epoch — phase one already bumped it), hand the
-                    // global epoch back, and — on a persistent fault
-                    // (transients were already retried away below us)
-                    // — flip the service read-only.
-                    self.rollback_lanes(&mut guards);
-                    self.rewind_epoch(epoch, replay.is_some());
-                    if replay.is_none() && !e.is_transient() {
-                        self.health.wal_failed(&format!("WAL append failed: {e}"));
-                    }
-                    return Err(ServiceError::Storage(e));
-                }
-            };
-            if defer_publish && lsn.is_some() {
-                self.write_published().deferred_inflight += 1;
-                (epoch, lsn)
-            } else {
-                clock.mark();
-                checkpoint_snapshot = self.publish_frozen(
-                    epoch,
-                    frozen.take().expect("not yet consumed"),
-                    reservation.take(),
-                    replay.is_none(),
-                    false,
-                );
-                clock.lap(Stage::Publish);
-                (epoch, None)
+        // `parts` moves in: its borrow of `batch` ends with the stage,
+        // freeing the batch for the log record.
+        let mut stats = match self.maintain(parts, &mut txn) {
+            Ok(stats) => stats,
+            Err(e) => {
+                self.abort(&mut txn, None);
+                return Err(ServiceError::Batch(e));
             }
         };
-        // The durability wait (group commit only). The touched lanes
-        // stay locked — their writer views hold unpublished state —
-        // but the sink and publication locks are free, so disjoint
-        // batches keep appending and coalesce into the same fsync.
-        if let Some(lsn) = wait_lsn {
-            let d = self
-                .durable
-                .as_ref()
-                .expect("deferred publication implies a durable service");
-            clock.mark();
-            match d.wal.wait_durable(lsn) {
-                Ok(()) => {
-                    clock.lap(Stage::FsyncWait);
-                    checkpoint_snapshot = self.publish_frozen(
-                        epoch,
-                        frozen.take().expect("not yet consumed"),
-                        reservation.take(),
-                        true,
-                        true,
-                    );
-                    clock.lap(Stage::Publish);
-                }
-                Err(e) => {
-                    // The flusher gave up on this frame: it never
-                    // became durable and was truncated from (or queued
-                    // for truncation in) its segment. Un-publish
-                    // everything — lanes, log record, epoch — and go
-                    // read-only; readers keep the last published
-                    // composite untouched.
-                    self.rollback_lanes(&mut guards);
-                    lock_clean(&self.log).retract(epoch);
-                    self.rewind_epoch(epoch, false);
-                    self.write_published().deferred_inflight -= 1;
-                    self.health.wal_failed(&format!("WAL flush failed: {e}"));
-                    return Err(ServiceError::Storage(e));
-                }
-            }
-        }
-        drop(guards);
-        if let Some(ctx) = &replay {
-            // Replay restores the ticket counter's high-water mark.
-            let mut t = lock_clean(&self.tickets);
-            *t = (*t).max(ctx.ticket_base + n_inserts);
-        }
-        if let Some(snap) = checkpoint_snapshot {
+        let latency = clock.since(start);
+        clock.lap(Stage::Apply);
+
+        let (frozen, mut publish) = Self::freeze(&mut txn, &befores, &clock);
+        let replay_epoch = replay.map(|ctx| ctx.epoch);
+        let committed = self.commit(&mut txn, batch, frozen, replay_epoch, &mut clock)?;
+        publish.publish_latency += clock.trace.stage(Stage::Publish);
+        stats.view_entries = committed.view_entries;
+        // Release the lanes, keeping their ids for the lane counters.
+        let touched: Vec<ShardId> = txn.lanes.into_iter().map(|(s, _)| s).collect();
+
+        if let (Some(snap), Some(d)) = (committed.checkpoint, &self.durable) {
             clock.mark();
             let tickets = *lock_clean(&self.tickets);
-            if let Some(d) = &self.durable {
-                d.checkpointer.request(snap, tickets);
-            }
+            d.checkpointer.request(snap, tickets);
             clock.lap(Stage::Checkpoint);
         }
         if let Some(mut trace) = clock.finish() {
-            trace.epoch = epoch;
-            trace.shards_touched = shards_touched as u32;
+            trace.epoch = committed.epoch;
+            trace.shards_touched = touched.len() as u32;
             self.obs.record_applied(
                 trace,
                 touched.iter().copied(),
@@ -1329,36 +1050,278 @@ impl ViewService {
             );
         }
         Ok(Applied {
-            epoch,
+            epoch: committed.epoch,
             stats,
             latency,
             publish,
-            shards_touched,
+            shards_touched: touched.len(),
         })
     }
 
-    /// Swaps a batch's frozen shard snapshots into the published table
-    /// and advances the global epoch (monotonically — a deferred
-    /// publication can complete after a higher-epoch batch on disjoint
-    /// shards). Commits the ticket reservation at the swap, the point
-    /// of no return. Returns the composite to hand to the checkpointer
-    /// when the batch lands on the checkpoint cadence — only while no
-    /// other deferred publication is in flight, so a checkpoint never
-    /// claims WAL coverage its snapshot does not contain.
-    fn publish_frozen(
+    /// Stage 1 — route: each request goes to the lane of its
+    /// predicate; parts come back in ascending shard order. The common
+    /// case — every request in one shard (always true single-lane) —
+    /// borrows the batch as-is; only genuinely cross-shard batches pay
+    /// the split's per-atom clones.
+    fn route<'b>(&self, batch: &'b UpdateBatch) -> Vec<LanePart<'b>> {
+        let mut lanes = batch
+            .deletes
+            .iter()
+            .chain(&batch.inserts)
+            .map(|a| self.shards.shard_of(&a.pred));
+        let Some(first) = lanes.next() else {
+            return Vec::new();
+        };
+        if lanes.all(|s| s == first) {
+            return vec![LanePart {
+                shard: first,
+                batch: Cow::Borrowed(batch),
+                insert_positions: (0..batch.inserts.len()).collect(),
+            }];
+        }
+        self.shards
+            .split(batch)
+            .into_iter()
+            .map(|p| LanePart {
+                shard: p.shard,
+                batch: Cow::Owned(p.batch),
+                insert_positions: p.insert_positions,
+            })
+            .collect()
+    }
+
+    /// The batch's external-insertion tickets: one per request,
+    /// globally ordered, so shard-split insertion supports match the
+    /// single-lane (and log-replay) numbering. A live batch reserves
+    /// its range — the RAII reservation hands it back if the batch
+    /// errors or panics before publication. Replay reuses the recorded
+    /// base and only keeps the counter's high-water mark past it.
+    fn tickets_for(
         &self,
-        epoch: Epoch,
-        frozen: Vec<(ShardId, Arc<ViewSnapshot>)>,
-        reservation: Option<TicketReservation<'_>>,
-        stage_checkpoint: bool,
-        was_deferred: bool,
-    ) -> Option<Arc<ServiceSnapshot>> {
+        n: u64,
+        replay: Option<&ReplayCtx>,
+    ) -> (u64, Option<TicketReservation<'_>>) {
+        match replay {
+            Some(ctx) => {
+                let mut t = lock_clean(&self.tickets);
+                *t = (*t).max(ctx.ticket_base + n);
+                (ctx.ticket_base, None)
+            }
+            None => {
+                let r = TicketReservation::reserve(&self.tickets, n);
+                (r.base, Some(r))
+            }
+        }
+    }
+
+    /// Stage 2 — lock the touched lanes in ascending shard order
+    /// (`parts` is sorted): the canonical order that makes lane
+    /// deadlock impossible. The waiters gauge brackets each
+    /// acquisition so scrapers see per-lane queueing while it happens.
+    fn lock_lanes(&self, parts: &[LanePart<'_>]) -> Vec<(ShardId, MutexGuard<'_, LaneState>)> {
+        let lock = |part: &LanePart<'_>| {
+            if self.obs.enabled {
+                self.obs.lane_waiters[part.shard].inc();
+            }
+            let g = self.lock_lane(part.shard);
+            if self.obs.enabled {
+                self.obs.lane_waiters[part.shard].dec();
+            }
+            (part.shard, g)
+        };
+        parts.iter().map(lock).collect()
+    }
+
+    /// Stage 3 — maintain: each locked lane applies its part with the
+    /// lane's own sub-database and the tickets of its insertions. The
+    /// first error stops the batch; the caller aborts it.
+    fn maintain(
+        &self,
+        parts: Vec<LanePart<'_>>,
+        txn: &mut Txn<'_>,
+    ) -> Result<BatchStats, BatchError> {
+        let mut stats = BatchStats::empty();
+        for (part, (_, lane)) in parts.iter().zip(txn.lanes.iter_mut()) {
+            // Fault injection (tests): may panic, poisoning every lane
+            // this call still holds — exactly a mid-batch writer panic.
+            // The armed flag keeps the hot path off the shared hook
+            // mutex when no hook is installed.
+            // order: pairs with set_fault_hook's Release; the mutex orders the hook value
+            if self.fault_armed.load(Ordering::Acquire) {
+                if let Some(hook) = lock_clean(&self.fault).as_mut() {
+                    hook(part.shard);
+                }
+            }
+            let tickets: Vec<u64> = part
+                .insert_positions
+                .iter()
+                .map(|&i| txn.ticket_base + i as u64)
+                .collect();
+            let applied = apply_batch_ticketed(
+                &self.lane_dbs[part.shard],
+                &mut lane.view,
+                &part.batch,
+                &tickets,
+                self.resolver.as_ref(),
+                self.op,
+                &self.config,
+            );
+            match applied {
+                Ok(s) => stats.absorb(&s),
+                Err(e) => {
+                    // A contained pool-worker panic arrives here as an
+                    // ordinary batch error — the lane mutex was never
+                    // poisoned — and the caller's abort *is* the lane
+                    // recovery. Journal it in the health audit trail.
+                    if let Some(msg) = worker_panic(&e) {
+                        self.health.lane_event(&format!(
+                            "writer lane {} recovered after pool worker panic: {msg}",
+                            part.shard
+                        ));
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        Ok(stats)
+    }
+
+    /// Publication phase one: freeze each touched lane into its next
+    /// shard snapshot (Arc bumps under the shared store, O(touched))
+    /// and account what the batch copied versus left shared.
+    fn freeze(
+        txn: &mut Txn<'_>,
+        befores: &[ShareStats],
+        clock: &StageClock,
+    ) -> (Frozen, PublishStats) {
+        let start = clock.now();
+        let mut publish = PublishStats::default();
+        let mut frozen: Frozen = Vec::with_capacity(txn.lanes.len());
+        for ((shard, lane), before) in txn.lanes.iter_mut().zip(befores) {
+            lane.epoch += 1;
+            let after = lane.view.share_stats();
+            publish.entry_pages_copied += after.entry_pages_copied - before.entry_pages_copied;
+            publish.entry_pages_total += after.entry_pages;
+            publish.pred_indexes_copied += after.pred_indexes_copied - before.pred_indexes_copied;
+            publish.pred_indexes_total += after.pred_indexes;
+            let (by_const_copied, slot_copied) = after.key_copies_since(before);
+            publish.by_const_keys_copied += by_const_copied;
+            publish.by_const_keys_total += after.by_const_keys;
+            publish.slot_keys_copied += slot_copied;
+            frozen.push((
+                *shard,
+                Arc::new(ViewSnapshot::new(lane.epoch, lane.view.clone())),
+            ));
+        }
+        publish.publish_latency = clock.since(start);
+        (frozen, publish)
+    }
+
+    /// Stage 4 — commit, the one path every batch publishes through:
+    /// append the record, wait for durability where the append did not
+    /// already settle it, swap (phase two). Readers see the whole
+    /// batch or none of it.
+    ///
+    /// The epoch allocator is bumped under the log lock, so WAL frames
+    /// and log records append in epoch order even when disjoint
+    /// batches commit concurrently. The frame is written *before* the
+    /// record is mirrored or anything is swapped (write-ahead): a
+    /// failed append rejects the batch with nothing published or
+    /// logged. Under an inline fsync policy (and in memory) the append
+    /// settles durability, so the swap follows right away, still under
+    /// the log lock. Under group commit the frame is not yet durable:
+    /// the log lock is released — disjoint batches keep appending and
+    /// coalesce into the same fsync — and the swap waits, with the
+    /// touched lanes still locked over their unpublished writer views,
+    /// until the flusher reports the frame durable, so no reader ever
+    /// observes an epoch that an fsync failure could still roll back.
+    /// Lock order: log before publication, for every thread that
+    /// holds both.
+    fn commit(
+        &self,
+        txn: &mut Txn<'_>,
+        batch: UpdateBatch,
+        frozen: Frozen,
+        replay_epoch: Option<Epoch>,
+        clock: &mut StageClock,
+    ) -> Result<Committed, ServiceError> {
+        let mut log = lock_clean(&self.log);
+        let epoch = {
+            // Replay reissues the recorded epoch and keeps the
+            // allocator's high-water mark at or past it.
+            let mut ne = lock_clean(&self.next_epoch);
+            let epoch = replay_epoch.unwrap_or(*ne + 1);
+            *ne = (*ne).max(epoch);
+            epoch
+        };
+        self.write_published().unpublished += 1;
+        let mut undurable = None;
+        if let Some(d) = &self.durable {
+            clock.mark();
+            let frame = render_wal_batch(epoch, txn.ticket_base, &batch);
+            clock.lap(Stage::WalRender);
+            let appended = d.wal.append(epoch, &frame);
+            clock.lap(Stage::WalAppend);
+            match appended {
+                Ok(lsn) => {
+                    let deferred = matches!(d.wal.policy(), FsyncPolicy::GroupCommit(_));
+                    undurable = deferred.then_some((&d.wal, lsn));
+                }
+                Err(e) => {
+                    // A persistent fault (transients were already
+                    // retried away below us) flips the service
+                    // read-only.
+                    self.abort(txn, Some((epoch, &mut *log)));
+                    if !e.is_transient() {
+                        self.health.wal_failed(&format!("WAL append failed: {e}"));
+                    }
+                    return Err(ServiceError::Storage(e));
+                }
+            }
+        }
+        log.append(LogRecord {
+            epoch,
+            ticket_base: txn.ticket_base,
+            batch,
+        });
+        if let Some((wal, lsn)) = undurable {
+            drop(log);
+            clock.mark();
+            if let Err(e) = wal.wait_durable(lsn) {
+                // The flusher gave up on this frame: it never became
+                // durable and was truncated from (or queued for
+                // truncation in) its segment. Un-publish everything
+                // and go read-only.
+                self.abort(txn, Some((epoch, &mut *lock_clean(&self.log))));
+                self.health.wal_failed(&format!("WAL flush failed: {e}"));
+                return Err(ServiceError::Storage(e));
+            }
+            clock.lap(Stage::FsyncWait);
+        }
+        clock.mark();
+        let committed = self.publish(epoch, frozen, txn);
+        clock.lap(Stage::Publish);
+        Ok(committed)
+    }
+
+    /// Publication phase two, the only swap into the published table:
+    /// all of the batch's frozen shard snapshots land, and the global
+    /// epoch advances, inside one publication critical section. The
+    /// epoch moves monotonically — a publication that waited on the
+    /// flusher can complete after a higher-epoch batch on disjoint
+    /// shards. The swap is the point of no return, so the ticket
+    /// reservation commits here. The composite is handed back for the
+    /// checkpointer when the batch lands on the checkpoint cadence —
+    /// only while no other logged batch is still unpublished, so a
+    /// checkpoint never claims WAL coverage its snapshot does not
+    /// contain.
+    fn publish(&self, epoch: Epoch, frozen: Frozen, txn: &mut Txn<'_>) -> Committed {
         let mut p = self.write_published();
         for (shard, snapshot) in frozen {
             p.shards[shard] = snapshot;
         }
         p.epoch = p.epoch.max(epoch);
-        if let Some(r) = reservation {
+        if let Some(r) = &mut txn.reservation {
             r.commit();
         }
         p.composite = Arc::new(ServiceSnapshot::new(
@@ -1367,49 +1330,58 @@ impl ViewService {
             self.shards.clone(),
         ));
         self.health.note_epoch(p.epoch);
-        if was_deferred {
-            p.deferred_inflight -= 1;
+        p.unpublished -= 1;
+        let on_cadence = self
+            .durable
+            .as_ref()
+            .is_some_and(|d| d.checkpoint_every > 0 && epoch % d.checkpoint_every == 0);
+        Committed {
+            epoch,
+            view_entries: p.composite.len(),
+            checkpoint: (on_cadence && p.unpublished == 0).then(|| p.composite.clone()),
         }
-        if stage_checkpoint && p.deferred_inflight == 0 {
-            if let Some(d) = &self.durable {
-                if d.checkpoint_every > 0 && epoch % d.checkpoint_every == 0 {
-                    return Some(p.composite.clone());
-                }
+    }
+
+    /// Undoes an unpublished batch — the one rollback, called from
+    /// every failure point (maintenance error, WAL append failure,
+    /// failed durability wait). Every locked lane re-adopts its last
+    /// published shard snapshot, view *and* epoch: the failing part may
+    /// have half-applied, earlier parts must not outlive a rejected
+    /// transaction, and the freeze already bumped the lane epochs. The
+    /// ticket range is un-reserved. A batch that had allocated `epoch`
+    /// (the caller passes the log it holds, or re-locks it) also has
+    /// its record retracted if it was already mirrored, gives up the
+    /// unpublished count it held, and hands the epoch back to the
+    /// allocator — conditional on nothing having interleaved, like the
+    /// ticket rollback, so numbering stays gapless under sequential
+    /// use. Readers keep the last published composite untouched
+    /// throughout.
+    fn abort(&self, txn: &mut Txn<'_>, allocated: Option<(Epoch, &mut UpdateLog)>) {
+        {
+            let p = self.read_published();
+            for (s, lane) in txn.lanes.iter_mut() {
+                lane.readopt(&p.shards[*s]);
             }
         }
-        None
-    }
-
-    /// Restores every locked lane to its last published shard snapshot
-    /// (view *and* epoch — phase one may already have bumped it): the
-    /// rejected batch leaves no trace in any writer lane.
-    fn rollback_lanes(&self, guards: &mut [(ShardId, MutexGuard<'_, LaneState>)]) {
-        let p = self.read_published();
-        for (s, g) in guards.iter_mut() {
-            g.view = p.shards[*s].view().clone();
-            g.epoch = p.shards[*s].epoch();
+        txn.reservation = None;
+        if let Some((epoch, log)) = allocated {
+            log.retract(epoch);
+            self.write_published().unpublished -= 1;
+            let mut ne = lock_clean(&self.next_epoch);
+            if *ne == epoch {
+                *ne = epoch - 1;
+            }
         }
     }
 
-    /// Hands a rejected batch's global epoch back to the allocator —
-    /// conditional on nothing having interleaved, like the ticket
-    /// rollback, so epoch numbering stays gapless under sequential
-    /// use. (Replay never allocates, so it never rewinds.)
-    fn rewind_epoch(&self, epoch: Epoch, replay: bool) {
-        if replay {
-            return;
-        }
-        let mut ne = lock_clean(&self.next_epoch);
-        if *ne == epoch {
-            *ne = epoch - 1;
-        }
-    }
-
-    /// Borrows the update log (epoch-ordered records of every applied
-    /// batch, plus lane recoveries) for replay or inspection. The
-    /// guard holds the log lock — see [`LogRead`].
-    pub fn log(&self) -> LogRead<'_> {
-        LogRead(lock_clean(&self.log))
+    /// Locks the update log (epoch-ordered records of every applied
+    /// batch, plus lane recoveries) for replay or inspection. Writers
+    /// block while the guard lives, and calling [`ViewService::apply`]
+    /// from the same thread while holding one deadlocks — so read what
+    /// you need and drop it (or `clone()` the [`UpdateLog`] out for
+    /// longer inspection).
+    pub fn log(&self) -> MutexGuard<'_, UpdateLog> {
+        lock_clean(&self.log)
     }
 
     /// Convenience read: query the *current* snapshot with the
@@ -1449,27 +1421,11 @@ fn worker_panic(e: &BatchError) -> Option<&str> {
     }
 }
 
-/// Prepared lanes for [`ViewService::assemble`], shared by fresh
-/// construction and recovery.
-struct AssembleParts {
-    db: ConstrainedDatabase,
-    resolver: SharedResolver,
-    op: Operator,
-    config: FixpointConfig,
-    shards: Arc<ShardMap>,
-    lane_views: Vec<MaterializedView>,
-    lane_epochs: Vec<Epoch>,
-    epoch: Epoch,
-    tickets: u64,
-    obs: ObsOptions,
-    pool_threads: Option<usize>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mmv_constraints::{CmpOp, Constraint, NoDomains, Term, Var};
-    use mmv_core::{BodyAtom, Clause, ConstrainedAtom};
+    use mmv_core::{BodyAtom, Clause, ConstrainedAtom, SupportMode};
 
     fn x() -> Term {
         Term::var(Var(0))
@@ -1538,8 +1494,10 @@ mod tests {
 
     #[test]
     fn failed_batches_publish_nothing() {
-        // max_entries = 3 admits the 2-entry base view; the two-insert
-        // batch (2 adds + a propagated `a` entry) overflows it.
+        // max_entries = 3 admits the 2-entry base view; the batch's
+        // deletion goes through, then its insertion (1 add + a
+        // propagated `a` entry) overflows the budget — a maintenance
+        // error with the lane's writer view half-applied.
         let svc = ViewService::builder()
             .fixpoint(FixpointConfig {
                 max_entries: 3,
@@ -1547,16 +1505,35 @@ mod tests {
             })
             .build(db())
             .expect("base view fits the budget");
+        let interval = ConstrainedAtom::new(
+            "b",
+            vec![x()],
+            Constraint::cmp(x(), CmpOp::Ge, Term::int(30)).and(Constraint::cmp(
+                x(),
+                CmpOp::Le,
+                Term::int(40),
+            )),
+        );
         let err = svc
-            .apply(UpdateBatch::inserting(vec![point(30), point(40)]))
+            .apply(UpdateBatch::deleting(vec![point(3)]).insert(interval))
             .unwrap_err();
         assert!(matches!(err, ServiceError::Batch(_)));
         assert_eq!(svc.epoch(), 0, "failed batch must not publish");
         assert!(svc.log().is_empty());
-        // The writer view was rolled back to the published state: a
-        // subsequent in-budget batch applies cleanly.
+        // The abort restored lane view, lane epoch and ticket counter:
+        // a subsequent in-budget batch applies cleanly, publishes the
+        // lane's next shard epoch, still serves the point the rejected
+        // batch deleted (and not the interval it inserted), and is
+        // logged under the ticket the rejected batch had reserved.
         let ok = svc.apply(UpdateBatch::deleting(vec![point(5)])).unwrap();
         assert_eq!(ok.epoch, 1);
+        let snap = svc.snapshot();
+        assert_eq!(snap.shard_epoch(0), 1);
+        let cfg = SolverConfig::default();
+        assert!(snap.ask("a", &[Value::int(3)], &NoDomains, &cfg).unwrap());
+        assert!(!snap.ask("a", &[Value::int(35)], &NoDomains, &cfg).unwrap());
+        assert!(!snap.ask("a", &[Value::int(5)], &NoDomains, &cfg).unwrap());
+        assert_eq!(svc.log().records()[0].ticket_base, 0);
     }
 
     #[test]
@@ -1611,8 +1588,6 @@ mod tests {
         assert_eq!(snap.epoch(), 1);
         assert_eq!(snap.shard_epoch(c_shard), 0);
         assert_eq!(snap.shard_epoch(1 - c_shard), 1);
-        // The log carries the same per-epoch accounting.
-        assert_eq!(svc.log().records()[0].publish, p);
     }
 
     #[test]
@@ -1659,7 +1634,6 @@ mod tests {
         assert!(!snap.ask("b", &[Value::int(3)], &NoDomains, &cfg).unwrap());
         assert!(!snap.ask("c", &[Value::int(105)], &NoDomains, &cfg).unwrap());
         assert!(snap.ask("c", &[Value::int(104)], &NoDomains, &cfg).unwrap());
-        assert_eq!(svc.log().records()[0].shards_touched, 2);
     }
 
     #[test]

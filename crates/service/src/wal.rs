@@ -78,11 +78,10 @@
 //!   a durable append again by journaling a
 //!   [`WalPayload::Health`] frame.
 //!
-//! Replay of the logged batches inherits the ticket-permutation caveat
-//! documented in [`crate::log`]: concurrently applied insert-carrying
-//! batches may permute external tickets relative to replay. The WAL
-//! records each batch's reserved ticket base so sequentially applied
-//! batches replay bit-identically.
+//! Each batch frame records the batch's epoch and reserved ticket
+//! base, and recovery reissues both, so the recovered view is
+//! syntactically identical to the served one under any interleaving of
+//! the writers (see [`crate::log`]).
 
 use crate::health::RetryPolicy;
 use crate::vfs::{StdVfs, StorageOp, Vfs, VfsFile};

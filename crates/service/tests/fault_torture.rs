@@ -24,7 +24,7 @@ use mmv_constraints::{CmpOp, Constraint, Term, Value, Var};
 use mmv_core::batch::UpdateBatch;
 use mmv_core::{BodyAtom, Clause, ConstrainedAtom, ConstrainedDatabase};
 use mmv_service::{
-    Durability, Fault, FaultPlan, FaultVfs, FsyncPolicy, OpSel, RetryPolicy, ServiceError,
+    Applied, Durability, Fault, FaultPlan, FaultVfs, FsyncPolicy, OpSel, RetryPolicy, ServiceError,
     ServiceHealth, StdVfs, StorageOp, ViewService,
 };
 use std::path::PathBuf;
@@ -138,6 +138,70 @@ fn heal_until_healthy(svc: &ViewService, vfs: &FaultVfs, seed: u64) {
 
 fn fast_retry() -> RetryPolicy {
     RetryPolicy::default().with_backoff(Duration::ZERO, Duration::ZERO)
+}
+
+/// A batch the scripted fault will reject: it deletes the served point
+/// `v` *and* inserts a fresh interval (one external ticket) on `pred`,
+/// so a rollback that restored only part of the lane shows either way.
+fn doomed(pred: &str, v: i64) -> UpdateBatch {
+    UpdateBatch::deleting(vec![point(pred, v)]).insert(interval(pred, 500, 502))
+}
+
+/// A lane's published shard epoch and the service's next external
+/// ticket, taken before a batch is rejected.
+fn before_reject(svc: &ViewService, pred: &str) -> (u64, u64) {
+    let shard_epoch = svc.snapshot().shard_epoch(svc.shard_map().shard_of(pred));
+    let next_ticket = svc
+        .log()
+        .records()
+        .iter()
+        .map(|r| r.ticket_base + r.batch.inserts.len() as u64)
+        .max()
+        .unwrap_or(0);
+    (shard_epoch, next_ticket)
+}
+
+/// The abort contract, read off the next successful batch on the lane
+/// `doomed(pred, v)` was rejected on: it publishes the lane's next
+/// shard epoch, the lane still serves `v` and not the doomed interval
+/// (up the chain), and — where the failure was `sequential`, so no
+/// concurrent rollback could leave a gap — the batch is logged under
+/// the ticket the rejected one had reserved. Together: the abort
+/// restored lane view, lane epoch and ticket counter.
+fn next_batch_after_abort(
+    svc: &ViewService,
+    pred: &str,
+    v: i64,
+    (shard_epoch, next_ticket): (u64, u64),
+    sequential: bool,
+) -> Applied {
+    let applied = svc
+        .apply(UpdateBatch::deleting(vec![point(pred, 40)]).insert(interval(pred, 600, 601)))
+        .expect("the next batch on the lane applies");
+    let snap = svc.snapshot();
+    let lane = svc.shard_map().shard_of(pred);
+    assert_eq!(snap.shard_epoch(lane), shard_epoch + 1);
+    let derived = pred.replace('b', "a");
+    let cfg = SolverConfig::default();
+    let served = |x: i64| {
+        snap.ask(
+            &derived,
+            &[Value::int(x)],
+            &mmv_constraints::NoDomains,
+            &cfg,
+        )
+        .expect("ask")
+    };
+    assert!(served(v), "the rejected deletion of {v} left a trace");
+    assert!(!served(501), "the rejected insertion left a trace");
+    assert!(!served(40) && served(600), "the next batch itself landed");
+    if sequential {
+        let log = svc.log();
+        let record = log.records().last().expect("the next batch is logged");
+        assert_eq!(record.epoch, applied.epoch);
+        assert_eq!(record.ticket_base, next_ticket);
+    }
+    applied
 }
 
 /// One full torture run: 60 random batches under the seeded fault mix,
@@ -373,8 +437,9 @@ fn persistent_fault_flips_read_only_while_readers_keep_serving() {
             svc.apply(UpdateBatch::deleting(vec![point("b0", i)]))
                 .expect("pre-fault batches apply");
         }
+        let before = before_reject(&svc, "b0");
         let err = svc
-            .apply(UpdateBatch::deleting(vec![point("b0", 4)]))
+            .apply(doomed("b0", 4))
             .expect_err("the faulted append must reject the batch");
         assert!(matches!(err, ServiceError::Storage(_)), "{err}");
         assert!(err.to_string().contains("persistent"), "{err}");
@@ -408,9 +473,8 @@ fn persistent_fault_flips_read_only_while_readers_keep_serving() {
             assert!(Instant::now() < deadline, "probe never healed the service");
             std::thread::sleep(Duration::from_millis(1));
         }
-        let applied = svc
-            .apply(UpdateBatch::deleting(vec![point("b0", 6)]))
-            .expect("writes resume after the probe heals");
+        // Writes resume after the probe heals, on a cleanly aborted lane.
+        let applied = next_batch_after_abort(&svc, "b0", 4, before, true);
         assert_eq!(applied.epoch, 4);
 
         stop.store(true, Ordering::Relaxed);
@@ -470,11 +534,12 @@ fn group_commit_fsync_failure_fails_every_writer_in_the_window() {
 
     // Four writers on four disjoint lanes, all inside one coalescing
     // window, all waiting on the same doomed fsync.
+    let before = before_reject(&svc, "b0");
     let errors: Vec<ServiceError> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..4)
             .map(|k| {
                 let svc = svc.clone();
-                s.spawn(move || svc.apply(UpdateBatch::deleting(vec![point(&format!("b{k}"), 1)])))
+                s.spawn(move || svc.apply(doomed(&format!("b{k}"), 1)))
             })
             .collect();
         handles
@@ -507,12 +572,11 @@ fn group_commit_fsync_failure_fails_every_writer_in_the_window() {
         assert!(Instant::now() < deadline, "probe never healed the service");
         std::thread::sleep(Duration::from_millis(1));
     }
-    let applied = svc
-        .apply(UpdateBatch::deleting(vec![point("b0", 2)]))
-        .expect("post-heal batch commits");
-    // Concurrent rolled-back writers may leave epoch gaps (rewind is
-    // conditional); what matters is that the post-heal batch is the
-    // first and only published one.
+    // Concurrent rolled-back writers may leave epoch and ticket gaps
+    // (both rewinds are conditional); what matters is that the
+    // post-heal batch finds its lane cleanly aborted and is the first
+    // and only published one.
+    let applied = next_batch_after_abort(&svc, "b0", 1, before, false);
     assert!(applied.epoch >= 1);
     assert_eq!(svc.epoch(), applied.epoch);
     assert_eq!(svc.log().len(), 1, "exactly the post-heal batch is logged");
@@ -543,8 +607,9 @@ fn never_policy_append_error_fails_cleanly() {
         .expect("build");
     svc.apply(UpdateBatch::deleting(vec![point("b0", 1)]))
         .expect("first batch applies");
+    let before = before_reject(&svc, "b0");
     let err = svc
-        .apply(UpdateBatch::deleting(vec![point("b0", 2)]))
+        .apply(doomed("b0", 2))
         .expect_err("the faulted append rejects the batch");
     let msg = err.to_string();
     assert!(msg.contains("append"), "op attribution: {msg}");
@@ -560,9 +625,7 @@ fn never_policy_append_error_fails_cleanly() {
         assert!(Instant::now() < deadline, "probe never healed the service");
         std::thread::sleep(Duration::from_millis(1));
     }
-    let applied = svc
-        .apply(UpdateBatch::deleting(vec![point("b0", 2)]))
-        .expect("the retried batch lands after heal");
+    let applied = next_batch_after_abort(&svc, "b0", 2, before, true);
     assert_eq!(applied.epoch, 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
