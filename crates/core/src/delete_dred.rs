@@ -18,9 +18,30 @@
 //!    the paper's step 3 with the `P''` pruning realized as a
 //!    region-overlap test (see DESIGN.md). This rederivation is the
 //!    expensive step StDel eliminates.
+//!
+//! # Cost follows the update
+//!
+//! Every scan above selects its candidates by argument bounds (the
+//! crate's `bounds` module) before anything is tied or solved. `Del` and
+//! the over-deletion ask the view for the entries whose bounds meet the
+//! request or region (`MaterializedView::candidates`). The program the
+//! rederivation runs is not all of `P'` but the clauses that can restore
+//! anything: rules whose head predicate lost a region, and constrained
+//! facts whose head bounds meet one; each is compared with a `Del`
+//! atom's bounds before the two are tied. The region gate compares a
+//! derived atom's bounds with a region's in the same way. And the
+//! rederivation is *seeded from the `P_OUT` regions*, not from the view:
+//! its first delta holds only entries that could be a child of a
+//! restoring derivation (see `rederivation_seed`), so a deletion that
+//! over-deletes nothing that can come back enumerates almost nothing.
+//! The pre-check is a necessary condition only — it drops exactly
+//! candidates the solver would have refuted — so the maintained view is
+//! the one the whole-predicate scans produced. What still walks every
+//! clause per batch is the `P_OUT` unfolding's pass over the rules.
 
 use crate::atom::ConstrainedAtom;
-use crate::program::{Clause, ConstrainedDatabase};
+use crate::bounds::ArgBounds;
+use crate::program::{Clause, ClauseId, ConstrainedDatabase};
 use crate::tp::{
     collect_combos, derive, derive_combo, Candidate, DeltaSource, Derivation, Engine, EngineStats,
     FixpointConfig, FixpointError, FixpointStats, Gate, Split, ATOM_SLOT,
@@ -28,7 +49,7 @@ use crate::tp::{
 use crate::view::{canonicalize, EntryId, MaterializedView, SupportMode};
 use mmv_constraints::fxhash::{FxHashMap, FxHashSet};
 use mmv_constraints::{
-    satisfiable_with, Constraint, DomainResolver, Lit, SolverConfig, Truth, VarGen,
+    satisfiable_with, Constraint, DomainResolver, Lit, SolverConfig, Truth, ValueSet, VarGen,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -52,6 +73,12 @@ pub struct ExtDredStats {
     pub index_probes: usize,
     /// Candidate entries scanned during unfolding/rederivation joins.
     pub candidates_scanned: usize,
+    /// Candidates dismissed by the argument-bounds pre-check, without
+    /// tying or a solver call: (entry, request) pairs of `Del`, (entry,
+    /// region) pairs of the over-deletion and of the rederivation seed,
+    /// (derived atom, region) and (fact clause, region) pairs of the
+    /// rederivation, (clause, `Del` atom) pairs of the `P'` rewrite.
+    pub prefiltered: usize,
 }
 
 impl ExtDredStats {
@@ -66,6 +93,7 @@ impl ExtDredStats {
         self.solver_calls += o.solver_calls;
         self.index_probes += o.index_probes;
         self.candidates_scanned += o.candidates_scanned;
+        self.prefiltered += o.prefiltered;
     }
 }
 
@@ -111,9 +139,10 @@ pub fn dred_delete(
 /// `P_OUT` overestimate is unfolded once from the combined frontier, the
 /// over-deletion weakens each entry with every overlapping region, and —
 /// the payoff — a *single* rederivation fixpoint closes the view under
-/// `P'` rewritten with the whole `Del` set. Sequential single-atom
-/// deletion pays the rederivation seed (a full live-entry delta) once
-/// per request; the batch pays it once total.
+/// `P'` rewritten with the whole `Del` set, seeded from the entries whose
+/// argument bounds meet a `P_OUT` region. Sequential single-atom deletion
+/// builds `P'`, selects that seed and runs the rederivation rounds once
+/// per request; the batch does each once total.
 pub fn dred_delete_batch(
     db: &ConstrainedDatabase,
     view: &mut MaterializedView,
@@ -141,104 +170,173 @@ fn dred_delete_inner(
     resolver: &dyn DomainResolver,
     config: &FixpointConfig,
 ) -> Result<ExtDredStats, DredError> {
-    let mut stats = ExtDredStats::default();
-    let mut jstats = FixpointStats::default();
+    let mut run = Run {
+        resolver,
+        config,
+        stats: ExtDredStats::default(),
+        joins: FixpointStats::default(),
+    };
+    let over = run.over_delete(db, view, gen, deletions)?;
+    if over.del.is_empty() {
+        return Ok(run.stats);
+    }
+    let program = run.rederivation_program(db, &over.del, &over.regions, gen);
+    let seed = rederivation_seed(&program, view, &over.regions, &mut run.stats.prefiltered);
+    run.rederive(&program, view, gen, over.regions, seed)?;
 
-    // ---- Del: every deletion intersected with the view ------------------
-    let mut del: Vec<ConstrainedAtom> = Vec::new();
-    for deletion in deletions {
-        for &id in view.entries_for_pred(&deletion.pred) {
-            let atom = &view.entry(id).atom;
-            if atom.args.len() != deletion.args.len() {
-                continue;
+    // ---- Hygiene: drop weakened entries that became unsolvable ------------
+    for id in over.touched {
+        if !view.is_live(id) {
+            continue;
+        }
+        if run.unsat(&view.entry(id).atom.constraint) {
+            view.remove(id);
+            run.stats.removed += 1;
+        }
+    }
+    run.stats.index_probes = run.joins.index_probes;
+    run.stats.candidates_scanned = run.joins.candidates_scanned;
+    Ok(run.stats)
+}
+
+/// One `P_OUT` region with its argument bounds, read once: every entry
+/// scan, derived atom and fact clause is checked against the bounds
+/// before it is tied to the region and handed to the solver.
+struct Region {
+    atom: ConstrainedAtom,
+    bounds: ArgBounds,
+}
+
+/// The `P_OUT` regions by predicate.
+type Regions = FxHashMap<Arc<str>, Vec<Region>>;
+
+/// What over-deletion (`Del`, steps 1 and 2) leaves for rederivation.
+struct OverDeletion {
+    /// The `Del` set; empty when the requests hit nothing in the view.
+    del: Vec<ConstrainedAtom>,
+    regions: Regions,
+    /// The entries step 2 weakened.
+    touched: Vec<EntryId>,
+}
+
+/// The context and counters of one Extended DRed run.
+struct Run<'a> {
+    resolver: &'a dyn DomainResolver,
+    config: &'a FixpointConfig,
+    stats: ExtDredStats,
+    /// Join counters of the unfolding and the rederivation.
+    joins: FixpointStats,
+}
+
+impl Run<'_> {
+    /// One counted solver call.
+    fn unsat(&mut self, c: &Constraint) -> bool {
+        self.stats.solver_calls += 1;
+        satisfiable_with(c, self.resolver, &self.config.solver) == Truth::Unsat
+    }
+
+    /// `Del`, the `P_OUT` unfolding (step 1) and the weakening of `view`
+    /// to `M'` (step 2).
+    fn over_delete(
+        &mut self,
+        db: &ConstrainedDatabase,
+        view: &mut MaterializedView,
+        gen: &mut VarGen,
+        deletions: &[ConstrainedAtom],
+    ) -> Result<OverDeletion, DredError> {
+        // ---- Del: every deletion intersected with the view --------------
+        let mut del: Vec<ConstrainedAtom> = Vec::new();
+        for deletion in deletions {
+            let bounds = ArgBounds::of(deletion);
+            for id in view.candidates(&deletion.pred, &bounds, &mut self.stats.prefiltered) {
+                let atom = &view.entry(id).atom;
+                let dpsi = deletion
+                    .constraint_at(&atom.args, gen)
+                    .expect("candidates share the arity");
+                let region = atom.constraint.clone().and(dpsi);
+                if self.unsat(&region) {
+                    continue;
+                }
+                // Keep Del regions compact: they are conjoined into P' and
+                // into every over-deleted entry, so redundancy here
+                // multiplies across the whole run (acute for batches,
+                // whose Del sets are larger).
+                let region = match mmv_constraints::simplify(&region) {
+                    mmv_constraints::Simplified::Constraint(c) => c,
+                    mmv_constraints::Simplified::Unsat => continue,
+                };
+                del.push(ConstrainedAtom {
+                    pred: atom.pred.clone(),
+                    args: atom.args.clone(),
+                    constraint: region,
+                });
             }
-            let dpsi = deletion
-                .constraint_at(&atom.args, gen)
-                .expect("arity checked");
-            let region = atom.constraint.clone().and(dpsi);
-            stats.solver_calls += 1;
-            if satisfiable_with(&region, resolver, &config.solver) == Truth::Unsat {
-                continue;
-            }
-            // Keep Del regions compact: they are conjoined into P' and
-            // into every over-deleted entry, so redundancy here
-            // multiplies across the whole run (acute for batches,
-            // whose Del sets are larger).
-            let region = match mmv_constraints::simplify(&region) {
-                mmv_constraints::Simplified::Constraint(c) => c,
-                mmv_constraints::Simplified::Unsat => continue,
-            };
-            del.push(ConstrainedAtom {
-                pred: atom.pred.clone(),
-                args: atom.args.clone(),
-                constraint: region,
+        }
+        self.stats.del_atoms = del.len();
+        if del.is_empty() {
+            return Ok(OverDeletion {
+                del,
+                regions: Regions::default(),
+                touched: Vec::new(),
             });
         }
-    }
-    stats.del_atoms = del.len();
-    if del.is_empty() {
-        return Ok(stats);
-    }
 
-    // ---- Step 1: unfold P_OUT --------------------------------------------
-    let mut pout: Vec<ConstrainedAtom> = Vec::new();
-    let mut seen: FxHashSet<ConstrainedAtom> = FxHashSet::default();
-    for d in &del {
-        seen.insert(canonicalize(d));
-        pout.push(d.clone());
-    }
-    let mut delta: Vec<ConstrainedAtom> = del.clone();
-    let mut combos: Vec<EntryId> = Vec::new();
-    let mut rounds = 0usize;
-    while !delta.is_empty() {
-        rounds += 1;
-        if rounds > config.max_iterations {
-            return Err(DredError::Budget(FixpointError::IterationBudget {
-                iterations: rounds,
-            }));
+        // ---- Step 1: unfold P_OUT ----------------------------------------
+        let mut pout: Vec<ConstrainedAtom> = Vec::new();
+        let mut seen: FxHashSet<ConstrainedAtom> = FxHashSet::default();
+        for d in &del {
+            seen.insert(canonicalize(d));
+            pout.push(d.clone());
         }
-        let mut next: Vec<ConstrainedAtom> = Vec::new();
-        for (_, clause) in db.clauses() {
-            let n = clause.body.len();
-            if n == 0 {
-                continue;
+        let mut delta: Vec<ConstrainedAtom> = del.clone();
+        let mut combos: Vec<EntryId> = Vec::new();
+        let mut rounds = 0usize;
+        while !delta.is_empty() {
+            rounds += 1;
+            if rounds > self.config.max_iterations {
+                return Err(DredError::Budget(FixpointError::IterationBudget {
+                    iterations: rounds,
+                }));
             }
-            // Exactly one body position from the delta, the rest from M
-            // (probed through the view's constant-argument index).
-            for dpos in 0..n {
-                for dm in delta.iter().filter(|a| a.pred == clause.body[dpos].pred) {
-                    combos.clear();
-                    collect_combos(
-                        view,
-                        &clause.body,
-                        dpos,
-                        &[],
-                        &DeltaSource::Atom(dm),
-                        None,
-                        &mut jstats,
-                        &mut combos,
-                    );
-                    for chunk in combos.chunks_exact(n) {
-                        let derived = {
-                            let children: Vec<&ConstrainedAtom> = chunk
-                                .iter()
-                                .map(|&id| {
-                                    if id == ATOM_SLOT {
-                                        dm
-                                    } else {
-                                        &view.entry(id).atom
-                                    }
-                                })
-                                .collect();
-                            derive(clause, &children, gen)
-                        };
-                        if let Some(derived) = derived {
-                            stats.solver_calls += 1;
-                            if satisfiable_with(&derived.atom.constraint, resolver, &config.solver)
-                                != Truth::Unsat
-                            {
-                                let canon = canonicalize(&derived.atom);
-                                if seen.insert(canon) {
+            let mut next: Vec<ConstrainedAtom> = Vec::new();
+            for (_, clause) in db.clauses() {
+                let n = clause.body.len();
+                if n == 0 {
+                    continue;
+                }
+                // Exactly one body position from the delta, the rest from M
+                // (probed through the view's constant-argument index).
+                for dpos in 0..n {
+                    for dm in delta.iter().filter(|a| a.pred == clause.body[dpos].pred) {
+                        combos.clear();
+                        collect_combos(
+                            view,
+                            &clause.body,
+                            dpos,
+                            &[],
+                            &DeltaSource::Atom(dm),
+                            None,
+                            &mut self.joins,
+                            &mut combos,
+                        );
+                        for chunk in combos.chunks_exact(n) {
+                            let derived = {
+                                let children: Vec<&ConstrainedAtom> = chunk
+                                    .iter()
+                                    .map(|&id| {
+                                        if id == ATOM_SLOT {
+                                            dm
+                                        } else {
+                                            &view.entry(id).atom
+                                        }
+                                    })
+                                    .collect();
+                                derive(clause, &children, gen)
+                            };
+                            if let Some(derived) = derived {
+                                if !self.unsat(&derived.atom.constraint)
+                                    && seen.insert(canonicalize(&derived.atom))
+                                {
                                     next.push(derived.atom);
                                 }
                             }
@@ -246,44 +344,46 @@ fn dred_delete_inner(
                     }
                 }
             }
+            pout.extend(next.iter().cloned());
+            if pout.len() > self.config.max_entries {
+                return Err(DredError::Budget(FixpointError::EntryBudget {
+                    entries: pout.len(),
+                }));
+            }
+            delta = next;
         }
-        pout.extend(next.iter().cloned());
-        if pout.len() > config.max_entries {
-            return Err(DredError::Budget(FixpointError::EntryBudget {
-                entries: pout.len(),
-            }));
-        }
-        delta = next;
-    }
-    stats.pout_atoms = pout.len();
+        self.stats.pout_atoms = pout.len();
 
-    // ---- Step 2: over-delete to M' ----------------------------------------
-    let mut pout_by_pred: FxHashMap<Arc<str>, Vec<ConstrainedAtom>> = FxHashMap::default();
-    for p in &pout {
-        pout_by_pred
-            .entry(p.pred.clone())
-            .or_default()
-            .push(p.clone());
-    }
-    let mut touched: Vec<EntryId> = Vec::new();
-    for (pred, pouts) in &pout_by_pred {
-        for id in view.entries_for_pred(pred).to_vec() {
-            let (constraint, changed) = {
+        // ---- Step 2: over-delete to M' ------------------------------------
+        let mut regions = Regions::default();
+        for atom in pout {
+            let bounds = ArgBounds::of(&atom);
+            regions
+                .entry(atom.pred.clone())
+                .or_default()
+                .push(Region { atom, bounds });
+        }
+        let mut touched: Vec<EntryId> = Vec::new();
+        for (pred, pouts) in &regions {
+            // (entry, region) pairs whose bounds meet, grouped by entry
+            // with each entry's regions in P_OUT order.
+            let mut met: Vec<(EntryId, usize)> = Vec::new();
+            for (r, region) in pouts.iter().enumerate() {
+                let ids = view.candidates(pred, &region.bounds, &mut self.stats.prefiltered);
+                met.extend(ids.into_iter().map(|id| (id, r)));
+            }
+            met.sort_unstable();
+            for group in met.chunk_by(|a, b| a.0 == b.0) {
+                let id = group[0].0;
                 let atom = &view.entry(id).atom;
                 let mut constraint = atom.constraint.clone();
                 let mut changed = false;
-                for p in pouts {
-                    if p.args.len() != atom.args.len() {
-                        continue;
-                    }
-                    let ppsi = p.constraint_at(&atom.args, gen).expect("arity checked");
-                    stats.solver_calls += 1;
-                    if satisfiable_with(
-                        &constraint.clone().and(ppsi.clone()),
-                        resolver,
-                        &config.solver,
-                    ) == Truth::Unsat
-                    {
+                for &(_, r) in group {
+                    let ppsi = pouts[r]
+                        .atom
+                        .constraint_at(&atom.args, gen)
+                        .expect("candidates share the arity");
+                    if self.unsat(&constraint.clone().and(ppsi.clone())) {
                         continue;
                     }
                     // Simplify after *each* conjunct, not once at the
@@ -300,76 +400,213 @@ fn dred_delete_inner(
                         };
                     changed = true;
                 }
-                (constraint, changed)
-            };
-            if changed {
-                view.replace_constraint(id, constraint);
-                touched.push(id);
-                stats.weakened += 1;
+                if changed {
+                    view.replace_constraint(id, constraint);
+                    touched.push(id);
+                    self.stats.weakened += 1;
+                }
+            }
+        }
+        Ok(OverDeletion {
+            del,
+            regions,
+            touched,
+        })
+    }
+
+    /// Step 3: rederive within the `P_OUT` regions — `T_{P''} ↑ ω (M')`,
+    /// the shared round driver over `program` (see
+    /// [`Run::rederivation_program`]) with the region gate in place of
+    /// the operator's, started from `seed` (see [`rederivation_seed`]).
+    fn rederive(
+        &mut self,
+        program: &ConstrainedDatabase,
+        view: &mut MaterializedView,
+        gen: &mut VarGen,
+        regions: Regions,
+        mut seed: Vec<EntryId>,
+    ) -> Result<(), DredError> {
+        let gate = RederiveGate {
+            regions: Arc::new(regions),
+            solver: self.config.solver.clone(),
+        };
+        let before = view.len();
+        // Constrained facts (empty-body clauses) can themselves restore
+        // deleted regions — e.g. Example 4's independent `A(X) <- X >= 3`.
+        let mut facts = EngineStats::default();
+        for (_, clause) in program.clauses() {
+            if !clause.body.is_empty() {
+                continue;
+            }
+            let restored = derive(clause, &[], gen)
+                .and_then(|d| gate.restores(d.atom, self.resolver, gen, &mut facts));
+            if let Some(id) = restored.and_then(|atom| view.insert(atom, None, vec![])) {
+                seed.push(id);
+            }
+        }
+        let engine = Engine {
+            db: program,
+            resolver: self.resolver,
+            config: self.config,
+            gate,
+        };
+        let rederived = engine.run(view, gen, seed).map_err(DredError::Budget)?;
+        // Rederivation only inserts.
+        self.stats.rederived = view.len() - before;
+        self.stats.solver_calls += facts.solver_calls + rederived.solver_calls;
+        self.stats.prefiltered += facts.prefiltered + rederived.prefiltered;
+        self.joins.absorb(&rederived.fixpoint);
+        Ok(())
+    }
+
+    /// The program rederivation runs, `P''`: the clauses of the rewritten
+    /// database `P'` that can restore anything. A rule can only if its
+    /// head predicate lost a region; a constrained fact only if, further,
+    /// its head bounds meet one of them. Everything else of `P'` is left
+    /// out rather than cloned, so building the program costs what the
+    /// over-deleted predicates' clauses cost, not what `P` does. Clause
+    /// numbers are the originals.
+    ///
+    /// The rewrite is [`rewrite_for_deletion`] with a redundancy gate: a
+    /// `not(Del-region)` is conjoined onto a clause only if the region
+    /// *overlaps* the clause's own constraint — excluding a disjoint
+    /// region excludes nothing (the same gate Algorithm 3 applies when
+    /// building `Add`). The blind rewrite is the declarative spec and
+    /// stays as the oracle; this one keeps the executable clauses small.
+    /// The distinction is what makes *batched* deletion viable: a batch's
+    /// `Del` holds every request's regions, and conjoining all of them
+    /// onto every clause of a hot predicate makes each rederivation solver
+    /// call case-split over a product of `not()` blocks — cost exponential
+    /// in the batch size. Gated, each clause keeps only the regions it can
+    /// actually lose, which is what the equivalent sequence of single-atom
+    /// runs would have confronted one at a time.
+    fn rederivation_program(
+        &mut self,
+        db: &ConstrainedDatabase,
+        del: &[ConstrainedAtom],
+        regions: &Regions,
+        gen: &mut VarGen,
+    ) -> ConstrainedDatabase {
+        let del: Vec<(&ConstrainedAtom, ArgBounds)> =
+            del.iter().map(|d| (d, ArgBounds::of(d))).collect();
+        let mut cids: Vec<ClauseId> = regions
+            .keys()
+            .flat_map(|pred| db.clauses_for_head(pred))
+            .copied()
+            .collect();
+        cids.sort_unstable();
+        let mut out = ConstrainedDatabase::new();
+        for cid in cids {
+            let clause = db.clause(cid);
+            let head_regions = &regions[&clause.head_pred];
+            if clause.body.is_empty()
+                && !head_regions
+                    .iter()
+                    .any(|r| r.bounds.meets(&clause.head_args, &clause.constraint))
+            {
+                self.stats.prefiltered += head_regions.len();
+                continue;
+            }
+            let mut c = clause.clone();
+            for (d, bounds) in &del {
+                if d.pred != clause.head_pred {
+                    continue;
+                }
+                // The conjoined not() blocks leave the head's bounds as
+                // the original clause's.
+                if !bounds.meets(&clause.head_args, &clause.constraint) {
+                    self.stats.prefiltered += 1;
+                    continue;
+                }
+                let dpsi = d
+                    .constraint_at(&c.head_args, gen)
+                    .expect("bounds met, so arities agree");
+                // Every derivation through the clause satisfies the clause
+                // constraint, so a region disjoint from it can never be
+                // produced — the not() would only bloat the program.
+                if self.unsat(&c.constraint.clone().and(dpsi.clone())) {
+                    continue;
+                }
+                c = Clause::new(
+                    &c.head_pred,
+                    c.head_args.clone(),
+                    c.constraint.and_lit(Lit::Not(dpsi)),
+                    c.body.clone(),
+                );
+            }
+            out.push_numbered(cid, c);
+        }
+        out
+    }
+}
+
+/// The delta rederivation starts from: per rule of `program` and per
+/// body atom, the entries whose argument bounds meet some `P_OUT` region
+/// of the head predicate at every position where the body atom and the
+/// head share a variable (a body atom sharing none contributes all its
+/// entries). A derivation can restore instances inside a region only if
+/// its head does, and a shared variable carries the child's value to the
+/// head — so *every* child of a restoring derivation passes this filter,
+/// at least one of them is in the delta, and semi-naive enumeration finds
+/// the derivation. Ascending ids, like the live-entry scan this replaces.
+fn rederivation_seed(
+    program: &ConstrainedDatabase,
+    view: &MaterializedView,
+    regions: &Regions,
+    prefiltered: &mut usize,
+) -> Vec<EntryId> {
+    let mut seed: Vec<EntryId> = Vec::new();
+    for (_, clause) in program.clauses() {
+        // Every clause of the program heads a predicate with regions.
+        let head_regions = &regions[&clause.head_pred];
+        for body_atom in &clause.body {
+            // (body position, head position) pairs naming one variable.
+            let shared: Vec<(usize, usize)> = body_atom
+                .args
+                .iter()
+                .enumerate()
+                .filter_map(|(k, t)| Some((k, t.as_var()?)))
+                .flat_map(|(k, v)| {
+                    clause
+                        .head_args
+                        .iter()
+                        .enumerate()
+                        .filter(move |(_, t)| t.as_var() == Some(v))
+                        .map(move |(h, _)| (k, h))
+                })
+                .collect();
+            if shared.is_empty() {
+                seed.extend_from_slice(view.entries_for_pred(&body_atom.pred));
+                continue;
+            }
+            for region in head_regions {
+                if region.atom.args.len() != clause.head_args.len() {
+                    continue;
+                }
+                let mut sets = vec![ValueSet::All; body_atom.args.len()];
+                for &(k, h) in &shared {
+                    sets[k] = sets[k].intersect(region.bounds.at(h));
+                }
+                seed.extend(view.candidates(
+                    &body_atom.pred,
+                    &ArgBounds::from_sets(sets),
+                    prefiltered,
+                ));
             }
         }
     }
-
-    // ---- Step 3: rederive within the P_OUT regions over P' ----------------
-    // `T_{P''} ↑ ω (M')`: the shared round driver over the rewritten
-    // program, with the region gate in place of the operator's.
-    let pprime = rewrite_for_deletion_gated(db, &del, gen, resolver, config, &mut stats);
-    let gate = RederiveGate {
-        regions: Arc::new(pout_by_pred),
-        solver: config.solver.clone(),
-    };
-    let mut delta_ids: Vec<EntryId> = view.live_entries().map(|(id, _)| id).collect();
-    let before = view.len();
-    // Constrained facts (empty-body clauses) of P' can themselves restore
-    // deleted regions — e.g. Example 4's independent `A(X) <- X >= 3`.
-    for (_, clause) in pprime.clauses() {
-        if !clause.body.is_empty() || !gate.runs(clause) {
-            continue;
-        }
-        let restored = derive(clause, &[], gen)
-            .and_then(|d| gate.restores(d.atom, resolver, gen, &mut stats.solver_calls));
-        if let Some(id) = restored.and_then(|atom| view.insert(atom, None, vec![])) {
-            delta_ids.push(id);
-        }
-    }
-    let engine = Engine {
-        db: &pprime,
-        resolver,
-        config,
-        gate,
-    };
-    let rederive = engine
-        .run(view, gen, delta_ids)
-        .map_err(DredError::Budget)?;
-    // Rederivation only inserts.
-    stats.rederived = view.len() - before;
-    stats.solver_calls += rederive.solver_calls;
-    jstats.absorb(&rederive.fixpoint);
-
-    // ---- Hygiene: drop weakened entries that became unsolvable ------------
-    for id in touched {
-        if !view.is_live(id) {
-            continue;
-        }
-        let c = view.entry(id).atom.constraint.clone();
-        stats.solver_calls += 1;
-        if satisfiable_with(&c, resolver, &config.solver) == Truth::Unsat {
-            view.remove(id);
-            stats.removed += 1;
-        }
-    }
-    stats.index_probes = jstats.index_probes;
-    stats.candidates_scanned = jstats.candidates_scanned;
-    Ok(stats)
+    seed.sort_unstable();
+    seed.dedup();
+    seed
 }
 
-/// Rederivation's gate for the shared round driver: only clauses whose
-/// head predicate lost a region run, and a derivation is kept only if it
-/// can restore instances inside one (the `P''` pruning) and is solvable.
+/// Rederivation's gate for the shared round driver: a derivation is kept
+/// only if it can restore instances inside a `P_OUT` region of its
+/// predicate (the `P''` pruning) and is solvable.
 #[derive(Clone)]
 struct RederiveGate {
     /// The `P_OUT` regions by predicate, shared with the pool tasks.
-    regions: Arc<FxHashMap<Arc<str>, Vec<ConstrainedAtom>>>,
+    regions: Arc<Regions>,
     solver: SolverConfig,
 }
 
@@ -381,30 +618,30 @@ impl RederiveGate {
         atom: ConstrainedAtom,
         resolver: &dyn DomainResolver,
         gen: &mut VarGen,
-        solver_calls: &mut usize,
+        stats: &mut EngineStats,
     ) -> Option<ConstrainedAtom> {
-        let overlaps = self.regions.get(&atom.pred)?.iter().any(|p| {
-            if p.args.len() != atom.args.len() {
+        let overlaps = self.regions.get(&atom.pred)?.iter().any(|r| {
+            if !r.bounds.meets_atom(&atom) {
+                stats.prefiltered += 1;
                 return false;
             }
-            let ppsi = p.constraint_at(&atom.args, gen).expect("arity checked");
-            *solver_calls += 1;
+            let ppsi = r
+                .atom
+                .constraint_at(&atom.args, gen)
+                .expect("bounds met, so arities agree");
+            stats.solver_calls += 1;
             satisfiable_with(&atom.constraint.clone().and(ppsi), resolver, &self.solver)
                 != Truth::Unsat
         });
         if !overlaps {
             return None;
         }
-        *solver_calls += 1;
+        stats.solver_calls += 1;
         (satisfiable_with(&atom.constraint, resolver, &self.solver) != Truth::Unsat).then_some(atom)
     }
 }
 
 impl Gate for RederiveGate {
-    fn runs(&self, clause: &Clause) -> bool {
-        self.regions.contains_key(&clause.head_pred)
-    }
-
     fn admit(
         &self,
         view: &MaterializedView,
@@ -415,7 +652,7 @@ impl Gate for RederiveGate {
         stats: &mut EngineStats,
     ) -> Option<Candidate> {
         let d = derive_combo(view, split.clause, chunk, gen)?;
-        let atom = self.restores(d.atom, resolver, gen, &mut stats.solver_calls)?;
+        let atom = self.restores(d.atom, resolver, gen, stats)?;
         // A plain view keeps no derivation metadata.
         let rederived = Derivation {
             atom,
@@ -445,60 +682,6 @@ pub fn rewrite_for_deletion(
             let dpsi = d
                 .constraint_at(&c.head_args, &mut gen)
                 .expect("arity checked");
-            c = Clause::new(
-                &c.head_pred,
-                c.head_args.clone(),
-                c.constraint.and_lit(Lit::Not(dpsi)),
-                c.body.clone(),
-            );
-        }
-        out.push_numbered(cid, c);
-    }
-    out
-}
-
-/// [`rewrite_for_deletion`] with a redundancy gate: a `not(Del-region)`
-/// is conjoined onto a clause only if the region *overlaps* the
-/// clause's own constraint — excluding a disjoint region excludes
-/// nothing (the same gate Algorithm 3 applies when building `Add`).
-///
-/// The blind rewrite is the declarative spec and stays as the oracle;
-/// this one keeps the executable `P'` small. The distinction is what
-/// makes *batched* deletion viable: a batch's `Del` holds every
-/// request's regions, and conjoining all of them onto every clause of a
-/// hot predicate makes each rederivation solver call case-split over a
-/// product of `not()` blocks — cost exponential in the batch size.
-/// Gated, each clause keeps only the regions it can actually lose,
-/// which is what the equivalent sequence of single-atom runs would have
-/// confronted one at a time.
-fn rewrite_for_deletion_gated(
-    db: &ConstrainedDatabase,
-    del: &[ConstrainedAtom],
-    gen: &mut VarGen,
-    resolver: &dyn DomainResolver,
-    config: &FixpointConfig,
-    stats: &mut ExtDredStats,
-) -> ConstrainedDatabase {
-    let mut out = ConstrainedDatabase::new();
-    for (cid, clause) in db.clauses() {
-        let mut c = clause.clone();
-        for d in del {
-            if d.pred != clause.head_pred || d.args.len() != clause.head_args.len() {
-                continue;
-            }
-            let dpsi = d.constraint_at(&c.head_args, gen).expect("arity checked");
-            // Every derivation through the clause satisfies the clause
-            // constraint, so a region disjoint from it can never be
-            // produced — the not() would only bloat P'.
-            stats.solver_calls += 1;
-            if satisfiable_with(
-                &c.constraint.clone().and(dpsi.clone()),
-                resolver,
-                &config.solver,
-            ) == Truth::Unsat
-            {
-                continue;
-            }
             c = Clause::new(
                 &c.head_pred,
                 c.head_args.clone(),
@@ -796,5 +979,133 @@ mod tests {
             .map(|(_, e)| canonicalize(&e.atom).to_string())
             .collect();
         assert_eq!(before, after);
+    }
+    mod seed_filter {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn y() -> Term {
+            Term::var(Var(1))
+        }
+
+        fn between(lo: i64, hi: i64) -> Constraint {
+            Constraint::cmp(x(), CmpOp::Ge, Term::int(lo)).and(Constraint::cmp(
+                x(),
+                CmpOp::Le,
+                Term::int(hi),
+            ))
+        }
+
+        fn interval_fact(pred: &'static str) -> impl Strategy<Value = Clause> {
+            (0i64..12, 0i64..4)
+                .prop_map(move |(lo, w)| Clause::fact(pred, vec![x()], between(lo, lo + w)))
+        }
+
+        /// Two-body-atom rules whose body atoms share both, one or none
+        /// of their variables with the head, plus a second way to derive
+        /// `q` so that over-deleted instances have something to come
+        /// back through.
+        fn rule() -> impl Strategy<Value = Clause> {
+            let rule = |head: &str, head_args: Vec<Term>, body: Vec<BodyAtom>| {
+                Clause::new(head, head_args, Constraint::truth(), body)
+            };
+            prop_oneof![
+                Just(rule(
+                    "q",
+                    vec![x()],
+                    vec![BodyAtom::new("b", vec![x()]), BodyAtom::new("c", vec![x()])]
+                )),
+                Just(rule(
+                    "q",
+                    vec![x()],
+                    vec![BodyAtom::new("b", vec![x()]), BodyAtom::new("c", vec![y()])]
+                )),
+                Just(rule(
+                    "r",
+                    vec![x(), y()],
+                    vec![BodyAtom::new("b", vec![x()]), BodyAtom::new("c", vec![y()])]
+                )),
+                Just(rule(
+                    "q",
+                    vec![x()],
+                    vec![
+                        BodyAtom::new("r", vec![x(), y()]),
+                        BodyAtom::new("c", vec![y()])
+                    ]
+                )),
+                Just(rule("q", vec![x()], vec![BodyAtom::new("c", vec![x()])])),
+            ]
+        }
+
+        fn workload() -> impl Strategy<Value = (ConstrainedDatabase, Vec<ConstrainedAtom>)> {
+            let deletion =
+                (prop_oneof![Just("b"), Just("c")], 0i64..14, 0i64..3).prop_map(|(pred, lo, w)| {
+                    ConstrainedAtom::new(pred, vec![x()], between(lo, lo + w))
+                });
+            (
+                collection::vec(interval_fact("b"), 1..=3_usize),
+                collection::vec(interval_fact("c"), 1..=3_usize),
+                collection::vec(interval_fact("q"), 0..=1_usize),
+                collection::vec(rule(), 1..=3_usize),
+                collection::vec(deletion, 1..=2_usize),
+            )
+                .prop_map(|(b, c, q, rules, deletions)| {
+                    let clauses = b.into_iter().chain(c).chain(q).chain(rules);
+                    (ConstrainedDatabase::from_clauses(clauses), deletions)
+                })
+        }
+
+        /// `M'` closed under `P'` from the region-filtered seed, or from
+        /// every live entry (what the seed replaced).
+        fn rederived(
+            db: &ConstrainedDatabase,
+            base: &MaterializedView,
+            deletions: &[ConstrainedAtom],
+            every_live_entry: bool,
+        ) -> MaterializedView {
+            let mut view = base.clone();
+            let mut gen = std::mem::take(view.var_gen_mut());
+            let config = FixpointConfig::default();
+            let mut run = Run {
+                resolver: &NoDomains,
+                config: &config,
+                stats: ExtDredStats::default(),
+                joins: FixpointStats::default(),
+            };
+            let over = run
+                .over_delete(db, &mut view, &mut gen, deletions)
+                .expect("over-deletion");
+            if !over.del.is_empty() {
+                let program = run.rederivation_program(db, &over.del, &over.regions, &mut gen);
+                let seed = if every_live_entry {
+                    view.live_entries().map(|(id, _)| id).collect()
+                } else {
+                    rederivation_seed(&program, &view, &over.regions, &mut 0)
+                };
+                run.rederive(&program, &mut view, &mut gen, over.regions, seed)
+                    .expect("rederivation");
+            }
+            *view.var_gen_mut() = gen;
+            view
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig {
+                cases: std::env::var("PROPTEST_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(64),
+                failure_persistence: None,
+                ..ProptestConfig::default()
+            })]
+
+            #[test]
+            fn region_seed_rederives_what_the_live_seed_does((db, deletions) in workload()) {
+                let base = build_plain(&db);
+                let filtered = rederived(&db, &base, &deletions, false);
+                let full = rederived(&db, &base, &deletions, true);
+                prop_assert!(
+                    filtered.syntactically_equal(&full),
+                    "seeds diverged on\n{db}\ndeleting {deletions:?}\nregion seed:\n{filtered}\nlive seed:\n{full}"
+                );
+            }
+        }
     }
 }

@@ -13,6 +13,7 @@
 //! consults them (a derivation's children are strictly lower).
 
 use crate::atom::ConstrainedAtom;
+use crate::bounds::ArgBounds;
 use crate::support::Support;
 use crate::view::{EntryId, MaterializedView, SupportMode};
 use mmv_constraints::fxhash::FxHashMap;
@@ -32,6 +33,9 @@ pub struct StDelStats {
     pub removed: usize,
     /// Solvability tests performed.
     pub solver_calls: usize,
+    /// Step-2 candidates dismissed by the argument-bounds pre-check,
+    /// without tying or a solver call.
+    pub prefiltered: usize,
 }
 
 impl StDelStats {
@@ -43,6 +47,7 @@ impl StDelStats {
         self.pout_pairs += o.pout_pairs;
         self.removed += o.removed;
         self.solver_calls += o.solver_calls;
+        self.prefiltered += o.prefiltered;
     }
 }
 
@@ -106,19 +111,18 @@ pub fn stdel_delete_batch(
 
     // ---- Step 2: direct deletions ---------------------------------------
     for deletion in deletions {
-        // Snapshot: the loop below replaces constraints while iterating.
-        let direct: Vec<EntryId> = view.entries_for_pred(&deletion.pred).to_vec();
-        for id in direct {
+        // Only entries whose argument bounds meet the request's can lose
+        // instances to it (the ids are a snapshot: the loop below
+        // replaces constraints).
+        let bounds = ArgBounds::of(deletion);
+        for id in view.candidates(&deletion.pred, &bounds, &mut stats.prefiltered) {
             let entry = view.entry(id);
-            if entry.atom.args.len() != deletion.args.len() {
-                continue;
-            }
             let support = entry.support.clone().expect("WithSupports mode");
             let atom = entry.atom.clone();
             // Instantiate the deletion's constraint over this entry's args.
             let dpsi = deletion
                 .constraint_at(&atom.args, view.var_gen_mut())
-                .expect("arity checked");
+                .expect("candidates share the arity");
             let region = atom.constraint.clone().and(dpsi.clone());
             stats.solver_calls += 1;
             if satisfiable_with(&region, resolver, config) == Truth::Unsat {

@@ -16,6 +16,7 @@
 //! construction.
 
 use crate::atom::ConstrainedAtom;
+use crate::bounds::ArgBounds;
 use crate::program::ConstrainedDatabase;
 use crate::support::{Producer, Support};
 use crate::tp::{propagate, FixpointConfig, FixpointError, FixpointStats, Operator};
@@ -44,6 +45,13 @@ pub struct InsertBatchStats {
     pub propagated: usize,
     /// Fixpoint statistics of the (single) propagation pass.
     pub fixpoint: FixpointStats,
+    /// Satisfiability tests performed while building the `Add` entries
+    /// (the propagation's own are `fixpoint.derivations_tried -
+    /// fixpoint.pruned_syntactic`).
+    pub solver_calls: usize,
+    /// View entries dismissed from an `Add` build by the argument-bounds
+    /// pre-check, without tying or a solver call.
+    pub prefiltered: usize,
 }
 
 impl InsertBatchStats {
@@ -53,6 +61,8 @@ impl InsertBatchStats {
         self.added += o.added;
         self.propagated += o.propagated;
         self.fixpoint.absorb(&o.fixpoint);
+        self.solver_calls += o.solver_calls;
+        self.prefiltered += o.prefiltered;
     }
 }
 
@@ -138,7 +148,7 @@ pub fn insert_batch_ticketed(
     let mut stats = InsertBatchStats::default();
     let mut new_ids: Vec<EntryId> = Vec::with_capacity(insertions.len());
     for (insertion, &ticket) in insertions.iter().zip(tickets) {
-        if let Some(id) = materialize_add(view, insertion, ticket, resolver, config) {
+        if let Some(id) = materialize_add(view, insertion, ticket, resolver, config, &mut stats) {
             new_ids.push(id);
             stats.added += 1;
         }
@@ -165,6 +175,7 @@ fn materialize_add(
     ticket: u64,
     resolver: &dyn DomainResolver,
     config: &FixpointConfig,
+    stats: &mut InsertBatchStats,
 ) -> Option<EntryId> {
     // ---- Build Add: φ ∧ ⋀ not(ψ_existing) -------------------------------
     // The var gen leaves the view while existing entries stay borrowed
@@ -173,19 +184,21 @@ fn materialize_add(
     // Standardize the insertion apart from the view's variables first.
     let ins = insertion.rename(&mut gen);
     let mut add_constraint = ins.constraint.clone();
-    for &id in view.entries_for_pred(&ins.pred) {
-        let entry_atom = &view.entry(id).atom;
-        if entry_atom.args.len() != ins.args.len() {
-            continue;
-        }
-        let epsi = entry_atom
+    // Only entries whose argument bounds meet the insertion's can
+    // already hold some of its instances.
+    let bounds = ArgBounds::of(&ins);
+    for id in view.candidates(&ins.pred, &bounds, &mut stats.prefiltered) {
+        let epsi = view
+            .entry(id)
+            .atom
             .constraint_at(&ins.args, &mut gen)
-            .expect("arity checked");
+            .expect("candidates share the arity");
         // Excluding a region disjoint from the insertion excludes
         // nothing: skip it. This keeps Add small — conjoining a not()
         // per view entry would make the constraint (and every
         // downstream P_ADD derivation) grow with the view.
         let overlap = ins.constraint.clone().and(epsi.clone());
+        stats.solver_calls += 1;
         if satisfiable_with(&overlap, resolver, &config.solver) == Truth::Unsat {
             continue;
         }
@@ -193,6 +206,7 @@ fn materialize_add(
     }
     *view.var_gen_mut() = gen;
     // Solvability gate: nothing new to insert if Add is unsolvable.
+    stats.solver_calls += 1;
     if satisfiable_with(&add_constraint, resolver, &config.solver) == Truth::Unsat {
         return None;
     }

@@ -61,6 +61,7 @@
 
 pub mod atom;
 pub mod batch;
+mod bounds;
 pub mod delete_dred;
 pub mod delete_stdel;
 pub mod external;

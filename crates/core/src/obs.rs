@@ -37,12 +37,20 @@ pub struct CoreMetrics {
     pub delete_removed: Counter,
     /// Satisfiability tests performed by the deletion algorithms.
     pub delete_solver_calls: Counter,
+    /// Candidates the deletion algorithms dismissed by the
+    /// argument-bounds pre-check instead of a satisfiability test.
+    pub delete_prefiltered: Counter,
     /// Entries replaced by StDel (direct + support propagation).
     pub stdel_replacements: Counter,
     /// Base entries materialized by batched insertion.
     pub insert_added: Counter,
     /// Entries derived by upward insertion propagation.
     pub insert_propagated: Counter,
+    /// Satisfiability tests performed while building `Add` entries.
+    pub insert_solver_calls: Counter,
+    /// View entries an `Add` build dismissed by the argument-bounds
+    /// pre-check instead of a satisfiability test.
+    pub insert_prefiltered: Counter,
     /// Entry-slab pages copied because they were shared with a snapshot.
     pub store_entry_pages_copied: Counter,
     /// Predicate indexes copied because they were shared with a snapshot.
@@ -66,6 +74,10 @@ impl CoreMetrics {
         stats.inserts.fixpoint.record_into(self);
         self.insert_added.add(stats.inserts.added as u64);
         self.insert_propagated.add(stats.inserts.propagated as u64);
+        self.insert_solver_calls
+            .add(stats.inserts.solver_calls as u64);
+        self.insert_prefiltered
+            .add(stats.inserts.prefiltered as u64);
         match &stats.deletes {
             DeleteStats::None => {}
             DeleteStats::Dred(d) => d.record_into(self),
@@ -74,6 +86,7 @@ impl CoreMetrics {
                     .add((s.direct_replacements + s.propagated_replacements) as u64);
                 self.delete_removed.add(s.removed as u64);
                 self.delete_solver_calls.add(s.solver_calls as u64);
+                self.delete_prefiltered.add(s.prefiltered as u64);
             }
         }
     }
@@ -147,6 +160,11 @@ impl CoreMetrics {
             &self.delete_solver_calls,
         );
         c(
+            "mmv_delete_prefiltered_total",
+            "Deletion candidates dismissed by the argument-bounds pre-check",
+            &self.delete_prefiltered,
+        );
+        c(
             "mmv_stdel_replacements_total",
             "Entries replaced by StDel",
             &self.stdel_replacements,
@@ -160,6 +178,16 @@ impl CoreMetrics {
             "mmv_insert_propagated_total",
             "Entries derived by insertion propagation",
             &self.insert_propagated,
+        );
+        c(
+            "mmv_insert_solver_calls_total",
+            "Satisfiability tests performed while building Add entries",
+            &self.insert_solver_calls,
+        );
+        c(
+            "mmv_insert_prefiltered_total",
+            "Add-build candidates dismissed by the argument-bounds pre-check",
+            &self.insert_prefiltered,
         );
         c(
             "mmv_store_entry_pages_copied_total",
@@ -205,6 +233,7 @@ impl ExtDredStats {
         m.dred_rederived.add(self.rederived as u64);
         m.delete_removed.add(self.removed as u64);
         m.delete_solver_calls.add(self.solver_calls as u64);
+        m.delete_prefiltered.add(self.prefiltered as u64);
         m.index_probes.add(self.index_probes as u64);
         m.candidates_scanned.add(self.candidates_scanned as u64);
     }
@@ -226,6 +255,7 @@ mod tests {
                 solver_calls: 7,
                 index_probes: 5,
                 candidates_scanned: 11,
+                prefiltered: 13,
                 ..ExtDredStats::default()
             }),
             inserts: InsertBatchStats {
@@ -237,6 +267,8 @@ mod tests {
                     index_probes: 8,
                     ..FixpointStats::default()
                 },
+                solver_calls: 12,
+                prefiltered: 20,
             },
             view_entries: 100,
         };
@@ -249,6 +281,10 @@ mod tests {
         assert_eq!(m.delete_removed.get(), 3);
         assert_eq!(m.insert_added.get(), 4);
         assert_eq!(m.insert_propagated.get(), 6);
+        assert_eq!(m.delete_solver_calls.get(), 7);
+        assert_eq!(m.delete_prefiltered.get(), 13);
+        assert_eq!(m.insert_solver_calls.get(), 12);
+        assert_eq!(m.insert_prefiltered.get(), 20);
 
         let reg = MetricsRegistry::new();
         m.register_into(&reg);

@@ -740,17 +740,13 @@ pub(crate) fn propagate(
 }
 
 /// What an engine plugs into the shared round driver ([`Engine`]): which
-/// clauses take part in its rounds, and which enumerated combinations
-/// become view entries. Everything else — planning, enumeration, the
+/// enumerated combinations become view entries. Everything else — the
+/// program (Extended DRed hands the driver only the clauses that can
+/// rederive), planning, enumeration, the
 /// choice of executor, the merge — is the driver's and identical for
 /// every engine. A gate is cloned into each pool task, so it owns
 /// (`Arc`-shares) whatever it reads.
 pub(crate) trait Gate: Clone + Send + 'static {
-    /// Whether `clause` takes part in this engine's rounds.
-    fn runs(&self, _clause: &Clause) -> bool {
-        true
-    }
-
     /// Decides one combination: `chunk` holds one entry id of `view` per
     /// body atom of `split.clause` (all below the round's watermark,
     /// hence immutable). Returns what to insert, or `None` to drop the
@@ -774,12 +770,13 @@ pub(crate) trait Gate: Clone + Send + 'static {
 pub(crate) type Candidate = (Option<Support>, Derivation);
 
 /// Counters of one driver run (or of one split of it): the join
-/// engine's, plus the solver calls a gate chooses to report (Extended
-/// DRed does).
+/// engine's, plus the solver calls and bounds pre-check dismissals a
+/// gate chooses to report (Extended DRed does).
 #[derive(Default)]
 pub(crate) struct EngineStats {
     pub fixpoint: FixpointStats,
     pub solver_calls: usize,
+    pub prefiltered: usize,
 }
 
 /// The `T_P`/`W_P` gate: support-level dedup, `derive`, then the
@@ -856,15 +853,14 @@ pub(crate) struct Split<'a> {
 /// database order, each clause's positions in [`delta_plan`] order.
 /// Both executors consume this list front to back, which is what makes
 /// their output identical.
-fn plan_splits<'a, G: Gate>(
+fn plan_splits<'a>(
     db: &'a ConstrainedDatabase,
-    gate: &G,
     delta_by_pred: &'a FxHashMap<Arc<str>, Vec<EntryId>>,
 ) -> Vec<Split<'a>> {
     let mut splits = Vec::new();
     let mut plan = Vec::new();
     for (cid, clause) in db.clauses() {
-        if clause.body.is_empty() || !gate.runs(clause) {
+        if clause.body.is_empty() {
             continue;
         }
         delta_plan(&clause.body, delta_by_pred, &mut plan);
@@ -956,7 +952,7 @@ impl<G: Gate> Engine<'_, G> {
             }
             let scope = rounds.begin(view, &delta);
             let delta_by_pred = group_by_pred(view, &delta);
-            let splits = plan_splits(self.db, &self.gate, &delta_by_pred);
+            let splits = plan_splits(self.db, &delta_by_pred);
             delta = self.round(view, gen, splits, &scope, &mut stats)?;
         }
         Ok(stats)
@@ -1051,6 +1047,7 @@ impl<G: Gate> Engine<'_, G> {
     ) -> Result<(), FixpointError> {
         stats.fixpoint.absorb(&out.stats.fixpoint);
         stats.solver_calls += out.stats.solver_calls;
+        stats.prefiltered += out.stats.prefiltered;
         gen.reserve_below(out.gen_high);
         for (support, d) in out.candidates {
             if let Some(id) = view.insert(d.atom, support, d.children_args) {

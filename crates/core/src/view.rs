@@ -46,11 +46,29 @@
 //! readers of old clones are safe by construction: the writer can only
 //! ever mutate storage it has already un-shared.
 //!
+//! # Candidate selection
+//!
+//! The maintenance algorithms never walk a predicate's entries to tie
+//! and solve each one. They read the update's *argument bounds* — per
+//! position, the integer interval or constant its instances lie in
+//! (the crate's `bounds` module) — and ask `MaterializedView::candidates` for the
+//! entries whose own bounds meet them: StDel's direct step, Extended
+//! DRed's `Del`, over-deletion and rederivation seed, and insertion's
+//! `Add` build all go through that one selector. Where the bounds pin a
+//! position to a constant it narrows through the constant-argument index
+//! ([`MaterializedView::probe`]); on a constrained view, whose arguments
+//! are variables, the entry's bounds are read off its constraint on the
+//! fly. Nothing is stored for this, so copy-on-write has nothing extra
+//! to keep in step, and the test only ever drops entries the solver
+//! would have refuted — the maintained view is the same, entry for
+//! entry.
+//!
 //! [`MaterializedView::share_stats`] reports how many entry pages /
 //! predicate indexes a handle's mutations actually copied — the
 //! service's per-epoch shared-vs-copied accounting.
 
 use crate::atom::ConstrainedAtom;
+use crate::bounds::ArgBounds;
 use crate::store::{SharedMap, SharedVec};
 use crate::support::Support;
 use mmv_constraints::fxhash::{FxHashMap, FxHasher};
@@ -504,6 +522,30 @@ impl MaterializedView {
             secondary: &[],
             discriminated: false,
         })
+    }
+
+    /// Crate-internal: the candidate selector of the maintenance scans —
+    /// the live entries of `pred` whose argument bounds meet `bounds`
+    /// (see [`crate::bounds`]), in [`MaterializedView::probe`] order.
+    /// Every entry left out is proved to share no instance with the atom
+    /// `bounds` was read from, so the caller's tie-and-solve runs only
+    /// on the returned ids; the entries dismissed are added to
+    /// `prefiltered`. Positions `bounds` pins to a constant go through
+    /// the constant-argument index, so entries carrying a different
+    /// constant there are not even visited.
+    pub(crate) fn candidates(
+        &self,
+        pred: &str,
+        bounds: &ArgBounds,
+        prefiltered: &mut usize,
+    ) -> Vec<EntryId> {
+        let ids: Vec<EntryId> = self
+            .probe_with(pred, bounds.constants())
+            .iter()
+            .filter(|&id| bounds.meets_atom(&self.entry(id).atom))
+            .collect();
+        *prefiltered += self.entries_for_pred(pred).len() - ids.len();
+        ids
     }
 
     /// The entry owning `support`, if live.

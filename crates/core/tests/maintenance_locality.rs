@@ -1,0 +1,188 @@
+//! Maintenance cost follows the update, not the view.
+//!
+//! One batch — four point deletes that retire a four-point interval,
+//! plus one fresh interval — is applied to the same layered interval
+//! program at two sizes (`facts_per_pred` 64 and 512). The interval sits
+//! beyond the program's value space (the shape of perfbench's
+//! `LayeredStream`), so what the update overlaps is the same at both
+//! sizes, and the *exact* solver-call counters of StDel, Extended DRed
+//! and insertion must be too: the argument-bounds pre-check dismisses
+//! every other entry, region and clause before the solver is asked.
+//! The resulting views are checked against the declarative oracle.
+
+use mmv_constraints::{CmpOp, Constraint, NoDomains, Term, Var};
+use mmv_core::{
+    apply_batch, batch_oracle, fixpoint, BatchStats, BodyAtom, Clause, ConstrainedAtom,
+    ConstrainedDatabase, DeleteStats, FixpointConfig, Operator, ParallelFixpoint, SupportMode,
+    UpdateBatch, WorkerPool,
+};
+use std::sync::Arc;
+
+const LAYERS: usize = 2;
+const PREDS_PER_LAYER: usize = 2;
+const VALUE_SPACE: i64 = 1000;
+const INTERVAL_WIDTH: i64 = 8;
+/// Beyond every program interval (those end below `VALUE_SPACE +
+/// INTERVAL_WIDTH`).
+const BLOCK_LO: i64 = 2 * (VALUE_SPACE + INTERVAL_WIDTH);
+const BLOCK_POINTS: i64 = 4;
+
+fn x() -> Term {
+    Term::var(Var(0))
+}
+
+fn pred(layer: usize, j: usize) -> String {
+    format!("p{layer}_{j}")
+}
+
+fn interval(lo: i64, hi: i64) -> Constraint {
+    Constraint::cmp(x(), CmpOp::Ge, Term::int(lo)).and(Constraint::cmp(
+        x(),
+        CmpOp::Le,
+        Term::int(hi),
+    ))
+}
+
+/// `facts_per_pred` interval facts per layer-0 predicate, chain rules
+/// `p{k}_j(X) <- p{k-1}_j(X)` above them, and the block as one more
+/// fact of `p0_0`.
+fn program(facts_per_pred: usize) -> ConstrainedDatabase {
+    let mut db = ConstrainedDatabase::new();
+    for j in 0..PREDS_PER_LAYER {
+        for i in 0..facts_per_pred as i64 {
+            // A stride coprime to the value space: the starts of one
+            // predicate are distinct (a plain view would fold equal
+            // facts into one entry) and spread over the whole space.
+            let lo = ((i + 1) * (7919 + 2 * j as i64)) % VALUE_SPACE;
+            db.push(Clause::fact(
+                &pred(0, j),
+                vec![x()],
+                interval(lo, lo + INTERVAL_WIDTH),
+            ));
+        }
+    }
+    for layer in 1..=LAYERS {
+        for j in 0..PREDS_PER_LAYER {
+            db.push(Clause::new(
+                &pred(layer, j),
+                vec![x()],
+                Constraint::truth(),
+                vec![BodyAtom::new(&pred(layer - 1, j), vec![x()])],
+            ));
+        }
+    }
+    db.push(Clause::fact(
+        &pred(0, 0),
+        vec![x()],
+        interval(BLOCK_LO, BLOCK_LO + BLOCK_POINTS - 1),
+    ));
+    db
+}
+
+fn batch() -> UpdateBatch {
+    let fresh = BLOCK_LO + 2 * BLOCK_POINTS;
+    UpdateBatch {
+        deletes: (BLOCK_LO..BLOCK_LO + BLOCK_POINTS)
+            .map(|p| {
+                ConstrainedAtom::new(&pred(0, 0), vec![x()], Constraint::eq(x(), Term::int(p)))
+            })
+            .collect(),
+        inserts: vec![ConstrainedAtom::new(
+            &pred(0, 1),
+            vec![x()],
+            interval(fresh, fresh + BLOCK_POINTS - 1),
+        )],
+    }
+}
+
+/// Applies the batch to the program of the given size and checks the
+/// result against the oracle (`rewrite_for_deletion` + `fixpoint`).
+fn maintained(facts_per_pred: usize, mode: SupportMode, config: &FixpointConfig) -> BatchStats {
+    let db = program(facts_per_pred);
+    let inline = FixpointConfig::default();
+    let (mut view, _) = fixpoint(&db, &NoDomains, Operator::Tp, mode, &inline).expect("build");
+    assert_eq!(
+        view.len(),
+        (LAYERS + 1) * (PREDS_PER_LAYER * facts_per_pred + 1)
+    );
+    let batch = batch();
+    let expected = batch_oracle(&db, &view, &batch, &NoDomains, &inline).expect("oracle");
+    let stats =
+        apply_batch(&db, &mut view, &batch, &NoDomains, Operator::Tp, config).expect("maintenance");
+    assert_eq!(
+        view.instances(&NoDomains, &inline.solver)
+            .expect("instances"),
+        expected,
+        "{mode:?} at {facts_per_pred} facts per predicate"
+    );
+    // The retired interval and its chain are gone, the fresh one and
+    // its chain are in.
+    assert_eq!(
+        view.len(),
+        (LAYERS + 1) * (PREDS_PER_LAYER * facts_per_pred + 1)
+    );
+    stats
+}
+
+/// `(deletion solver calls, deletion prefiltered)`.
+fn delete_counters(stats: &BatchStats) -> (usize, usize) {
+    match stats.deletes {
+        DeleteStats::StDel(s) => (s.solver_calls, s.prefiltered),
+        DeleteStats::Dred(d) => (d.solver_calls, d.prefiltered),
+        DeleteStats::None => panic!("the batch deletes"),
+    }
+}
+
+fn solver_calls_do_not_scale_with_the_view(mode: SupportMode) {
+    // Inline, and under a pool as wide as the CI leg asks for: the
+    // counters are the same numbers either way.
+    let width = std::env::var("MMV_POOL_THREADS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(2);
+    let pooled = FixpointConfig {
+        parallel: Some(ParallelFixpoint {
+            pool: Arc::new(WorkerPool::new(width)),
+            resolver: Arc::new(NoDomains),
+        }),
+        ..FixpointConfig::default()
+    };
+    let small = maintained(64, mode, &FixpointConfig::default());
+    let large = maintained(512, mode, &FixpointConfig::default());
+    let large_pooled = maintained(512, mode, &pooled);
+
+    let (small_calls, small_dismissed) = delete_counters(&small);
+    let (large_calls, large_dismissed) = delete_counters(&large);
+    assert!(small_calls > 0, "{mode:?}: the update overlaps something");
+    assert_eq!(small_calls, large_calls, "{mode:?} deletion solver calls");
+    assert_eq!(
+        small.inserts.solver_calls, large.inserts.solver_calls,
+        "{mode:?} Add-build solver calls"
+    );
+    assert_eq!(
+        small.inserts.fixpoint.derivations_tried, large.inserts.fixpoint.derivations_tried,
+        "{mode:?} P_ADD derivations"
+    );
+    // What grew with the view was dismissed without the solver:
+    // each request faces every fact of its predicate.
+    assert!(
+        large_dismissed - small_dismissed >= (512 - 64) * BLOCK_POINTS as usize,
+        "{mode:?} deletion prefiltered {small_dismissed} -> {large_dismissed}"
+    );
+    assert_eq!(
+        (small.inserts.prefiltered, large.inserts.prefiltered),
+        (64, 512),
+        "{mode:?} Add-build prefiltered"
+    );
+    assert_eq!(large, large_pooled, "{mode:?} counters under the pool");
+}
+
+#[test]
+fn stdel_solver_calls_do_not_scale_with_the_view() {
+    solver_calls_do_not_scale_with_the_view(SupportMode::WithSupports);
+}
+
+#[test]
+fn dred_solver_calls_do_not_scale_with_the_view() {
+    solver_calls_do_not_scale_with_the_view(SupportMode::Plain);
+}

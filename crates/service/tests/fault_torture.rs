@@ -379,6 +379,18 @@ fn env_seeded_torture() {
     crash_sweep_seed(seed);
 }
 
+/// Raises a stop flag when dropped. A `thread::scope` joins its threads
+/// before a panic inside it can propagate, so a writer assertion that
+/// fails while readers spin on the flag would hang instead of
+/// reporting; held by the writer, this releases them on unwind too.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 /// The acceptance centerpiece: a persistent fault flips the service
 /// read-only mid-traffic; concurrent readers never miss a beat and
 /// observe monotone epochs throughout; healing the disk restores
@@ -430,6 +442,7 @@ fn persistent_fault_flips_read_only_while_readers_keep_serving() {
                 last
             }));
         }
+        let stop_readers = StopOnDrop(&stop);
 
         // Writer: batches 1..=3 land (appends 1-3; append 0 is the
         // segment header), batch 4 hits ENOSPC.
@@ -477,7 +490,7 @@ fn persistent_fault_flips_read_only_while_readers_keep_serving() {
         let applied = next_batch_after_abort(&svc, "b0", 4, before, true);
         assert_eq!(applied.epoch, 4);
 
-        stop.store(true, Ordering::Relaxed);
+        drop(stop_readers);
         for r in readers {
             assert!(r.join().expect("reader thread") >= 3);
         }
