@@ -4,7 +4,8 @@
 use mmv_constraints::fxhash::FxHashMap;
 use mmv_constraints::solver::{solutions_with, EnumResult};
 use mmv_constraints::{
-    Constraint, DomainResolver, Lit, SolverConfig, Subst, Term, Value, Var, VarGen,
+    satisfiable_with, Constraint, DomainResolver, Lit, SolverConfig, Subst, Term, Truth, Value,
+    Var, VarGen,
 };
 use std::collections::BTreeSet;
 use std::fmt;
@@ -44,6 +45,12 @@ impl Instances {
         }
     }
 }
+
+/// What [`ConstrainedAtom::overlap`] finds unless the solver refutes it:
+/// the atom's constraint tied onto the arguments
+/// ([`ConstrainedAtom::constraint_at`]), and the region the two share,
+/// `constraint ∧ tied`.
+pub(crate) type Overlap = (Constraint, Constraint);
 
 impl ConstrainedAtom {
     /// Builds a constrained atom.
@@ -97,6 +104,16 @@ impl ConstrainedAtom {
     pub fn rename(&self, gen: &mut VarGen) -> Self {
         let mut map = FxHashMap::default();
         self.rename_into(&mut map, gen)
+    }
+
+    /// This atom's predicate and arguments under another constraint —
+    /// a region of it, or what is left of it.
+    pub(crate) fn with_constraint(&self, constraint: Constraint) -> Self {
+        ConstrainedAtom {
+            pred: self.pred.clone(),
+            args: self.args.clone(),
+            constraint,
+        }
     }
 
     /// Applies a substitution to arguments and constraint.
@@ -172,6 +189,33 @@ impl ConstrainedAtom {
         let mut c = renamed.constraint.clone();
         c.lits.extend(extras);
         Some(c.substitute(&subst))
+    }
+
+    /// The overlap test — the one place the maintenance algorithms tie
+    /// two atoms and solve: can `args` under `constraint` share an
+    /// instance with this atom? Ties this atom's constraint onto `args`,
+    /// conjoins it and asks the solver once (counted in `solver_calls`).
+    /// `None` when the solver refutes the conjunction, or on arity
+    /// mismatch (nothing is tied or counted).
+    ///
+    /// Only the refutation is exact. The solver reads a `not(ψ)` block
+    /// with auxiliary variables as `∃aux ¬ψ`, an over-approximation of
+    /// its meaning `¬∃aux ψ`, so an unrefuted region may still be empty:
+    /// maintenance keeps it as possibly inhabited; anything that must
+    /// answer exactly (a read) has to enumerate it.
+    pub(crate) fn overlap(
+        &self,
+        args: &[Term],
+        constraint: &Constraint,
+        gen: &mut VarGen,
+        resolver: &dyn DomainResolver,
+        config: &SolverConfig,
+        solver_calls: &mut usize,
+    ) -> Option<Overlap> {
+        let tied = self.constraint_at(args, gen)?;
+        let region = constraint.clone().and(tied.clone());
+        *solver_calls += 1;
+        (satisfiable_with(&region, resolver, config) != Truth::Unsat).then_some((tied, region))
     }
 
     /// Whether the ground tuple `args` is an instance of this atom.

@@ -39,9 +39,11 @@
 //! the one the whole-predicate scans produced. What still walks every
 //! clause per batch is the `P_OUT` unfolding's pass over the rules.
 
-use crate::atom::ConstrainedAtom;
+use crate::atom::{ConstrainedAtom, Overlap};
 use crate::bounds::ArgBounds;
 use crate::program::{Clause, ClauseId, ConstrainedDatabase};
+// The blind rewrite is the declarative spec: it lives with the oracles.
+pub use crate::semantics::rewrite_for_deletion;
 use crate::tp::{
     collect_combos, derive, derive_combo, Candidate, DeltaSource, Derivation, Engine, EngineStats,
     FixpointConfig, FixpointError, FixpointStats, Gate, Split, ATOM_SLOT,
@@ -49,7 +51,7 @@ use crate::tp::{
 use crate::view::{canonicalize, EntryId, MaterializedView, SupportMode};
 use mmv_constraints::fxhash::{FxHashMap, FxHashSet};
 use mmv_constraints::{
-    satisfiable_with, Constraint, DomainResolver, Lit, SolverConfig, Truth, ValueSet, VarGen,
+    satisfiable_with, Constraint, DomainResolver, Lit, SolverConfig, Term, Truth, ValueSet, VarGen,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -235,6 +237,24 @@ impl Run<'_> {
         satisfiable_with(c, self.resolver, &self.config.solver) == Truth::Unsat
     }
 
+    /// One counted overlap test ([`ConstrainedAtom::overlap`]).
+    fn overlap(
+        &mut self,
+        other: &ConstrainedAtom,
+        args: &[Term],
+        constraint: &Constraint,
+        gen: &mut VarGen,
+    ) -> Option<Overlap> {
+        other.overlap(
+            args,
+            constraint,
+            gen,
+            self.resolver,
+            &self.config.solver,
+            &mut self.stats.solver_calls,
+        )
+    }
+
     /// `Del`, the `P_OUT` unfolding (step 1) and the weakening of `view`
     /// to `M'` (step 2).
     fn over_delete(
@@ -250,13 +270,10 @@ impl Run<'_> {
             let bounds = ArgBounds::of(deletion);
             for id in view.candidates(&deletion.pred, &bounds, &mut self.stats.prefiltered) {
                 let atom = &view.entry(id).atom;
-                let dpsi = deletion
-                    .constraint_at(&atom.args, gen)
-                    .expect("candidates share the arity");
-                let region = atom.constraint.clone().and(dpsi);
-                if self.unsat(&region) {
+                let Some((_, region)) = self.overlap(deletion, &atom.args, &atom.constraint, gen)
+                else {
                     continue;
-                }
+                };
                 // Keep Del regions compact: they are conjoined into P' and
                 // into every over-deleted entry, so redundancy here
                 // multiplies across the whole run (acute for batches,
@@ -265,11 +282,7 @@ impl Run<'_> {
                     mmv_constraints::Simplified::Constraint(c) => c,
                     mmv_constraints::Simplified::Unsat => continue,
                 };
-                del.push(ConstrainedAtom {
-                    pred: atom.pred.clone(),
-                    args: atom.args.clone(),
-                    constraint: region,
-                });
+                del.push(atom.with_constraint(region));
             }
         }
         self.stats.del_atoms = del.len();
@@ -379,13 +392,11 @@ impl Run<'_> {
                 let mut constraint = atom.constraint.clone();
                 let mut changed = false;
                 for &(_, r) in group {
-                    let ppsi = pouts[r]
-                        .atom
-                        .constraint_at(&atom.args, gen)
-                        .expect("candidates share the arity");
-                    if self.unsat(&constraint.clone().and(ppsi.clone())) {
+                    let Some((ppsi, _)) =
+                        self.overlap(&pouts[r].atom, &atom.args, &constraint, gen)
+                    else {
                         continue;
-                    }
+                    };
                     // Simplify after *each* conjunct, not once at the
                     // end: the next region's solvability test (and, in
                     // a batch, every later region's) runs against this
@@ -518,15 +529,12 @@ impl Run<'_> {
                     self.stats.prefiltered += 1;
                     continue;
                 }
-                let dpsi = d
-                    .constraint_at(&c.head_args, gen)
-                    .expect("bounds met, so arities agree");
                 // Every derivation through the clause satisfies the clause
                 // constraint, so a region disjoint from it can never be
                 // produced — the not() would only bloat the program.
-                if self.unsat(&c.constraint.clone().and(dpsi.clone())) {
+                let Some((dpsi, _)) = self.overlap(d, &c.head_args, &c.constraint, gen) else {
                     continue;
-                }
+                };
                 c = Clause::new(
                     &c.head_pred,
                     c.head_args.clone(),
@@ -625,13 +633,16 @@ impl RederiveGate {
                 stats.prefiltered += 1;
                 return false;
             }
-            let ppsi = r
-                .atom
-                .constraint_at(&atom.args, gen)
-                .expect("bounds met, so arities agree");
-            stats.solver_calls += 1;
-            satisfiable_with(&atom.constraint.clone().and(ppsi), resolver, &self.solver)
-                != Truth::Unsat
+            r.atom
+                .overlap(
+                    &atom.args,
+                    &atom.constraint,
+                    gen,
+                    resolver,
+                    &self.solver,
+                    &mut stats.solver_calls,
+                )
+                .is_some()
         });
         if !overlaps {
             return None;
@@ -660,38 +671,6 @@ impl Gate for RederiveGate {
         };
         Some((None, rederived))
     }
-}
-
-/// The paper's clause rewrite (4): every clause whose head predicate is
-/// being deleted from carries `not(Del-region)` tied to its head
-/// arguments; all other clauses pass through unchanged. The least model
-/// of the result is the *declarative semantics* of the deletion
-/// (Theorems 1 and 2 compare the algorithms against it).
-pub fn rewrite_for_deletion(
-    db: &ConstrainedDatabase,
-    del: &[ConstrainedAtom],
-) -> ConstrainedDatabase {
-    let mut gen = db.fresh_gen();
-    let mut out = ConstrainedDatabase::new();
-    for (cid, clause) in db.clauses() {
-        let mut c = clause.clone();
-        for d in del {
-            if d.pred != clause.head_pred || d.args.len() != clause.head_args.len() {
-                continue;
-            }
-            let dpsi = d
-                .constraint_at(&c.head_args, &mut gen)
-                .expect("arity checked");
-            c = Clause::new(
-                &c.head_pred,
-                c.head_args.clone(),
-                c.constraint.and_lit(Lit::Not(dpsi)),
-                c.body.clone(),
-            );
-        }
-        out.push_numbered(cid, c);
-    }
-    out
 }
 
 #[cfg(test)]

@@ -119,25 +119,25 @@ pub fn stdel_delete_batch(
             let entry = view.entry(id);
             let support = entry.support.clone().expect("WithSupports mode");
             let atom = entry.atom.clone();
-            // Instantiate the deletion's constraint over this entry's args.
-            let dpsi = deletion
-                .constraint_at(&atom.args, view.var_gen_mut())
-                .expect("candidates share the arity");
-            let region = atom.constraint.clone().and(dpsi.clone());
-            stats.solver_calls += 1;
-            if satisfiable_with(&region, resolver, config) == Truth::Unsat {
+            // The deletion's constraint over this entry's args.
+            let Some((dpsi, region)) = deletion.overlap(
+                &atom.args,
+                &atom.constraint,
+                view.var_gen_mut(),
+                resolver,
+                config,
+                &mut stats.solver_calls,
+            ) else {
                 continue; // this entry contributes nothing to Del
-            }
+            };
             // Replace F with A(X⃗) <- φ ∧ not(deletion-region).
             let new_constraint = atom.constraint.clone().and_lit(Lit::Not(dpsi));
             view.replace_constraint(id, simplify_keep(new_constraint));
             stats.direct_replacements += 1;
             // Record (removed region, spt(F)).
-            pout.entry(support).or_default().push(ConstrainedAtom {
-                pred: atom.pred.clone(),
-                args: atom.args.clone(),
-                constraint: region,
-            });
+            pout.entry(support)
+                .or_default()
+                .push(atom.with_constraint(region));
             stats.pout_pairs += 1;
         }
     }
@@ -168,20 +168,19 @@ pub fn stdel_delete_batch(
                 let entry = view.entry(id);
                 let atom = entry.atom.clone();
                 let child_args = entry.children_args.get(j).cloned().unwrap_or_default();
-                if child_args.len() != pair.args.len() {
+                // The pair's removed region over the child's argument
+                // tuple inside this derivation; condition (c): the
+                // affected region must be solvable.
+                let Some((ppsi, region)) = pair.overlap(
+                    &child_args,
+                    &atom.constraint,
+                    view.var_gen_mut(),
+                    resolver,
+                    config,
+                    &mut stats.solver_calls,
+                ) else {
                     continue;
-                }
-                // Instantiate the pair's removed region over the child's
-                // argument tuple inside this derivation.
-                let ppsi = pair
-                    .constraint_at(&child_args, view.var_gen_mut())
-                    .expect("arity checked");
-                // Condition (c): the affected region must be solvable.
-                let region = atom.constraint.clone().and(ppsi.clone());
-                stats.solver_calls += 1;
-                if satisfiable_with(&region, resolver, config) == Truth::Unsat {
-                    continue;
-                }
+                };
                 // Replace F's constraint with φ ∧ not(ψ_j over child args).
                 let new_constraint = atom.constraint.clone().and_lit(Lit::Not(ppsi));
                 view.replace_constraint(id, simplify_keep(new_constraint));
@@ -189,11 +188,7 @@ pub fn stdel_delete_batch(
                 // Emit (removed region of F, spt(F)).
                 pout.entry(support.clone())
                     .or_default()
-                    .push(ConstrainedAtom {
-                        pred: atom.pred.clone(),
-                        args: atom.args.clone(),
-                        constraint: region,
-                    });
+                    .push(atom.with_constraint(region));
                 stats.pout_pairs += 1;
             }
         }

@@ -188,20 +188,20 @@ fn materialize_add(
     // already hold some of its instances.
     let bounds = ArgBounds::of(&ins);
     for id in view.candidates(&ins.pred, &bounds, &mut stats.prefiltered) {
-        let epsi = view
-            .entry(id)
-            .atom
-            .constraint_at(&ins.args, &mut gen)
-            .expect("candidates share the arity");
         // Excluding a region disjoint from the insertion excludes
         // nothing: skip it. This keeps Add small — conjoining a not()
         // per view entry would make the constraint (and every
         // downstream P_ADD derivation) grow with the view.
-        let overlap = ins.constraint.clone().and(epsi.clone());
-        stats.solver_calls += 1;
-        if satisfiable_with(&overlap, resolver, &config.solver) == Truth::Unsat {
+        let Some((epsi, _)) = view.entry(id).atom.overlap(
+            &ins.args,
+            &ins.constraint,
+            &mut gen,
+            resolver,
+            &config.solver,
+            &mut stats.solver_calls,
+        ) else {
             continue;
-        }
+        };
         add_constraint = add_constraint.and_lit(Lit::Not(epsi));
     }
     *view.var_gen_mut() = gen;
@@ -211,11 +211,7 @@ fn materialize_add(
         return None;
     }
     let add_constraint = mmv_constraints::simplify(&add_constraint).into_constraint()?;
-    let add_atom = ConstrainedAtom {
-        pred: ins.pred.clone(),
-        args: ins.args.clone(),
-        constraint: add_constraint,
-    };
+    let add_atom = ins.with_constraint(add_constraint);
 
     // ---- Materialize Add --------------------------------------------------
     let support = match view.mode() {

@@ -17,11 +17,10 @@
 
 use crate::atom::ConstrainedAtom;
 use crate::batch::UpdateBatch;
-use crate::delete_dred::rewrite_for_deletion;
 use crate::program::{Clause, ConstrainedDatabase};
 use crate::tp::{fixpoint, FixpointConfig, FixpointError, Operator};
 use crate::view::{GroundFact, InstanceError, MaterializedView, SupportMode};
-use mmv_constraints::{satisfiable_with, DomainResolver, Truth};
+use mmv_constraints::{satisfiable_with, DomainResolver, Lit, Truth};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -90,6 +89,38 @@ pub fn build_del(
     }
     *view.var_gen_mut() = gen;
     del
+}
+
+/// The paper's clause rewrite (4): every clause whose head predicate is
+/// being deleted from carries `not(Del-region)` tied to its head
+/// arguments; all other clauses pass through unchanged. The least model
+/// of the result is the *declarative semantics* of the deletion
+/// (Theorems 1 and 2 compare the algorithms against it).
+pub fn rewrite_for_deletion(
+    db: &ConstrainedDatabase,
+    del: &[ConstrainedAtom],
+) -> ConstrainedDatabase {
+    let mut gen = db.fresh_gen();
+    let mut out = ConstrainedDatabase::new();
+    for (cid, clause) in db.clauses() {
+        let mut c = clause.clone();
+        for d in del {
+            if d.pred != clause.head_pred || d.args.len() != clause.head_args.len() {
+                continue;
+            }
+            let dpsi = d
+                .constraint_at(&c.head_args, &mut gen)
+                .expect("arity checked");
+            c = Clause::new(
+                &c.head_pred,
+                c.head_args.clone(),
+                c.constraint.and_lit(Lit::Not(dpsi)),
+                c.body.clone(),
+            );
+        }
+        out.push_numbered(cid, c);
+    }
+    out
 }
 
 /// The declarative result of a deletion: `[T_{P'} ↑ ω (∅)]`, computed

@@ -368,7 +368,11 @@ pub fn fixpoint_seeded(
 /// `watermark` (the slot count at round start) participate, and entries
 /// stamped with `token` form the round's delta. Stamps persist across
 /// rounds; a fresh token per round makes stale stamps inert, so no
-/// per-round set is built and no full rescan happens.
+/// per-round set is built and no stamp is ever cleared. What a run does
+/// pay is one stamp per entry *slot*: `RoundState::begin` sizes the
+/// vector to the view's slot watermark, so the first round of every
+/// engine run zeroes O(slots) — live and tombstoned alike — and later
+/// rounds extend it by the slots the run itself added.
 ///
 /// The scope owns its stamp vector behind an `Arc` (cheaply cloned, no
 /// borrow of the [`RoundState`]), so a pooled round can hand one copy
@@ -599,10 +603,11 @@ fn combos_rec(
 }
 
 /// The per-clause, per-round delta plan, filled into the caller-held
-/// scratch buffer `plan`: the body positions whose predicate carries delta entries this round,
-/// ordered by ascending *estimated fan-out* — the number of delta
-/// entries the position would seed the enumeration with (ties fall
-/// back to clause order, keeping the plan deterministic).
+/// scratch buffer `plan`: the body positions whose predicate carries
+/// delta entries this round, ordered by ascending *estimated fan-out* —
+/// the number of delta entries the position would seed the enumeration
+/// with (ties fall back to clause order, keeping the plan
+/// deterministic).
 ///
 /// The semi-naive decomposition needs every planned position to serve
 /// as the delta exactly once, but the *order* of the splits is free:

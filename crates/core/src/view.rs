@@ -54,14 +54,20 @@
 //! (the crate's `bounds` module) — and ask `MaterializedView::candidates` for the
 //! entries whose own bounds meet them: StDel's direct step, Extended
 //! DRed's `Del`, over-deletion and rederivation seed, and insertion's
-//! `Add` build all go through that one selector. Where the bounds pin a
-//! position to a constant it narrows through the constant-argument index
+//! `Add` build all go through that one selector, and every candidate
+//! they go on to tie goes through one overlap test,
+//! `ConstrainedAtom::overlap` (tie, one counted solver call, the tied
+//! constraint and the shared region back unless refuted). Where the
+//! bounds pin a position to a constant the selector narrows through the
+//! constant-argument index
 //! ([`MaterializedView::probe`]); on a constrained view, whose arguments
 //! are variables, the entry's bounds are read off its constraint on the
 //! fly. Nothing is stored for this, so copy-on-write has nothing extra
 //! to keep in step, and the test only ever drops entries the solver
 //! would have refuted — the maintained view is the same, entry for
-//! entry.
+//! entry. Reads do not select yet: [`MaterializedView::query`] still
+//! walks the predicate and enumerates every entry (ROADMAP item 3 has
+//! the measured switch and what holds it back).
 //!
 //! [`MaterializedView::share_stats`] reports how many entry pages /
 //! predicate indexes a handle's mutations actually copied — the

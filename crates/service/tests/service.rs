@@ -117,6 +117,18 @@ fn readers_race_writer(mode: SupportMode) {
                     let in_b = snap
                         .ask("b", &[Value::int(p)], &NoDomains, &cfg)
                         .expect("b query");
+                    // A sample of the answers against membership in the
+                    // same snapshot's instance set, which is enumerated
+                    // entry by entry and never goes through the read
+                    // path's selector.
+                    if reads % 16 == 0 {
+                        let held = snap.instances(&NoDomains, &cfg).expect("instances");
+                        assert_eq!(
+                            in_b,
+                            held.contains(&(Arc::from("b"), vec![Value::int(p)])),
+                            "epoch {epoch}: ask b({p}) disagrees with the snapshot's instances"
+                        );
+                    }
                     // Internal consistency: the chain must agree with
                     // its base inside one snapshot, whatever the epoch.
                     for derived in ["a", "c"] {
