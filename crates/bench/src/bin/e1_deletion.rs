@@ -10,7 +10,6 @@
 //! (add `--quick` for a reduced sweep, `--json <path>` for a
 //! machine-readable report including view-build timings and join-engine
 //! statistics).
-#![forbid(unsafe_code)]
 
 use mmv_bench::gen::constrained::{
     effective_deletion, layered_program, random_deletion, LayeredSpec,

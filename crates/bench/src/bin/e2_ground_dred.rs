@@ -7,7 +7,6 @@
 //! the constraint machinery pays for that generality.
 //!
 //! Regenerate: `cargo run -p mmv-bench --release --bin e2_ground_dred`
-#![forbid(unsafe_code)]
 
 use mmv_bench::gen::ground::{ground_to_constrained, random_edges, two_hop_program, GraphSpec};
 use mmv_bench::harness::{

@@ -4,7 +4,6 @@
 //! through `P_ADD`; only derivations touching the new atoms are built.
 //!
 //! Regenerate: `cargo run -p mmv-bench --release --bin e3_insertion`
-#![forbid(unsafe_code)]
 
 use mmv_bench::gen::constrained::{layered_program, random_insertion, LayeredSpec};
 use mmv_bench::harness::{

@@ -8,7 +8,6 @@
 //! sweeps the query/update ratio to expose the crossover.
 //!
 //! Regenerate: `cargo run -p mmv-bench --release --bin e4_external`
-#![forbid(unsafe_code)]
 
 use mmv_bench::harness::{
     banner, fmt_duration, json_path_from_args, timed, JsonReport, JsonRow, Table,

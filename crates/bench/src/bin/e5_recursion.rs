@@ -11,7 +11,6 @@
 //! Regenerate: `cargo run -p mmv-bench --release --bin e5_recursion`
 //! (add `--quick` for a reduced sweep, `--json <path>` for a
 //! machine-readable report including view-build timings).
-#![forbid(unsafe_code)]
 
 use mmv_bench::gen::ground::{ground_to_constrained, tc_program, GraphSpec};
 use mmv_bench::harness::{

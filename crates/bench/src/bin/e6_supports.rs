@@ -8,7 +8,6 @@
 //! that Extended DRed uses.
 //!
 //! Regenerate: `cargo run -p mmv-bench --release --bin e6_supports`
-#![forbid(unsafe_code)]
 
 use mmv_bench::gen::constrained::{layered_program, LayeredSpec};
 use mmv_bench::harness::{

@@ -8,7 +8,6 @@
 //! runs the paper's headline query ("who are Don's suspects?").
 //!
 //! Regenerate: `cargo run -p mmv-bench --release --bin e7_lawenf`
-#![forbid(unsafe_code)]
 
 use mmv_bench::gen::lawenf::{build, LawEnfSpec};
 use mmv_bench::harness::{

@@ -7,7 +7,6 @@
 //! Criterion for statistically tracked numbers.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod gen;
 pub mod harness;

@@ -22,7 +22,6 @@
 //! * [`fxhash`] — fast hashing for the engine's hot, integer-keyed maps.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod constraint;
 pub mod fxhash;

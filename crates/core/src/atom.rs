@@ -217,27 +217,6 @@ impl ConstrainedAtom {
         *solver_calls += 1;
         (satisfiable_with(&region, resolver, config) != Truth::Unsat).then_some((tied, region))
     }
-
-    /// Whether the ground tuple `args` is an instance of this atom.
-    pub fn covers(
-        &self,
-        args: &[Value],
-        resolver: &dyn DomainResolver,
-        config: &SolverConfig,
-    ) -> Option<bool> {
-        if args.len() != self.args.len() {
-            return Some(false);
-        }
-        let mut c = self.constraint.clone();
-        for (t, v) in self.args.iter().zip(args) {
-            c = c.and_lit(Lit::Eq(t.clone(), Term::Const(v.clone())));
-        }
-        match mmv_constraints::satisfiable_with(&c, resolver, config) {
-            mmv_constraints::Truth::Sat => Some(true),
-            mmv_constraints::Truth::Unsat => Some(false),
-            mmv_constraints::Truth::Unknown => None,
-        }
-    }
 }
 
 impl fmt::Display for ConstrainedAtom {
@@ -329,22 +308,6 @@ mod tests {
         assert_eq!(
             a.instances(&NoDomains, &SolverConfig::default()),
             Instances::Unknown
-        );
-    }
-
-    #[test]
-    fn covers_checks_membership() {
-        let a = ConstrainedAtom::new(
-            "p",
-            vec![x()],
-            Constraint::cmp(x(), CmpOp::Le, Term::int(5)),
-        );
-        let cfg = SolverConfig::default();
-        assert_eq!(a.covers(&[Value::int(3)], &NoDomains, &cfg), Some(true));
-        assert_eq!(a.covers(&[Value::int(9)], &NoDomains, &cfg), Some(false));
-        assert_eq!(
-            a.covers(&[Value::int(1), Value::int(2)], &NoDomains, &cfg),
-            Some(false)
         );
     }
 

@@ -57,7 +57,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod atom;
 pub mod batch;

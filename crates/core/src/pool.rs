@@ -55,7 +55,7 @@
 //! callback fired before each task, so a hook that panics exercises
 //! exactly the mid-task worker panic the containment exists for.
 
-use mmv_obs::sync::lock_clean;
+use mmv_obs::sync::{lock_clean, wait_timeout_clean};
 use mmv_obs::{Counter, Gauge, MetricsRegistry};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -176,11 +176,13 @@ fn worker_loop(inner: Arc<Inner>, home: usize) {
         }
         // Timed wait: a notify can race the queue check, so never sleep
         // unbounded. 1ms keeps the idle pool cheap and the wake latency
-        // invisible next to a fixpoint round. A poisoned wake-up needs
-        // no handling: the guard is dropped either way and the next
-        // `lock_clean` clears the flag.
+        // invisible next to a fixpoint round.
         let guard = lock_clean(&inner.lull);
-        drop(inner.signal.wait_timeout(guard, Duration::from_millis(1)));
+        drop(wait_timeout_clean(
+            &inner.signal,
+            guard,
+            Duration::from_millis(1),
+        ));
     }
 }
 
@@ -430,6 +432,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "poisons the pool locks on purpose"
+    )]
     fn poisoned_queue_and_lull_locks_degrade_to_draining() {
         let pool = WorkerPool::new(2);
         // Poison a queue mutex and the lull mutex by panicking while

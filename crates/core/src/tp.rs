@@ -654,7 +654,10 @@ fn delta_plan(
 /// clause order, keeping the plan deterministic. Only the visit order
 /// changes — the enumerated combination set is identical under any
 /// order, which the `engine_equivalence` proptest pins.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the round's planning inputs, passed apart to keep borrows disjoint"
+)]
 pub(crate) fn collect_combos(
     view: &MaterializedView,
     body: &[BodyAtom],

@@ -16,7 +16,6 @@
 //! inputs.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod ast;
 pub mod counting;

@@ -311,6 +311,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "poisons the store lock on purpose"
+    )]
     fn poisoned_face_lock_recovers() {
         let p = setup();
         let p2 = p.clone();

@@ -20,7 +20,6 @@
 //! `f+`/`f-` (Section 4, equations (6)–(7)) between time points.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod arith;
 pub mod face;

@@ -225,6 +225,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "poisons the cache lock on purpose"
+    )]
     fn poisoned_cache_lock_recovers() {
         let fake = Arc::new(Fake {
             version: Counter::new(0),

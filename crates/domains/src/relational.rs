@@ -148,8 +148,7 @@ mod tests {
     fn version_tracks_catalog() {
         let (d, cat) = setup();
         let v0 = d.version();
-        cat.write()
-            .unwrap()
+        mmv_obs::sync::write_clean(&cat)
             .insert("phonebook", &[Value::str("x"), Value::str("y")])
             .unwrap();
         assert!(d.version() > v0);

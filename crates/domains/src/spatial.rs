@@ -279,6 +279,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "poisons the map lock on purpose")]
     fn poisoned_map_lock_recovers() {
         use std::sync::Arc;
         let d = Arc::new(SpatialDomain::new());

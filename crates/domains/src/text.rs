@@ -154,6 +154,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "poisons the doc lock on purpose")]
     fn poisoned_doc_lock_recovers() {
         use std::sync::Arc;
         let d = Arc::new(TextDomain::new());

@@ -11,6 +11,11 @@
 //! external writer panicking on a shared relational catalog, and a
 //! domain backend panicking under the manager's memo cache.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests poison domain locks on purpose"
+)]
+
 use mmv_constraints::{DomainResolver, Value, ValueSet};
 use mmv_domains::{Domain, DomainManager, RelationalDomain};
 use mmv_storage::{Catalog, ColumnType, Schema};

@@ -4,11 +4,14 @@
 //! or `-`), runs [`mmv_obs::validate_prometheus`], and exits non-zero with
 //! the first error on malformed input. CI pipes live `render_prometheus()`
 //! scrapes through this binary.
-#![forbid(unsafe_code)]
 
 use std::io::Read;
 use std::process::ExitCode;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "reads a scrape dump, not service storage"
+)]
 fn main() -> ExitCode {
     let arg = std::env::args().nth(1);
     let (source, text) = match arg.as_deref() {

@@ -26,7 +26,6 @@
 //! rendered output against the text exposition format — CI pipes a live
 //! scrape through it.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod expo;

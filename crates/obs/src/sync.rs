@@ -12,11 +12,20 @@
 //! domain read, and the pool that exists to contain panics would
 //! re-raise one. These helpers clear the flag and hand back the guard
 //! instead. State that a panic *can* leave half-applied needs real
-//! recovery logic on top (see `ViewService::lock_lane`), not this.
+//! recovery logic on top (see the service's writer lanes), not this.
+//!
+//! The workspace's `clippy.toml` disallows the raw `lock`, `read`,
+//! `write`, `wait` and `wait_timeout` calls everywhere else, so these
+//! functions are the only place they appear.
 
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{
+    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+    WaitTimeoutResult,
+};
+use std::time::Duration;
 
 /// Locks `m`, clearing a poison flag left by a panicked holder.
+#[expect(clippy::disallowed_methods, reason = "the one poison-recovering lock")]
 pub fn lock_clean<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| {
         m.clear_poison();
@@ -25,6 +34,10 @@ pub fn lock_clean<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Read-locks `l`, clearing a poison flag left by a panicked writer.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one poison-recovering read lock"
+)]
 pub fn read_clean<T: ?Sized>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     l.read().unwrap_or_else(|p| {
         l.clear_poison();
@@ -33,11 +46,37 @@ pub fn read_clean<T: ?Sized>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 }
 
 /// Write side of [`read_clean`], same recovery.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one poison-recovering write lock"
+)]
 pub fn write_clean<T: ?Sized>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(|p| {
         l.clear_poison();
         p.into_inner()
     })
+}
+
+/// Waits on `cv`, handing back the guard even if a panicked holder
+/// poisoned its mutex in the meantime. The flag stays set (the guard
+/// does not reach the mutex); the next [`lock_clean`] clears it.
+#[expect(clippy::disallowed_methods, reason = "the one poison-recovering wait")]
+pub fn wait_clean<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`wait_clean`] with a timeout.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one poison-recovering timed wait"
+)]
+pub fn wait_timeout_clean<'a, T>(
+    cv: &Condvar,
+    guard: MutexGuard<'a, T>,
+    timeout: Duration,
+) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
+    cv.wait_timeout(guard, timeout)
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -46,6 +85,7 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "poisons the locks on purpose")]
     fn guards_recover_from_poison_and_clear_it() {
         let m = Arc::new(Mutex::new(vec![1, 2]));
         let l = Arc::new(RwLock::new(7));
@@ -64,5 +104,30 @@ mod tests {
         assert!(!l.is_poisoned());
         *write_clean(&l) = 8;
         assert_eq!(*read_clean(&l), 8);
+    }
+
+    #[test]
+    #[expect(clippy::disallowed_methods, reason = "poisons the mutex on purpose")]
+    fn waits_return_the_guard_of_a_poisoned_mutex() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let (m, cv) = &*pair;
+        let mut guard = lock_clean(m);
+        let pair2 = Arc::clone(&pair);
+        let poisoner = std::thread::spawn(move || {
+            let (m, cv) = &*pair2;
+            let mut g = m.lock().unwrap();
+            *g = true;
+            cv.notify_all();
+            panic!("poison the mutex the waiter sleeps on");
+        });
+        while !*guard {
+            guard = wait_clean(cv, guard);
+        }
+        drop(guard);
+        assert!(poisoner.join().is_err());
+        assert!(m.is_poisoned(), "the guard comes back; the flag stays");
+        let guard = m.lock().unwrap_or_else(PoisonError::into_inner);
+        let (guard, timeout) = wait_timeout_clean(cv, guard, Duration::ZERO);
+        assert!(timeout.timed_out() && *guard);
     }
 }

@@ -296,7 +296,14 @@ impl Drop for Checkpointer {
 /// (whole-write retry on transient faults), and on a persistent
 /// failure hold the job — degraded, re-attempting on a timer, replaced
 /// whenever a newer snapshot arrives — instead of dying.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the thread body takes what the spawner moved in"
+)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "times the background checkpoint, off the batch write path"
+)]
 fn checkpoint_loop(
     rx: &Receiver<Job>,
     vfs: &dyn Vfs,
@@ -323,6 +330,7 @@ fn checkpoint_loop(
         let epoch = job.snapshot.epoch();
         let entries = job.snapshot.len() as u64;
         let attempt = retry.run(
+            None,
             || write_checkpoint_with(vfs, dir, &job.snapshot, job.tickets, op),
             StorageError::is_transient,
         );
@@ -463,9 +471,12 @@ pub struct LoadedCheckpoint {
     pub shards: Vec<(u64, Vec<ParsedEntry>)>,
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "recovery read: checkpoint discovery precedes the Vfs-fronted service"
+)]
 fn checkpoint_files(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
     let mut out = Vec::new();
-    // mmv-lint: allow(vfs-confine) recovery-read allowlist: checkpoint discovery precedes the Vfs-fronted service
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
@@ -487,11 +498,15 @@ fn checkpoint_files(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
 /// if no valid checkpoint exists — recovery then replays the whole
 /// WAL. A checkpoint with an intact trailer but unparseable content
 /// is [`StorageError::Corrupt`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "recovery read: checkpoint load precedes the Vfs-fronted service"
+)]
 pub fn load_newest(dir: &Path) -> Result<Option<LoadedCheckpoint>, StorageError> {
     let files = checkpoint_files(dir).map_err(|e| StorageError::io(StorageOp::ReadDir, dir, e))?;
     for (_, path) in files.iter().rev() {
         let bytes =
-            std::fs::read(path).map_err(|e| StorageError::io(StorageOp::Read, path.clone(), e))?; // mmv-lint: allow(vfs-confine) recovery-read allowlist: checkpoint load precedes the Vfs-fronted service
+            std::fs::read(path).map_err(|e| StorageError::io(StorageOp::Read, path.clone(), e))?;
         let Some(body) = validate_trailer(&bytes) else {
             continue; // torn checkpoint: fall back to an older one
         };
@@ -626,6 +641,10 @@ pub fn prune_checkpoints_with(vfs: &dyn Vfs, dir: &Path, epoch: u64) -> Result<u
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests stage and corrupt checkpoints behind the Vfs"
+)]
 mod tests {
     use super::*;
     use crate::snapshot::ViewSnapshot;

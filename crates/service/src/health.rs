@@ -25,7 +25,7 @@
 //! epoch it happened at and a human-readable reason — the audit trail
 //! the README's operations section points at.
 
-use mmv_obs::sync::lock_clean;
+use mmv_obs::sync::{lock_clean, wait_timeout_clean};
 use mmv_obs::{Counter, Gauge};
 use std::collections::VecDeque;
 use std::fmt;
@@ -99,9 +99,11 @@ impl RetryPolicy {
     }
 
     /// Runs `op`, retrying while it fails transiently (per `is_transient`)
-    /// with backoff. Returns the first success or the last error.
+    /// with backoff, and counting each absorbed failure into `retries`.
+    /// Returns the first success or the last error.
     pub fn run<T, E>(
         &self,
+        retries: Option<&Counter>,
         mut op: impl FnMut() -> Result<T, E>,
         is_transient: impl Fn(&E) -> bool,
     ) -> Result<T, E> {
@@ -111,6 +113,9 @@ impl RetryPolicy {
                 Ok(v) => return Ok(v),
                 Err(e) if attempt < self.max_retries && is_transient(&e) => {
                     attempt += 1;
+                    if let Some(c) = retries {
+                        c.inc();
+                    }
                     let pause = self.backoff(attempt);
                     if !pause.is_zero() {
                         std::thread::sleep(pause);
@@ -338,11 +343,7 @@ impl Drop for HealthProbe {
     fn drop(&mut self) {
         {
             let (lock, cv) = &*self.stop;
-            let mut stopped = match lock.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            *stopped = true;
+            *lock_clean(lock) = true;
             cv.notify_all();
         }
         if let Some(h) = self.handle.take() {
@@ -355,20 +356,14 @@ fn probe_loop(health: Arc<Health>, wal: Arc<crate::wal::Wal>, interval: Duration
     let (lock, cv) = &*stop;
     loop {
         {
-            let guard = match lock.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
+            let guard = lock_clean(lock);
             // Check before *and* after waiting: a stop signalled
             // before this thread first takes the lock would otherwise
             // be a lost wakeup and the join would stall a full tick.
             if *guard {
                 return;
             }
-            let (guard, _) = match cv.wait_timeout(guard, interval) {
-                Ok(r) => r,
-                Err(p) => p.into_inner(),
-            };
+            let (guard, _) = wait_timeout_clean(cv, guard, interval);
             if *guard {
                 return;
             }
@@ -408,8 +403,10 @@ mod tests {
             initial_backoff: Duration::ZERO,
             max_backoff: Duration::ZERO,
         };
+        let retries = Counter::new();
         let mut calls = 0;
         let r: Result<u32, &str> = p.run(
+            Some(&retries),
             || {
                 calls += 1;
                 if calls < 3 {
@@ -422,9 +419,11 @@ mod tests {
         );
         assert_eq!(r, Ok(7));
         assert_eq!(calls, 3);
+        assert_eq!(retries.get(), 2, "absorbed failures are counted");
 
         let mut calls = 0;
         let r: Result<u32, &str> = p.run(
+            None,
             || {
                 calls += 1;
                 Err("fatal")
@@ -436,6 +435,7 @@ mod tests {
 
         let mut calls = 0;
         let r: Result<u32, &str> = p.run(
+            None,
             || {
                 calls += 1;
                 Err("transient")

@@ -77,11 +77,11 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod checkpoint;
 pub mod config;
 pub mod health;
+mod lanes;
 pub mod log;
 mod obs;
 pub mod service;

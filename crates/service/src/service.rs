@@ -95,6 +95,7 @@
 use crate::checkpoint::{self, CheckpointStats, Checkpointer};
 use crate::config::{not_durable, Durability, RecoveryReport, ServiceConfig, ViewServiceBuilder};
 use crate::health::{Health, HealthProbe, HealthTransition, ServiceHealth};
+use crate::lanes::{Frozen, LaneGuard, Lanes, Publication};
 use crate::log::{LogRecord, Recovery, ReplayError, UpdateLog};
 use crate::obs::{ServiceObs, StageClock};
 use crate::snapshot::{Epoch, PublishStats, ServiceSnapshot, ViewSnapshot};
@@ -110,14 +111,14 @@ use mmv_core::shard::{ShardId, ShardMap};
 use mmv_core::tp::{fixpoint, FixpointConfig, FixpointError, Operator, ParallelFixpoint};
 use mmv_core::view::ShareStats;
 use mmv_core::{ConstrainedDatabase, InstanceError, MaterializedView};
-use mmv_obs::sync::{lock_clean, read_clean, write_clean};
+use mmv_obs::sync::lock_clean;
 use mmv_obs::{BatchTrace, HistogramSnapshot, MetricsRegistry, Stage};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A resolver the service can share across reader and writer threads.
 pub type SharedResolver = Arc<dyn DomainResolver + Send + Sync>;
@@ -202,40 +203,6 @@ pub struct Applied {
     pub shards_touched: usize,
 }
 
-/// One writer lane's mutable state.
-struct LaneState {
-    view: MaterializedView,
-    epoch: Epoch,
-}
-
-impl LaneState {
-    /// Re-adopts the lane's last published shard snapshot, view and
-    /// epoch — a few `Arc` bumps, not a rebuild — dropping whatever an
-    /// unpublished batch left in the writer view.
-    fn readopt(&mut self, published: &ViewSnapshot) {
-        self.view = published.view().clone();
-        self.epoch = published.epoch();
-    }
-}
-
-/// The published table: one frozen snapshot per shard plus the global
-/// epoch, swapped together under the publication lock. The composite
-/// is prebuilt here at publish time so a reader's
-/// [`ViewService::snapshot`] is a single `Arc` clone, not an O(shards)
-/// assembly under the read lock.
-struct Published {
-    shards: Vec<Arc<ViewSnapshot>>,
-    epoch: Epoch,
-    composite: Arc<ServiceSnapshot>,
-    /// Batches that hold an allocated epoch — a frame in, or on its
-    /// way into, the WAL — and are not yet swapped in (under group
-    /// commit: waiting on the flusher). Checkpoints are staged only
-    /// when the publishing batch leaves this at zero: a composite
-    /// snapshotted with a lower-epoch batch still in flight would
-    /// claim WAL coverage it does not have.
-    unpublished: usize,
-}
-
 /// The durable half of the service: the open WAL, the background
 /// checkpointer + health probe, and the checkpoint cadence.
 struct DurableState {
@@ -311,14 +278,11 @@ struct LanePart<'b> {
     insert_positions: Vec<usize>,
 }
 
-/// A batch's frozen next shard snapshots, awaiting the swap.
-type Frozen = Vec<(ShardId, Arc<ViewSnapshot>)>;
-
 /// A batch in flight between lane acquisition and publication: the
 /// locked lanes (ascending shard order) and the ticket range — the
 /// state [`ViewService::abort`] restores.
 struct Txn<'a> {
-    lanes: Vec<(ShardId, MutexGuard<'a, LaneState>)>,
+    lanes: Vec<(ShardId, LaneGuard<'a>)>,
     ticket_base: u64,
     /// `None` during replay, which reuses the recorded tickets.
     reservation: Option<TicketReservation<'a>>,
@@ -356,8 +320,8 @@ pub struct ViewService {
     shards: Arc<ShardMap>,
     /// Per lane: the sub-database of the shard's clauses.
     lane_dbs: Vec<ConstrainedDatabase>,
-    lanes: Vec<Mutex<LaneState>>,
-    published: RwLock<Published>,
+    lanes: Lanes,
+    published: Publication,
     /// The update log; a durable service writes each record's WAL
     /// frame under the same lock, first. Lock order: the log lock is
     /// always taken *before* the publication lock by any thread that
@@ -659,23 +623,7 @@ impl ViewService {
         let lane_dbs: Vec<ConstrainedDatabase> = (0..shards.num_shards())
             .map(|s| shards.restrict_db(&db, s))
             .collect();
-        let mut published = Vec::with_capacity(lane_views.len());
-        let mut lanes = Vec::with_capacity(lane_views.len());
-        for (lane_view, lane_epoch) in lane_views {
-            // The lane adopts a structurally-shared clone of the
-            // published shard snapshot (a few Arc bumps).
-            let snapshot = Arc::new(ViewSnapshot::new(lane_epoch, lane_view));
-            lanes.push(Mutex::new(LaneState {
-                view: snapshot.view().clone(),
-                epoch: lane_epoch,
-            }));
-            published.push(snapshot);
-        }
-        let composite = Arc::new(ServiceSnapshot::new(
-            epoch,
-            published.clone(),
-            shards.clone(),
-        ));
+        let (lanes, published) = Lanes::new(lane_views, epoch, shards.clone());
         let health = Arc::new(Health::default());
         health.note_epoch(epoch);
         let obs = ServiceObs::new(&config.observability, shards.num_shards());
@@ -708,12 +656,7 @@ impl ViewService {
             shards,
             lane_dbs,
             lanes,
-            published: RwLock::new(Published {
-                shards: published,
-                epoch,
-                composite,
-                unpublished: 0,
-            }),
+            published,
             log: Mutex::new(UpdateLog::new()),
             tickets: Mutex::new(tickets),
             next_epoch: Mutex::new(epoch),
@@ -728,12 +671,16 @@ impl ViewService {
     /// Rejects a durable-build directory that already holds WAL or
     /// checkpoint state — building over history would shadow it;
     /// recovery is the explicit path.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "pre-build freshness probe; runs before the service's Vfs exists"
+    )]
     fn require_fresh_dir(dir: &Path) -> Result<(), ServiceError> {
         let dir_err = |op: StorageOp| {
             move |e: std::io::Error| ServiceError::Storage(StorageError::io(op, dir, e))
         };
-        std::fs::create_dir_all(dir).map_err(dir_err(StorageOp::Create))?; // mmv-lint: allow(vfs-confine) pre-build freshness probe; runs before the service's Vfs exists
-        let entries = std::fs::read_dir(dir).map_err(dir_err(StorageOp::ReadDir))?; // mmv-lint: allow(vfs-confine) pre-build freshness probe; runs before the service's Vfs exists
+        std::fs::create_dir_all(dir).map_err(dir_err(StorageOp::Create))?;
+        let entries = std::fs::read_dir(dir).map_err(dir_err(StorageOp::ReadDir))?;
         for entry in entries {
             let entry = entry.map_err(dir_err(StorageOp::ReadDir))?;
             let name = entry.file_name();
@@ -887,54 +834,20 @@ impl ViewService {
         *lock_clean(&self.fault) = hook;
     }
 
-    /// The publication table, poison-recovered: the write section only
-    /// swaps `Arc`s and bumps counters, so a panic can interrupt but
-    /// never tear it.
-    fn read_published(&self) -> RwLockReadGuard<'_, Published> {
-        read_clean(&self.published)
-    }
-
-    /// Write side of [`ViewService::read_published`], same recovery.
-    fn write_published(&self) -> RwLockWriteGuard<'_, Published> {
-        write_clean(&self.published)
-    }
-
-    /// Locks one writer lane, recovering it if a previous batch's panic
-    /// poisoned the mutex: the poison is cleared, the lane's writer
-    /// view re-adopts its last published shard snapshot (dropping
-    /// whatever the panicking batch half-applied), and the recovery is
-    /// logged. Lanes must be locked in ascending shard order.
-    fn lock_lane(&self, shard: ShardId) -> MutexGuard<'_, LaneState> {
-        match self.lanes[shard].lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                self.lanes[shard].clear_poison();
-                let mut g = poisoned.into_inner();
-                let (snap, global_epoch) = {
-                    let p = self.read_published();
-                    (p.shards[shard].clone(), p.epoch)
-                };
-                g.readopt(&snap);
-                let recovery = Recovery {
-                    shard,
-                    epoch: snap.epoch(),
-                };
-                let mut log = lock_clean(&self.log);
-                if let Some(d) = &self.durable {
-                    // Journaled best-effort, with the global epoch as
-                    // the frame's epoch lower bound: a WAL append
-                    // failure only costs the audit trail, never the
-                    // lane recovery itself.
-                    let frame = render_wal_payload(&WalPayload::Recovery {
-                        shard,
-                        epoch: recovery.epoch,
-                    });
-                    let _ = d.wal.append(global_epoch, &frame);
-                }
-                log.record_recovery(recovery);
-                g
-            }
+    /// Journals a poisoned lane's recovery (see [`Lanes::lock`]) in
+    /// the log and, best-effort, the WAL — with the global epoch as the
+    /// frame's epoch lower bound: a WAL append failure only costs the
+    /// audit trail, never the lane recovery itself.
+    fn journal_recovery(&self, recovery: Recovery) {
+        let mut log = lock_clean(&self.log);
+        if let Some(d) = &self.durable {
+            let frame = render_wal_payload(&WalPayload::Recovery {
+                shard: recovery.shard,
+                epoch: recovery.epoch,
+            });
+            let _ = d.wal.append(self.published.epoch(), &frame);
         }
+        log.record_recovery(recovery);
     }
 
     /// The current composite snapshot, prebuilt at publish time. The
@@ -942,12 +855,12 @@ impl ViewService {
     /// on the returned snapshot run without any synchronization with
     /// the writer lanes.
     pub fn snapshot(&self) -> Arc<ServiceSnapshot> {
-        self.read_published().composite.clone()
+        self.published.snapshot()
     }
 
     /// The global epoch of the current published state.
     pub fn epoch(&self) -> Epoch {
-        self.read_published().epoch
+        self.published.epoch()
     }
 
     /// Applies one batch as a transaction: split it by shard, lock the
@@ -1115,21 +1028,13 @@ impl ViewService {
     }
 
     /// Stage 2 — lock the touched lanes in ascending shard order
-    /// (`parts` is sorted): the canonical order that makes lane
-    /// deadlock impossible. The waiters gauge brackets each
-    /// acquisition so scrapers see per-lane queueing while it happens.
-    fn lock_lanes(&self, parts: &[LanePart<'_>]) -> Vec<(ShardId, MutexGuard<'_, LaneState>)> {
-        let lock = |part: &LanePart<'_>| {
-            if self.obs.enabled {
-                self.obs.lane_waiters[part.shard].inc();
-            }
-            let g = self.lock_lane(part.shard);
-            if self.obs.enabled {
-                self.obs.lane_waiters[part.shard].dec();
-            }
-            (part.shard, g)
-        };
-        parts.iter().map(lock).collect()
+    /// (`parts` is sorted), recovering and journaling any lane a
+    /// panicked batch poisoned.
+    fn lock_lanes(&self, parts: &[LanePart<'_>]) -> Vec<(ShardId, LaneGuard<'_>)> {
+        let shards = parts.iter().map(|p| p.shard);
+        self.lanes.lock(shards, &self.published, &self.obs, |r| {
+            self.journal_recovery(r)
+        })
     }
 
     /// Stage 3 — maintain: each locked lane applies its part with the
@@ -1254,7 +1159,7 @@ impl ViewService {
             *ne = (*ne).max(epoch);
             epoch
         };
-        self.write_published().unpublished += 1;
+        self.published.begin();
         let mut undurable = None;
         if let Some(d) = &self.durable {
             clock.mark();
@@ -1316,29 +1221,19 @@ impl ViewService {
     /// checkpoint never claims WAL coverage its snapshot does not
     /// contain.
     fn publish(&self, epoch: Epoch, frozen: Frozen, txn: &mut Txn<'_>) -> Committed {
-        let mut p = self.write_published();
-        for (shard, snapshot) in frozen {
-            p.shards[shard] = snapshot;
-        }
-        p.epoch = p.epoch.max(epoch);
         if let Some(r) = &mut txn.reservation {
             r.commit();
         }
-        p.composite = Arc::new(ServiceSnapshot::new(
-            p.epoch,
-            p.shards.clone(),
-            self.shards.clone(),
-        ));
-        self.health.note_epoch(p.epoch);
-        p.unpublished -= 1;
+        let swapped = self.published.swap(frozen, epoch);
+        self.health.note_epoch(swapped.epoch);
         let on_cadence = self
             .durable
             .as_ref()
             .is_some_and(|d| d.checkpoint_every > 0 && epoch % d.checkpoint_every == 0);
         Committed {
             epoch,
-            view_entries: p.composite.len(),
-            checkpoint: (on_cadence && p.unpublished == 0).then(|| p.composite.clone()),
+            view_entries: swapped.composite.len(),
+            checkpoint: (on_cadence && swapped.quiescent).then_some(swapped.composite),
         }
     }
 
@@ -1357,16 +1252,13 @@ impl ViewService {
     /// use. Readers keep the last published composite untouched
     /// throughout.
     fn abort(&self, txn: &mut Txn<'_>, allocated: Option<(Epoch, &mut UpdateLog)>) {
-        {
-            let p = self.read_published();
-            for (s, lane) in txn.lanes.iter_mut() {
-                lane.readopt(&p.shards[*s]);
-            }
+        for (s, lane) in txn.lanes.iter_mut() {
+            lane.readopt(&self.published.shard(*s));
         }
         txn.reservation = None;
         if let Some((epoch, log)) = allocated {
             log.retract(epoch);
-            self.write_published().unpublished -= 1;
+            self.published.cancel();
             let mut ne = lock_clean(&self.next_epoch);
             if *ne == epoch {
                 *ne = epoch - 1;
@@ -1422,6 +1314,10 @@ fn worker_panic(e: &BatchError) -> Option<&str> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a test stages a dirty durable directory"
+)]
 mod tests {
     use super::*;
     use mmv_constraints::{CmpOp, Constraint, NoDomains, Term, Var};

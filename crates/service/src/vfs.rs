@@ -134,6 +134,7 @@ impl VfsFile for StdFile {
     }
 }
 
+#[expect(clippy::disallowed_methods, reason = "the production Vfs is std::fs")]
 impl Vfs for StdVfs {
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
         std::fs::create_dir_all(dir)
@@ -683,6 +684,10 @@ impl Vfs for Arc<FaultVfs> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests check the Vfs against the files it wrote"
+)]
 mod tests {
     use super::*;
 

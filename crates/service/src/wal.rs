@@ -86,7 +86,7 @@
 use crate::health::RetryPolicy;
 use crate::vfs::{StdVfs, StorageOp, Vfs, VfsFile};
 use mmv_core::parser::{parse_wal_payload, render_wal_payload, WalPayload};
-use mmv_obs::sync::lock_clean;
+use mmv_obs::sync::{lock_clean, wait_clean};
 use mmv_obs::Counter;
 use std::fmt;
 use std::io;
@@ -590,7 +590,7 @@ impl Wal {
                 let mut synced = 0u64;
                 let mut failed: Option<StorageError> = None;
                 for f in pending.iter().chain(std::iter::once(&h)) {
-                    match self.run_retry_counted(|| f.file.sync_data()) {
+                    match self.run_retry(|| f.file.sync_data()) {
                         Ok(()) => synced += 1,
                         Err(e) => {
                             failed = Some(StorageError::io(StorageOp::Fsync, f.path.clone(), e));
@@ -650,10 +650,7 @@ impl Wal {
         }
         let mut s = lock_clean(&self.shared.sync);
         while s.durable < lsn && s.error.is_none() {
-            s = match self.shared.durable_cv.wait(s) {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
+            s = wait_clean(&self.shared.durable_cv, s);
         }
         if s.durable >= lsn {
             return Ok(());
@@ -703,28 +700,10 @@ impl Wal {
     }
 
     /// Runs `op` under the WAL's retry policy (transient failures
-    /// only).
-    fn run_retry(&self, op: impl FnMut() -> io::Result<()>) -> io::Result<()> {
-        self.retry.run(op, is_transient_io)
-    }
-
-    /// [`Wal::run_retry`], counting absorbed retries into the metrics.
-    fn run_retry_counted(&self, mut op: impl FnMut() -> io::Result<()>) -> io::Result<()> {
-        let mut attempt = 0u32;
-        loop {
-            match op() {
-                Ok(()) => return Ok(()),
-                Err(e) if attempt < self.retry.max_retries && is_transient_io(&e) => {
-                    attempt += 1;
-                    self.shared.metrics.retries.inc();
-                    let pause = self.retry.backoff(attempt);
-                    if !pause.is_zero() {
-                        std::thread::sleep(pause);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
+    /// only), counting each absorbed failure in [`WalStats::retries`].
+    fn run_retry<T>(&self, op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+        self.retry
+            .run(Some(&self.shared.metrics.retries), op, is_transient_io)
     }
 
     /// Writes `buf` at `start` (the current end of `h`), retrying
@@ -739,66 +718,42 @@ impl Wal {
         buf: &[u8],
         torn: &mut Option<u64>,
     ) -> Result<(), StorageError> {
-        let mut attempt = 0u32;
         // Whether a failed write may have left a partial frame that
         // must be truncated before the next attempt (or before giving
-        // up — disk must track acked state).
+        // up — disk must track acked state). Once set it stays set:
+        // any later failed attempt needs the same truncation.
         let mut dirty = false;
-        let pause_or_fail = |attempt: &mut u32, e: &io::Error| {
-            if *attempt < self.retry.max_retries && is_transient_io(e) {
-                *attempt += 1;
-                self.shared.metrics.retries.inc();
-                let pause = self.retry.backoff(*attempt);
-                if !pause.is_zero() {
-                    std::thread::sleep(pause);
-                }
-                true
-            } else {
-                false
-            }
-        };
-        loop {
+        let attempt = || {
+            // The repair itself can be hit by the same transient run —
+            // it consumes attempts too.
             if dirty {
-                // `dirty` stays set: any later failed attempt needs
-                // the same truncation before its retry.
-                match h.file.set_len(start) {
-                    Ok(()) => {}
-                    Err(te) => {
-                        // The repair itself can be hit by the same
-                        // transient run — it consumes attempts too.
-                        if pause_or_fail(&mut attempt, &te) {
-                            continue;
-                        }
-                        *torn = Some(start);
-                        return Err(StorageError::io(StorageOp::Truncate, h.path.clone(), te));
-                    }
-                }
+                h.file
+                    .set_len(start)
+                    .map_err(|e| (StorageOp::Truncate, e))?;
             }
-            match h.file.write_all(buf) {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    dirty = true;
-                    if pause_or_fail(&mut attempt, &e) {
-                        continue;
-                    }
-                    // Giving up: one last cleanup attempt, parking the
-                    // offset for later repair if it fails.
-                    if h.file.set_len(start).is_err() {
-                        *torn = Some(start);
-                    }
-                    return Err(StorageError::io(StorageOp::Append, h.path.clone(), e));
+            h.file.write_all(buf).map_err(|e| {
+                dirty = true;
+                (StorageOp::Append, e)
+            })
+        };
+        let retries = Some(&self.shared.metrics.retries);
+        self.retry
+            .run(retries, attempt, |(_, e)| is_transient_io(e))
+            .map_err(|(op, e)| {
+                // Giving up after a failed write: one last cleanup
+                // attempt. Either way a failed truncation parks the
+                // offset for later repair.
+                if op == StorageOp::Truncate || h.file.set_len(start).is_err() {
+                    *torn = Some(start);
                 }
-            }
-        }
+                StorageError::io(op, h.path.clone(), e)
+            })
     }
 
     fn open_segment(&self, a: &mut Appender, epoch: u64) -> Result<(), StorageError> {
         let seq = a.next_seq;
         let path = self.dir.join(format!("wal-{seq:06}.log"));
-        let file = match self
-            .retry
-            .run(|| self.vfs.create_new_append(&path), is_transient_io)
-        {
+        let file = match self.run_retry(|| self.vfs.create_new_append(&path)) {
             Ok(f) => f,
             Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
                 // An earlier open failed (or crashed) after creating
@@ -869,10 +824,7 @@ fn flusher_loop(shared: &WalShared, window: Duration, retry: RetryPolicy) {
     let mut s = lock_clean(&shared.sync);
     loop {
         while !s.shutdown && (s.appended == s.durable || s.error.is_some()) {
-            s = match shared.appended_cv.wait(s) {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
+            s = wait_clean(&shared.appended_cv, s);
         }
         if s.shutdown && (s.appended == s.durable || s.error.is_some()) {
             return;
@@ -888,31 +840,15 @@ fn flusher_loop(shared: &WalShared, window: Duration, retry: RetryPolicy) {
             files.push(cur);
         }
         drop(s);
-        let mut retried = 0u64;
         let mut failed: Option<(PathBuf, io::Error)> = None;
         for h in &files {
-            let mut attempt = 0u32;
-            let r = loop {
-                match h.file.sync_data() {
-                    Ok(()) => break Ok(()),
-                    Err(e) if attempt < retry.max_retries && is_transient_io(&e) => {
-                        attempt += 1;
-                        retried += 1;
-                        let pause = retry.backoff(attempt);
-                        if !pause.is_zero() {
-                            std::thread::sleep(pause);
-                        }
-                    }
-                    Err(e) => break Err(e),
-                }
-            };
-            if let Err(e) = r {
+            let retries = Some(&shared.metrics.retries);
+            if let Err(e) = retry.run(retries, || h.file.sync_data(), is_transient_io) {
                 failed = Some((h.path.clone(), e));
                 break;
             }
         }
         s = lock_clean(&shared.sync);
-        shared.metrics.retries.add(retried);
         match failed {
             None => {
                 s.durable = s.durable.max(target);
@@ -988,9 +924,12 @@ pub struct WalScan {
     pub next_seq: u64,
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "recovery read: segment discovery precedes the Vfs-fronted writer"
+)]
 fn segment_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     let mut out = Vec::new();
-    // mmv-lint: allow(vfs-confine) recovery-read allowlist: segment discovery precedes the Vfs-fronted writer
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
@@ -1053,6 +992,10 @@ fn parse_frame(bytes: &[u8], offset: usize) -> Result<Option<(String, usize)>, S
 /// (and the truncation fsynced) so the next writer starts clean.
 /// Always reads through `std::fs` — recovery-time reads are not
 /// fault-injection targets.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "recovery read: recovery-time reads are not fault-injection targets"
+)]
 pub fn scan_dir(dir: &Path, repair: bool) -> Result<WalScan, StorageError> {
     let files = segment_files(dir).map_err(|e| StorageError::io(StorageOp::ReadDir, dir, e))?;
     let mut scan = WalScan {
@@ -1064,7 +1007,7 @@ pub fn scan_dir(dir: &Path, repair: bool) -> Result<WalScan, StorageError> {
     let last = files.len().wrapping_sub(1);
     for (i, (_seq, path)) in files.iter().enumerate() {
         let bytes =
-            std::fs::read(path).map_err(|e| StorageError::io(StorageOp::Read, path.clone(), e))?; // mmv-lint: allow(vfs-confine) recovery-read allowlist: recovery-time reads are not fault-injection targets (module docs)
+            std::fs::read(path).map_err(|e| StorageError::io(StorageOp::Read, path.clone(), e))?;
         let is_last = i == last;
         let corrupt = |offset: usize, detail: String| StorageError::Corrupt {
             file: path.clone(),
@@ -1109,9 +1052,13 @@ pub fn scan_dir(dir: &Path, repair: bool) -> Result<WalScan, StorageError> {
     Ok(scan)
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "recovery-time torn-tail truncation, before the Vfs-fronted writer reopens"
+)]
 fn truncate_to(path: &Path, len: u64) -> Result<(), StorageError> {
     let attr = |e| StorageError::io(StorageOp::Truncate, path, e);
-    let f = std::fs::OpenOptions::new() // mmv-lint: allow(vfs-confine) recovery-time torn-tail truncation, before the Vfs-fronted writer reopens
+    let f = std::fs::OpenOptions::new()
         .write(true)
         .open(path)
         .map_err(attr)?;
@@ -1157,8 +1104,11 @@ pub fn prune_segments_with(vfs: &dyn Vfs, dir: &Path, chk_epoch: u64) -> Result<
 /// Whether every record in the segment at `path` is at an epoch the
 /// checkpoint covers (`<= chk_epoch`). Any read, frame, or payload
 /// failure answers `false` — pruning keeps what it cannot prove.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "pruning proof read, not a fault-injection target"
+)]
 fn segment_covered_by(path: &Path, chk_epoch: u64) -> bool {
-    // mmv-lint: allow(vfs-confine) recovery-read allowlist: pruning proof reads, not fault-injection targets
     let Ok(bytes) = std::fs::read(path) else {
         return false;
     };
@@ -1200,6 +1150,10 @@ fn segment_covered_by(path: &Path, chk_epoch: u64) -> bool {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests stage and corrupt segments behind the Vfs"
+)]
 mod tests {
     use super::*;
     use crate::vfs::{Fault, FaultPlan, FaultVfs, OpSel};
@@ -1453,6 +1407,28 @@ mod tests {
         let scan = scan_dir(&dir, false).unwrap();
         assert_eq!(scan.payloads, payloads);
         assert!(!scan.torn_tail, "partial writes were truncated away");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn absorbed_segment_create_retry_is_counted() {
+        let dir = tmpdir("create-retry");
+        let plan = FaultPlan::none().script(
+            OpSel::NthOfKind(StorageOp::Create, 0),
+            Fault::Transient { run: 1 },
+        );
+        let wal = Wal::open_with(
+            Arc::new(FaultVfs::new(Arc::new(StdVfs), plan)),
+            &dir,
+            FsyncPolicy::Never,
+            1 << 20,
+            1,
+            fast_retry(),
+        )
+        .unwrap();
+        append_all(&wal, &[batch_payload(1)]);
+        assert_eq!(wal.stats().retries, 1);
+        drop(wal);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -19,6 +19,11 @@
 //! `MMV_FAULT_SEED=<seed> cargo test -p mmv-service --test
 //! fault_torture env_seeded_torture`.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests stage storage behind the Vfs, time runs and poison locks on purpose"
+)]
+
 use mmv_constraints::solver::SolverConfig;
 use mmv_constraints::{CmpOp, Constraint, Term, Value, Var};
 use mmv_core::batch::UpdateBatch;

@@ -2,6 +2,11 @@
 //! writers, full-subsystem coverage of one Prometheus scrape, the
 //! batch trace ring, and the disabled-observability path.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests time runs against deadlines on purpose"
+)]
+
 use mmv_constraints::{CmpOp, Constraint, Term, Var};
 use mmv_core::batch::UpdateBatch;
 use mmv_core::{BodyAtom, Clause, ConstrainedAtom, ConstrainedDatabase};

@@ -12,6 +12,11 @@
 //! (silently truncated), and corrupt non-final segments (explicit
 //! [`ServiceError::Storage`]).
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests stage, corrupt and clean up WAL directories behind the Vfs on purpose"
+)]
+
 use mmv_constraints::{CmpOp, Constraint, Term, Var};
 use mmv_core::batch::UpdateBatch;
 use mmv_core::{BodyAtom, Clause, ConstrainedAtom, ConstrainedDatabase};

@@ -6,6 +6,11 @@
 //! detected and silently dropped, while a *corrupted non-final
 //! segment* (damaged history) is an explicit [`StorageError`].
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests stage, corrupt and clean up WAL directories behind the Vfs on purpose"
+)]
+
 use mmv_constraints::{CmpOp, Constraint, Term, Var};
 use mmv_core::batch::UpdateBatch;
 use mmv_core::parser::{parse_wal_payload, render_wal_payload, WalPayload};

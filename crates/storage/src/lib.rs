@@ -10,7 +10,6 @@
 //! (Section 4, equations (6)–(7)).
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod catalog;
 pub mod index;

@@ -4,6 +4,11 @@
 //!
 //! Run with: `cargo run --example external_updates`
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the example times the two maintenance strategies"
+)]
+
 use mmv::constraints::SolverConfig;
 use mmv::core::{FixpointConfig, MaintenanceStrategy, MediatedMaterializedView};
 use mmv::domains::DomainManager;

@@ -16,6 +16,11 @@
 //!
 //! Run with: `cargo run --example law_enforcement`
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the example plays the external system and locks its catalog directly"
+)]
+
 use mmv::constraints::{SolverConfig, Value};
 use mmv::core::{parse_atom, FixpointConfig, MaintenanceStrategy, MediatedMaterializedView};
 use mmv_bench::gen::lawenf::{build, person_name, LawEnfSpec};

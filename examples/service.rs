@@ -10,6 +10,11 @@
 //! the service's final Prometheus scrape is written there (CI feeds it
 //! to `promcheck`).
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the example writes its scrape to a file the caller names"
+)]
+
 use mmv::constraints::{NoDomains, SolverConfig, Value};
 use mmv::core::batch::UpdateBatch;
 use mmv::core::parser::{parse_atom, parse_program};

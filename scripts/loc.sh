@@ -1,7 +1,7 @@
 #!/bin/sh
 # Code lines per crate: non-blank, non-comment lines of crates/*/src,
 # each file cut at its first `#[cfg(test)]` (test modules close the
-# files) — the "service + obs + lint vs mmv-core" figure ROADMAP tracks.
+# files) — the "service + obs vs mmv-core" figure ROADMAP tracks.
 cd "$(dirname "$0")/.." || exit 1
 total=0
 for dir in crates/*/src; do

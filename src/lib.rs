@@ -30,8 +30,6 @@
 //! `cargo run --example quickstart`) and DESIGN.md / EXPERIMENTS.md for
 //! the reproduction map.
 
-#![forbid(unsafe_code)]
-
 pub use mmv_constraints as constraints;
 pub use mmv_core as core;
 pub use mmv_datalog as datalog;

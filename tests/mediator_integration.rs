@@ -2,6 +2,11 @@
 //! mediator over live domains, exercised with interleaved updates of
 //! both kinds, checked against fresh recomputation after every step.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test stand-in for an external system locks its catalog directly"
+)]
+
 use mmv::constraints::{SolverConfig, Value};
 use mmv::core::{
     fixpoint, parse_atom, FixpointConfig, MaintenanceStrategy, MediatedMaterializedView, Operator,

@@ -6,6 +6,11 @@
 //! with both walk-throughs — is used here (see
 //! `crates/core/src/delete_stdel.rs` for the argument).
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test stand-in domain locks its values directly"
+)]
+
 use mmv::constraints::{NoDomains, SolverConfig, Value, ValueSet};
 use mmv::core::{
     dred_delete, fixpoint, insert_atom, parse_atom, parse_program, stdel_delete, FixpointConfig,
