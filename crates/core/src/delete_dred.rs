@@ -669,7 +669,7 @@ impl Gate for RederiveGate {
             atom,
             children_args: Vec::new(),
         };
-        Some((None, rederived))
+        Some((None, Vec::new(), rederived))
     }
 }
 

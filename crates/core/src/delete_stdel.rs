@@ -8,9 +8,15 @@
 //! onto each affected entry's constraint. Entries whose constraint
 //! becomes unsolvable are removed (step 4).
 //!
-//! Processing order: entries are visited by ascending support height, so
-//! all `P_OUT` pairs of a child derivation exist before any parent
-//! consults them (a derivation's children are strictly lower).
+//! Processing order: step 3 visits only the entries that depend on the
+//! deletion. It is a worklist in ascending `(support height, id)` order,
+//! seeded with the parents of the entries step 2 replaced; an entry
+//! that emits a `P_OUT` pair adds its own parents. The view's reverse
+//! support index supplies the parents. A derivation's children are
+//! strictly lower than it, so all `P_OUT` pairs of a child exist before
+//! any parent consults them, and every parent joins the worklist above
+//! the entry being processed. The entries visited are those that the
+//! whole view, sorted by height, would have changed, in the same order.
 
 use crate::atom::ConstrainedAtom;
 use crate::bounds::ArgBounds;
@@ -18,7 +24,11 @@ use crate::support::Support;
 use crate::view::{EntryId, MaterializedView, SupportMode};
 use mmv_constraints::fxhash::FxHashMap;
 use mmv_constraints::{satisfiable_with, Constraint, DomainResolver, Lit, SolverConfig, Truth};
+use std::collections::BTreeSet;
 use std::fmt;
+
+/// `P_OUT`: per support, the regions removed from the entry owning it.
+type Pout = FxHashMap<Support, Vec<ConstrainedAtom>>;
 
 /// Statistics of one StDel run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -36,6 +46,9 @@ pub struct StDelStats {
     /// Step-2 candidates dismissed by the argument-bounds pre-check,
     /// without tying or a solver call.
     pub prefiltered: usize,
+    /// Entries step 3 took off its worklist: those with at least one
+    /// child that lost instances.
+    pub walked: usize,
 }
 
 impl StDelStats {
@@ -48,6 +61,7 @@ impl StDelStats {
         self.removed += o.removed;
         self.solver_calls += o.solver_calls;
         self.prefiltered += o.prefiltered;
+        self.walked += o.walked;
     }
 }
 
@@ -90,11 +104,12 @@ pub fn stdel_delete(
 ///
 /// Step 2 intersects each request with the view in order, so the `P_OUT`
 /// pairs of all requests accumulate on the affected supports; one upward
-/// propagation by support height then replaces every affected ancestor
-/// exactly once per pair, and one final sweep removes entries whose
-/// constraint became unsolvable. Sequential single-atom deletion walks
-/// the support forest (and re-sorts it by height) once per request; the
-/// batch walks it once total.
+/// propagation then replaces every affected ancestor exactly once per
+/// pair, and one final sweep removes entries whose constraint became
+/// unsolvable. The upward step visits the entries that depend on what
+/// step 2 replaced, each once, in ascending support height (see the
+/// module docs); sequential single-atom deletion visits a shared
+/// ancestor once per request, the batch once in total.
 pub fn stdel_delete_batch(
     view: &mut MaterializedView,
     deletions: &[ConstrainedAtom],
@@ -105,11 +120,41 @@ pub fn stdel_delete_batch(
         return Err(StDelError::NeedsSupports);
     }
     let mut stats = StDelStats::default();
-    // P_OUT: per child support, the regions removed from that entry
-    // (step 3 may add several pairs for one support).
-    let mut pout: FxHashMap<Support, Vec<ConstrainedAtom>> = FxHashMap::default();
+    let mut pout = direct_deletions(view, deletions, resolver, config, &mut stats);
+    if pout.is_empty() {
+        return Ok(stats);
+    }
 
-    // ---- Step 2: direct deletions ---------------------------------------
+    // ---- Step 3: upward propagation along supports -----------------------
+    // The entries with a child in `pout`, by ascending support height:
+    // children are complete before parents.
+    let mut worklist: BTreeSet<(u32, EntryId)> = BTreeSet::new();
+    for support in pout.keys() {
+        enqueue_parents(view, support, &mut worklist);
+    }
+    while let Some((_, id)) = worklist.pop_first() {
+        stats.walked += 1;
+        let support = view.entry(id).support.clone().expect("WithSupports");
+        if propagate_entry(view, id, &support, &mut pout, resolver, config, &mut stats) {
+            enqueue_parents(view, &support, &mut worklist);
+        }
+    }
+
+    sweep(view, &pout, resolver, config, &mut stats);
+    Ok(stats)
+}
+
+/// Step 2: intersects each request with the view, replacing every entry
+/// it overlaps and recording the removed region as a `P_OUT` pair of
+/// the entry's support.
+fn direct_deletions(
+    view: &mut MaterializedView,
+    deletions: &[ConstrainedAtom],
+    resolver: &dyn DomainResolver,
+    config: &SolverConfig,
+    stats: &mut StDelStats,
+) -> Pout {
+    let mut pout = Pout::default();
     for deletion in deletions {
         // Only entries whose argument bounds meet the request's can lose
         // instances to it (the ids are a snapshot: the loop below
@@ -141,60 +186,18 @@ pub fn stdel_delete_batch(
             stats.pout_pairs += 1;
         }
     }
-    if pout.is_empty() {
-        return Ok(stats);
-    }
+    pout
+}
 
-    // ---- Step 3: upward propagation along supports -----------------------
-    // Ascending support height: children are complete before parents.
-    let mut by_height: Vec<(u32, EntryId)> = view
-        .live_entries()
-        .map(|(id, e)| (e.support.as_ref().expect("WithSupports").height(), id))
-        .collect();
-    by_height.sort_unstable();
-    for (h, id) in by_height {
-        if h == 0 {
-            continue; // leaves have no children to be affected by
-        }
-        let entry = view.entry(id);
-        let support = entry.support.clone().expect("WithSupports");
-        let children: Vec<Support> = support.children().to_vec();
-        for (j, child) in children.iter().enumerate() {
-            let Some(pairs) = pout.get(child) else {
-                continue;
-            };
-            let pairs = pairs.clone();
-            for pair in pairs {
-                let entry = view.entry(id);
-                let atom = entry.atom.clone();
-                let child_args = entry.children_args.get(j).cloned().unwrap_or_default();
-                // The pair's removed region over the child's argument
-                // tuple inside this derivation; condition (c): the
-                // affected region must be solvable.
-                let Some((ppsi, region)) = pair.overlap(
-                    &child_args,
-                    &atom.constraint,
-                    view.var_gen_mut(),
-                    resolver,
-                    config,
-                    &mut stats.solver_calls,
-                ) else {
-                    continue;
-                };
-                // Replace F's constraint with φ ∧ not(ψ_j over child args).
-                let new_constraint = atom.constraint.clone().and_lit(Lit::Not(ppsi));
-                view.replace_constraint(id, simplify_keep(new_constraint));
-                stats.propagated_replacements += 1;
-                // Emit (removed region of F, spt(F)).
-                pout.entry(support.clone())
-                    .or_default()
-                    .push(atom.with_constraint(region));
-                stats.pout_pairs += 1;
-            }
-        }
-    }
-
-    // ---- Step 4: drop entries whose constraint became unsolvable ---------
+/// Step 4: removes the affected entries whose constraint became
+/// unsolvable.
+fn sweep(
+    view: &mut MaterializedView,
+    pout: &Pout,
+    resolver: &dyn DomainResolver,
+    config: &SolverConfig,
+    stats: &mut StDelStats,
+) {
     let affected: Vec<EntryId> = pout
         .keys()
         .filter_map(|s| view.entry_by_support(s))
@@ -207,7 +210,75 @@ pub fn stdel_delete_batch(
             stats.removed += 1;
         }
     }
-    Ok(stats)
+}
+
+/// Adds the live entries whose support has `support` as a child to
+/// step 3's worklist, keyed by their support height.
+fn enqueue_parents(
+    view: &MaterializedView,
+    support: &Support,
+    worklist: &mut BTreeSet<(u32, EntryId)>,
+) {
+    let height = |p: EntryId| {
+        view.entry(p)
+            .support
+            .as_ref()
+            .expect("WithSupports")
+            .height()
+    };
+    worklist.extend(view.parents_of(support).iter().map(|&p| (height(p), p)));
+}
+
+/// Step 3 for the entry `id` (whose support is `support`): each `P_OUT`
+/// pair of each of its children is tied to that child's arguments in
+/// this derivation; every solvable region is conjoined, negated, onto
+/// the entry's constraint and emitted as a pair of the entry's own.
+/// Returns whether any pair was emitted.
+fn propagate_entry(
+    view: &mut MaterializedView,
+    id: EntryId,
+    support: &Support,
+    pout: &mut Pout,
+    resolver: &dyn DomainResolver,
+    config: &SolverConfig,
+    stats: &mut StDelStats,
+) -> bool {
+    let mut emitted = false;
+    for (j, child) in support.children().iter().enumerate() {
+        let Some(pairs) = pout.get(child) else {
+            continue;
+        };
+        let pairs = pairs.clone();
+        for pair in pairs {
+            let entry = view.entry(id);
+            let atom = entry.atom.clone();
+            let child_args = entry.children_args.get(j).cloned().unwrap_or_default();
+            // The pair's removed region over the child's argument tuple
+            // inside this derivation; condition (c): the affected region
+            // must be solvable.
+            let Some((ppsi, region)) = pair.overlap(
+                &child_args,
+                &atom.constraint,
+                view.var_gen_mut(),
+                resolver,
+                config,
+                &mut stats.solver_calls,
+            ) else {
+                continue;
+            };
+            // Replace F's constraint with φ ∧ not(ψ_j over child args).
+            let new_constraint = atom.constraint.clone().and_lit(Lit::Not(ppsi));
+            view.replace_constraint(id, simplify_keep(new_constraint));
+            stats.propagated_replacements += 1;
+            // Emit (removed region of F, spt(F)).
+            pout.entry(support.clone())
+                .or_default()
+                .push(atom.with_constraint(region));
+            stats.pout_pairs += 1;
+            emitted = true;
+        }
+    }
+    emitted
 }
 
 /// Simplifies a replacement constraint, keeping a canonical `false` when
@@ -310,46 +381,57 @@ mod tests {
         );
     }
 
+    /// `pred(X, Y) <- X = a & Y = b`.
+    fn pair(pred: &str, a: Term, b: Term) -> ConstrainedAtom {
+        let (xv, yv) = (Term::var(Var(0)), Term::var(Var(1)));
+        ConstrainedAtom::new(
+            pred,
+            vec![xv.clone(), yv.clone()],
+            Constraint::eq(xv, a).and(Constraint::eq(yv, b)),
+        )
+    }
+
+    /// Example 6's program: a `P` fact per edge and `A` their transitive
+    /// closure, `A(X,Y) <- P(X,Y)` and `A(X,Y) <- P(X,Z), A(Z,Y)`.
+    fn closure_db(edges: &[(Term, Term)]) -> ConstrainedDatabase {
+        let (xv, yv, zv) = (Term::var(Var(0)), Term::var(Var(1)), Term::var(Var(2)));
+        let mut clauses: Vec<Clause> = edges
+            .iter()
+            .map(|(a, b)| {
+                let fact = pair("P", a.clone(), b.clone());
+                Clause::fact("P", fact.args, fact.constraint)
+            })
+            .collect();
+        clauses.push(Clause::new(
+            "A",
+            vec![xv.clone(), yv.clone()],
+            Constraint::truth(),
+            vec![BodyAtom::new("P", vec![xv.clone(), yv.clone()])],
+        ));
+        clauses.push(Clause::new(
+            "A",
+            vec![xv.clone(), yv.clone()],
+            Constraint::truth(),
+            vec![
+                BodyAtom::new("P", vec![xv, zv.clone()]),
+                BodyAtom::new("A", vec![zv, yv]),
+            ],
+        ));
+        ConstrainedDatabase::from_clauses(clauses)
+    }
+
+    fn example6_db() -> ConstrainedDatabase {
+        let s = Term::str;
+        closure_db(&[(s("a"), s("b")), (s("a"), s("c")), (s("c"), s("d"))])
+    }
+
     #[test]
     fn paper_example_6_recursive_stdel() {
         // Example 6: delete P(X,Y) <- X = c & Y = d; entries 3, 6, 7
         // become unsolvable and are removed.
-        let (xv, yv, zv) = (Term::var(Var(0)), Term::var(Var(1)), Term::var(Var(2)));
-        let pfact = |a: &str, b: &str| {
-            Clause::fact(
-                "P",
-                vec![xv.clone(), yv.clone()],
-                Constraint::eq(xv.clone(), Term::str(a))
-                    .and(Constraint::eq(yv.clone(), Term::str(b))),
-            )
-        };
-        let db = ConstrainedDatabase::from_clauses(vec![
-            pfact("a", "b"),
-            pfact("a", "c"),
-            pfact("c", "d"),
-            Clause::new(
-                "A",
-                vec![xv.clone(), yv.clone()],
-                Constraint::truth(),
-                vec![BodyAtom::new("P", vec![xv.clone(), yv.clone()])],
-            ),
-            Clause::new(
-                "A",
-                vec![xv.clone(), yv.clone()],
-                Constraint::truth(),
-                vec![
-                    BodyAtom::new("P", vec![xv.clone(), zv.clone()]),
-                    BodyAtom::new("A", vec![zv.clone(), yv.clone()]),
-                ],
-            ),
-        ]);
-        let mut view = build(&db);
+        let mut view = build(&example6_db());
         assert_eq!(view.len(), 7);
-        let deletion = ConstrainedAtom::new(
-            "P",
-            vec![xv.clone(), yv.clone()],
-            Constraint::eq(xv.clone(), Term::str("c")).and(Constraint::eq(yv, Term::str("d"))),
-        );
+        let deletion = pair("P", Term::str("c"), Term::str("d"));
         let stats =
             stdel_delete(&mut view, &deletion, &NoDomains, &SolverConfig::default()).unwrap();
         // P(c,d), A(c,d) and the recursive A(a,d) all die.
@@ -476,5 +558,86 @@ mod tests {
             .query("C", &[Some(Value::int(4))], &NoDomains, &cfg)
             .unwrap();
         assert_eq!(c4.len(), 1);
+    }
+
+    /// Reference for step 3: every live entry in ascending (support
+    /// height, id) order, each propagated from whatever its children
+    /// have in `P_OUT`. `walked` counts the entries with such a child.
+    fn whole_view_walk(view: &mut MaterializedView, deletions: &[ConstrainedAtom]) -> StDelStats {
+        let cfg = SolverConfig::default();
+        let mut stats = StDelStats::default();
+        let mut pout = direct_deletions(view, deletions, &NoDomains, &cfg, &mut stats);
+        if pout.is_empty() {
+            return stats;
+        }
+        let mut by_height: Vec<(u32, EntryId)> = view
+            .live_entries()
+            .map(|(id, e)| (e.support.as_ref().unwrap().height(), id))
+            .collect();
+        by_height.sort_unstable();
+        for (_, id) in by_height {
+            let support = view.entry(id).support.clone().unwrap();
+            if support.children().iter().any(|c| pout.contains_key(c)) {
+                stats.walked += 1;
+                propagate_entry(view, id, &support, &mut pout, &NoDomains, &cfg, &mut stats);
+            }
+        }
+        sweep(view, &pout, &NoDomains, &cfg, &mut stats);
+        stats
+    }
+
+    /// The worklist and the whole-view walk leave the same view, down
+    /// to entry ids and variable names, with the same counters.
+    fn assert_matches_whole_view_walk(
+        view: &MaterializedView,
+        deletions: &[ConstrainedAtom],
+    ) -> StDelStats {
+        let (mut worked, mut walked) = (view.clone(), view.clone());
+        let stats =
+            stdel_delete_batch(&mut worked, deletions, &NoDomains, &SolverConfig::default())
+                .unwrap();
+        assert_eq!(stats, whole_view_walk(&mut walked, deletions));
+        assert_eq!(worked.to_string(), walked.to_string());
+        assert_eq!(
+            worked.var_gen_mut().watermark(),
+            walked.var_gen_mut().watermark()
+        );
+        stats
+    }
+
+    #[test]
+    fn worklist_visits_what_the_whole_view_walk_changed() {
+        let example6 = build(&example6_db());
+        let stats =
+            assert_matches_whole_view_walk(&example6, &[pair("P", Term::str("c"), Term::str("d"))]);
+        // A(c,d) and the recursive A(a,d); the leaves are not walked.
+        assert_eq!(stats.walked, 2);
+        // On the chain 0→1→2→3, A(1,3) derived through P(1,2) and
+        // A(2,3) has both children affected.
+        let i = Term::int;
+        let chain = build(&closure_db(&[(i(0), i(1)), (i(1), i(2)), (i(2), i(3))]));
+        let stats =
+            assert_matches_whole_view_walk(&chain, &[pair("P", i(1), i(2)), pair("A", i(2), i(3))]);
+        assert!(stats.propagated_replacements > 0);
+        assert!(stats.walked < chain.len(), "{stats:?}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 48, ..Default::default() })]
+
+        #[test]
+        fn worklist_matches_whole_view_walk_on_random_dags(
+            edges in proptest::collection::btree_set((0i64..5, 1i64..6), 1..12usize),
+            deletions in proptest::collection::vec((0u8..2, 0i64..5, 1i64..6), 1..4usize),
+        ) {
+            let i = Term::int;
+            let edges: Vec<(Term, Term)> =
+                edges.into_iter().filter(|(a, b)| a < b).map(|(a, b)| (i(a), i(b))).collect();
+            let deletions: Vec<ConstrainedAtom> = deletions
+                .into_iter()
+                .map(|(p, a, b)| pair(["P", "A"][p as usize], i(a), i(b)))
+                .collect();
+            assert_matches_whole_view_walk(&build(&closure_db(&edges)), &deletions);
+        }
     }
 }

@@ -42,6 +42,9 @@ pub struct CoreMetrics {
     pub delete_prefiltered: Counter,
     /// Entries replaced by StDel (direct + support propagation).
     pub stdel_replacements: Counter,
+    /// Entries StDel's upward step visited (those with an affected
+    /// child).
+    pub stdel_walked: Counter,
     /// Base entries materialized by batched insertion.
     pub insert_added: Counter,
     /// Entries derived by upward insertion propagation.
@@ -84,6 +87,7 @@ impl CoreMetrics {
             DeleteStats::StDel(s) => {
                 self.stdel_replacements
                     .add((s.direct_replacements + s.propagated_replacements) as u64);
+                self.stdel_walked.add(s.walked as u64);
                 self.delete_removed.add(s.removed as u64);
                 self.delete_solver_calls.add(s.solver_calls as u64);
                 self.delete_prefiltered.add(s.prefiltered as u64);
@@ -168,6 +172,11 @@ impl CoreMetrics {
             "mmv_stdel_replacements_total",
             "Entries replaced by StDel",
             &self.stdel_replacements,
+        );
+        c(
+            "mmv_stdel_walked_total",
+            "Entries StDel's upward step visited",
+            &self.stdel_walked,
         );
         c(
             "mmv_insert_added_total",

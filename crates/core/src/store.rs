@@ -123,6 +123,12 @@ impl<T: Clone> SharedVec<T> {
 
     /// Replaces the element at `i`.
     pub fn set(&mut self, i: usize, v: T) {
+        self.update(i, |slot| *slot = v);
+    }
+
+    /// Edits the element at `i` in place, un-sharing its page first if
+    /// an older clone still holds it.
+    pub fn update(&mut self, i: usize, f: impl FnOnce(&mut T)) {
         assert!(
             i < self.len,
             "SharedVec index {i} out of bounds {}",
@@ -130,7 +136,7 @@ impl<T: Clone> SharedVec<T> {
         );
         let pages = Arc::make_mut(&mut self.pages);
         let page = &mut pages[i >> PAGE_BITS];
-        unshare_counted(page, &mut self.copied)[i & (PAGE_SIZE - 1)] = v;
+        f(&mut unshare_counted(page, &mut self.copied)[i & (PAGE_SIZE - 1)]);
     }
 
     /// Iterates the elements in index order.
@@ -592,9 +598,11 @@ mod tests {
         assert_eq!(v.page_count(), 200usize.div_ceil(PAGE_SIZE));
         v.set(5, 500);
         assert_eq!(*v.get(5), 500);
+        v.update(5, |x| *x += 1);
+        assert_eq!(*v.get(5), 501);
         let collected: Vec<i32> = v.iter().copied().collect();
         assert_eq!(collected.len(), 200);
-        assert_eq!(collected[5], 500);
+        assert_eq!(collected[5], 501);
     }
 
     #[test]

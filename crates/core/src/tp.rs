@@ -774,8 +774,10 @@ pub(crate) trait Gate: Clone + Send + 'static {
 }
 
 /// A combination that passed its engine's gate, ready for
-/// [`MaterializedView::insert`].
-pub(crate) type Candidate = (Option<Support>, Derivation);
+/// `MaterializedView::insert_derived`: the support, the ids of the
+/// entries its children name (empty without a support) and the
+/// derivation.
+pub(crate) type Candidate = (Option<Support>, Vec<EntryId>, Derivation);
 
 /// Counters of one driver run (or of one split of it): the join
 /// engine's, plus the solver calls and bounds pre-check dismissals a
@@ -810,7 +812,7 @@ impl Gate for OperatorGate {
         // Support-level dedup before paying for construction; the
         // support is assembled once, from Arc-shared child supports,
         // and reused for the insert.
-        let support = if view.mode() == SupportMode::WithSupports {
+        let (support, children) = if view.mode() == SupportMode::WithSupports {
             let s = Support::node(
                 Producer::Clause(split.cid),
                 chunk
@@ -821,15 +823,16 @@ impl Gate for OperatorGate {
             if view.entry_by_support(&s).is_some() {
                 return None;
             }
-            Some(s)
+            (Some(s), chunk.to_vec())
         } else {
-            None
+            (None, Vec::new())
         };
         let Some(d) = derive_combo(view, split.clause, chunk, gen) else {
             stats.pruned_syntactic += 1;
             return None;
         };
-        admit(self.op, &d.atom.constraint, resolver, &self.solver, stats).then_some((support, d))
+        admit(self.op, &d.atom.constraint, resolver, &self.solver, stats)
+            .then_some((support, children, d))
     }
 }
 
@@ -1057,8 +1060,8 @@ impl<G: Gate> Engine<'_, G> {
         stats.solver_calls += out.stats.solver_calls;
         stats.prefiltered += out.stats.prefiltered;
         gen.reserve_below(out.gen_high);
-        for (support, d) in out.candidates {
-            if let Some(id) = view.insert(d.atom, support, d.children_args) {
+        for (support, children, d) in out.candidates {
+            if let Some(id) = view.insert_derived(d.atom, support, d.children_args, &children) {
                 next.push(id);
                 if view.len() > self.config.max_entries {
                     return Err(FixpointError::EntryBudget {

@@ -37,6 +37,19 @@
 //!   canonical-hash → entries maps are insert-only persistent tries
 //!   ([`SharedMap`]): an insert path-copies O(log n) nodes, and clones
 //!   share the rest.
+//! * **The reverse support index** (`WithSupports` only) — a second
+//!   paged [`SharedVec`], one slot per entry slot, listing the live
+//!   entries whose support has that entry's support among its children
+//!   (`MaterializedView::parents_of`). It is what lets StDel go upward
+//!   from a deletion to exactly the entries that depend on it. `insert`
+//!   and `remove` keep it; constraint replacement keeps supports, so it
+//!   leaves the index alone. The fixpoint engine hands `insert` the
+//!   child ids it combined, so linking costs no lookup; compaction and
+//!   checkpoint load look each child up by support. A list of one
+//!   parent is stored inline and longer ones behind an `Arc`, so
+//!   un-sharing a page copies pointers, not lists. A live entry whose
+//!   child has no slot here (a compacted view drops dead children) is
+//!   held under the child's support until that support is inserted.
 //!
 //! Liveness lives in the predicate index (an entry is live iff its id is
 //! in its predicate's slot map), **not** in the entry — flipping a
@@ -149,6 +162,51 @@ impl PredIndex {
         if self.by_const.len() < n {
             self.by_const.resize_with(n, SharedMap::new);
             self.nonconst.resize_with(n, Vec::new);
+        }
+    }
+}
+
+/// One slot's list in the reverse support index. Most entries have no
+/// parent or one, so only a fan-in of two or more allocates, and that
+/// list sits behind an `Arc` so that copying the slot's page copies a
+/// pointer, not the list.
+#[derive(Debug, Clone, Default)]
+enum Parents {
+    #[default]
+    None,
+    One(EntryId),
+    Many(Arc<Vec<EntryId>>),
+}
+
+impl Parents {
+    fn as_slice(&self) -> &[EntryId] {
+        match self {
+            Parents::None => &[],
+            Parents::One(id) => std::slice::from_ref(id),
+            Parents::Many(ids) => ids,
+        }
+    }
+
+    /// Adds `id`. A parent naming the same child twice links it twice
+    /// in a row, so a repeat is always the last id and is dropped.
+    fn add(&mut self, id: EntryId) {
+        match self {
+            Parents::None => *self = Parents::One(id),
+            Parents::One(p) if *p == id => {}
+            Parents::One(p) => *self = Parents::Many(Arc::new(vec![*p, id])),
+            Parents::Many(ids) => {
+                if ids.last() != Some(&id) {
+                    Arc::make_mut(ids).push(id);
+                }
+            }
+        }
+    }
+
+    fn remove(&mut self, id: EntryId) {
+        match self {
+            Parents::One(p) if *p == id => *self = Parents::None,
+            Parents::Many(ids) => Arc::make_mut(ids).retain(|&p| p != id),
+            _ => {}
         }
     }
 }
@@ -283,6 +341,12 @@ pub struct MaterializedView {
     preds: FxHashMap<Arc<str>, Arc<PredIndex>>,
     by_support: SharedMap<Support, EntryId>,
     by_canon: SharedMap<u64, Vec<EntryId>>,
+    /// The reverse support index, one slot per entry slot
+    /// (`WithSupports` mode; empty in `Plain` mode).
+    parents: SharedVec<Parents>,
+    /// Reverse links whose child support has no slot in this view,
+    /// keyed by that support.
+    orphans: SharedMap<Support, Parents>,
     live: usize,
     next_external: u64,
     var_gen: VarGen,
@@ -300,6 +364,8 @@ impl MaterializedView {
             preds: FxHashMap::default(),
             by_support: SharedMap::new(),
             by_canon: SharedMap::new(),
+            parents: SharedVec::new(),
+            orphans: SharedMap::new(),
             live: 0,
             next_external: 0,
             var_gen,
@@ -344,6 +410,31 @@ impl MaterializedView {
         support: Option<Support>,
         children_args: Vec<Vec<Term>>,
     ) -> Option<EntryId> {
+        self.insert_linked(atom, support, children_args, None)
+    }
+
+    /// Crate-internal: [`MaterializedView::insert`] for an entry derived
+    /// from entries of this view. `children` holds the ids of the
+    /// entries its support's children name, in order, so the reverse
+    /// support index links them without a lookup per child. `Plain`
+    /// mode ignores it.
+    pub(crate) fn insert_derived(
+        &mut self,
+        atom: ConstrainedAtom,
+        support: Option<Support>,
+        children_args: Vec<Vec<Term>>,
+        children: &[EntryId],
+    ) -> Option<EntryId> {
+        self.insert_linked(atom, support, children_args, Some(children))
+    }
+
+    fn insert_linked(
+        &mut self,
+        atom: ConstrainedAtom,
+        support: Option<Support>,
+        children_args: Vec<Vec<Term>>,
+        children: Option<&[EntryId]>,
+    ) -> Option<EntryId> {
         match self.mode {
             SupportMode::WithSupports => {
                 let support = support.expect("WithSupports entries need a support");
@@ -351,6 +442,7 @@ impl MaterializedView {
                     return None;
                 }
                 let id = self.push_entry(atom, Some(support.clone()), children_args);
+                self.link_children(id, &support, children);
                 self.by_support.insert(support, id);
                 Some(id)
             }
@@ -402,6 +494,59 @@ impl MaterializedView {
         }));
         self.live += 1;
         id
+    }
+
+    /// Reverse support index upkeep for the fresh entry `id`: its own
+    /// slot (adopting any links held for its support), then one link
+    /// from each child's slot. The child slots are `children` when the
+    /// caller holds them, else looked up by support; a child with no
+    /// slot in this view is held as an orphan under its support.
+    fn link_children(&mut self, id: EntryId, support: &Support, children: Option<&[EntryId]>) {
+        debug_assert_eq!(self.parents.len(), id, "one index slot per entry slot");
+        let adopted = self.orphans.remove(support).unwrap_or_default();
+        self.parents.push(adopted);
+        for (j, child) in support.children().iter().enumerate() {
+            let slot = match children {
+                Some(ids) => {
+                    debug_assert_eq!(self.entry(ids[j]).support.as_ref(), Some(child));
+                    Some(ids[j])
+                }
+                None => self.by_support.get(child).copied(),
+            };
+            match slot {
+                Some(c) => self.parents.update(c, |p| p.add(id)),
+                None => self
+                    .orphans
+                    .update(child.clone(), Parents::None, |p| p.add(id)),
+            }
+        }
+    }
+
+    /// Undoes [`MaterializedView::link_children`]'s child links for the
+    /// entry `id`, which is being removed. Its own slot stays: a dead
+    /// entry's live parents still list it as a child.
+    fn unlink_children(&mut self, id: EntryId) {
+        let Some(support) = self.store.get(id).support.clone() else {
+            return;
+        };
+        for child in support.children() {
+            match self.by_support.get(child).copied() {
+                Some(c) => self.parents.update(c, |p| p.remove(id)),
+                None => self
+                    .orphans
+                    .update(child.clone(), Parents::None, |p| p.remove(id)),
+            }
+        }
+    }
+
+    /// The live entries whose support has `support` among its children,
+    /// in no particular order: the entries a change to the entry owning
+    /// `support` propagates to. Empty in `Plain` mode.
+    pub(crate) fn parents_of(&self, support: &Support) -> &[EntryId] {
+        match self.by_support.get(support) {
+            Some(&id) => self.parents.get(id).as_slice(),
+            None => self.orphans.get(support).map_or(&[], Parents::as_slice),
+        }
     }
 
     /// The entry with the given id (live or dead).
@@ -614,6 +759,7 @@ impl MaterializedView {
                 None => idx.nonconst[p].retain(|&x| x != id),
             }
         }
+        self.unlink_children(id);
         self.live -= 1;
         true
     }
@@ -1026,5 +1172,103 @@ mod tests {
         let v500 = Value::int(500);
         assert_eq!(snapshot.probe("e", &[Some(&v500), None]).len(), 1);
         assert!(v.probe("e", &[Some(&v500), None]).is_empty());
+    }
+
+    /// One step of the reverse-index property below. Slot picks are
+    /// taken modulo the view's slot count, so they name live and dead
+    /// entries alike.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// An entry of clause `clause` whose support's children are the
+        /// supports of the picked entries; inserted with the child ids
+        /// (`derived`) or with a lookup per child.
+        Insert {
+            clause: usize,
+            picks: Vec<usize>,
+            derived: bool,
+        },
+        Remove(usize),
+        Replace(usize),
+        Snapshot,
+        Compact,
+    }
+
+    fn op() -> impl proptest::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        prop_oneof![
+            6 => (0usize..3, collection::vec(0usize..64, 0..3usize), 0u8..2).prop_map(
+                |(clause, picks, derived)| Op::Insert { clause, picks, derived: derived == 1 }
+            ),
+            3 => (0usize..64).prop_map(Op::Remove),
+            1 => (0usize..64).prop_map(Op::Replace),
+            1 => Just(Op::Snapshot),
+            1 => Just(Op::Compact),
+        ]
+    }
+
+    /// `parents_of(s)` against a scan of the live entries listing `s`
+    /// as a child, for every support the view stores or names.
+    fn assert_parents_match_scan(v: &MaterializedView) {
+        let mut supports: Vec<Support> = (0..v.entry_slots())
+            .filter_map(|i| v.entry(i).support.clone())
+            .collect();
+        for (_, e) in v.live_entries() {
+            supports.extend(e.support.as_ref().unwrap().children().iter().cloned());
+        }
+        for s in &supports {
+            let scan: Vec<EntryId> = v
+                .live_entries()
+                .filter(|(_, e)| e.support.as_ref().unwrap().children().contains(s))
+                .map(|(id, _)| id)
+                .collect();
+            let mut index = v.parents_of(s).to_vec();
+            index.sort_unstable();
+            assert_eq!(index, scan, "parents of {s}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: if cfg!(miri) { 4 } else { 96 },
+            ..Default::default()
+        })]
+
+        #[test]
+        fn reverse_support_index_matches_a_scan(ops in proptest::collection::vec(op(), 1..48usize)) {
+            let mut v = MaterializedView::new(SupportMode::WithSupports, VarGen::starting_at(100));
+            let mut snapshots: Vec<MaterializedView> = Vec::new();
+            for op in &ops {
+                let slots = v.entry_slots();
+                match op {
+                    Op::Insert { clause, picks, derived } => {
+                        let ids: Vec<EntryId> = match slots {
+                            0 => Vec::new(),
+                            n => picks.iter().map(|p| p % n).collect(),
+                        };
+                        let children = ids.iter().map(|&i| v.entry(i).support.clone().unwrap());
+                        let support = Support::node(Producer::Clause(ClauseId(*clause)), children.collect());
+                        let a = atom("p", 1, ids.len() as i64 + 1);
+                        if *derived {
+                            v.insert_derived(a, Some(support), vec![], &ids);
+                        } else {
+                            v.insert(a, Some(support), vec![]);
+                        }
+                    }
+                    Op::Remove(p) if slots > 0 => {
+                        v.remove(p % slots);
+                    }
+                    Op::Replace(p) if slots > 0 => {
+                        v.replace_constraint(p % slots, Constraint::truth());
+                    }
+                    Op::Snapshot => snapshots.push(v.clone()),
+                    Op::Compact => v = v.compact(),
+                    Op::Remove(_) | Op::Replace(_) => {}
+                }
+                assert_parents_match_scan(&v);
+                for s in &snapshots {
+                    assert_parents_match_scan(s);
+                }
+            }
+        }
     }
 }

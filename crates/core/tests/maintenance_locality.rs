@@ -8,7 +8,10 @@
 //! sizes, and the *exact* solver-call counters of StDel, Extended DRed
 //! and insertion must be too: the argument-bounds pre-check dismisses
 //! every other entry, region and clause before the solver is asked.
-//! The resulting views are checked against the declarative oracle.
+//! StDel's upward step is held to the same rule at a third size, 4,096:
+//! it visits the entries that depend on the deletion, the same ones at
+//! every size, not every live entry. The resulting views are checked
+//! against the declarative oracle.
 
 use mmv_constraints::{CmpOp, Constraint, NoDomains, Term, Var};
 use mmv_core::{
@@ -124,6 +127,14 @@ fn maintained(facts_per_pred: usize, mode: SupportMode, config: &FixpointConfig)
     stats
 }
 
+/// The entries StDel's upward step visited.
+fn stdel_walked(stats: &BatchStats) -> usize {
+    match stats.deletes {
+        DeleteStats::StDel(s) => s.walked,
+        _ => panic!("a view with supports deletes by StDel"),
+    }
+}
+
 /// `(deletion solver calls, deletion prefiltered)`.
 fn delete_counters(stats: &BatchStats) -> (usize, usize) {
     match stats.deletes {
@@ -133,7 +144,8 @@ fn delete_counters(stats: &BatchStats) -> (usize, usize) {
     }
 }
 
-fn solver_calls_do_not_scale_with_the_view(mode: SupportMode) {
+/// Returns the stats at the two sizes.
+fn solver_calls_do_not_scale_with_the_view(mode: SupportMode) -> (BatchStats, BatchStats) {
     // Inline, and under a pool as wide as the CI leg asks for: the
     // counters are the same numbers either way.
     let width = std::env::var("MMV_POOL_THREADS")
@@ -175,11 +187,20 @@ fn solver_calls_do_not_scale_with_the_view(mode: SupportMode) {
         "{mode:?} Add-build prefiltered"
     );
     assert_eq!(large, large_pooled, "{mode:?} counters under the pool");
+    (small, large)
 }
 
 #[test]
 fn stdel_solver_calls_do_not_scale_with_the_view() {
-    solver_calls_do_not_scale_with_the_view(SupportMode::WithSupports);
+    let (small, large) = solver_calls_do_not_scale_with_the_view(SupportMode::WithSupports);
+    let huge = maintained(4096, SupportMode::WithSupports, &FixpointConfig::default());
+    let walked = stdel_walked(&small);
+    assert!(walked > 0, "the deletion has dependents");
+    assert_eq!(
+        (stdel_walked(&large), stdel_walked(&huge)),
+        (walked, walked),
+        "StDel walked at 512 and 4,096 facts per predicate"
+    );
 }
 
 #[test]

@@ -95,7 +95,7 @@
 use crate::checkpoint::{self, CheckpointStats, Checkpointer};
 use crate::config::{not_durable, Durability, RecoveryReport, ServiceConfig, ViewServiceBuilder};
 use crate::health::{Health, HealthProbe, HealthTransition, ServiceHealth};
-use crate::lanes::{Frozen, LaneGuard, Lanes, Publication};
+use crate::lanes::{Frozen, LaneGuard, Lanes, Publication, Retired};
 use crate::log::{LogRecord, Recovery, ReplayError, UpdateLog};
 use crate::obs::{ServiceObs, StageClock};
 use crate::snapshot::{Epoch, PublishStats, ServiceSnapshot, ViewSnapshot};
@@ -296,6 +296,9 @@ struct Committed {
     /// The composite to hand to the checkpointer, when the batch
     /// landed on the checkpoint cadence.
     checkpoint: Option<Arc<ServiceSnapshot>>,
+    /// What the swap took out of the published table, for the writer
+    /// to reclaim once the log lock is released.
+    retired: Vec<Retired>,
 }
 
 /// A long-lived concurrent view service over one constrained database.
@@ -938,6 +941,10 @@ impl ViewService {
         let (frozen, mut publish) = Self::freeze(&mut txn, &befores, &clock);
         let replay_epoch = replay.map(|ctx| ctx.epoch);
         let committed = self.commit(&mut txn, batch, frozen, replay_epoch, &mut clock)?;
+        // The writer, not a reader, frees the epochs this swap retired.
+        clock.mark();
+        self.published.reclaim(committed.retired);
+        clock.lap(Stage::Publish);
         publish.publish_latency += clock.trace.stage(Stage::Publish);
         stats.view_entries = committed.view_entries;
         // Release the lanes, keeping their ids for the lane counters.
@@ -1234,6 +1241,7 @@ impl ViewService {
             epoch,
             view_entries: swapped.composite.len(),
             checkpoint: (on_cadence && swapped.quiescent).then_some(swapped.composite),
+            retired: swapped.retired,
         }
     }
 
@@ -1530,6 +1538,32 @@ mod tests {
         assert!(!snap.ask("b", &[Value::int(3)], &NoDomains, &cfg).unwrap());
         assert!(!snap.ask("c", &[Value::int(105)], &NoDomains, &cfg).unwrap());
         assert!(snap.ask("c", &[Value::int(104)], &NoDomains, &cfg).unwrap());
+    }
+
+    #[test]
+    fn writers_free_retired_epochs_readers_never_do() {
+        let svc = service(SupportMode::WithSupports);
+        let held = svc.snapshot();
+        let held_weak = Arc::downgrade(&held);
+        for k in 0..200 {
+            svc.apply(UpdateBatch::deleting(vec![point(k % 10)]))
+                .expect("batch applies");
+            assert!(
+                svc.published.retired_len() <= 2,
+                "batch {k}: {} retired snapshots kept",
+                svc.published.retired_len()
+            );
+        }
+        // The held composite and the one shard snapshot it holds.
+        assert_eq!(svc.published.retired_len(), 2);
+        drop(held);
+        assert!(
+            held_weak.upgrade().is_some(),
+            "the reader's drop is not the last one"
+        );
+        svc.apply(UpdateBatch::new()).expect("batch applies");
+        assert_eq!(svc.published.retired_len(), 0);
+        assert_eq!(held_weak.strong_count(), 0, "the writer freed it");
     }
 
     #[test]
