@@ -1,7 +1,8 @@
 //! Constrained (non-ground) workload generators: layered interval
 //! programs whose views have controllable size, derivation depth and
-//! sharing — the workload family for the deletion/insertion experiments
-//! (E1, E3, E6).
+//! sharing — the workload family of the `paper` binary's `deletion`,
+//! `insertion` and `supports` sections, and of perfbench's `layered_*`
+//! workloads.
 
 use mmv_constraints::{CmpOp, Constraint, Term, Var};
 use mmv_core::{BodyAtom, Clause, ConstrainedAtom, ConstrainedDatabase};
@@ -103,8 +104,9 @@ pub fn layered_program(spec: &LayeredSpec) -> ConstrainedDatabase {
 }
 
 /// A random point-deletion request against a layer-0 predicate of the
-/// spec (the update workload of E1). The point is uniform over the
-/// value space, so it may or may not hit a fact interval.
+/// spec (the update of the `paper` binary's `deletion` sweep). The
+/// point is uniform over the value space, so it may or may not hit a
+/// fact interval.
 pub fn random_deletion(spec: &LayeredSpec, seed: u64) -> ConstrainedAtom {
     let mut rng = SmallRng::seed_from_u64(seed);
     let j = rng.gen_range(0..spec.preds_per_layer);
@@ -146,7 +148,7 @@ pub fn effective_deletion(spec: &LayeredSpec, seed: u64) -> ConstrainedAtom {
 }
 
 /// A random small-interval insertion request against a layer-0 predicate
-/// (the update workload of E3).
+/// (the updates of the `paper` binary's `insertion` section).
 pub fn random_insertion(spec: &LayeredSpec, seed: u64, width: i64) -> ConstrainedAtom {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
     let j = rng.gen_range(0..spec.preds_per_layer);
@@ -225,8 +227,8 @@ mod tests {
 
     #[test]
     fn effective_deletions_always_hit_a_fact() {
-        // Cover the bench configurations (E1 uses 8–16 facts/pred),
-        // not just the default spec.
+        // Cover the `paper` configurations (its batched deletion sweep
+        // uses 8–16 facts/pred), not just the default spec.
         for facts_per_pred in [4, 8, 16] {
             let spec = LayeredSpec {
                 facts_per_pred,

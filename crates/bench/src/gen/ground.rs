@@ -1,49 +1,11 @@
-//! Ground workload generators: random graphs and the classic Datalog
-//! programs over them (transitive closure — recursive; two-hop paths —
-//! nonrecursive), in both the ground engine's and the constrained
-//! engine's representations.
+//! Ground workload generators: the classic Datalog programs over an edge
+//! list (transitive closure — recursive; two-hop paths — nonrecursive),
+//! in both the ground engine's and the constrained engine's
+//! representations.
 
 use mmv_constraints::{Constraint, Term, Value, Var};
 use mmv_core::{BodyAtom, Clause, ConstrainedDatabase};
 use mmv_datalog::{DlAtom, DlProgram, DlRule, DlTerm, Fact};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-/// A random-digraph specification.
-#[derive(Debug, Clone, Copy)]
-pub struct GraphSpec {
-    /// Number of nodes (labelled `0..nodes`).
-    pub nodes: usize,
-    /// Number of edges (sampled uniformly, no self-loops, deduplicated).
-    pub edges: usize,
-    /// RNG seed (all generators are deterministic per seed).
-    pub seed: u64,
-}
-
-/// Samples a random edge set.
-pub fn random_edges(spec: &GraphSpec) -> Vec<(i64, i64)> {
-    assert!(spec.nodes >= 2, "need at least two nodes");
-    let mut rng = SmallRng::seed_from_u64(spec.seed);
-    let mut seen = std::collections::BTreeSet::new();
-    let mut out = Vec::with_capacity(spec.edges);
-    let mut attempts = 0usize;
-    while out.len() < spec.edges && attempts < spec.edges * 20 {
-        attempts += 1;
-        let a = rng.gen_range(0..spec.nodes) as i64;
-        let b = rng.gen_range(0..spec.nodes) as i64;
-        if a != b && seen.insert((a, b)) {
-            out.push((a, b));
-        }
-    }
-    out
-}
-
-/// A simple chain `0 -> 1 -> … -> n-1`.
-pub fn chain_edges(n: usize) -> Vec<(i64, i64)> {
-    (0..n.saturating_sub(1) as i64)
-        .map(|i| (i, i + 1))
-        .collect()
-}
 
 /// The recursive transitive-closure program over `edge` facts.
 pub fn tc_program(edges: &[(i64, i64)]) -> DlProgram {
@@ -99,8 +61,9 @@ fn edge_facts(edges: &[(i64, i64)]) -> Vec<Fact> {
 
 /// Translates a ground Datalog program into an equivalent constrained
 /// database: facts become constant-argument clauses, rules become
-/// constraint-free clauses. This is the bridge for the cross-engine
-/// equivalence experiments (E2).
+/// constraint-free clauses. This is the bridge `tests/ground_equivalence.rs`
+/// checks the two engines across, and perfbench's `tc_ground` workload
+/// prices (`core.dred.batch_ms` against `datalog.ground_dred_ms`).
 pub fn ground_to_constrained(p: &DlProgram) -> ConstrainedDatabase {
     let mut db = ConstrainedDatabase::new();
     for f in &p.edb {
@@ -135,35 +98,9 @@ mod tests {
     use mmv_core::{fixpoint, FixpointConfig, Operator, SupportMode};
 
     #[test]
-    fn generators_are_deterministic() {
-        let spec = GraphSpec {
-            nodes: 20,
-            edges: 30,
-            seed: 42,
-        };
-        assert_eq!(random_edges(&spec), random_edges(&spec));
-        assert_ne!(
-            random_edges(&spec),
-            random_edges(&GraphSpec { seed: 43, ..spec })
-        );
-    }
-
-    #[test]
-    fn no_self_loops_or_duplicates() {
-        let edges = random_edges(&GraphSpec {
-            nodes: 10,
-            edges: 40,
-            seed: 7,
-        });
-        let set: std::collections::BTreeSet<_> = edges.iter().collect();
-        assert_eq!(set.len(), edges.len());
-        assert!(edges.iter().all(|(a, b)| a != b));
-    }
-
-    #[test]
     fn ground_and_constrained_engines_agree_on_tc() {
-        let edges = chain_edges(6);
-        let p = tc_program(&edges);
+        let chain: Vec<(i64, i64)> = (0..5).map(|i| (i, i + 1)).collect();
+        let p = tc_program(&chain);
         let ground = mmv_datalog::evaluate(&p);
 
         let cdb = ground_to_constrained(&p);

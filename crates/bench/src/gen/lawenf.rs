@@ -29,19 +29,6 @@ pub struct LawEnfSpec {
     pub seed: u64,
 }
 
-impl Default for LawEnfSpec {
-    fn default() -> Self {
-        LawEnfSpec {
-            people: 20,
-            photos: 10,
-            faces_per_photo: 3,
-            near_dc_fraction: 0.5,
-            employee_fraction: 0.5,
-            seed: 7,
-        }
-    }
-}
-
 /// The generated world: domains registered in a manager plus the
 /// mediator database.
 pub struct LawEnfWorld {
@@ -49,8 +36,6 @@ pub struct LawEnfWorld {
     pub manager: DomainManager,
     /// Handle to the face package (for photo-set updates).
     pub face: FacePackage,
-    /// Handle to the phone-book catalog (paradox domain).
-    pub paradox: Arc<RwLock<Catalog>>,
     /// Handle to the employee catalog (dbase domain).
     pub dbase: Arc<RwLock<Catalog>>,
     /// The mediator (clauses (1)–(3) of the paper).
@@ -156,7 +141,7 @@ pub fn build(spec: &LawEnfSpec) -> LawEnfWorld {
     let mut manager = DomainManager::new();
     manager.register(Arc::new(face.extract_domain()));
     manager.register(Arc::new(face.db_domain()));
-    manager.register(Arc::new(RelationalDomain::new("paradox", paradox.clone())));
+    manager.register(Arc::new(RelationalDomain::new("paradox", paradox)));
     manager.register(Arc::new(RelationalDomain::new("dbase", dbase.clone())));
     manager.register(Arc::new(spatial));
 
@@ -186,7 +171,6 @@ pub fn build(spec: &LawEnfSpec) -> LawEnfWorld {
     LawEnfWorld {
         manager,
         face,
-        paradox,
         dbase,
         db,
         target: person_name(0),

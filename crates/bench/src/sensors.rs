@@ -1,5 +1,5 @@
-//! A synthetic "sensor network" domain for the external-update
-//! experiment (E4): `N` independent sensors whose readings change over
+//! A synthetic "sensor network" domain for the `paper` binary's
+//! `external` section: `N` independent sensors whose readings change over
 //! time. Each update to a sensor is an external change of the second
 //! kind — exactly the event Section 4's `W_P` strategy handles for free.
 //!
@@ -26,16 +26,6 @@ impl SensorDomain {
             readings: RwLock::new((0..n).map(|i| vec![i as i64]).collect()),
             version: AtomicU64::new(0),
         }
-    }
-
-    /// Number of sensors.
-    pub fn len(&self) -> usize {
-        read_clean(&self.readings).len()
-    }
-
-    /// Whether there are no sensors.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Overwrites sensor `i`'s readings (an external update).
@@ -135,7 +125,10 @@ mod tests {
         .join();
         // Reads and writes keep working: the poison is cleared, not
         // propagated.
-        assert_eq!(s.len(), 2);
+        assert_eq!(
+            s.call("read", &[Value::int(1)]),
+            ValueSet::finite([Value::int(1)])
+        );
         s.set(0, vec![42]);
         assert_eq!(
             s.call("read", &[Value::int(0)]),

@@ -255,7 +255,7 @@ impl Lit {
                 Some(!resolver.resolve(&c.domain, &c.func, &args).contains(&v))
             }
             Lit::Not(c) => {
-                // Negation semantics (see DESIGN.md §3): variables of the
+                // Negation semantics: variables of the
                 // inner conjunction that the assignment does not cover are
                 // *existentially quantified inside* the negation —
                 // `not(ψ)` over a region with auxiliary variables means

@@ -15,7 +15,9 @@
 //! definitive; `Unknown` arises from deferred DCA-atoms whose arguments
 //! never become ground, oversized candidate spaces, or exhausted witness
 //! budgets. Callers treat `Unknown` as "possibly satisfiable", which is
-//! sound for view maintenance (see DESIGN.md §3).
+//! sound for view maintenance: it can only keep an entry, or do work, that
+//! a definite verdict would have dropped, and instance enumeration stays
+//! exact, so no instance is lost or invented.
 
 use crate::constraint::{Call, CmpOp, Constraint, DomainResolver, Lit};
 use crate::fxhash::FxHashMap;

@@ -169,10 +169,9 @@ fn eliminate_local_existentials(
                 // ∃v̄ ¬(x in S(args)): with every variable of the literal
                 // local, this fails only if the membership held
                 // *universally* — impossible for proper (non-universal)
-                // set-valued domain functions, which is the documented
-                // assumption on [`crate::constraint::DomainResolver`]
-                // implementations (see DESIGN.md §3). Ground calls are
-                // checked exactly.
+                // set-valued domain functions, which this solver assumes
+                // of every [`crate::constraint::DomainResolver`]
+                // implementation. Ground calls are checked exactly.
                 Lit::NotIn(x, call) => {
                     let mut vs = Vec::new();
                     lit.collect_vars(&mut vs);

@@ -28,8 +28,9 @@ pub enum Truth {
     /// Definitely unsatisfiable.
     Unsat,
     /// Could not be decided within the configured budgets (treated as
-    /// "possibly satisfiable" by the maintenance algorithms — see
-    /// DESIGN.md §3 for why that is sound).
+    /// "possibly satisfiable" by the maintenance algorithms, which is
+    /// sound: at worst they keep an entry or do work a definite verdict
+    /// would have dropped, and instance enumeration stays exact).
     Unknown,
 }
 

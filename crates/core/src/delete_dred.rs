@@ -16,7 +16,8 @@
 //!    (clauses for the deleted predicate carry `not(Del)`), restricted to
 //!    derivations that can restore instances inside a `P_OUT` region —
 //!    the paper's step 3 with the `P''` pruning realized as a
-//!    region-overlap test (see DESIGN.md). This rederivation is the
+//!    region-overlap test (see "Cost follows the update" below). This
+//!    rederivation is the
 //!    expensive step StDel eliminates.
 //!
 //! # Cost follows the update

@@ -15,8 +15,8 @@
 //!   (Corollary 1). This is [`MaintenanceStrategy::WpDeferred`].
 //!
 //! [`MediatedMaterializedView`] packages a constrained database, a
-//! strategy and the current view, exposing the maintenance hook that
-//! experiments E4/E7 measure.
+//! strategy and the current view, exposing the maintenance hook that the
+//! `paper` binary's `external` and `mediator` sections measure.
 
 use crate::atom::ConstrainedAtom;
 use crate::delete_stdel::{stdel_delete, StDelError, StDelStats};

@@ -177,7 +177,8 @@ impl fmt::Debug for ParallelFixpoint {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FixpointError {
     /// The iteration budget was exhausted (likely a recursive program
-    /// with infinitely many derivations — see DESIGN.md §3).
+    /// with infinitely many derivations, such as supports around a
+    /// cycle, which never reaches a fixpoint).
     IterationBudget {
         /// Rounds executed.
         iterations: usize,

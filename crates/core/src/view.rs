@@ -5,8 +5,8 @@
 //! view: Extended DRed (Algorithm 1) works on duplicate-free views
 //! ([`SupportMode::Plain`]); StDel (Algorithm 2) requires every entry to
 //! carry its support ([`SupportMode::WithSupports`]). The mode is fixed at
-//! construction, which also gives experiment E6 (support overhead
-//! ablation) its two arms.
+//! construction, which also gives the `paper` binary's `supports` section
+//! (the support overhead ablation) its two arms.
 //!
 //! # The persistent store
 //!

@@ -6,8 +6,9 @@
 //! The paper improves on counting with StDel precisely because counting
 //! is **not applicable to recursive views** (a fact on a cycle can have
 //! infinitely many derivations). Construction therefore fails with
-//! [`Recursive`] on recursive programs — experiment E5 demonstrates this
-//! while StDel keeps working.
+//! [`Recursive`] on recursive programs (`recursive_program_rejected`
+//! below), while StDel maintains exactly such a view in perfbench's
+//! `tc_ground` workload (`core.stdel.batch_ms`).
 
 use crate::ast::{DlRule, Fact};
 use crate::database::Database;

@@ -1,7 +1,9 @@
 //! Ground DRed — the delete/rederive algorithm of Gupta, Mumick &
 //! Subrahmanian \[22\] that Section 3.1.1 of the paper extends to
 //! constraints. This is the baseline the Extended DRed and StDel
-//! algorithms are measured against (experiments E1, E2).
+//! algorithms are measured against (perfbench's `tc_ground` workload:
+//! `datalog.ground_dred_ms` beside `core.dred.batch_ms` and
+//! `core.stdel.batch_ms`).
 //!
 //! Given a materialized view `M` of a definite program and a set of EDB
 //! deletions/insertions:

@@ -1,7 +1,7 @@
 //! The face-recognition domains: `facextract` and `facedb`.
 //!
 //! The paper's law-enforcement mediator (Example 1) calls a proprietary
-//! pattern-recognition package. Substitution (DESIGN.md §5): surveillance
+//! pattern-recognition package. Substitution: surveillance
 //! photos carry *synthetic face ids*; `segmentface` "extracts" them by
 //! enumeration, producing `{file, origin}` records exactly like the
 //! paper's `(<resultfile, origin>)` pairs; `matchface` compares the

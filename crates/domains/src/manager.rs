@@ -44,8 +44,8 @@ pub trait Domain: Send + Sync {
 
 type CacheKey = (Arc<str>, Arc<str>, Vec<Value>);
 
-/// Statistics counters for domain-call traffic (used by the experiment
-/// harnesses to report query-time evaluation cost).
+/// Statistics counters for domain-call traffic: the cost of query-time
+/// evaluation.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CallStats {
     /// Calls answered from the memo cache.

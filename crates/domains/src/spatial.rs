@@ -1,7 +1,7 @@
 //! The spatial domain: a stand-in for the paper's "spatial data
 //! management system" (`spatialdb:locateaddress`, `spatialdb:range`).
 //!
-//! Substitution (DESIGN.md §5): the real system geocoded addresses to map
+//! Substitution: the real system geocoded addresses to map
 //! coordinates. We geocode *deterministically* by hashing the address
 //! fields onto a bounded grid — the mediator's observable behaviour (a
 //! set-valued function from address to point, plus range predicates over

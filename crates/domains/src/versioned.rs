@@ -6,7 +6,8 @@
 //! exactly which values appeared (`plus`) and disappeared (`minus`) per
 //! call. The paper uses these sets to *analyse* the effect of external
 //! updates on a `T_P`-materialized view (the `ADD`/`REM` sets); the `W_P`
-//! strategy never needs them — which experiment E4 quantifies.
+//! strategy never needs them — which the `paper` binary's `external`
+//! section measures.
 
 use crate::manager::DomainManager;
 use mmv_constraints::{DomainResolver, Value, ValueSet};

@@ -1,8 +1,9 @@
 //! # mmv-storage
 //!
 //! In-memory relational storage backing the simulated external databases
-//! of the mediated system (the paper integrates PARADOX / DBASE / INGRES
-//! tables; see DESIGN.md §5 for the substitution argument).
+//! of the mediated system. The paper integrates PARADOX / DBASE / INGRES
+//! tables; the mediator sees them only through set-valued domain calls,
+//! so an in-memory store answering the same calls stands in for them.
 //!
 //! The storage layer provides typed tables with hash indexes, a named
 //! catalog, and versioned change capture. Change capture is what the

@@ -27,8 +27,9 @@
 //!   DRed, counting, recomputation).
 //!
 //! See `examples/` for runnable scenarios (start with
-//! `cargo run --example quickstart`) and DESIGN.md / EXPERIMENTS.md for
-//! the reproduction map.
+//! `cargo run --example quickstart`), and README.md for the workspace map
+//! and the table from each of the paper's algorithms to its module and
+//! measurement.
 
 pub use mmv_constraints as constraints;
 pub use mmv_core as core;

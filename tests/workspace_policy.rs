@@ -66,6 +66,46 @@ fn atomic_orderings_are_justified_and_never_seqcst() {
     );
 }
 
+/// A comment that cites a document (`NAME.md`) cites one the repository
+/// has, at the root or beside the citing crate's manifest: a reader sent
+/// to a missing file learns nothing, so the comment must state its reason
+/// itself.
+#[test]
+fn cited_documents_exist() {
+    let mut files = Vec::new();
+    sources(&Path::new(ROOT).join("src"), &mut files);
+    for krate in fs::read_dir(Path::new(ROOT).join("crates")).unwrap() {
+        sources(&krate.unwrap().path().join("src"), &mut files);
+    }
+    let mut missing = Vec::new();
+    for file in files {
+        let krate = file
+            .ancestors()
+            .find(|d| d.join("Cargo.toml").is_file())
+            .unwrap();
+        let text = fs::read_to_string(&file).unwrap();
+        for (i, line) in text.lines().enumerate() {
+            let Some((_, comment)) = line.split_once("//") else {
+                continue;
+            };
+            let words = comment.split(|c: char| !(c.is_alphanumeric() || "_-./".contains(c)));
+            for doc in words.map(|w| w.trim_end_matches('.')) {
+                if doc.ends_with(".md")
+                    && !Path::new(ROOT).join(doc).is_file()
+                    && !krate.join(doc).is_file()
+                {
+                    missing.push(format!("{}:{}: {doc}", file.display(), i + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "comments cite documents that do not exist:\n{}",
+        missing.join("\n")
+    );
+}
+
 /// `[workspace.lints]` bind only the members that opt in, so a crate
 /// without `[lints] workspace = true` would escape `forbid(unsafe_code)`
 /// and the rest silently.
