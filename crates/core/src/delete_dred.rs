@@ -37,8 +37,17 @@
 //! over-deletes nothing that can come back enumerates almost nothing.
 //! The pre-check is a necessary condition only — it drops exactly
 //! candidates the solver would have refuted — so the maintained view is
-//! the one the whole-predicate scans produced. What still walks every
-//! clause per batch is the `P_OUT` unfolding's pass over the rules.
+//! the one the whole-predicate scans produced.
+//!
+//! # `P_OUT` is a program
+//!
+//! The unfolding has no loop of its own. It is the over-deletion program
+//! of ground DRed \[22\] (`°h ← b1,…,°bi,…,bn` for every rule and body
+//! position, `°` a reserved marker), run by `tp::propagate` over a
+//! scratch clone of the view with `Del` under marked predicates as the
+//! first delta; see `Run::unfold`. Its rounds take whichever executor
+//! the round driver picks, as rederivation's and `P_ADD`'s do. Building
+//! that program still walks every clause of `P`, once per batch.
 
 use crate::atom::{ConstrainedAtom, Overlap};
 use crate::bounds::ArgBounds;
@@ -46,11 +55,11 @@ use crate::program::{Clause, ClauseId, ConstrainedDatabase};
 // The blind rewrite is the declarative spec: it lives with the oracles.
 pub use crate::semantics::rewrite_for_deletion;
 use crate::tp::{
-    collect_combos, derive, derive_combo, Candidate, DeltaSource, Derivation, Engine, EngineStats,
-    FixpointConfig, FixpointError, FixpointStats, Gate, Split, ATOM_SLOT,
+    derive, derive_combo, propagate, Candidate, Derivation, Engine, EngineStats, FixpointConfig,
+    FixpointError, FixpointStats, Gate, Operator, Split,
 };
-use crate::view::{canonicalize, EntryId, MaterializedView, SupportMode};
-use mmv_constraints::fxhash::{FxHashMap, FxHashSet};
+use crate::view::{EntryId, MaterializedView, SupportMode};
+use mmv_constraints::fxhash::FxHashMap;
 use mmv_constraints::{
     satisfiable_with, Constraint, DomainResolver, Lit, SolverConfig, Term, Truth, ValueSet, VarGen,
 };
@@ -106,7 +115,13 @@ pub enum DredError {
     /// The view must be duplicate-free (`SupportMode::Plain`).
     NeedsPlainView,
     /// A fixpoint budget was exhausted during unfolding or rederivation.
+    /// The unfolding runs over a scratch copy of the view, so there the
+    /// entry budget counts the view's entries plus `P_OUT`'s.
     Budget(FixpointError),
+    /// A predicate of the database or the view already carries the
+    /// marker the `P_OUT` unfolding reserves for its own predicates; the
+    /// deletion is refused before anything changes.
+    ReservedPredicate(Arc<str>),
 }
 
 impl fmt::Display for DredError {
@@ -116,6 +131,10 @@ impl fmt::Display for DredError {
                 write!(f, "Extended DRed requires a SupportMode::Plain view")
             }
             DredError::Budget(e) => write!(f, "{e}"),
+            DredError::ReservedPredicate(pred) => write!(
+                f,
+                "predicate `{pred}` uses the marker `{MARK}` Extended DRed reserves for P_OUT"
+            ),
         }
     }
 }
@@ -296,76 +315,7 @@ impl Run<'_> {
         }
 
         // ---- Step 1: unfold P_OUT ----------------------------------------
-        let mut pout: Vec<ConstrainedAtom> = Vec::new();
-        let mut seen: FxHashSet<ConstrainedAtom> = FxHashSet::default();
-        for d in &del {
-            seen.insert(canonicalize(d));
-            pout.push(d.clone());
-        }
-        let mut delta: Vec<ConstrainedAtom> = del.clone();
-        let mut combos: Vec<EntryId> = Vec::new();
-        let mut rounds = 0usize;
-        while !delta.is_empty() {
-            rounds += 1;
-            if rounds > self.config.max_iterations {
-                return Err(DredError::Budget(FixpointError::IterationBudget {
-                    iterations: rounds,
-                }));
-            }
-            let mut next: Vec<ConstrainedAtom> = Vec::new();
-            for (_, clause) in db.clauses() {
-                let n = clause.body.len();
-                if n == 0 {
-                    continue;
-                }
-                // Exactly one body position from the delta, the rest from M
-                // (probed through the view's constant-argument index).
-                for dpos in 0..n {
-                    for dm in delta.iter().filter(|a| a.pred == clause.body[dpos].pred) {
-                        combos.clear();
-                        collect_combos(
-                            view,
-                            &clause.body,
-                            dpos,
-                            &[],
-                            &DeltaSource::Atom(dm),
-                            None,
-                            &mut self.joins,
-                            &mut combos,
-                        );
-                        for chunk in combos.chunks_exact(n) {
-                            let derived = {
-                                let children: Vec<&ConstrainedAtom> = chunk
-                                    .iter()
-                                    .map(|&id| {
-                                        if id == ATOM_SLOT {
-                                            dm
-                                        } else {
-                                            &view.entry(id).atom
-                                        }
-                                    })
-                                    .collect();
-                                derive(clause, &children, gen)
-                            };
-                            if let Some(derived) = derived {
-                                if !self.unsat(&derived.atom.constraint)
-                                    && seen.insert(canonicalize(&derived.atom))
-                                {
-                                    next.push(derived.atom);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            pout.extend(next.iter().cloned());
-            if pout.len() > self.config.max_entries {
-                return Err(DredError::Budget(FixpointError::EntryBudget {
-                    entries: pout.len(),
-                }));
-            }
-            delta = next;
-        }
+        let pout = self.unfold(db, view, gen, &del)?;
         self.stats.pout_atoms = pout.len();
 
         // ---- Step 2: over-delete to M' ------------------------------------
@@ -424,6 +374,64 @@ impl Run<'_> {
             regions,
             touched,
         })
+    }
+
+    /// Step 1, `P_OUT`: the least fixpoint of "exactly one child from the
+    /// previous layer, the rest from `M`", as one `T_P` run of the
+    /// over-deletion program (see [`over_deletion_program`]) over a
+    /// scratch clone of `view` whose first delta is `Del` under marked
+    /// predicates. Each program rule marks one position and only marked
+    /// atoms ever enter the delta, so every other position draws from
+    /// `M`; plain-mode `insert` drops a canonical duplicate; `T_P`
+    /// admission drops an unsolvable derivation. Returns `Del` as given,
+    /// then the unfolded atoms in derivation order, unmarked. The scratch is gone
+    /// before the caller weakens `view`, so none of its pages stay
+    /// shared.
+    fn unfold(
+        &mut self,
+        db: &ConstrainedDatabase,
+        view: &MaterializedView,
+        gen: &mut VarGen,
+        del: &[ConstrainedAtom],
+    ) -> Result<Vec<ConstrainedAtom>, DredError> {
+        let program = over_deletion_program(db, view)?;
+        let mut scratch = view.clone();
+        let mut delta: Vec<EntryId> = Vec::with_capacity(del.len());
+        for d in del {
+            let atom = ConstrainedAtom {
+                pred: mark(&d.pred, db, view)?,
+                ..d.clone()
+            };
+            delta.extend(scratch.insert(atom, None, Vec::new()));
+        }
+        let unfolded = scratch.entry_slots();
+        *scratch.var_gen_mut() = std::mem::take(gen);
+        let mut joins = FixpointStats::default();
+        let result = propagate(
+            &program,
+            self.resolver,
+            Operator::Tp,
+            &mut scratch,
+            delta,
+            self.config,
+            &mut joins,
+        );
+        *gen = std::mem::take(scratch.var_gen_mut());
+        result.map_err(DredError::Budget)?;
+        // Every derivation that was not syntactically false met the `T_P`
+        // solvability test.
+        self.stats.solver_calls += joins.derivations_tried - joins.pruned_syntactic;
+        self.joins.absorb(&joins);
+        let mut pout = del.to_vec();
+        pout.extend((unfolded..scratch.entry_slots()).map(|id| {
+            let atom = &scratch.entry(id).atom;
+            ConstrainedAtom {
+                pred: Arc::from(&atom.pred[MARK.len()..]),
+                args: atom.args.clone(),
+                constraint: atom.constraint.clone(),
+            }
+        }));
+        Ok(pout)
     }
 
     /// Step 3: rederive within the `P_OUT` regions — `T_{P''} ↑ ω (M')`,
@@ -547,6 +555,49 @@ impl Run<'_> {
         }
         out
     }
+}
+
+/// The reserved predicate marker of the over-deletion program: `°p`
+/// holds the `P_OUT` atoms of `p`.
+const MARK: &str = "°";
+
+/// `°pred`, refused if `pred` already carries the marker or the
+/// database or view already uses the marked name: the unfolding would
+/// join that predicate's entries as `P_OUT` atoms.
+fn mark(
+    pred: &str,
+    db: &ConstrainedDatabase,
+    view: &MaterializedView,
+) -> Result<Arc<str>, DredError> {
+    if pred.starts_with(MARK) {
+        return Err(DredError::ReservedPredicate(Arc::from(pred)));
+    }
+    let marked: Arc<str> = Arc::from(format!("{MARK}{pred}"));
+    if !view.entries_for_pred(&marked).is_empty() || !db.clauses_for_head(&marked).is_empty() {
+        return Err(DredError::ReservedPredicate(marked));
+    }
+    Ok(marked)
+}
+
+/// The over-deletion program — the δ⁻ rules of ground DRed \[22\]: for
+/// each rule `h ← b1,…,bn` of `db` and each position `i`,
+/// `°h ← b1,…,°bi,…,bn`, in `db` order, then position order (the order
+/// the round driver's splits come in). Facts emit nothing.
+fn over_deletion_program(
+    db: &ConstrainedDatabase,
+    view: &MaterializedView,
+) -> Result<ConstrainedDatabase, DredError> {
+    let mut program = ConstrainedDatabase::new();
+    for (_, rule) in db.clauses().filter(|(_, c)| !c.body.is_empty()) {
+        let head_pred = mark(&rule.head_pred, db, view)?;
+        for i in 0..rule.body.len() {
+            let mut clause = rule.clone();
+            clause.head_pred = head_pred.clone();
+            clause.body[i].pred = mark(&rule.body[i].pred, db, view)?;
+            program.push(clause);
+        }
+    }
+    Ok(program)
 }
 
 /// The delta rederivation starts from: per rule of `program` and per
@@ -678,7 +729,8 @@ impl Gate for RederiveGate {
 mod tests {
     use super::*;
     use crate::program::BodyAtom;
-    use crate::tp::{fixpoint, Operator};
+    use crate::tp::fixpoint;
+    use crate::view::canonicalize;
     use mmv_constraints::{CmpOp, NoDomains, SolverConfig, Term, Value, Var};
 
     fn x() -> Term {
@@ -742,8 +794,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(stats.del_atoms, 1);
-        // Overestimate covers B, A-via-B, C-via-A (Del + 2 unfolded).
-        assert!(stats.pout_atoms >= 3, "pout = {}", stats.pout_atoms);
+        // The overestimate is exactly B@6, A@6 via B, C@6 via A: Del plus
+        // two unfolded.
+        assert_eq!(stats.pout_atoms, 3);
         let cfg = SolverConfig::default();
         // B lost 6.
         assert!(view
@@ -934,6 +987,31 @@ mod tests {
             ),
             Err(DredError::NeedsPlainView)
         );
+    }
+
+    #[test]
+    fn marked_predicate_is_refused() {
+        // `°B` would be joined as if it held P_OUT atoms of `B`.
+        let mut db = example4_db();
+        db.push(Clause::fact(
+            "°B",
+            vec![x()],
+            Constraint::cmp(x(), CmpOp::Ge, Term::int(0)),
+        ));
+        let mut view = build_plain(&db);
+        let before = view.clone();
+        let deletion = ConstrainedAtom::new("B", vec![x()], Constraint::eq(x(), Term::int(6)));
+        assert_eq!(
+            dred_delete(
+                &db,
+                &mut view,
+                &deletion,
+                &NoDomains,
+                &FixpointConfig::default()
+            ),
+            Err(DredError::ReservedPredicate(Arc::from("°B")))
+        );
+        assert!(view.syntactically_equal(&before));
     }
 
     #[test]

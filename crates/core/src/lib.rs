@@ -97,8 +97,5 @@ pub use semantics::{
 pub use shard::{ShardId, ShardMap, ShardPart, ShardSpec};
 pub use store::{SharedMap, SharedVec};
 pub use support::{Producer, Support};
-pub use tp::{
-    fixpoint, fixpoint_seeded, FixpointConfig, FixpointError, FixpointStats, Operator,
-    ParallelFixpoint,
-};
+pub use tp::{fixpoint, FixpointConfig, FixpointError, FixpointStats, Operator, ParallelFixpoint};
 pub use view::{EntryId, GroundFact, InstanceError, MaterializedView, ShareStats, SupportMode};

@@ -3,9 +3,9 @@
 //! Writer lanes already parallelize maintenance *across* independent
 //! clause components; a [`WorkerPool`] parallelizes *within* one — the
 //! independent `(clause, delta-position)` splits of a semi-naive round
-//! (propagation or Extended DRed's rederivation; one driver in
-//! [`tp`][crate::tp] runs both) are tasks that only read a frozen
-//! pre-round view. One pool is shared by
+//! (propagation, and with it Extended DRed's `P_OUT` unfolding, or its
+//! rederivation; one driver in [`tp`][crate::tp] runs them all) are
+//! tasks that only read a frozen pre-round view. One pool is shared by
 //! every lane of a service, so a skewed workload (one hot component)
 //! still saturates the machine.
 //!

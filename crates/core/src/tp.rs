@@ -56,7 +56,12 @@
 //! through the same `Engine`. An engine contributes only its `Gate`:
 //! support-dedup → `derive` → operator admission for propagation;
 //! `derive` → "overlaps a `P_OUT` region" → solvable for rederivation
-//! (in `delete_dred`).
+//! (in `delete_dred`). Extended DRed's `P_OUT` unfolding is neither a
+//! third engine nor a mode of one: it is a *program*, the over-deletion
+//! rules `°h ← b1,…,°bi,…,bn`, that `propagate` runs with the `T_P` gate
+//! over a scratch clone of the view whose first delta is `Del` under
+//! marked predicates. Every delta the driver sees is therefore a list of
+//! view entries.
 //!
 //! The splits of one round are mutually independent — each enumerates
 //! against the round-start state (the scope's watermark hides whatever
@@ -127,7 +132,9 @@ pub struct FixpointConfig {
     pub solver: SolverConfig,
     /// Maximum semi-naive rounds before giving up.
     pub max_iterations: usize,
-    /// Maximum live view entries before giving up.
+    /// Maximum live view entries before giving up. Extended DRed's
+    /// `P_OUT` unfolding runs over a scratch copy of the view, so there
+    /// it counts the view's entries plus `P_OUT`'s.
     pub max_entries: usize,
     /// Intra-round parallelism: when set (and the pool has more than
     /// one thread), each round's independent `(clause, delta-position)`
@@ -314,7 +321,8 @@ pub(crate) fn derive(
     })
 }
 
-/// Computes the least fixpoint `op ↑ ω (∅)` of the database.
+/// Computes the least fixpoint `op ↑ ω (∅)` of the database: the
+/// constrained facts (empty-body clauses) form the first delta.
 pub fn fixpoint(
     db: &ConstrainedDatabase,
     resolver: &dyn DomainResolver,
@@ -322,26 +330,9 @@ pub fn fixpoint(
     mode: SupportMode,
     config: &FixpointConfig,
 ) -> Result<(MaterializedView, FixpointStats), FixpointError> {
-    let view = MaterializedView::new(mode, db.fresh_gen());
-    fixpoint_seeded(db, resolver, op, view, config)
-}
-
-/// Continues fixpoint iteration from an existing interpretation (used by
-/// Extended DRed's rederivation `T_{P''} ↑ ω (M')` and by tests).
-/// The seed's live entries form the initial delta; clause facts are
-/// (re)derived as usual and deduplicated against the seed.
-pub fn fixpoint_seeded(
-    db: &ConstrainedDatabase,
-    resolver: &dyn DomainResolver,
-    op: Operator,
-    mut view: MaterializedView,
-    config: &FixpointConfig,
-) -> Result<(MaterializedView, FixpointStats), FixpointError> {
+    let mut view = MaterializedView::new(mode, db.fresh_gen());
     let mut stats = FixpointStats::default();
-    let mode = view.mode();
-    let mut delta: Vec<EntryId> = view.live_entries().map(|(id, _)| id).collect();
-
-    // Round 0: constrained facts (empty-body clauses).
+    let mut delta: Vec<EntryId> = Vec::new();
     for (cid, clause) in db.clauses() {
         if !clause.body.is_empty() {
             continue;
@@ -360,7 +351,6 @@ pub fn fixpoint_seeded(
             delta.push(id);
         }
     }
-
     propagate(db, resolver, op, &mut view, delta, config, &mut stats)?;
     Ok((view, stats))
 }
@@ -441,32 +431,11 @@ fn group_by_pred(view: &MaterializedView, ids: &[EntryId]) -> FxHashMap<Arc<str>
     out
 }
 
-/// What the distinguished (delta) body position of a combination draws
-/// from.
-pub(crate) enum DeltaSource<'a> {
-    /// Ids of this round's delta entries of the position's predicate.
-    Entries(&'a [EntryId]),
-    /// One external atom not stored in the view (DRed's `P_OUT`
-    /// unfolding); combinations carry [`ATOM_SLOT`] at the delta
-    /// position.
-    Atom(&'a ConstrainedAtom),
-}
-
-/// Sentinel id marking the delta position of a [`DeltaSource::Atom`]
-/// combination.
-pub(crate) const ATOM_SLOT: EntryId = EntryId::MAX;
-
 struct ComboCtx<'a> {
     view: &'a MaterializedView,
     body: &'a [BodyAtom],
-    dpos: usize,
-    /// Body positions already consumed as the delta by earlier splits of
-    /// this round's plan: they draw from the frozen round's *non-delta*
-    /// entries ("old"), every other non-delta position from all frozen
-    /// entries ("all") — see [`delta_plan`].
-    older: &'a [usize],
-    delta: &'a DeltaSource<'a>,
-    scope: Option<&'a RoundScope>,
+    split: &'a Split<'a>,
+    scope: &'a RoundScope,
     /// Visit order of body positions: the delta position first (it is
     /// the most selective source and its bindings prune every other
     /// position), then the rest by ascending estimated probe
@@ -536,33 +505,21 @@ fn combos_rec(
     let i = ctx.order[depth];
     let atom = &ctx.body[i];
     let mark = trail.len();
-    if i == ctx.dpos {
-        match ctx.delta {
-            DeltaSource::Entries(ids) => {
-                stats.candidates_scanned += ids.len();
-                // One delta list holds one predicate's entries, so the
-                // liveness set is resolved once, not per candidate.
-                let live = ctx.view.live_set(&atom.pred);
-                for &id in *ids {
-                    let e = ctx.view.entry(id);
-                    if live.is_some_and(|s| s.contains_key(&id))
-                        && bind_child(atom, &e.atom.args, bindings, trail)
-                    {
-                        combo.push(id);
-                        combos_rec(ctx, stats, bindings, trail, combo, out);
-                        combo.pop();
-                    }
-                    unwind(bindings, trail, mark);
-                }
+    if i == ctx.split.dpos {
+        stats.candidates_scanned += ctx.split.delta.len();
+        // One delta list holds one predicate's entries, so the liveness
+        // set is resolved once, not per candidate.
+        let live = ctx.view.live_set(&atom.pred);
+        for &id in ctx.split.delta {
+            let e = ctx.view.entry(id);
+            if live.is_some_and(|s| s.contains_key(&id))
+                && bind_child(atom, &e.atom.args, bindings, trail)
+            {
+                combo.push(id);
+                combos_rec(ctx, stats, bindings, trail, combo, out);
+                combo.pop();
             }
-            DeltaSource::Atom(a) => {
-                if bind_child(atom, &a.args, bindings, trail) {
-                    combo.push(ATOM_SLOT);
-                    combos_rec(ctx, stats, bindings, trail, combo, out);
-                    combo.pop();
-                }
-                unwind(bindings, trail, mark);
-            }
+            unwind(bindings, trail, mark);
         }
         return;
     }
@@ -586,12 +543,11 @@ fn combos_rec(
     // the remaining positions from all pre-round entries — each
     // combination enumerated exactly once per round. Whether *this*
     // position excludes the delta is fixed for the whole candidate loop.
-    let excludes_delta = ctx.older.contains(&i);
+    let excludes_delta = ctx.split.older.contains(&i);
+    let sc = ctx.scope;
     for id in cands.iter() {
-        if let Some(sc) = ctx.scope {
-            if id >= sc.watermark || (excludes_delta && sc.in_delta(id)) {
-                continue;
-            }
+        if id >= sc.watermark || (excludes_delta && sc.in_delta(id)) {
+            continue;
         }
         let e = ctx.view.entry(id);
         if bind_child(atom, &e.atom.args, bindings, trail) {
@@ -632,14 +588,11 @@ fn delta_plan(
     plan.sort_unstable_by_key(|&i| (delta_by_pred.get(&body[i].pred).map_or(0, |d| d.len()), i));
 }
 
-/// Collects every combination of children for `body` where position
-/// `dpos` draws from `delta`: under a round scope, the positions listed
-/// in `older` (earlier splits of the round's [`delta_plan`]) draw from
-/// the frozen round's non-delta entries and every other position from
-/// all frozen entries; without a scope, all draw from all live entries.
-/// Combinations are appended to `out` as flat chunks of `body.len()`
-/// entry ids, so the caller can materialize, dedup, derive and insert
-/// without this function holding any borrow of the view.
+/// Collects every combination of children of `split`'s clause body (see
+/// [`Split`]) under the round's `scope`. Combinations are appended to
+/// `out` as flat chunks of `body.len()` entry ids, so the caller can
+/// materialize, dedup, derive and insert without this function holding
+/// any borrow of the view.
 ///
 /// Join planning: the delta position is always visited first (its
 /// bindings prune every later position), and the remaining positions
@@ -647,28 +600,21 @@ fn delta_plan(
 /// the candidate list the view's constant-argument index would return
 /// for the position's constant arguments with the delta position's
 /// bindings folded in: a variable the delta will bind to a constant is
-/// treated as bound for estimation (for a [`DeltaSource::Atom`] the
-/// bindings are exact; for [`DeltaSource::Entries`] the first delta
-/// entry serves as the representative). Positions with no binding fall
-/// back to the full per-predicate live count. Visiting selective
-/// positions early shrinks the enumeration tree; ties fall back to
-/// clause order, keeping the plan deterministic. Only the visit order
-/// changes — the enumerated combination set is identical under any
-/// order, which the `engine_equivalence` proptest pins.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the round's planning inputs, passed apart to keep borrows disjoint"
-)]
-pub(crate) fn collect_combos(
+/// treated as bound for estimation, with the first delta entry as the
+/// representative. Positions with no binding fall back to the full
+/// per-predicate live count. Visiting selective positions early shrinks
+/// the enumeration tree; ties fall back to clause order, keeping the
+/// plan deterministic. Only the visit order changes — the enumerated
+/// combination set is identical under any order, which the
+/// `engine_equivalence` proptest pins.
+fn collect_combos(
     view: &MaterializedView,
-    body: &[BodyAtom],
-    dpos: usize,
-    older: &[usize],
-    delta: &DeltaSource<'_>,
-    scope: Option<&RoundScope>,
+    split: &Split<'_>,
+    scope: &RoundScope,
     stats: &mut FixpointStats,
     out: &mut Vec<EntryId>,
 ) {
+    let (body, dpos) = (split.clause.body.as_slice(), split.dpos);
     let mut order: Vec<usize> = Vec::with_capacity(body.len());
     order.push(dpos);
     // Bindings the delta position will impose once visited, used purely
@@ -676,11 +622,8 @@ pub(crate) fn collect_combos(
     // map on conflict is fine — estimates steer order, never content).
     let mut est_bindings: FxHashMap<Var, Value> = FxHashMap::default();
     let mut est_trail: Vec<Var> = Vec::new();
-    let delta_args = match delta {
-        DeltaSource::Atom(a) => Some(a.args.as_slice()),
-        DeltaSource::Entries(ids) => ids.first().map(|&id| view.entry(id).atom.args.as_slice()),
-    };
-    if let Some(args) = delta_args {
+    if let Some(&first) = split.delta.first() {
+        let args = &view.entry(first).atom.args;
         let _ = bind_child(&body[dpos], args, &mut est_bindings, &mut est_trail);
     }
     let mut rest: Vec<(usize, usize)> = (0..body.len())
@@ -704,9 +647,7 @@ pub(crate) fn collect_combos(
     let ctx = ComboCtx {
         view,
         body,
-        dpos,
-        older,
-        delta,
+        split,
         scope,
         order: &order,
     };
@@ -852,7 +793,8 @@ pub(crate) fn derive_combo(
 /// `dpos` draws from `delta` (this round's delta entries of that
 /// position's predicate), the positions in `older` — the delta of
 /// earlier splits of the same clause's [`delta_plan`] — from the frozen
-/// non-delta entries, and every other position from all frozen entries.
+/// *non-delta* entries ("old"), and every other position from all
+/// frozen entries ("all").
 pub(crate) struct Split<'a> {
     pub cid: ClauseId,
     pub clause: &'a Clause,
@@ -912,16 +854,7 @@ fn run_split<G: Gate>(
 ) -> SplitOutput {
     let mut stats = EngineStats::default();
     let mut combos: Vec<EntryId> = Vec::new();
-    collect_combos(
-        view,
-        &split.clause.body,
-        split.dpos,
-        &split.older,
-        &DeltaSource::Entries(split.delta),
-        Some(scope),
-        &mut stats.fixpoint,
-        &mut combos,
-    );
+    collect_combos(view, split, scope, &mut stats.fixpoint, &mut combos);
     let candidates = combos
         .chunks_exact(split.clause.body.len())
         .filter_map(|chunk| gate.admit(view, split, chunk, resolver, gen, &mut stats))
@@ -1451,20 +1384,34 @@ mod tests {
             &cfg,
         )
         .unwrap();
-        // Inject an extra fact entry, then re-run: everything survives.
+        // Inject an extra fact entry, then propagate from it: everything
+        // survives.
         let extra = ConstrainedAtom::new(
             "A",
             vec![Term::var(Var(900))],
             Constraint::eq(Term::var(Var(900)), Term::int(99)),
         );
         let ticket = seed.fresh_external_ticket();
-        seed.insert(
-            extra,
-            Some(Support::leaf(Producer::External(ticket))),
-            vec![],
-        );
+        let injected = seed
+            .insert(
+                extra,
+                Some(Support::leaf(Producer::External(ticket))),
+                vec![],
+            )
+            .expect("fresh entry");
         let before = seed.len();
-        let (closed, _) = fixpoint_seeded(&db, &NoDomains, Operator::Tp, seed, &cfg).unwrap();
+        let mut closed = seed;
+        let mut stats = FixpointStats::default();
+        propagate(
+            &db,
+            &NoDomains,
+            Operator::Tp,
+            &mut closed,
+            vec![injected],
+            &cfg,
+            &mut stats,
+        )
+        .unwrap();
         // The new A atom feeds clause 4 (C(X) <- A(X)): at least one new
         // derivation appears.
         assert!(closed.len() > before);

@@ -79,7 +79,7 @@
 //! to keep in step, and the test only ever drops entries the solver
 //! would have refuted — the maintained view is the same, entry for
 //! entry. Reads do not select yet: [`MaterializedView::query`] still
-//! walks the predicate and enumerates every entry (ROADMAP item 3 has
+//! walks the predicate and enumerates every entry (ROADMAP item 2 has
 //! the measured switch and what holds it back).
 //!
 //! [`MaterializedView::share_stats`] reports how many entry pages /

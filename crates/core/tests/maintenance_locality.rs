@@ -10,7 +10,9 @@
 //! every other entry, region and clause before the solver is asked.
 //! StDel's upward step is held to the same rule at a third size, 4,096:
 //! it visits the entries that depend on the deletion, the same ones at
-//! every size, not every live entry. The resulting views are checked
+//! every size, not every live entry. So is Extended DRed: its `P_OUT`,
+//! the entries it weakens and rederives, and the candidates its joins
+//! scan are the same at all three sizes. The resulting views are checked
 //! against the declarative oracle.
 
 use mmv_constraints::{CmpOp, Constraint, NoDomains, Term, Var};
@@ -23,7 +25,9 @@ use std::sync::Arc;
 
 const LAYERS: usize = 2;
 const PREDS_PER_LAYER: usize = 2;
-const VALUE_SPACE: i64 = 1000;
+/// Holds 4,096 distinct interval starts per predicate, so a plain view
+/// folds no facts at the largest size either.
+const VALUE_SPACE: i64 = 8192;
 const INTERVAL_WIDTH: i64 = 8;
 /// Beyond every program interval (those end below `VALUE_SPACE +
 /// INTERVAL_WIDTH`).
@@ -205,5 +209,18 @@ fn stdel_solver_calls_do_not_scale_with_the_view() {
 
 #[test]
 fn dred_solver_calls_do_not_scale_with_the_view() {
-    solver_calls_do_not_scale_with_the_view(SupportMode::Plain);
+    let (small, large) = solver_calls_do_not_scale_with_the_view(SupportMode::Plain);
+    let huge = maintained(4096, SupportMode::Plain, &FixpointConfig::default());
+    // `(P_OUT, weakened, rederived, candidates scanned)`.
+    let visited = |stats: &BatchStats| match stats.deletes {
+        DeleteStats::Dred(d) => (d.pout_atoms, d.weakened, d.rederived, d.candidates_scanned),
+        _ => panic!("a plain view deletes by Extended DRed"),
+    };
+    let at_64 = visited(&small);
+    assert!(at_64.0 > 0, "the deletion unfolds");
+    assert_eq!(
+        (visited(&large), visited(&huge)),
+        (at_64, at_64),
+        "Extended DRed's work at 512 and 4,096 facts per predicate"
+    );
 }

@@ -68,7 +68,7 @@ fn spec_strategy() -> impl Strategy<Value = ProgramSpec> {
         let preds = facts.len();
         let layers = proptest::collection::vec(
             proptest::collection::vec(
-                proptest::collection::vec(0..preds, 1..3usize),
+                proptest::collection::vec(0..preds, 1..=3usize),
                 preds..=preds,
             ),
             1..3usize,
