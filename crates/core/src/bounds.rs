@@ -12,11 +12,21 @@
 //! unsolvable and neither the tying nor the solver call is needed. The
 //! test is a necessary condition only: bounds that meet decide nothing.
 //!
-//! Bounds are computed on the fly from the atom — nothing is stored, so
-//! there is no index to keep in step with the copy-on-write store.
+//! A request's bounds are read on the fly from its atom. The stored side
+//! is filed: each view entry (at each non-constant argument) and each
+//! fact clause of a database (at each head argument) sits in an
+//! [`IntervalIndex`] under the integer interval its bound lies in, the
+//! whole line when the bound holds anything else. A selector asks one
+//! position's index for the ids whose interval meets the request's and
+//! re-checks [`ArgBounds::meets`] on each, so it visits what the request
+//! can meet, not every entry of its predicate. The index is paged
+//! copy-on-write like the rest of the store: a clone shares every page,
+//! and a mutation copies the one page it lands on.
 
 use crate::atom::ConstrainedAtom;
-use mmv_constraints::{CmpOp, Constraint, Lit, Term, Value, ValueSet, Var};
+use crate::store::unshare_counted;
+use mmv_constraints::{CmpOp, Constraint, IntBound, Lit, Term, Value, ValueSet, Var};
+use std::sync::Arc;
 
 /// Per-argument-position bounds of one constrained atom (or of a clause
 /// head under the clause's constraint).
@@ -68,6 +78,230 @@ impl ArgBounds {
     pub fn meets_atom(&self, atom: &ConstrainedAtom) -> bool {
         self.meets(&atom.args, &atom.constraint)
     }
+
+    /// The interval to look position `i` up by in an [`IntervalIndex`]:
+    /// a pinned integer as a point, a pinned non-integer as
+    /// [`Interval::BEYOND`]. `None` unless the bound pins the position or
+    /// holds it to a closed integer interval.
+    pub fn lookup(&self, i: usize) -> Option<Interval> {
+        match &self.0[i] {
+            ValueSet::Finite(s) if s.len() == 1 => Some(match s.iter().next() {
+                Some(Value::Int(k)) => Interval { lo: *k, hi: *k },
+                _ => Interval::BEYOND,
+            }),
+            ValueSet::IntRange(IntBound::Incl(lo), IntBound::Incl(hi)) => {
+                Some(Interval { lo: *lo, hi: *hi })
+            }
+            _ => None,
+        }
+    }
+
+    /// The position with the narrowest closed lookup interval among
+    /// those `usable` admits, first on ties.
+    pub fn narrowest(&self, usable: impl Fn(usize) -> bool) -> Option<(usize, Interval)> {
+        (0..self.0.len())
+            .filter(|&i| usable(i))
+            .filter_map(|i| Some((i, self.lookup(i)?)))
+            .min_by_key(|(_, at)| at.hi.abs_diff(at.lo))
+    }
+}
+
+/// A closed integer interval `[lo, hi]`, the key of an [`IntervalIndex`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Interval {
+    pub lo: i64,
+    pub hi: i64,
+}
+
+impl Interval {
+    /// The whole line: the key of a bound that is open on both sides or
+    /// may hold a non-integer. Every lookup meets it.
+    pub const OPEN: Interval = Interval {
+        lo: i64::MIN,
+        hi: i64::MAX,
+    };
+
+    /// The lookup for a non-integer value. Only keys spanning the whole
+    /// line meet it (written inverted so the overlap test stays one
+    /// comparison per side).
+    pub const BEYOND: Interval = Interval {
+        lo: i64::MAX,
+        hi: i64::MIN,
+    };
+
+    /// The key an argument `t` is filed under: the integer hull of its
+    /// bound under `constraint`, an open side running to the end of the
+    /// line. Every instance value of `t` meets the key, so a lookup that
+    /// misses it proves the argument cannot meet the request.
+    pub fn filed(t: &Term, constraint: &Constraint) -> Interval {
+        let bound = term_bound(t, constraint);
+        let side = |b: IntBound, open: i64| match b {
+            IntBound::Incl(k) => k,
+            IntBound::Open => open,
+        };
+        match &bound {
+            ValueSet::IntRange(lo, hi) => Interval {
+                lo: side(*lo, i64::MIN),
+                hi: side(*hi, i64::MAX),
+            },
+            ValueSet::Finite(s) => match (
+                s.first().and_then(Value::as_int),
+                s.last().and_then(Value::as_int),
+            ) {
+                (Some(lo), Some(hi)) if s.iter().all(|v| v.as_int().is_some()) => {
+                    Interval { lo, hi }
+                }
+                _ => Interval::OPEN,
+            },
+            ValueSet::Empty | ValueSet::All => Interval::OPEN,
+        }
+    }
+
+    /// Whether every value of `other` lies in `self`.
+    pub fn contains(&self, other: &Interval) -> bool {
+        self.lo <= other.lo && other.hi <= self.hi
+    }
+}
+
+/// One filed id: its key and the id, ordered by `(lo, id)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Filed {
+    lo: i64,
+    id: usize,
+    hi: i64,
+}
+
+/// Ids per page after a split; a full page holds twice this. Unit
+/// tests use tiny pages, so that a few dozen entries split, empty and
+/// re-page them.
+const PAGE: usize = if cfg!(test) { 2 } else { 64 };
+
+/// One page of an [`IntervalIndex`]: its ids in key order and the
+/// largest `hi` among them, so a lookup skips the page without reading
+/// it when nothing there reaches the request.
+#[derive(Debug, Clone)]
+struct Page {
+    max_hi: i64,
+    filed: Arc<Vec<Filed>>,
+}
+
+impl Page {
+    fn new(filed: Vec<Filed>) -> Page {
+        Page {
+            max_hi: max_hi(&filed),
+            filed: Arc::new(filed),
+        }
+    }
+
+    fn first(&self) -> &Filed {
+        &self.filed[0]
+    }
+}
+
+/// Ids filed under closed integer intervals, for overlap lookups.
+///
+/// The ids are kept in `(lo, id)` order in pages of up to `2 * PAGE`,
+/// each behind an `Arc` and listed, with its largest `hi`, in a page
+/// table behind another. A clone shares both. `insert` and `remove`
+/// find their page by binary search, un-share the table (pointer copies)
+/// and that one page, and edit the page in place. An insert into a full
+/// page splits it first, so a page's buffer never grows past `2 * PAGE`
+/// (a predicate's first page starts small and doubles up to it); a
+/// page leaves the table when it empties. A lookup for `[lo, hi]` reads
+/// the pages whose first key starts at or below `hi` and whose largest
+/// `hi` reaches `lo`, and returns exactly the ids whose interval meets
+/// `[lo, hi]`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct IntervalIndex {
+    pages: Arc<Vec<Page>>,
+    /// Pages this handle's mutations copied because an older clone
+    /// still held them (cumulative; clones inherit the count).
+    copied: u64,
+}
+
+impl IntervalIndex {
+    /// The page `f` belongs in: the last whose first key is not above
+    /// it (the first page when none is).
+    fn page_of(&self, f: &Filed) -> usize {
+        self.pages
+            .partition_point(|p| p.first() <= f)
+            .saturating_sub(1)
+    }
+
+    /// Files `id` under `at`.
+    pub fn insert(&mut self, at: Interval, id: usize) {
+        let f = Filed {
+            lo: at.lo,
+            id,
+            hi: at.hi,
+        };
+        let mut p = self.page_of(&f);
+        let pages = Arc::make_mut(&mut self.pages);
+        let Some(page) = pages.get_mut(p) else {
+            pages.push(Page::new(vec![f]));
+            return;
+        };
+        if page.filed.len() == 2 * PAGE {
+            let filed = unshare_counted(&mut page.filed, &mut self.copied);
+            let mut tail = Vec::with_capacity(2 * PAGE);
+            tail.extend(filed.drain(PAGE..));
+            let tail = Page::new(tail);
+            page.max_hi = max_hi(filed);
+            let right = tail.first() <= &f;
+            pages.insert(p + 1, tail);
+            p += usize::from(right);
+        }
+        let page = &mut pages[p];
+        let filed = unshare_counted(&mut page.filed, &mut self.copied);
+        let slot = filed.partition_point(|g| *g < f);
+        filed.insert(slot, f);
+        page.max_hi = page.max_hi.max(f.hi);
+    }
+
+    /// Unfiles `id` from under `at`; `false` if it was not filed there.
+    pub fn remove(&mut self, at: Interval, id: usize) -> bool {
+        let f = Filed {
+            lo: at.lo,
+            id,
+            hi: at.hi,
+        };
+        let p = self.page_of(&f);
+        let Some(Ok(slot)) = self.pages.get(p).map(|page| page.filed.binary_search(&f)) else {
+            return false;
+        };
+        let pages = Arc::make_mut(&mut self.pages);
+        let page = &mut pages[p];
+        let filed = unshare_counted(&mut page.filed, &mut self.copied);
+        filed.remove(slot);
+        if filed.is_empty() {
+            pages.remove(p);
+        } else if f.hi == page.max_hi {
+            page.max_hi = max_hi(filed);
+        }
+        true
+    }
+
+    /// Appends the ids filed under an interval that meets `at`, in key
+    /// order.
+    pub fn meeting(&self, at: Interval, out: &mut Vec<usize>) {
+        let reach = self.pages.partition_point(|p| p.first().lo <= at.hi);
+        for page in self.pages[..reach].iter().filter(|p| p.max_hi >= at.lo) {
+            for f in page.filed.iter().take_while(|f| f.lo <= at.hi) {
+                if f.hi >= at.lo {
+                    out.push(f.id);
+                }
+            }
+        }
+    }
+
+    /// Pages copied by this handle's mutations (see the field).
+    pub fn copied_pages(&self) -> u64 {
+        self.copied
+    }
+}
+
+fn max_hi(filed: &[Filed]) -> i64 {
+    filed.iter().map(|f| f.hi).max().unwrap_or(i64::MIN)
 }
 
 /// The bound of one argument term under `constraint`.

@@ -23,21 +23,26 @@
 //! # Cost follows the update
 //!
 //! Every scan above selects its candidates by argument bounds (the
-//! crate's `bounds` module) before anything is tied or solved. `Del` and
+//! crate's `bounds` module) before anything is tied or solved, and the
+//! selection visits what the update meets, not the predicate. `Del` and
 //! the over-deletion ask the view for the entries whose bounds meet the
-//! request or region (`MaterializedView::candidates`). The program the
-//! rederivation runs is not all of `P'` but the clauses that can restore
-//! anything: rules whose head predicate lost a region, and constrained
-//! facts whose head bounds meet one; each is compared with a `Del`
-//! atom's bounds before the two are tied. The region gate compares a
-//! derived atom's bounds with a region's in the same way. And the
+//! request or region (`MaterializedView::candidates`), which looks them
+//! up in the view's interval index. The program the rederivation runs
+//! is not all of `P'` but the clauses that can restore anything: rules
+//! whose head predicate lost a region (the database lists its rules
+//! apart from its facts), and constrained facts whose head bounds meet
+//! one, which the database's own interval index of fact clauses hands
+//! over (`ConstrainedDatabase::facts_meeting`); each is compared with a
+//! `Del` atom's bounds before the two are tied. The region gate compares
+//! a derived atom's bounds with a region's in the same way. And the
 //! rederivation is *seeded from the `P_OUT` regions*, not from the view:
 //! its first delta holds only entries that could be a child of a
-//! restoring derivation (see `rederivation_seed`), so a deletion that
-//! over-deletes nothing that can come back enumerates almost nothing.
-//! The pre-check is a necessary condition only — it drops exactly
-//! candidates the solver would have refuted — so the maintained view is
-//! the one the whole-predicate scans produced.
+//! restoring derivation (see `rederivation_seed`, again through the
+//! view's index), so a deletion that over-deletes nothing that can come
+//! back enumerates almost nothing. `ExtDredStats::selected` counts what
+//! the selectors visit. The pre-check is a necessary condition only — it
+//! drops exactly candidates the solver would have refuted — so the
+//! maintained view is the one the whole-predicate scans produced.
 //!
 //! # `P_OUT` is a program
 //!
@@ -47,7 +52,7 @@
 //! scratch clone of the view with `Del` under marked predicates as the
 //! first delta; see `Run::unfold`. Its rounds take whichever executor
 //! the round driver picks, as rederivation's and `P_ADD`'s do. Building
-//! that program still walks every clause of `P`, once per batch.
+//! that program walks the rules of `P`, not its facts, once per batch.
 
 use crate::atom::{ConstrainedAtom, Overlap};
 use crate::bounds::ArgBounds;
@@ -91,6 +96,10 @@ pub struct ExtDredStats {
     /// (derived atom, region) and (fact clause, region) pairs of the
     /// rederivation, (clause, `Del` atom) pairs of the `P'` rewrite.
     pub prefiltered: usize,
+    /// Entries and fact clauses the bounds selectors visited: the view
+    /// entries of `Del`, the over-deletion and the rederivation seed,
+    /// and the fact clauses `P''` takes from the database's index.
+    pub selected: usize,
 }
 
 impl ExtDredStats {
@@ -106,6 +115,7 @@ impl ExtDredStats {
         self.index_probes += o.index_probes;
         self.candidates_scanned += o.candidates_scanned;
         self.prefiltered += o.prefiltered;
+        self.selected += o.selected;
     }
 }
 
@@ -203,7 +213,7 @@ fn dred_delete_inner(
         return Ok(run.stats);
     }
     let program = run.rederivation_program(db, &over.del, &over.regions, gen);
-    let seed = rederivation_seed(&program, view, &over.regions, &mut run.stats.prefiltered);
+    let seed = rederivation_seed(&program, view, &over.regions, &mut run.stats);
     run.rederive(&program, view, gen, over.regions, seed)?;
 
     // ---- Hygiene: drop weakened entries that became unsolvable ------------
@@ -288,7 +298,13 @@ impl Run<'_> {
         let mut del: Vec<ConstrainedAtom> = Vec::new();
         for deletion in deletions {
             let bounds = ArgBounds::of(deletion);
-            for id in view.candidates(&deletion.pred, &bounds, &mut self.stats.prefiltered) {
+            let stats = &mut self.stats;
+            for id in view.candidates(
+                &deletion.pred,
+                &bounds,
+                &mut stats.prefiltered,
+                &mut stats.selected,
+            ) {
                 let atom = &view.entry(id).atom;
                 let Some((_, region)) = self.overlap(deletion, &atom.args, &atom.constraint, gen)
                 else {
@@ -333,7 +349,13 @@ impl Run<'_> {
             // with each entry's regions in P_OUT order.
             let mut met: Vec<(EntryId, usize)> = Vec::new();
             for (r, region) in pouts.iter().enumerate() {
-                let ids = view.candidates(pred, &region.bounds, &mut self.stats.prefiltered);
+                let stats = &mut self.stats;
+                let ids = view.candidates(
+                    pred,
+                    &region.bounds,
+                    &mut stats.prefiltered,
+                    &mut stats.selected,
+                );
                 met.extend(ids.into_iter().map(|id| (id, r)));
             }
             met.sort_unstable();
@@ -509,24 +531,28 @@ impl Run<'_> {
     ) -> ConstrainedDatabase {
         let del: Vec<(&ConstrainedAtom, ArgBounds)> =
             del.iter().map(|d| (d, ArgBounds::of(d))).collect();
-        let mut cids: Vec<ClauseId> = regions
-            .keys()
-            .flat_map(|pred| db.clauses_for_head(pred))
-            .copied()
+        let mut cids: Vec<ClauseId> = db
+            .rules()
+            .filter(|(_, rule)| regions.contains_key(&rule.head_pred))
+            .map(|(cid, _)| cid)
             .collect();
+        // The facts whose head bounds meet a region of their predicate,
+        // from the database's interval index; every other fact is
+        // dismissed against each of the predicate's regions.
+        for (pred, head_regions) in regions {
+            let mut met: Vec<ClauseId> = head_regions
+                .iter()
+                .flat_map(|r| db.facts_meeting(pred, &r.bounds, &mut self.stats.selected))
+                .collect();
+            met.sort_unstable();
+            met.dedup();
+            self.stats.prefiltered += (db.fact_count(pred) - met.len()) * head_regions.len();
+            cids.extend(met);
+        }
         cids.sort_unstable();
         let mut out = ConstrainedDatabase::new();
         for cid in cids {
             let clause = db.clause(cid);
-            let head_regions = &regions[&clause.head_pred];
-            if clause.body.is_empty()
-                && !head_regions
-                    .iter()
-                    .any(|r| r.bounds.meets(&clause.head_args, &clause.constraint))
-            {
-                self.stats.prefiltered += head_regions.len();
-                continue;
-            }
             let mut c = clause.clone();
             for (d, bounds) in &del {
                 if d.pred != clause.head_pred {
@@ -588,7 +614,7 @@ fn over_deletion_program(
     view: &MaterializedView,
 ) -> Result<ConstrainedDatabase, DredError> {
     let mut program = ConstrainedDatabase::new();
-    for (_, rule) in db.clauses().filter(|(_, c)| !c.body.is_empty()) {
+    for (_, rule) in db.rules() {
         let head_pred = mark(&rule.head_pred, db, view)?;
         for i in 0..rule.body.len() {
             let mut clause = rule.clone();
@@ -613,7 +639,7 @@ fn rederivation_seed(
     program: &ConstrainedDatabase,
     view: &MaterializedView,
     regions: &Regions,
-    prefiltered: &mut usize,
+    stats: &mut ExtDredStats,
 ) -> Vec<EntryId> {
     let mut seed: Vec<EntryId> = Vec::new();
     for (_, clause) in program.clauses() {
@@ -650,7 +676,8 @@ fn rederivation_seed(
                 seed.extend(view.candidates(
                     &body_atom.pred,
                     &ArgBounds::from_sets(sets),
-                    prefiltered,
+                    &mut stats.prefiltered,
+                    &mut stats.selected,
                 ));
             }
         }
@@ -1138,7 +1165,7 @@ mod tests {
                 let seed = if every_live_entry {
                     view.live_entries().map(|(id, _)| id).collect()
                 } else {
-                    rederivation_seed(&program, &view, &over.regions, &mut 0)
+                    rederivation_seed(&program, &view, &over.regions, &mut ExtDredStats::default())
                 };
                 run.rederive(&program, &mut view, &mut gen, over.regions, seed)
                     .expect("rederivation");

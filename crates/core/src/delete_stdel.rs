@@ -46,6 +46,9 @@ pub struct StDelStats {
     /// Step-2 candidates dismissed by the argument-bounds pre-check,
     /// without tying or a solver call.
     pub prefiltered: usize,
+    /// Entries step 2's bounds selector visited: what the deletion's
+    /// bounds meet in the interval index, not the whole predicate.
+    pub selected: usize,
     /// Entries step 3 took off its worklist: those with at least one
     /// child that lost instances.
     pub walked: usize,
@@ -61,6 +64,7 @@ impl StDelStats {
         self.removed += o.removed;
         self.solver_calls += o.solver_calls;
         self.prefiltered += o.prefiltered;
+        self.selected += o.selected;
         self.walked += o.walked;
     }
 }
@@ -160,7 +164,8 @@ fn direct_deletions(
         // instances to it (the ids are a snapshot: the loop below
         // replaces constraints).
         let bounds = ArgBounds::of(deletion);
-        for id in view.candidates(&deletion.pred, &bounds, &mut stats.prefiltered) {
+        let (prefiltered, selected) = (&mut stats.prefiltered, &mut stats.selected);
+        for id in view.candidates(&deletion.pred, &bounds, prefiltered, selected) {
             let entry = view.entry(id);
             let support = entry.support.clone().expect("WithSupports mode");
             let atom = entry.atom.clone();

@@ -52,6 +52,8 @@ pub struct InsertBatchStats {
     /// View entries dismissed from an `Add` build by the argument-bounds
     /// pre-check, without tying or a solver call.
     pub prefiltered: usize,
+    /// Entries the `Add` builds' bounds selector visited.
+    pub selected: usize,
 }
 
 impl InsertBatchStats {
@@ -63,6 +65,7 @@ impl InsertBatchStats {
         self.fixpoint.absorb(&o.fixpoint);
         self.solver_calls += o.solver_calls;
         self.prefiltered += o.prefiltered;
+        self.selected += o.selected;
     }
 }
 
@@ -187,7 +190,8 @@ fn materialize_add(
     // Only entries whose argument bounds meet the insertion's can
     // already hold some of its instances.
     let bounds = ArgBounds::of(&ins);
-    for id in view.candidates(&ins.pred, &bounds, &mut stats.prefiltered) {
+    let (prefiltered, selected) = (&mut stats.prefiltered, &mut stats.selected);
+    for id in view.candidates(&ins.pred, &bounds, prefiltered, selected) {
         // Excluding a region disjoint from the insertion excludes
         // nothing: skip it. This keeps Add small — conjoining a not()
         // per view entry would make the constraint (and every

@@ -40,6 +40,9 @@ pub struct CoreMetrics {
     /// Candidates the deletion algorithms dismissed by the
     /// argument-bounds pre-check instead of a satisfiability test.
     pub delete_prefiltered: Counter,
+    /// View entries and fact clauses the deletion algorithms' bounds
+    /// selectors visited.
+    pub delete_selected: Counter,
     /// Entries replaced by StDel (direct + support propagation).
     pub stdel_replacements: Counter,
     /// Entries StDel's upward step visited (those with an affected
@@ -54,6 +57,8 @@ pub struct CoreMetrics {
     /// View entries an `Add` build dismissed by the argument-bounds
     /// pre-check instead of a satisfiability test.
     pub insert_prefiltered: Counter,
+    /// View entries the `Add` builds' bounds selector visited.
+    pub insert_selected: Counter,
     /// Entry-slab pages copied because they were shared with a snapshot.
     pub store_entry_pages_copied: Counter,
     /// Predicate indexes copied because they were shared with a snapshot.
@@ -81,6 +86,7 @@ impl CoreMetrics {
             .add(stats.inserts.solver_calls as u64);
         self.insert_prefiltered
             .add(stats.inserts.prefiltered as u64);
+        self.insert_selected.add(stats.inserts.selected as u64);
         match &stats.deletes {
             DeleteStats::None => {}
             DeleteStats::Dred(d) => d.record_into(self),
@@ -91,6 +97,7 @@ impl CoreMetrics {
                 self.delete_removed.add(s.removed as u64);
                 self.delete_solver_calls.add(s.solver_calls as u64);
                 self.delete_prefiltered.add(s.prefiltered as u64);
+                self.delete_selected.add(s.selected as u64);
             }
         }
     }
@@ -169,6 +176,11 @@ impl CoreMetrics {
             &self.delete_prefiltered,
         );
         c(
+            "mmv_delete_selected_total",
+            "View entries and fact clauses the deletion bounds selectors visited",
+            &self.delete_selected,
+        );
+        c(
             "mmv_stdel_replacements_total",
             "Entries replaced by StDel",
             &self.stdel_replacements,
@@ -197,6 +209,11 @@ impl CoreMetrics {
             "mmv_insert_prefiltered_total",
             "Add-build candidates dismissed by the argument-bounds pre-check",
             &self.insert_prefiltered,
+        );
+        c(
+            "mmv_insert_selected_total",
+            "View entries the Add-build bounds selector visited",
+            &self.insert_selected,
         );
         c(
             "mmv_store_entry_pages_copied_total",
@@ -243,6 +260,7 @@ impl ExtDredStats {
         m.delete_removed.add(self.removed as u64);
         m.delete_solver_calls.add(self.solver_calls as u64);
         m.delete_prefiltered.add(self.prefiltered as u64);
+        m.delete_selected.add(self.selected as u64);
         m.index_probes.add(self.index_probes as u64);
         m.candidates_scanned.add(self.candidates_scanned as u64);
     }
@@ -265,6 +283,7 @@ mod tests {
                 index_probes: 5,
                 candidates_scanned: 11,
                 prefiltered: 13,
+                selected: 17,
                 ..ExtDredStats::default()
             }),
             inserts: InsertBatchStats {
@@ -278,6 +297,7 @@ mod tests {
                 },
                 solver_calls: 12,
                 prefiltered: 20,
+                selected: 21,
             },
             view_entries: 100,
         };
@@ -294,11 +314,15 @@ mod tests {
         assert_eq!(m.delete_prefiltered.get(), 13);
         assert_eq!(m.insert_solver_calls.get(), 12);
         assert_eq!(m.insert_prefiltered.get(), 20);
+        assert_eq!(m.delete_selected.get(), 17);
+        assert_eq!(m.insert_selected.get(), 21);
 
         let reg = MetricsRegistry::new();
         m.register_into(&reg);
         let text = reg.render_prometheus();
         assert!(text.contains("mmv_fixpoint_iterations_total 2"), "{text}");
+        assert!(text.contains("mmv_delete_selected_total 17"), "{text}");
+        assert!(text.contains("mmv_insert_selected_total 21"), "{text}");
         mmv_obs::validate_prometheus(&text).unwrap();
     }
 }

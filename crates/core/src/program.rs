@@ -1,6 +1,7 @@
 //! Constrained databases (mediators): numbered clauses of the form
 //! `A ← D1 ∧ … ∧ Dm ‖ A1, …, An` (paper §2.1).
 
+use crate::bounds::{ArgBounds, Interval, IntervalIndex};
 use mmv_constraints::fxhash::FxHashMap;
 use mmv_constraints::{Constraint, Term, Var, VarGen};
 use std::fmt;
@@ -175,8 +176,22 @@ pub struct ConstrainedDatabase {
     numbers: Vec<ClauseId>,
     /// Clause ids by head predicate, for head-indexed access.
     by_head: FxHashMap<Arc<str>, Vec<ClauseId>>,
+    /// Where the rules (clauses with a body) sit in `clauses`, in
+    /// database order.
+    rules: Vec<usize>,
+    /// The fact clauses (empty bodies) by head predicate.
+    facts: FxHashMap<Arc<str>, Facts>,
     /// First variable id guaranteed unused by any clause.
     var_watermark: u32,
+}
+
+/// One head predicate's fact clauses: how many there are and, per head
+/// argument position, their ids (`ClauseId.0`) filed by the bound of
+/// that argument under the fact's constraint (see [`crate::bounds`]).
+#[derive(Debug, Clone, Default)]
+struct Facts {
+    count: usize,
+    by_position: Vec<IntervalIndex>,
 }
 
 impl ConstrainedDatabase {
@@ -225,6 +240,19 @@ impl ConstrainedDatabase {
             .entry(clause.head_pred.clone())
             .or_default()
             .push(id);
+        if clause.body.is_empty() {
+            let facts = self.facts.entry(clause.head_pred.clone()).or_default();
+            facts.count += 1;
+            let arity = clause.head_args.len();
+            if facts.by_position.len() < arity {
+                facts.by_position.resize_with(arity, IntervalIndex::default);
+            }
+            for (p, t) in clause.head_args.iter().enumerate() {
+                facts.by_position[p].insert(Interval::filed(t, &clause.constraint), id.0);
+            }
+        } else {
+            self.rules.push(self.clauses.len());
+        }
         self.numbers.push(id);
         self.clauses.push(clause);
     }
@@ -251,6 +279,58 @@ impl ConstrainedDatabase {
             .iter()
             .zip(&self.clauses)
             .map(|(&id, c)| (id, c))
+    }
+
+    /// The rules (clauses with a body) with their ids, in database
+    /// order — the clauses a propagation round can fire, without walking
+    /// the facts.
+    pub fn rules(&self) -> impl Iterator<Item = (ClauseId, &Clause)> {
+        self.rules
+            .iter()
+            .map(|&k| (self.numbers[k], &self.clauses[k]))
+    }
+
+    /// Crate-internal: the fact clauses of `pred` whose head bounds meet
+    /// `bounds`, in ascending id order; the facts visited are added to
+    /// `selected`. The lookup goes to the interval index of the position
+    /// `bounds` pins or holds to the narrowest closed interval; with no
+    /// such position every fact of `pred` is visited.
+    pub(crate) fn facts_meeting(
+        &self,
+        pred: &str,
+        bounds: &ArgBounds,
+        selected: &mut usize,
+    ) -> Vec<ClauseId> {
+        let Some(facts) = self.facts.get(pred) else {
+            return Vec::new();
+        };
+        let mut ids: Vec<ClauseId> = match bounds.narrowest(|_| true) {
+            Some((p, at)) => {
+                let mut found = Vec::new();
+                if let Some(index) = facts.by_position.get(p) {
+                    index.meeting(at, &mut found);
+                }
+                found.into_iter().map(ClauseId).collect()
+            }
+            None => self
+                .clauses_for_head(pred)
+                .iter()
+                .copied()
+                .filter(|&id| self.clause(id).body.is_empty())
+                .collect(),
+        };
+        *selected += ids.len();
+        ids.retain(|&id| {
+            let fact = self.clause(id);
+            bounds.meets(&fact.head_args, &fact.constraint)
+        });
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Crate-internal: the number of fact clauses of `pred`.
+    pub(crate) fn fact_count(&self, pred: &str) -> usize {
+        self.facts.get(pred).map_or(0, |f| f.count)
     }
 
     /// The sub-database of clauses whose head predicate satisfies

@@ -813,10 +813,7 @@ fn plan_splits<'a>(
 ) -> Vec<Split<'a>> {
     let mut splits = Vec::new();
     let mut plan = Vec::new();
-    for (cid, clause) in db.clauses() {
-        if clause.body.is_empty() {
-            continue;
-        }
+    for (cid, clause) in db.rules() {
         delta_plan(&clause.body, delta_by_pred, &mut plan);
         for (k, &dpos) in plan.iter().enumerate() {
             splits.push(Split {

@@ -33,6 +33,16 @@
 //!   (a memcpy) plus O(log n) trie nodes per *touched key* — a batch
 //!   that hits one constant of a 1024-entry index copies a handful of
 //!   key/value pairs, not the whole index.
+//! * **Per-predicate interval indexes** — beside each `PredIndex`, its
+//!   own copy-on-write page: per argument position, an
+//!   `IntervalIndex` (the crate's `bounds` module) of the entries whose
+//!   argument there is not a constant, filed under the integer interval
+//!   their bound lies in. Its ids sit in sorted pages behind `Arc`s, so
+//!   a clone shares them all and an insert or removal copies the page
+//!   table (pointers) and the one page it edits, in place thereafter
+//!   ([`ShareStats::interval_pages_copied`]). Each entry remembers the
+//!   interval it is filed under, so removal finds it without re-reading
+//!   the constraint.
 //! * **Global dedup indexes** — the support → entry and
 //!   canonical-hash → entries maps are insert-only persistent tries
 //!   ([`SharedMap`]): an insert path-copies O(log n) nodes, and clones
@@ -70,24 +80,33 @@
 //! `Add` build all go through that one selector, and every candidate
 //! they go on to tie goes through one overlap test,
 //! `ConstrainedAtom::overlap` (tie, one counted solver call, the tied
-//! constraint and the shared region back unless refuted). Where the
-//! bounds pin a position to a constant the selector narrows through the
-//! constant-argument index
-//! ([`MaterializedView::probe`]); on a constrained view, whose arguments
-//! are variables, the entry's bounds are read off its constraint on the
-//! fly. Nothing is stored for this, so copy-on-write has nothing extra
-//! to keep in step, and the test only ever drops entries the solver
-//! would have refuted — the maintained view is the same, entry for
-//! entry. Reads do not select yet: [`MaterializedView::query`] still
-//! walks the predicate and enumerates every entry (ROADMAP item 2 has
-//! the measured switch and what holds it back).
+//! constraint and the shared region back unless refuted).
+//!
+//! The selector visits only what the update can meet. Where the bounds
+//! pin a position to a constant it takes the constant-argument index's
+//! matches ([`MaterializedView::probe`]) and, of the entries with a
+//! variable there, those whose filed interval holds the point. Else it
+//! looks up the narrowest closed interval of the request in that
+//! position's interval index, provided no entry holds a constant there
+//! (constants are never filed, so a ground predicate keeps its probe).
+//! A request with neither walks the live list. Every entry visited is
+//! re-checked against its current bounds, so the ids, their order
+//! (the probe's, or the live list's) and the dismissal count are what a
+//! scan of the probe gives. A filed interval only has to hold the
+//! entry's bound: replacing a constraint by a narrower one leaves the
+//! entry where it is, and only a widening re-files it. The test only
+//! ever drops entries the solver would have refuted — the maintained
+//! view is the same, entry for entry. Reads do not select yet:
+//! [`MaterializedView::query`] still walks the predicate and enumerates
+//! every entry (ROADMAP item 2 has the measured switch and what holds
+//! it back).
 //!
 //! [`MaterializedView::share_stats`] reports how many entry pages /
 //! predicate indexes a handle's mutations actually copied — the
 //! service's per-epoch shared-vs-copied accounting.
 
 use crate::atom::ConstrainedAtom;
-use crate::bounds::ArgBounds;
+use crate::bounds::{ArgBounds, Interval, IntervalIndex};
 use crate::store::{SharedMap, SharedVec};
 use crate::support::Support;
 use mmv_constraints::fxhash::{FxHashMap, FxHasher};
@@ -127,6 +146,10 @@ pub struct Entry {
     /// instantiated (standardized apart) inside this entry's constraint.
     /// StDel's step 3 ties the negated child constraint to these terms.
     pub children_args: Vec<Vec<Term>>,
+    /// Per argument position, the interval the entry is filed under in
+    /// its predicate's interval index (read at the non-constant
+    /// positions only); empty when every argument is a constant.
+    filed: Box<[Interval]>,
 }
 
 /// Per-predicate access structures, maintained incrementally by
@@ -157,12 +180,57 @@ struct PredIndex {
     nonconst: Vec<Vec<EntryId>>,
 }
 
+/// One predicate's two copy-on-write pages: its [`PredIndex`] and, per
+/// argument position, the interval index of the live entries whose
+/// argument there is not a constant (`nonconst[p]`'s entries, filed by
+/// bounds; see "Candidate selection" in the module docs). They un-share
+/// apart, so a constraint replacement that re-files an entry copies
+/// interval pages and never the `PredIndex`.
+#[derive(Debug, Clone, Default)]
+struct PredPages {
+    index: Arc<PredIndex>,
+    intervals: Arc<Vec<IntervalIndex>>,
+}
+
 impl PredIndex {
     fn ensure_arity(&mut self, n: usize) {
         if self.by_const.len() < n {
             self.by_const.resize_with(n, SharedMap::new);
             self.nonconst.resize_with(n, Vec::new);
         }
+    }
+
+    /// The most selective position `pattern` binds, with its probe: the
+    /// entries carrying that constant there, then those with a
+    /// non-constant argument there. `None` when nothing is bound.
+    fn pinned<'a, 'p>(
+        &'a self,
+        pattern: impl IntoIterator<Item = Option<&'p Value>>,
+    ) -> Option<(usize, Probe<'a>)> {
+        let mut best: Option<(usize, Probe<'a>)> = None;
+        for (p, pat) in pattern.into_iter().enumerate() {
+            let Some(v) = pat else { continue };
+            let consts: &[EntryId] = self
+                .by_const
+                .get(p)
+                .and_then(|m| m.get(v))
+                .map(|ids| ids.as_slice())
+                .unwrap_or(&[]);
+            let nons: &[EntryId] = self
+                .nonconst
+                .get(p)
+                .map(|ids| ids.as_slice())
+                .unwrap_or(&[]);
+            let cand = Probe {
+                primary: consts,
+                secondary: nons,
+                discriminated: true,
+            };
+            if best.as_ref().is_none_or(|(_, b)| cand.len() < b.len()) {
+                best = Some((p, cand));
+            }
+        }
+        best
     }
 }
 
@@ -215,6 +283,15 @@ impl Parents {
 /// actually happens (the index was still shared with an older clone).
 fn cow_index<'a>(copies: &mut u64, arc: &'a mut Arc<PredIndex>) -> &'a mut PredIndex {
     crate::store::unshare_counted(arc, copies)
+}
+
+/// The positions of `args` an interval index files (the non-constant
+/// ones).
+fn filed_positions(args: &[Term]) -> impl Iterator<Item = usize> + '_ {
+    args.iter()
+        .enumerate()
+        .filter(|(_, t)| !matches!(t, Term::Const(_)))
+        .map(|(p, _)| p)
 }
 
 /// The result of a [`MaterializedView::probe`]: up to two borrowed id
@@ -307,6 +384,10 @@ pub struct ShareStats {
     /// Live-slot-map pairs cloned while un-sharing trie leaves (the
     /// `slots` half of the sub-page copy cost).
     pub slot_keys_copied: u64,
+    /// Interval-index pages this handle's mutations copied because they
+    /// were still shared with an older clone (the bounds selector's
+    /// share of the copy cost; see the module docs).
+    pub interval_pages_copied: u64,
 }
 
 impl ShareStats {
@@ -338,7 +419,7 @@ impl ShareStats {
 pub struct MaterializedView {
     mode: SupportMode,
     store: SharedVec<Arc<Entry>>,
-    preds: FxHashMap<Arc<str>, Arc<PredIndex>>,
+    preds: FxHashMap<Arc<str>, PredPages>,
     by_support: SharedMap<Support, EntryId>,
     by_canon: SharedMap<u64, Vec<EntryId>>,
     /// The reverse support index, one slot per entry slot
@@ -472,11 +553,8 @@ impl MaterializedView {
     ) -> EntryId {
         let id = self.store.len();
         let copies = &mut self.pred_copies;
-        let idx = self
-            .preds
-            .entry(atom.pred.clone())
-            .or_insert_with(|| Arc::new(PredIndex::default()));
-        let idx = cow_index(copies, idx);
+        let pages = self.preds.entry(atom.pred.clone()).or_default();
+        let idx = cow_index(copies, &mut pages.index);
         idx.ensure_arity(atom.args.len());
         let slot = idx.live.len();
         idx.live.push(id);
@@ -487,10 +565,26 @@ impl MaterializedView {
                 _ => idx.nonconst[p].push(id),
             }
         }
+        let mut filed: Box<[Interval]> = Box::default();
+        if filed_positions(&atom.args).next().is_some() {
+            filed = atom
+                .args
+                .iter()
+                .map(|t| Interval::filed(t, &atom.constraint))
+                .collect();
+            let intervals = Arc::make_mut(&mut pages.intervals);
+            if intervals.len() < filed.len() {
+                intervals.resize_with(filed.len(), IntervalIndex::default);
+            }
+            for p in filed_positions(&atom.args) {
+                intervals[p].insert(filed[p], id);
+            }
+        }
         self.store.push(Arc::new(Entry {
             atom,
             support,
             children_args,
+            filed,
         }));
         self.live += 1;
         id
@@ -562,14 +656,14 @@ impl MaterializedView {
             && self
                 .preds
                 .get(&self.store.get(id).atom.pred)
-                .is_some_and(|ix| ix.slots.contains_key(&id))
+                .is_some_and(|ix| ix.index.slots.contains_key(&id))
     }
 
     /// Crate-internal: one predicate's liveness set (live id → slot),
     /// resolved once so hot loops can test membership per id without
     /// re-hashing the predicate name.
     pub(crate) fn live_set(&self, pred: &str) -> Option<&SharedMap<EntryId, usize>> {
-        self.preds.get(pred).map(|ix| &ix.slots)
+        self.preds.get(pred).map(|ix| &ix.index.slots)
     }
 
     /// Iterates live entries.
@@ -580,7 +674,7 @@ impl MaterializedView {
             .filter(|(id, e)| {
                 self.preds
                     .get(&e.atom.pred)
-                    .is_some_and(|ix| ix.slots.contains_key(id))
+                    .is_some_and(|ix| ix.index.slots.contains_key(id))
             })
             .map(|(id, e)| (id, e.as_ref()))
     }
@@ -591,7 +685,7 @@ impl MaterializedView {
     pub fn entries_for_pred(&self, pred: &str) -> &[EntryId] {
         self.preds
             .get(pred)
-            .map(|ix| ix.live.as_slice())
+            .map(|ix| ix.index.live.as_slice())
             .unwrap_or(&[])
     }
 
@@ -607,12 +701,19 @@ impl MaterializedView {
         let mut by_const_keys = 0usize;
         let mut by_const_keys_copied = 0u64;
         let mut slot_keys_copied = 0u64;
-        for ix in self.preds.values() {
+        let mut interval_pages_copied = 0u64;
+        for pages in self.preds.values() {
+            let ix = &pages.index;
             slot_keys_copied += ix.slots.copied_keys();
             for m in &ix.by_const {
                 by_const_keys += m.len();
                 by_const_keys_copied += m.copied_keys();
             }
+            interval_pages_copied += pages
+                .intervals
+                .iter()
+                .map(IntervalIndex::copied_pages)
+                .sum::<u64>();
         }
         ShareStats {
             entry_pages: self.store.page_count(),
@@ -622,6 +723,7 @@ impl MaterializedView {
             by_const_keys,
             by_const_keys_copied,
             slot_keys_copied,
+            interval_pages_copied,
         }
     }
 
@@ -646,33 +748,18 @@ impl MaterializedView {
         pred: &str,
         pattern: impl IntoIterator<Item = Option<&'p Value>>,
     ) -> Probe<'a> {
-        let Some(ix) = self.preds.get(pred) else {
+        let Some(pages) = self.preds.get(pred) else {
             return Probe::EMPTY;
         };
-        let mut best: Option<Probe<'a>> = None;
-        for (p, pat) in pattern.into_iter().enumerate() {
-            let Some(v) = pat else { continue };
-            let consts: &[EntryId] = ix
-                .by_const
-                .get(p)
-                .and_then(|m| m.get(v))
-                .map(|ids| ids.as_slice())
-                .unwrap_or(&[]);
-            let nons: &[EntryId] = ix.nonconst.get(p).map(|ids| ids.as_slice()).unwrap_or(&[]);
-            let cand = Probe {
-                primary: consts,
-                secondary: nons,
-                discriminated: true,
-            };
-            if best.as_ref().is_none_or(|b| cand.len() < b.len()) {
-                best = Some(cand);
-            }
-        }
-        best.unwrap_or(Probe {
-            primary: &ix.live,
-            secondary: &[],
-            discriminated: false,
-        })
+        let ix = &pages.index;
+        ix.pinned(pattern).map_or(
+            Probe {
+                primary: &ix.live,
+                secondary: &[],
+                discriminated: false,
+            },
+            |(_, probe)| probe,
+        )
     }
 
     /// Crate-internal: the candidate selector of the maintenance scans —
@@ -680,22 +767,66 @@ impl MaterializedView {
     /// (see [`crate::bounds`]), in [`MaterializedView::probe`] order.
     /// Every entry left out is proved to share no instance with the atom
     /// `bounds` was read from, so the caller's tie-and-solve runs only
-    /// on the returned ids; the entries dismissed are added to
-    /// `prefiltered`. Positions `bounds` pins to a constant go through
-    /// the constant-argument index, so entries carrying a different
-    /// constant there are not even visited.
+    /// on the returned ids; the live entries dismissed are added to
+    /// `prefiltered`, the entries visited to `selected`.
+    ///
+    /// What is visited (see "Candidate selection" in the module docs):
+    /// where `bounds` pins a position, the probe's constant matches and
+    /// the entries the point meets in that position's interval index;
+    /// else, at the narrowest closed interval of a position no entry
+    /// holds a constant at, the entries meeting it there, in live-list
+    /// order; else every live entry.
     pub(crate) fn candidates(
         &self,
         pred: &str,
         bounds: &ArgBounds,
         prefiltered: &mut usize,
+        selected: &mut usize,
     ) -> Vec<EntryId> {
-        let ids: Vec<EntryId> = self
-            .probe_with(pred, bounds.constants())
+        let Some(pages) = self.preds.get(pred) else {
+            return Vec::new();
+        };
+        let ix = &pages.index;
+        let mut filed: Vec<EntryId> = Vec::new();
+        let first: &[EntryId] = match ix.pinned(bounds.constants()) {
+            Some((p, probe)) => {
+                // The probe's `nonconst[p]` are exactly the ids filed at
+                // `p`; the probe lists them in id order.
+                if let (Some(index), Some(at)) = (pages.intervals.get(p), bounds.lookup(p)) {
+                    index.meeting(at, &mut filed);
+                    filed.sort_unstable();
+                }
+                debug_assert!(filed.len() <= probe.secondary.len());
+                probe.primary
+            }
+            None => {
+                match bounds.narrowest(|i| ix.by_const.get(i).is_none_or(SharedMap::is_empty)) {
+                    Some((i, at)) => {
+                        if let Some(index) = pages.intervals.get(i) {
+                            index.meeting(at, &mut filed);
+                        }
+                        let mut by_slot: Vec<(usize, EntryId)> = filed
+                            .iter()
+                            .map(|&id| {
+                                (ix.slots.get(&id).copied().expect("filed ids are live"), id)
+                            })
+                            .collect();
+                        by_slot.sort_unstable();
+                        filed = by_slot.into_iter().map(|(_, id)| id).collect();
+                        &[]
+                    }
+                    None => &ix.live,
+                }
+            }
+        };
+        *selected += first.len() + filed.len();
+        let ids: Vec<EntryId> = first
             .iter()
+            .chain(&filed)
+            .copied()
             .filter(|&id| bounds.meets_atom(&self.entry(id).atom))
             .collect();
-        *prefiltered += self.entries_for_pred(pred).len() - ids.len();
+        *prefiltered += ix.live.len() - ids.len();
         ids
     }
 
@@ -712,34 +843,39 @@ impl MaterializedView {
     /// [`MaterializedView::entry`] and shared with older snapshots);
     /// only this handle's predicate index forgets it.
     pub fn remove(&mut self, id: EntryId) -> bool {
-        let pred = self.store.get(id).atom.pred.clone();
+        let entry = Arc::clone(self.store.get(id));
+        let pred = &entry.atom.pred;
         if !self
             .preds
-            .get(&pred)
-            .is_some_and(|ix| ix.slots.contains_key(&id))
+            .get(pred)
+            .is_some_and(|ix| ix.index.slots.contains_key(&id))
         {
             return false; // already tombstoned
         }
         // Per-position discrimination keys of the removed entry.
-        let keys: Vec<Option<Value>> = self
-            .store
-            .get(id)
+        let keys: Vec<Option<&Value>> = entry
             .atom
             .args
             .iter()
             .map(|t| match t {
-                Term::Const(v) => Some(v.clone()),
+                Term::Const(v) => Some(v),
                 _ => None,
             })
             .collect();
-        let idx = self.preds.get_mut(&pred).expect("liveness just checked");
-        let idx = cow_index(&mut self.pred_copies, idx);
+        let pages = self.preds.get_mut(pred).expect("liveness just checked");
+        if !entry.filed.is_empty() {
+            let intervals = Arc::make_mut(&mut pages.intervals);
+            for p in filed_positions(&entry.atom.args) {
+                intervals[p].remove(entry.filed[p], id);
+            }
+        }
+        let idx = cow_index(&mut self.pred_copies, &mut pages.index);
         let slot = idx.slots.remove(&id).expect("liveness just checked");
         idx.live.swap_remove(slot);
         if let Some(&moved) = idx.live.get(slot) {
             idx.slots.insert(moved, slot);
         }
-        for (p, key) in keys.iter().enumerate() {
+        for (p, key) in keys.into_iter().enumerate() {
             match key {
                 Some(v) => {
                     // Drop the key outright when this was its last id —
@@ -768,9 +904,28 @@ impl MaterializedView {
     /// swapping in a new immutable entry — the support and children
     /// metadata are retained, and snapshots sharing the old entry keep
     /// it unchanged (copy-on-write at slab-page granularity).
+    ///
+    /// The entry stays filed where it is wherever its new bound lies
+    /// within the interval it is filed under — the maintenance
+    /// algorithms only ever conjoin `not(..)`, so for them this is a
+    /// slab-only write. A live entry whose bound widens past its filing
+    /// is re-filed, which copies interval pages, never the predicate
+    /// index.
     pub fn replace_constraint(&mut self, id: EntryId, c: mmv_constraints::Constraint) {
         let mut e = (**self.store.get(id)).clone();
         e.atom.constraint = c;
+        let live = !e.filed.is_empty() && self.is_live(id);
+        for p in filed_positions(&e.atom.args).filter(|_| live) {
+            let now = Interval::filed(&e.atom.args[p], &e.atom.constraint);
+            if e.filed[p].contains(&now) {
+                continue;
+            }
+            let pages = self.preds.get_mut(&e.atom.pred).expect("live entry");
+            let index = &mut Arc::make_mut(&mut pages.intervals)[p];
+            index.remove(e.filed[p], id);
+            index.insert(now, id);
+            e.filed[p] = now;
+        }
         self.store.set(id, Arc::new(e));
     }
 
@@ -919,9 +1074,9 @@ fn canonical_hash(atom: &ConstrainedAtom) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::ClauseId;
+    use crate::program::{BodyAtom, Clause, ClauseId, ConstrainedDatabase};
     use crate::support::Producer;
-    use mmv_constraints::{CmpOp, Constraint, NoDomains};
+    use mmv_constraints::{CmpOp, Constraint, Lit, NoDomains, ValueSet};
 
     fn atom(pred: &str, v: u32, hi: i64) -> ConstrainedAtom {
         let t = Term::var(Var(v));
@@ -1269,6 +1424,222 @@ mod tests {
                     assert_parents_match_scan(s);
                 }
             }
+        }
+    }
+
+    /// One step of the selector property below. Entry picks are taken
+    /// modulo the view's slot count, so they name live and dead entries
+    /// alike.
+    #[derive(Debug, Clone)]
+    enum SelOp {
+        Insert(ConstrainedAtom),
+        Remove(usize),
+        /// Conjoins a literal: the bound can only narrow.
+        Narrow(usize, Lit),
+        /// Swaps in an unrelated constraint: the bound may widen.
+        Widen(usize, Vec<Lit>),
+        Snapshot,
+        Compact,
+    }
+
+    fn sel_var() -> impl proptest::Strategy<Value = Term> {
+        use proptest::prelude::*;
+        (0u32..2).prop_map(|v| Term::var(Var(v)))
+    }
+
+    fn sel_cmp() -> impl proptest::Strategy<Value = CmpOp> {
+        use proptest::prelude::*;
+        prop_oneof![
+            Just(CmpOp::Lt),
+            Just(CmpOp::Le),
+            Just(CmpOp::Gt),
+            Just(CmpOp::Ge)
+        ]
+    }
+
+    /// Literals the bounds read (`X op k`, `k op X`, `X = c`) or read
+    /// past (`X != k`, `c = X` over a string, `not(..)`).
+    fn sel_lit() -> impl proptest::Strategy<Value = Lit> {
+        use proptest::prelude::*;
+        prop_oneof![
+            4 => (sel_var(), sel_cmp(), 0i64..10).prop_map(|(x, op, k)| Lit::Cmp(x, op, Term::int(k))),
+            2 => (0i64..10, sel_cmp(), sel_var()).prop_map(|(k, op, x)| Lit::Cmp(Term::int(k), op, x)),
+            2 => (sel_var(), 0i64..10).prop_map(|(x, k)| Lit::Eq(x, Term::int(k))),
+            1 => sel_var().prop_map(|x| Lit::Eq(Term::str("s"), x)),
+            1 => (sel_var(), 0i64..10).prop_map(|(x, k)| Lit::Neq(x, Term::int(k))),
+            1 => (sel_var(), 0i64..10)
+                .prop_map(|(x, k)| Lit::Not(Constraint::lit(Lit::Eq(x, Term::int(k))))),
+        ]
+    }
+
+    /// An atom of `p` (mostly) or `q`, of arity 1 to 3 (mostly 2), with
+    /// variable, integer and string arguments.
+    fn sel_atom() -> impl proptest::Strategy<Value = ConstrainedAtom> {
+        use proptest::prelude::*;
+        let arg = prop_oneof![
+            4 => sel_var(),
+            2 => (0i64..10).prop_map(Term::int),
+            1 => Just(Term::str("s")),
+        ];
+        let arity = prop_oneof![1 => Just(1usize), 6 => Just(2usize), 1 => Just(3usize)];
+        (
+            prop_oneof![4 => Just("p"), 1 => Just("q")],
+            arity,
+            collection::vec(arg, 3..=3usize),
+            collection::vec(sel_lit(), 0..=3usize),
+        )
+            .prop_map(|(pred, arity, mut args, lits)| {
+                args.truncate(arity);
+                ConstrainedAtom::new(pred, args, Constraint::conj(lits))
+            })
+    }
+
+    fn sel_op() -> impl proptest::Strategy<Value = SelOp> {
+        use proptest::prelude::*;
+        prop_oneof![
+            8 => sel_atom().prop_map(SelOp::Insert),
+            3 => (0usize..64).prop_map(SelOp::Remove),
+            2 => (0usize..64, sel_lit()).prop_map(|(i, l)| SelOp::Narrow(i, l)),
+            2 => (0usize..64, collection::vec(sel_lit(), 0..=2usize))
+                .prop_map(|(i, lits)| SelOp::Widen(i, lits)),
+            1 => Just(SelOp::Snapshot),
+            1 => Just(SelOp::Compact),
+        ]
+    }
+
+    /// A request position: points (integer and not), closed intervals,
+    /// one-sided bounds, no bound, no value at all.
+    fn sel_bound() -> impl proptest::Strategy<Value = ValueSet> {
+        use proptest::prelude::*;
+        prop_oneof![
+            3 => (0i64..10).prop_map(|k| ValueSet::singleton(Value::int(k))),
+            3 => (0i64..10, 0i64..4).prop_map(|(lo, w)| ValueSet::ints_between(lo, lo + w)),
+            1 => (0i64..10).prop_map(ValueSet::ints_from),
+            1 => (0i64..10).prop_map(ValueSet::ints_to),
+            1 => Just(ValueSet::All),
+            1 => Just(ValueSet::singleton(Value::str("s"))),
+            1 => Just(ValueSet::Empty),
+        ]
+    }
+
+    /// A request: a predicate (`r` is never stored) and per-position
+    /// bounds of arity 0 to 3.
+    fn sel_request() -> impl proptest::Strategy<Value = (&'static str, Vec<ValueSet>)> {
+        use proptest::prelude::*;
+        (
+            prop_oneof![4 => Just("p"), 1 => Just("q"), 1 => Just("r")],
+            collection::vec(sel_bound(), 0..=3usize),
+        )
+    }
+
+    /// `candidates` against the scan it replaces: the probe's ids that
+    /// meet the bounds, with the same dismissal count, visiting no more
+    /// than the probe holds.
+    fn assert_candidates_match_scan(v: &MaterializedView, requests: &[(&str, Vec<ValueSet>)]) {
+        for (pred, sets) in requests {
+            let bounds = ArgBounds::from_sets(sets.clone());
+            let probe = v.probe_with(pred, bounds.constants());
+            let scan: Vec<EntryId> = probe
+                .iter()
+                .filter(|&id| bounds.meets_atom(&v.entry(id).atom))
+                .collect();
+            let (mut prefiltered, mut selected) = (0, 0);
+            let ids = v.candidates(pred, &bounds, &mut prefiltered, &mut selected);
+            assert_eq!(ids, scan, "{pred} {sets:?}");
+            assert_eq!(prefiltered, v.entries_for_pred(pred).len() - scan.len());
+            assert!(
+                selected <= probe.len(),
+                "{pred} {sets:?}: {selected} visited"
+            );
+        }
+    }
+
+    /// The database's fact lookup against a scan of the predicate's
+    /// clauses, on the database and on a restriction of it (whose
+    /// clause numbers are not positions).
+    fn assert_facts_match_scan(db: &ConstrainedDatabase, requests: &[(&str, Vec<ValueSet>)]) {
+        let only_p = db.restrict_to_heads(|pred| pred == "p");
+        for db in [db, &only_p] {
+            let rules: Vec<ClauseId> = db.rules().map(|(id, _)| id).collect();
+            let scan: Vec<ClauseId> = db
+                .clauses()
+                .filter(|(_, c)| !c.body.is_empty())
+                .map(|(id, _)| id)
+                .collect();
+            assert_eq!(rules, scan);
+            for (pred, sets) in requests {
+                let bounds = ArgBounds::from_sets(sets.clone());
+                let facts: Vec<ClauseId> = db
+                    .clauses_for_head(pred)
+                    .iter()
+                    .copied()
+                    .filter(|&id| db.clause(id).body.is_empty())
+                    .collect();
+                let scan: Vec<ClauseId> = facts
+                    .iter()
+                    .copied()
+                    .filter(|&id| {
+                        let fact = db.clause(id);
+                        bounds.meets(&fact.head_args, &fact.constraint)
+                    })
+                    .collect();
+                let mut selected = 0;
+                let met = db.facts_meeting(pred, &bounds, &mut selected);
+                assert_eq!(met, scan, "{pred} {sets:?}");
+                assert!(
+                    selected <= facts.len(),
+                    "{pred} {sets:?}: {selected} visited"
+                );
+                assert_eq!(db.fact_count(pred), facts.len());
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: if cfg!(miri) { 4 } else { 96 },
+            ..Default::default()
+        })]
+
+        #[test]
+        fn candidates_match_a_scan(
+            ops in proptest::collection::vec(sel_op(), 1..48usize),
+            requests in proptest::collection::vec(sel_request(), 1..6usize),
+        ) {
+            let mut v = MaterializedView::new(SupportMode::Plain, VarGen::starting_at(100));
+            let mut snapshots: Vec<MaterializedView> = Vec::new();
+            // Every inserted atom is also a fact clause here, among rules.
+            let x = || Term::var(Var(0));
+            let mut db = ConstrainedDatabase::new();
+            db.push(Clause::new("p", vec![x()], Constraint::truth(), vec![BodyAtom::new("q", vec![x()])]));
+            for op in &ops {
+                let slots = v.entry_slots();
+                match op {
+                    SelOp::Insert(a) => {
+                        v.insert(a.clone(), None, vec![]);
+                        db.push(Clause::fact(&a.pred, a.args.clone(), a.constraint.clone()));
+                        db.push(Clause::new("q", vec![x()], Constraint::truth(), vec![BodyAtom::new("p", vec![x()])]));
+                    }
+                    SelOp::Remove(i) if slots > 0 => {
+                        v.remove(i % slots);
+                    }
+                    SelOp::Narrow(i, lit) if slots > 0 => {
+                        let c = v.entry(i % slots).atom.constraint.clone();
+                        v.replace_constraint(i % slots, c.and_lit(lit.clone()));
+                    }
+                    SelOp::Widen(i, lits) if slots > 0 => {
+                        v.replace_constraint(i % slots, Constraint::conj(lits.clone()));
+                    }
+                    SelOp::Snapshot => snapshots.push(v.clone()),
+                    SelOp::Compact => v = v.compact(),
+                    SelOp::Remove(_) | SelOp::Narrow(..) | SelOp::Widen(..) => {}
+                }
+                assert_candidates_match_scan(&v, &requests);
+                for s in &snapshots {
+                    assert_candidates_match_scan(s, &requests);
+                }
+            }
+            assert_facts_match_scan(&db, &requests);
         }
     }
 }

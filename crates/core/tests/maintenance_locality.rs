@@ -12,8 +12,11 @@
 //! it visits the entries that depend on the deletion, the same ones at
 //! every size, not every live entry. So is Extended DRed: its `P_OUT`,
 //! the entries it weakens and rederives, and the candidates its joins
-//! scan are the same at all three sizes. The resulting views are checked
-//! against the declarative oracle.
+//! scan are the same at all three sizes. So is what the bounds selectors
+//! of all three algorithms visit (`selected`): the interval index hands
+//! them the entries and fact clauses the update meets, while the
+//! dismissal count (`prefiltered`) still grows with the view. The
+//! resulting views are checked against the declarative oracle.
 
 use mmv_constraints::{CmpOp, Constraint, NoDomains, Term, Var};
 use mmv_core::{
@@ -148,6 +151,20 @@ fn delete_counters(stats: &BatchStats) -> (usize, usize) {
     }
 }
 
+/// Entries and fact clauses the deletion's bounds selectors visited.
+fn delete_selected(stats: &BatchStats) -> usize {
+    match stats.deletes {
+        DeleteStats::StDel(s) => s.selected,
+        DeleteStats::Dred(d) => d.selected,
+        DeleteStats::None => panic!("the batch deletes"),
+    }
+}
+
+/// `(deletion selected, Add-build selected)`: equal at every size.
+fn selected(stats: &BatchStats) -> (usize, usize) {
+    (delete_selected(stats), stats.inserts.selected)
+}
+
 /// Returns the stats at the two sizes.
 fn solver_calls_do_not_scale_with_the_view(mode: SupportMode) -> (BatchStats, BatchStats) {
     // Inline, and under a pool as wide as the CI leg asks for: the
@@ -190,6 +207,12 @@ fn solver_calls_do_not_scale_with_the_view(mode: SupportMode) -> (BatchStats, Ba
         (64, 512),
         "{mode:?} Add-build prefiltered"
     );
+    // ...yet not visited: the selectors see what the update meets.
+    assert!(
+        delete_selected(&small) > 0,
+        "{mode:?}: the deletion meets something"
+    );
+    assert_eq!(selected(&small), selected(&large), "{mode:?} selected");
     assert_eq!(large, large_pooled, "{mode:?} counters under the pool");
     (small, large)
 }
@@ -204,6 +227,11 @@ fn stdel_solver_calls_do_not_scale_with_the_view() {
         (stdel_walked(&large), stdel_walked(&huge)),
         (walked, walked),
         "StDel walked at 512 and 4,096 facts per predicate"
+    );
+    assert_eq!(
+        selected(&huge),
+        selected(&small),
+        "StDel and Add-build selected at 4,096 facts per predicate"
     );
 }
 
@@ -222,5 +250,10 @@ fn dred_solver_calls_do_not_scale_with_the_view() {
         (visited(&large), visited(&huge)),
         (at_64, at_64),
         "Extended DRed's work at 512 and 4,096 facts per predicate"
+    );
+    assert_eq!(
+        selected(&huge),
+        selected(&small),
+        "Extended DRed and Add-build selected at 4,096 facts per predicate"
     );
 }
