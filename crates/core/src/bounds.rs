@@ -258,8 +258,8 @@ impl IntervalIndex {
         page.max_hi = page.max_hi.max(f.hi);
     }
 
-    /// Unfiles `id` from under `at`; `false` if it was not filed there.
-    pub fn remove(&mut self, at: Interval, id: usize) -> bool {
+    /// Unfiles `id` from under `at`, if it is filed there.
+    pub fn remove(&mut self, at: Interval, id: usize) {
         let f = Filed {
             lo: at.lo,
             id,
@@ -267,7 +267,7 @@ impl IntervalIndex {
         };
         let p = self.page_of(&f);
         let Some(Ok(slot)) = self.pages.get(p).map(|page| page.filed.binary_search(&f)) else {
-            return false;
+            return;
         };
         let pages = Arc::make_mut(&mut self.pages);
         let page = &mut pages[p];
@@ -278,7 +278,6 @@ impl IntervalIndex {
         } else if f.hi == page.max_hi {
             page.max_hi = max_hi(filed);
         }
-        true
     }
 
     /// Appends the ids filed under an interval that meets `at`, in key
