@@ -214,6 +214,8 @@ impl Page {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct IntervalIndex {
     pages: Arc<Vec<Page>>,
+    /// Ids filed, over all pages.
+    len: usize,
     /// Pages this handle's mutations copied because an older clone
     /// still held them (cumulative; clones inherit the count).
     copied: u64,
@@ -236,6 +238,7 @@ impl IntervalIndex {
             hi: at.hi,
         };
         let mut p = self.page_of(&f);
+        self.len += 1;
         let pages = Arc::make_mut(&mut self.pages);
         let Some(page) = pages.get_mut(p) else {
             pages.push(Page::new(vec![f]));
@@ -269,6 +272,7 @@ impl IntervalIndex {
         let Some(Ok(slot)) = self.pages.get(p).map(|page| page.filed.binary_search(&f)) else {
             return;
         };
+        self.len -= 1;
         let pages = Arc::make_mut(&mut self.pages);
         let page = &mut pages[p];
         let filed = unshare_counted(&mut page.filed, &mut self.copied);
@@ -291,6 +295,16 @@ impl IntervalIndex {
                 }
             }
         }
+    }
+
+    /// Number of ids filed.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Every id filed, in key order.
+    pub fn ids(&self) -> impl Iterator<Item = usize> + '_ {
+        self.pages.iter().flat_map(|p| p.filed.iter().map(|f| f.id))
     }
 
     /// Pages copied by this handle's mutations (see the field).

@@ -56,6 +56,7 @@
 
 use crate::atom::{ConstrainedAtom, Overlap};
 use crate::bounds::ArgBounds;
+use crate::delete_stdel::simplify_keep;
 use crate::program::{Clause, ClauseId, ConstrainedDatabase};
 // The blind rewrite is the declarative spec: it lives with the oracles.
 pub use crate::semantics::rewrite_for_deletion;
@@ -314,9 +315,8 @@ impl Run<'_> {
                 // into every over-deleted entry, so redundancy here
                 // multiplies across the whole run (acute for batches,
                 // whose Del sets are larger).
-                let region = match mmv_constraints::simplify(&region) {
-                    mmv_constraints::Simplified::Constraint(c) => c,
-                    mmv_constraints::Simplified::Unsat => continue,
+                let Some(region) = mmv_constraints::simplify(&region).into_constraint() else {
+                    continue;
                 };
                 del.push(atom.with_constraint(region));
             }
@@ -375,13 +375,7 @@ impl Run<'_> {
                     // a batch, every later region's) runs against this
                     // constraint, so letting raw not() chains pile up
                     // makes those solver calls quadratically slower.
-                    constraint =
-                        match mmv_constraints::simplify(&constraint.and_lit(Lit::Not(ppsi))) {
-                            mmv_constraints::Simplified::Constraint(c) => c,
-                            mmv_constraints::Simplified::Unsat => {
-                                Constraint::lit(Lit::Not(Constraint::truth()))
-                            }
-                        };
+                    constraint = simplify_keep(constraint.and_lit(Lit::Not(ppsi)));
                     changed = true;
                 }
                 if changed {

@@ -286,13 +286,14 @@ fn propagate_entry(
     emitted
 }
 
-/// Simplifies a replacement constraint, keeping a canonical `false` when
-/// the simplifier proves it unsatisfiable (step 4 will remove the entry).
-fn simplify_keep(c: Constraint) -> Constraint {
-    match mmv_constraints::simplify(&c) {
-        mmv_constraints::Simplified::Constraint(s) => s,
-        mmv_constraints::Simplified::Unsat => Constraint::lit(Lit::Not(Constraint::truth())),
-    }
+/// Simplifies a weakened entry's constraint, keeping a canonical `false`
+/// when the simplifier proves it unsatisfiable — the entry is replaced
+/// either way, and the deletion's sweep of unsolvable entries (StDel's
+/// step 4, Extended DRed's hygiene pass) drops it.
+pub(crate) fn simplify_keep(c: Constraint) -> Constraint {
+    mmv_constraints::simplify(&c)
+        .into_constraint()
+        .unwrap_or_else(|| Constraint::lit(Lit::Not(Constraint::truth())))
 }
 
 #[cfg(test)]

@@ -14,10 +14,11 @@
 //! - **Deterministic merge.** [`WorkerPool::run`] takes a `Vec` of
 //!   closures and returns their results *in submission order*,
 //!   whichever worker ran each one. The round driver submits a round's
-//!   splits in the exact order its inline executor would run them and
-//!   folds the results back in that same order — pooled output stays
-//!   syntactically identical to inline (see [`tp`][crate::tp] for why
-//!   the tasks are independent in the first place).
+//!   splits in plan order and merges the results in that order, exactly
+//!   as its inline executor merges its own outputs once every split has
+//!   run — pooled views and counters stay identical to inline (see
+//!   [`tp`][crate::tp] for why the tasks are independent in the first
+//!   place).
 //! - **Work stealing.** Each worker owns a deque; submission deals
 //!   tasks round-robin. A worker that drains its own queue pops from
 //!   the other queues (a *steal*, counted in

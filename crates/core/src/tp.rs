@@ -22,9 +22,9 @@
 //! * **per-predicate live lists** — the ids of all live entries of a
 //!   predicate, and
 //! * a **constant-argument discrimination index** — `(pred, position,
-//!   value) → ids` for entries with a constant at that argument position,
-//!   plus the complementary "non-constant at that position" list (such
-//!   entries can match any value, so every probe unions both).
+//!   value) → ids` for entries with a constant at that argument
+//!   position. An entry with a variable there can match any value, so a
+//!   probe also returns every entry the position's interval index files.
 //!
 //! `collect_combos` enumerates the combinations for one `(clause,
 //! delta-position)` pair by visiting the delta position first and
@@ -36,16 +36,17 @@
 //! view contents are unchanged under both `T_P` and `W_P` (which must
 //! keep unsolvable-but-not-syntactically-false atoms).
 //!
-//! The semi-naive **old/delta/all invariant**: each round freezes the
-//! entry-slot watermark and stamps its delta entries with a fresh token
-//! (`RoundScope`). Each clause's delta-carrying body positions are
-//! ordered by ascending estimated fan-out into a `delta_plan`; the
-//! position of rank `k` serves as the delta of one split, in which
-//! positions of rank `< k` draw from frozen non-delta entries ("old"),
-//! rank `k` from the delta, and every other position from all frozen
+//! The semi-naive **old/delta/all invariant**: a round's delta is the
+//! list of ids the previous round inserted (or the run's seed), grouped
+//! by predicate and ascending within each group. Each clause's
+//! delta-carrying body positions are ordered by ascending estimated
+//! fan-out into a `delta_plan`; the position of rank `k` serves as the
+//! delta of one split, in which positions of rank `< k` draw from the
+//! view's non-delta entries ("old": a binary search of that predicate's
+//! delta), rank `k` from the delta, and every other position from all
 //! entries ("all") — so every combination involving at least one delta
 //! entry is enumerated exactly once per round, without building
-//! per-round `HashSet`s or rescanning the view.
+//! per-round sets or rescanning the view.
 //!
 //! # One round driver, two executors
 //!
@@ -63,42 +64,36 @@
 //! marked predicates. Every delta the driver sees is therefore a list of
 //! view entries.
 //!
-//! The splits of one round are mutually independent — each enumerates
-//! against the round-start state (the scope's watermark hides whatever
-//! the round inserts, and a round only inserts) — so *who* runs them is
-//! the driver's choice, made per round from what it can observe, never
-//! from an option:
+//! A round has one discipline: every split enumerates the round-start
+//! view, renaming with a private variable generator started at the
+//! round's base watermark, and only then are the split outputs merged
+//! into the view, in plan order. Nothing is inserted while a round
+//! enumerates, so the splits are mutually independent, and *who* runs
+//! them is the driver's choice, made per round from what it can observe,
+//! never from an option:
 //!
 //! * **Inline**: with no [`FixpointConfig::parallel`] pool or a 1-wide
-//!   one, the caller thread runs `run_split` → merge split by split
-//!   against the live view, renaming with the live variable generator.
+//!   one, the caller thread calls `run_split` for each split over the
+//!   view itself.
 //! * **Pooled**: otherwise the view is frozen once (a handful of `Arc`
 //!   bumps), every split becomes one owning [`WorkerPool`] task calling
-//!   the same `run_split` with a private generator started at the live
-//!   one's watermark, the frozen handle is dropped as soon as the tasks
-//!   are back, and the outputs are merged in submission order. A task
-//!   panic surfaces as [`FixpointError::WorkerPanic`] before any merge.
+//!   the same `run_split` over the frozen clone, and the frozen handle is
+//!   dropped as soon as the tasks are back. A task panic surfaces as
+//!   [`FixpointError::WorkerPanic`] before any merge.
 //!
-//! Both executors produce syntactically identical views: entries below
-//! the watermark are immutable, so a split enumerates the same
-//! combinations over the live view and over its clone; candidates are
-//! inserted in the same (plan, enumeration) order; and `insert` drops a
-//! duplicate an earlier split of the round already produced. Pooled
-//! tasks may reuse each other's fresh variable numbers, harmlessly —
-//! `derive` renames every child per derivation and all equality here
-//! (canonicalization, support dedup) is renaming-insensitive; the merge
-//! bumps the live generator past every task's high mark. The
-//! `engine_equivalence` proptest and the `batch_equivalence` pool sweeps
-//! (widths 1/2/N) therefore test one engine under two executors.
-//!
-//! Only bookkeeping may differ, and only in multi-split rounds: inline,
-//! a later split dedups against what earlier splits of the round already
-//! merged and skips the `derive`; pooled, it dedups against the frozen
-//! view and the duplicate falls at the merge — so `derivations_tried`,
-//! `pruned_*` and a gate's solver calls can be slightly higher pooled
-//! (still deterministic at any width ≥ 2). The store's copy-on-write
-//! counters do not differ: the frozen handle is gone before the first
-//! merge insert, so no page the writer already owns is shared again.
+//! The two executors therefore run the same enumeration, gate it against
+//! the same view and merge the same outputs in the same order: their
+//! views are identical entry for entry (variable numbers included), and
+//! so are their counters — including the store's copy-on-write counters,
+//! since the frozen handle is gone before the first merge insert, so no
+//! page the writer already owns is shared again. `insert` drops a
+//! duplicate an earlier split of the round produced. Splits may reuse
+//! each other's fresh variable numbers, harmlessly — `derive` renames
+//! every child per derivation and all equality here (canonicalization,
+//! support dedup) is renaming-insensitive; the merge bumps the live
+//! generator past every split's high mark. The `engine_equivalence`
+//! proptest and the `batch_equivalence` pool sweeps (widths 1/2/N) pin
+//! views, stats and renderings equal across executors.
 
 use crate::atom::ConstrainedAtom;
 use crate::normalize::normalize;
@@ -355,74 +350,15 @@ pub fn fixpoint(
     Ok((view, stats))
 }
 
-/// Freeze of one semi-naive round over a view: only entries below
-/// `watermark` (the slot count at round start) participate, and entries
-/// stamped with `token` form the round's delta. Stamps persist across
-/// rounds; a fresh token per round makes stale stamps inert, so no
-/// per-round set is built and no stamp is ever cleared. What a run does
-/// pay is one stamp per entry *slot*: `RoundState::begin` sizes the
-/// vector to the view's slot watermark, so the first round of every
-/// engine run zeroes O(slots) — live and tombstoned alike — and later
-/// rounds extend it by the slots the run itself added.
-///
-/// The scope owns its stamp vector behind an `Arc` (cheaply cloned, no
-/// borrow of the [`RoundState`]), so a pooled round can hand one copy
-/// to every pool task.
-#[derive(Clone)]
-pub(crate) struct RoundScope {
-    /// Per-slot round stamps (slots beyond the vector count as 0).
-    stamps: Arc<Vec<u64>>,
-    /// The current round's token.
-    pub token: u64,
-    /// Entry-slot watermark taken at round start.
-    pub watermark: usize,
-}
+/// A round's delta grouped by predicate (O(|delta|), never a view
+/// rescan). Every list ascends: each seed does, and every later delta
+/// is the ids the previous merge appended — which is what lets the
+/// "old" exclusion binary-search it.
+type DeltaByPred = FxHashMap<Arc<str>, Vec<EntryId>>;
 
-impl RoundScope {
-    fn in_delta(&self, id: EntryId) -> bool {
-        self.stamps.get(id).copied() == Some(self.token)
-    }
-}
-
-/// The round driver's freeze state across the rounds of one run: owns
-/// the stamp vector and token counter behind [`RoundScope`].
-struct RoundState {
-    stamps: Arc<Vec<u64>>,
-    token: u64,
-}
-
-impl RoundState {
-    fn new() -> Self {
-        RoundState {
-            stamps: Arc::new(Vec::new()),
-            token: 0,
-        }
-    }
-
-    /// Starts a round: freezes the view's slot watermark and stamps the
-    /// delta with a fresh token. (`Arc::make_mut` copies the stamp
-    /// vector only if a previous round's tasks still hold it — they
-    /// never do: every task completes before its round's merge.)
-    fn begin(&mut self, view: &MaterializedView, delta: &[EntryId]) -> RoundScope {
-        self.token += 1;
-        let watermark = view.entry_slots();
-        let stamps = Arc::make_mut(&mut self.stamps);
-        stamps.resize(watermark, 0);
-        for &id in delta {
-            stamps[id] = self.token;
-        }
-        RoundScope {
-            stamps: Arc::clone(&self.stamps),
-            token: self.token,
-            watermark,
-        }
-    }
-}
-
-/// Groups live entry ids by predicate (the per-round delta partition —
-/// O(|delta|), never a view rescan).
-fn group_by_pred(view: &MaterializedView, ids: &[EntryId]) -> FxHashMap<Arc<str>, Vec<EntryId>> {
-    let mut out: FxHashMap<Arc<str>, Vec<EntryId>> = FxHashMap::default();
+fn group_by_pred(view: &MaterializedView, ids: &[EntryId]) -> DeltaByPred {
+    debug_assert!(ids.is_sorted(), "a round's delta ascends");
+    let mut out = DeltaByPred::default();
     for &id in ids {
         out.entry(view.entry(id).atom.pred.clone())
             .or_default()
@@ -434,8 +370,12 @@ fn group_by_pred(view: &MaterializedView, ids: &[EntryId]) -> FxHashMap<Arc<str>
 struct ComboCtx<'a> {
     view: &'a MaterializedView,
     body: &'a [BodyAtom],
-    split: &'a Split<'a>,
-    scope: &'a RoundScope,
+    dpos: usize,
+    /// The delta position's candidates.
+    delta: &'a [EntryId],
+    /// Per body position, the delta entries it must skip: the delta of
+    /// its predicate at the split's `older` positions, else nothing.
+    excluded: Vec<&'a [EntryId]>,
     /// Visit order of body positions: the delta position first (it is
     /// the most selective source and its bindings prune every other
     /// position), then the rest by ascending estimated probe
@@ -505,12 +445,12 @@ fn combos_rec(
     let i = ctx.order[depth];
     let atom = &ctx.body[i];
     let mark = trail.len();
-    if i == ctx.split.dpos {
-        stats.candidates_scanned += ctx.split.delta.len();
+    if i == ctx.dpos {
+        stats.candidates_scanned += ctx.delta.len();
         // One delta list holds one predicate's entries, so the liveness
         // set is resolved once, not per candidate.
         let live = ctx.view.live_set(&atom.pred);
-        for &id in ctx.split.delta {
+        for &id in ctx.delta {
             let e = ctx.view.entry(id);
             if live.is_some_and(|s| s.contains_key(&id))
                 && bind_child(atom, &e.atom.args, bindings, trail)
@@ -539,14 +479,12 @@ fn combos_rec(
     }
     stats.candidates_scanned += cands.len();
     // Old/delta/all split: positions already consumed as delta by
-    // earlier splits of the plan draw from pre-round non-delta entries,
-    // the remaining positions from all pre-round entries — each
-    // combination enumerated exactly once per round. Whether *this*
-    // position excludes the delta is fixed for the whole candidate loop.
-    let excludes_delta = ctx.split.older.contains(&i);
-    let sc = ctx.scope;
+    // earlier splits of the plan draw from non-delta entries, the
+    // remaining positions from all entries — each combination
+    // enumerated exactly once per round.
+    let excluded = ctx.excluded[i];
     for id in cands.iter() {
-        if id >= sc.watermark || (excludes_delta && sc.in_delta(id)) {
+        if excluded.binary_search(&id).is_ok() {
             continue;
         }
         let e = ctx.view.entry(id);
@@ -570,26 +508,22 @@ fn combos_rec(
 /// as the delta exactly once, but the *order* of the splits is free:
 /// for the split at rank `k`, positions of rank `< k` draw from the
 /// round's non-delta ("old") entries and everything else from all
-/// frozen entries, which keeps the splits disjoint and exhaustive under
+/// entries, which keeps the splits disjoint and exhaustive under
 /// any permutation. Leading with the smallest delta list means the
 /// cheapest, most selective source drives the first (and therefore
 /// every "all"-sourced) split. The enumerated combination set is
 /// identical under any order, which the `engine_equivalence` proptest
 /// pins.
-fn delta_plan(
-    body: &[BodyAtom],
-    delta_by_pred: &FxHashMap<Arc<str>, Vec<EntryId>>,
-    plan: &mut Vec<usize>,
-) {
+fn delta_plan(body: &[BodyAtom], deltas: &DeltaByPred, plan: &mut Vec<usize>) {
     plan.clear();
-    plan.extend((0..body.len()).filter(|i| delta_by_pred.contains_key(&body[*i].pred)));
+    plan.extend((0..body.len()).filter(|i| deltas.contains_key(&body[*i].pred)));
     // Bodies are a handful of atoms, so re-probing the map per
     // comparison is cheaper than materializing a keyed scratch vector.
-    plan.sort_unstable_by_key(|&i| (delta_by_pred.get(&body[i].pred).map_or(0, |d| d.len()), i));
+    plan.sort_unstable_by_key(|&i| (deltas.get(&body[i].pred).map_or(0, |d| d.len()), i));
 }
 
 /// Collects every combination of children of `split`'s clause body (see
-/// [`Split`]) under the round's `scope`. Combinations are appended to
+/// [`Split`]) under the round's `deltas`. Combinations are appended to
 /// `out` as flat chunks of `body.len()` entry ids, so the caller can
 /// materialize, dedup, derive and insert without this function holding
 /// any borrow of the view.
@@ -610,11 +544,12 @@ fn delta_plan(
 fn collect_combos(
     view: &MaterializedView,
     split: &Split<'_>,
-    scope: &RoundScope,
+    deltas: &DeltaByPred,
     stats: &mut FixpointStats,
     out: &mut Vec<EntryId>,
 ) {
     let (body, dpos) = (split.clause.body.as_slice(), split.dpos);
+    let delta = deltas[&body[dpos].pred].as_slice();
     let mut order: Vec<usize> = Vec::with_capacity(body.len());
     order.push(dpos);
     // Bindings the delta position will impose once visited, used purely
@@ -622,7 +557,7 @@ fn collect_combos(
     // map on conflict is fine — estimates steer order, never content).
     let mut est_bindings: FxHashMap<Var, Value> = FxHashMap::default();
     let mut est_trail: Vec<Var> = Vec::new();
-    if let Some(&first) = split.delta.first() {
+    if let Some(&first) = delta.first() {
         let args = &view.entry(first).atom.args;
         let _ = bind_child(&body[dpos], args, &mut est_bindings, &mut est_trail);
     }
@@ -647,8 +582,17 @@ fn collect_combos(
     let ctx = ComboCtx {
         view,
         body,
-        split,
-        scope,
+        dpos,
+        delta,
+        excluded: (0..body.len())
+            .map(|i| {
+                if split.older.contains(&i) {
+                    deltas[&body[i].pred].as_slice()
+                } else {
+                    &[]
+                }
+            })
+            .collect(),
         order: &order,
     };
     let mut bindings = FxHashMap::default();
@@ -697,13 +641,10 @@ pub(crate) fn propagate(
 /// every engine. A gate is cloned into each pool task, so it owns
 /// (`Arc`-shares) whatever it reads.
 pub(crate) trait Gate: Clone + Send + 'static {
-    /// Decides one combination: `chunk` holds one entry id of `view` per
-    /// body atom of `split.clause` (all below the round's watermark,
-    /// hence immutable). Returns what to insert, or `None` to drop the
-    /// combination. Anything else it reads of `view` may only serve to
-    /// drop a combination the merge's `insert` would reject anyway: the
-    /// live view and a frozen round-start clone must admit the same
-    /// entries.
+    /// Decides one combination: `chunk` holds one entry id of `view` —
+    /// the round-start view, or a frozen clone of it — per body atom of
+    /// `split.clause`. Returns what to insert, or `None` to drop the
+    /// combination.
     fn admit(
         &self,
         view: &MaterializedView,
@@ -790,38 +731,32 @@ pub(crate) fn derive_combo(
 }
 
 /// One `(clause, delta-position)` split of a round: body position
-/// `dpos` draws from `delta` (this round's delta entries of that
-/// position's predicate), the positions in `older` — the delta of
-/// earlier splits of the same clause's [`delta_plan`] — from the frozen
-/// *non-delta* entries ("old"), and every other position from all
-/// frozen entries ("all").
+/// `dpos` draws from the round's delta entries of that position's
+/// predicate, the positions in `older` — the delta of earlier splits of
+/// the same clause's [`delta_plan`] — from the *non-delta* entries
+/// ("old"), and every other position from all entries ("all").
 pub(crate) struct Split<'a> {
     pub cid: ClauseId,
     pub clause: &'a Clause,
     dpos: usize,
     older: Vec<usize>,
-    delta: &'a [EntryId],
 }
 
 /// The round's splits in sequential iteration order: clauses in
 /// database order, each clause's positions in [`delta_plan`] order.
 /// Both executors consume this list front to back, which is what makes
 /// their output identical.
-fn plan_splits<'a>(
-    db: &'a ConstrainedDatabase,
-    delta_by_pred: &'a FxHashMap<Arc<str>, Vec<EntryId>>,
-) -> Vec<Split<'a>> {
+fn plan_splits<'a>(db: &'a ConstrainedDatabase, deltas: &DeltaByPred) -> Vec<Split<'a>> {
     let mut splits = Vec::new();
     let mut plan = Vec::new();
     for (cid, clause) in db.rules() {
-        delta_plan(&clause.body, delta_by_pred, &mut plan);
+        delta_plan(&clause.body, deltas, &mut plan);
         for (k, &dpos) in plan.iter().enumerate() {
             splits.push(Split {
                 cid,
                 clause,
                 dpos,
                 older: plan[..k].to_vec(),
-                delta: &delta_by_pred[&clause.body[dpos].pred],
             });
         }
     }
@@ -837,24 +772,26 @@ struct SplitOutput {
     gen_high: u32,
 }
 
-/// Enumerates one split against `view` and gates every combination —
-/// the only place a round calls [`collect_combos`]. The inline executor
-/// passes the live view and generator, the pooled one the frozen clone
-/// and a private generator.
+/// Enumerates one split against the round-start `view` and gates every
+/// combination, renaming with a private generator started at the
+/// round's `base` watermark — the only place a round calls
+/// [`collect_combos`]. The inline executor passes the view itself, the
+/// pooled one a frozen clone.
 fn run_split<G: Gate>(
     view: &MaterializedView,
     split: &Split<'_>,
-    scope: &RoundScope,
+    deltas: &DeltaByPred,
     resolver: &dyn DomainResolver,
     gate: &G,
-    gen: &mut VarGen,
+    base: u32,
 ) -> SplitOutput {
     let mut stats = EngineStats::default();
+    let mut gen = VarGen::starting_at(base);
     let mut combos: Vec<EntryId> = Vec::new();
-    collect_combos(view, split, scope, &mut stats.fixpoint, &mut combos);
+    collect_combos(view, split, deltas, &mut stats.fixpoint, &mut combos);
     let candidates = combos
         .chunks_exact(split.clause.body.len())
-        .filter_map(|chunk| gate.admit(view, split, chunk, resolver, gen, &mut stats))
+        .filter_map(|chunk| gate.admit(view, split, chunk, resolver, &mut gen, &mut stats))
         .collect();
     SplitOutput {
         candidates,
@@ -884,7 +821,6 @@ impl<G: Gate> Engine<'_, G> {
         mut delta: Vec<EntryId>,
     ) -> Result<EngineStats, FixpointError> {
         let mut stats = EngineStats::default();
-        let mut rounds = RoundState::new();
         while !delta.is_empty() {
             stats.fixpoint.iterations += 1;
             if stats.fixpoint.iterations > self.config.max_iterations {
@@ -892,52 +828,65 @@ impl<G: Gate> Engine<'_, G> {
                     iterations: stats.fixpoint.iterations,
                 });
             }
-            let scope = rounds.begin(view, &delta);
-            let delta_by_pred = group_by_pred(view, &delta);
-            let splits = plan_splits(self.db, &delta_by_pred);
-            delta = self.round(view, gen, splits, &scope, &mut stats)?;
+            let deltas = Arc::new(group_by_pred(view, &delta));
+            let splits = plan_splits(self.db, &deltas);
+            delta = self.round(view, gen, splits, deltas, &mut stats)?;
         }
         Ok(stats)
     }
 
-    /// One round: runs every split — inline, or pooled when a pool of
-    /// more than one thread is configured — and merges the outputs into
-    /// `view` in plan order; returns the inserted ids (the next round's
-    /// delta).
+    /// One round: runs every split over the round-start view — inline,
+    /// or pooled when a pool of more than one thread is configured — and
+    /// then merges the outputs into `view` in plan order; returns the
+    /// inserted ids (the next round's delta).
     fn round(
         &self,
         view: &mut MaterializedView,
         gen: &mut VarGen,
         splits: Vec<Split<'_>>,
-        scope: &RoundScope,
+        deltas: Arc<DeltaByPred>,
         stats: &mut EngineStats,
     ) -> Result<Vec<EntryId>, FixpointError> {
-        let mut next = Vec::new();
+        let base = gen.watermark();
         let pooled = self
             .config
             .parallel
             .as_ref()
             .filter(|par| par.pool.threads() > 1 && !splits.is_empty());
-        let Some(par) = pooled else {
-            for split in &splits {
-                let out = run_split(view, split, scope, self.resolver, &self.gate, gen);
-                self.merge(view, gen, out, stats, &mut next)?;
-            }
-            return Ok(next);
+        let outputs = match pooled {
+            None => splits
+                .iter()
+                .map(|split| run_split(view, split, &deltas, self.resolver, &self.gate, base))
+                .collect(),
+            Some(par) => self.run_pooled(par, view, splits, deltas, base)?,
         };
-        // Pool jobs are `'static`: each owns its split, an `Arc` bump of
-        // the frozen view and of the scope, and a private generator
-        // started at the live one's watermark.
+        let mut next = Vec::new();
+        for out in outputs {
+            self.merge(view, gen, out, stats, &mut next)?;
+        }
+        Ok(next)
+    }
+
+    /// The pooled executor: one owning pool task per split over a frozen
+    /// clone of `view`, outputs in submission order.
+    fn run_pooled(
+        &self,
+        par: &ParallelFixpoint,
+        view: &MaterializedView,
+        splits: Vec<Split<'_>>,
+        deltas: Arc<DeltaByPred>,
+        base: u32,
+    ) -> Result<Vec<SplitOutput>, FixpointError> {
+        // Pool jobs are `'static`: each owns its split and an `Arc` bump
+        // of the frozen view and of the grouped delta.
         let frozen = Arc::new(view.clone());
-        let base_watermark = gen.watermark();
         let tasks: Vec<_> = splits
             .into_iter()
             .map(|split| {
                 let frozen = Arc::clone(&frozen);
-                let scope = scope.clone();
+                let deltas = Arc::clone(&deltas);
                 let (cid, clause, dpos, older) =
                     (split.cid, split.clause.clone(), split.dpos, split.older);
-                let delta = split.delta.to_vec();
                 let resolver = Arc::clone(&par.resolver);
                 let gate = self.gate.clone();
                 move || {
@@ -946,10 +895,8 @@ impl<G: Gate> Engine<'_, G> {
                         clause: &clause,
                         dpos,
                         older,
-                        delta: &delta,
                     };
-                    let mut gen = VarGen::starting_at(base_watermark);
-                    run_split(&frozen, &split, &scope, resolver.as_ref(), &gate, &mut gen)
+                    run_split(&frozen, &split, &deltas, resolver.as_ref(), &gate, base)
                 }
             })
             .collect();
@@ -963,22 +910,18 @@ impl<G: Gate> Engine<'_, G> {
         // re-panic: nothing has been merged, so the view holds the
         // pre-round state, the caller's locks stay unpoisoned, and the
         // pool's workers survive.
-        let outputs = results
+        results
             .into_iter()
             .collect::<Result<Vec<SplitOutput>, _>>()
             .map_err(|payload| FixpointError::WorkerPanic {
                 message: crate::pool::panic_message(payload.as_ref()),
-            })?;
-        for out in outputs {
-            self.merge(view, gen, out, stats, &mut next)?;
-        }
-        Ok(next)
+            })
     }
 
     /// Folds one split's output into the live view. `insert` itself
     /// drops a candidate whose support (or, in plain mode, canonical
     /// form) an earlier split of this round already produced — the
-    /// duplicates a frozen view could not see.
+    /// duplicates the round-start view could not show.
     fn merge(
         &self,
         view: &mut MaterializedView,
@@ -1680,9 +1623,10 @@ mod engine_equivalence {
                             i.is_ok()
                         ),
                     }
-                    // Pool sweep: the pooled executor must be
-                    // syntactically identical to sequential at every
-                    // pool width (supports included).
+                    // Pool sweep: at every pool width the run must
+                    // equal the inline one — the same view (supports
+                    // included), the same rendering (entry order and
+                    // variable numbers) and the same counters.
                     for pool in sweep_pools() {
                         let pcfg = FixpointConfig {
                             parallel: Some(ParallelFixpoint {
@@ -1693,12 +1637,26 @@ mod engine_equivalence {
                         };
                         let parallel = fixpoint(&db, &NoDomains, op, mode, &pcfg);
                         match (&indexed, &parallel) {
-                            (Ok((sv, _)), Ok((pv, _))) => prop_assert!(
-                                sv.syntactically_equal(pv),
-                                "{op:?}/{mode:?} parallel({}) diverged on\n{db}\n\
-                                 sequential:\n{sv}\nparallel:\n{pv}",
-                                pool.threads()
-                            ),
+                            (Ok((sv, ss)), Ok((pv, ps))) => {
+                                prop_assert!(
+                                    sv.syntactically_equal(pv),
+                                    "{op:?}/{mode:?} parallel({}) diverged on\n{db}\n\
+                                     sequential:\n{sv}\nparallel:\n{pv}",
+                                    pool.threads()
+                                );
+                                prop_assert_eq!(
+                                    sv.to_string(),
+                                    pv.to_string(),
+                                    "{op:?}/{mode:?} parallel({}) renders differently on\n{db}",
+                                    pool.threads()
+                                );
+                                prop_assert_eq!(
+                                    ss,
+                                    ps,
+                                    "{op:?}/{mode:?} parallel({}) counters differ on\n{db}",
+                                    pool.threads()
+                                );
+                            }
                             (Err(_), Err(_)) => {}
                             (s, p) => prop_assert!(
                                 false,

@@ -29,7 +29,7 @@
 //!   touches stay physically shared across every published epoch. The
 //!   copy itself is *sub-page*: the live-slot map and the per-position
 //!   constant discrimination maps are persistent tries ([`SharedMap`]),
-//!   so un-sharing a touched predicate clones only two plain id vectors
+//!   so un-sharing a touched predicate clones only the live id vector
 //!   (a memcpy) plus O(log n) trie nodes per *touched key* — a batch
 //!   that hits one constant of a 1024-entry index copies a handful of
 //!   key/value pairs, not the whole index.
@@ -159,17 +159,16 @@ pub struct Entry {
 /// removal is a swap-remove through `slots`, which doubles as the
 /// liveness set). `by_const[p]` discriminates live entries by the
 /// constant at argument position `p`; entries whose argument at `p`
-/// is a variable or field projection go to `nonconst[p]` instead — a
-/// probe for value `v` at `p` must scan `by_const[p][v] ∪ nonconst[p]`,
-/// since a variable argument can take any value under its constraint.
+/// is a variable or field projection are filed in the position's
+/// interval index instead (see [`PredPages`]).
 ///
 /// Each `PredIndex` is one copy-on-write "page": the view holds it
 /// behind an `Arc` and copies it on the first mutation after a clone.
 /// The expensive members — `slots` and `by_const` — are themselves
 /// persistent tries, so that page copy clones trie *roots* (Arc bumps)
 /// and later key mutations un-share O(log n) nodes per touched key;
-/// `live`/`nonconst` stay plain vectors (their clone is a memcpy, and
-/// probes borrow them as slices).
+/// `live` stays a plain vector (its clone is a memcpy, and probes
+/// borrow it as a slice).
 #[derive(Debug, Clone, Default)]
 struct PredIndex {
     live: Vec<EntryId>,
@@ -177,32 +176,25 @@ struct PredIndex {
     /// *is* liveness.
     slots: SharedMap<EntryId, usize>,
     by_const: Vec<SharedMap<Value, Vec<EntryId>>>,
-    nonconst: Vec<Vec<EntryId>>,
 }
 
 /// One predicate's two copy-on-write pages: its [`PredIndex`] and, per
 /// argument position, the interval index of the live entries whose
-/// argument there is not a constant (`nonconst[p]`'s entries, filed by
-/// bounds; see "Candidate selection" in the module docs). They un-share
-/// apart, so a constraint replacement that re-files an entry copies
-/// interval pages and never the `PredIndex`.
+/// argument there is not a constant, filed by bounds (see "Candidate
+/// selection" in the module docs). They un-share apart, so a
+/// constraint replacement that re-files an entry copies interval pages
+/// and never the `PredIndex`.
 #[derive(Debug, Clone, Default)]
 struct PredPages {
     index: Arc<PredIndex>,
     intervals: Arc<Vec<IntervalIndex>>,
 }
 
-impl PredIndex {
-    fn ensure_arity(&mut self, n: usize) {
-        if self.by_const.len() < n {
-            self.by_const.resize_with(n, SharedMap::new);
-            self.nonconst.resize_with(n, Vec::new);
-        }
-    }
-
+impl PredPages {
     /// The most selective position `pattern` binds, with its probe: the
-    /// entries carrying that constant there, then those with a
-    /// non-constant argument there. `None` when nothing is bound.
+    /// entries carrying that constant there, then every entry with a
+    /// non-constant argument there — all that position's interval index
+    /// files, whatever their interval. `None` when nothing is bound.
     fn pinned<'a, 'p>(
         &'a self,
         pattern: impl IntoIterator<Item = Option<&'p Value>>,
@@ -210,20 +202,14 @@ impl PredIndex {
         let mut best: Option<(usize, Probe<'a>)> = None;
         for (p, pat) in pattern.into_iter().enumerate() {
             let Some(v) = pat else { continue };
-            let consts: &[EntryId] = self
-                .by_const
-                .get(p)
-                .and_then(|m| m.get(v))
-                .map(|ids| ids.as_slice())
-                .unwrap_or(&[]);
-            let nons: &[EntryId] = self
-                .nonconst
-                .get(p)
-                .map(|ids| ids.as_slice())
-                .unwrap_or(&[]);
             let cand = Probe {
-                primary: consts,
-                secondary: nons,
+                consts: self
+                    .index
+                    .by_const
+                    .get(p)
+                    .and_then(|m| m.get(v))
+                    .map_or(&[], Vec::as_slice),
+                filed: self.intervals.get(p),
                 discriminated: true,
             };
             if best.as_ref().is_none_or(|(_, b)| cand.len() < b.len()) {
@@ -294,26 +280,27 @@ fn filed_positions(args: &[Term]) -> impl Iterator<Item = usize> + '_ {
         .map(|(p, _)| p)
 }
 
-/// The result of a [`MaterializedView::probe`]: up to two borrowed id
-/// lists (constant matches and non-constant entries of the chosen
-/// position, or the full live list when no position was bound).
+/// The result of a [`MaterializedView::probe`], borrowed from the
+/// index: the constant matches of the chosen position, then every entry
+/// its interval index files (the non-constant ones, in `(lo, id)`
+/// order); or the full live list when no position was bound.
 #[derive(Debug, Clone, Copy)]
 pub struct Probe<'a> {
-    primary: &'a [EntryId],
-    secondary: &'a [EntryId],
+    consts: &'a [EntryId],
+    filed: Option<&'a IntervalIndex>,
     discriminated: bool,
 }
 
 impl<'a> Probe<'a> {
     const EMPTY: Probe<'static> = Probe {
-        primary: &[],
-        secondary: &[],
+        consts: &[],
+        filed: None,
         discriminated: false,
     };
 
     /// Number of candidate entries.
     pub fn len(&self) -> usize {
-        self.primary.len() + self.secondary.len()
+        self.consts.len() + self.filed.map_or(0, IntervalIndex::len)
     }
 
     /// Whether there are no candidates.
@@ -330,7 +317,8 @@ impl<'a> Probe<'a> {
 
     /// Iterates the candidate entry ids.
     pub fn iter(&self) -> impl Iterator<Item = EntryId> + 'a {
-        self.primary.iter().chain(self.secondary).copied()
+        let filed = self.filed.into_iter().flat_map(IntervalIndex::ids);
+        self.consts.iter().copied().chain(filed)
     }
 }
 
@@ -555,14 +543,15 @@ impl MaterializedView {
         let copies = &mut self.pred_copies;
         let pages = self.preds.entry(atom.pred.clone()).or_default();
         let idx = cow_index(copies, &mut pages.index);
-        idx.ensure_arity(atom.args.len());
+        if idx.by_const.len() < atom.args.len() {
+            idx.by_const.resize_with(atom.args.len(), SharedMap::new);
+        }
         let slot = idx.live.len();
         idx.live.push(id);
         idx.slots.insert(id, slot);
         for (p, t) in atom.args.iter().enumerate() {
-            match t {
-                Term::Const(v) => idx.by_const[p].update(v.clone(), Vec::new(), |ids| ids.push(id)),
-                _ => idx.nonconst[p].push(id),
+            if let Term::Const(v) = t {
+                idx.by_const[p].update(v.clone(), Vec::new(), |ids| ids.push(id));
             }
         }
         let mut filed: Box<[Interval]> = Box::default();
@@ -751,11 +740,10 @@ impl MaterializedView {
         let Some(pages) = self.preds.get(pred) else {
             return Probe::EMPTY;
         };
-        let ix = &pages.index;
-        ix.pinned(pattern).map_or(
+        pages.pinned(pattern).map_or(
             Probe {
-                primary: &ix.live,
-                secondary: &[],
+                consts: &pages.index.live,
+                filed: None,
                 discriminated: false,
             },
             |(_, probe)| probe,
@@ -788,16 +776,14 @@ impl MaterializedView {
         };
         let ix = &pages.index;
         let mut filed: Vec<EntryId> = Vec::new();
-        let first: &[EntryId] = match ix.pinned(bounds.constants()) {
+        let first: &[EntryId] = match pages.pinned(bounds.constants()) {
             Some((p, probe)) => {
-                // The probe's `nonconst[p]` are exactly the ids filed at
-                // `p`; the probe lists them in id order.
-                if let (Some(index), Some(at)) = (pages.intervals.get(p), bounds.lookup(p)) {
+                // The probe's non-constant entries are all the ids filed
+                // at `p`, in the key order `meeting` keeps.
+                if let (Some(index), Some(at)) = (probe.filed, bounds.lookup(p)) {
                     index.meeting(at, &mut filed);
-                    filed.sort_unstable();
                 }
-                debug_assert!(filed.len() <= probe.secondary.len());
-                probe.primary
+                probe.consts
             }
             None => {
                 match bounds.narrowest(|i| ix.by_const.get(i).is_none_or(SharedMap::is_empty)) {
@@ -852,16 +838,6 @@ impl MaterializedView {
         {
             return false; // already tombstoned
         }
-        // Per-position discrimination keys of the removed entry.
-        let keys: Vec<Option<&Value>> = entry
-            .atom
-            .args
-            .iter()
-            .map(|t| match t {
-                Term::Const(v) => Some(v),
-                _ => None,
-            })
-            .collect();
         let pages = self.preds.get_mut(pred).expect("liveness just checked");
         if !entry.filed.is_empty() {
             let intervals = Arc::make_mut(&mut pages.intervals);
@@ -875,24 +851,18 @@ impl MaterializedView {
         if let Some(&moved) = idx.live.get(slot) {
             idx.slots.insert(moved, slot);
         }
-        for (p, key) in keys.into_iter().enumerate() {
-            match key {
-                Some(v) => {
-                    // Drop the key outright when this was its last id —
-                    // `update` would un-share the leaf only to leave an
-                    // empty list behind.
-                    match idx.by_const[p].get(v) {
-                        Some(ids) if ids.iter().all(|&x| x == id) => {
-                            idx.by_const[p].remove(v);
-                        }
-                        Some(_) => {
-                            idx.by_const[p]
-                                .update(v.clone(), Vec::new(), |ids| ids.retain(|&x| x != id));
-                        }
-                        None => {}
-                    }
+        for (p, t) in entry.atom.args.iter().enumerate() {
+            let Term::Const(v) = t else { continue };
+            // Drop the key outright when this was its last id — `update`
+            // would un-share the leaf only to leave an empty list behind.
+            match idx.by_const[p].get(v) {
+                Some(ids) if ids.iter().all(|&x| x == id) => {
+                    idx.by_const[p].remove(v);
                 }
-                None => idx.nonconst[p].retain(|&x| x != id),
+                Some(_) => {
+                    idx.by_const[p].update(v.clone(), Vec::new(), |ids| ids.retain(|&x| x != id));
+                }
+                None => {}
             }
         }
         self.unlink_children(id);
@@ -1221,7 +1191,7 @@ mod tests {
         assert_eq!(after, vec![ranged]);
         assert_eq!(v.entries_for_pred("e").len(), 11);
         // The most selective bound position wins: binding position 1 to 5
-        // scans the e(1,5) fact plus the nonconst-free position-1 list.
+        // scans the e(1,5) fact, and no entry is filed at position 1.
         let five = Value::int(5);
         assert_eq!(v.probe("e", &[None, Some(&five)]).len(), 1);
     }

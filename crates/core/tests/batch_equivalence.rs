@@ -231,6 +231,26 @@ fn sweep_pools() -> &'static [Arc<WorkerPool>] {
     })
 }
 
+/// A pooled batch against the no-pool one: the same rendering (entry
+/// order and variable numbers, not only the same entries up to
+/// renaming) and the same counters.
+fn assert_same_run<S: PartialEq + std::fmt::Debug>(
+    what: &str,
+    db: &ConstrainedDatabase,
+    (pooled, pooled_stats): (&MaterializedView, S),
+    (inline, inline_stats): (&MaterializedView, S),
+) {
+    assert_eq!(
+        pooled.to_string(),
+        inline.to_string(),
+        "{what} renders differently on\n{db}"
+    );
+    assert_eq!(
+        pooled_stats, inline_stats,
+        "{what} counters differ on\n{db}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: cases(),
@@ -245,7 +265,8 @@ proptest! {
         let cfg = FixpointConfig::default();
         let base = build(&w.db, SupportMode::Plain);
         let mut batched = base.clone();
-        dred_delete_batch(&w.db, &mut batched, &w.deletes, &NoDomains, &cfg).expect("batch");
+        let batched_stats =
+            dred_delete_batch(&w.db, &mut batched, &w.deletes, &NoDomains, &cfg).expect("batch");
         let mut sequential = base;
         for d in &w.deletes {
             dred_delete(&w.db, &mut sequential, d, &NoDomains, &cfg).expect("sequential");
@@ -256,7 +277,8 @@ proptest! {
             w.db
         );
         // The batched path again, under the work-stealing pool at each
-        // sweep width: parallel output must stay syntactically identical.
+        // sweep width: the view, its rendering and the counters must
+        // equal the no-pool batch.
         for pool in sweep_pools() {
             let par = FixpointConfig {
                 parallel: Some(ParallelFixpoint {
@@ -266,7 +288,7 @@ proptest! {
                 ..cfg.clone()
             };
             let mut parallel = build(&w.db, SupportMode::Plain);
-            dred_delete_batch(&w.db, &mut parallel, &w.deletes, &NoDomains, &par)
+            let parallel_stats = dred_delete_batch(&w.db, &mut parallel, &w.deletes, &NoDomains, &par)
                 .expect("parallel batch");
             prop_assert!(
                 parallel.syntactically_equal(&sequential),
@@ -274,6 +296,7 @@ proptest! {
                 pool.threads(),
                 w.db
             );
+            assert_same_run(&format!("DRed/pool={}", pool.threads()), &w.db, (&parallel, parallel_stats), (&batched, batched_stats));
         }
     }
 
@@ -304,8 +327,9 @@ proptest! {
         for mode in [SupportMode::Plain, SupportMode::WithSupports] {
             let base = build(&w.db, mode);
             let mut batched = base.clone();
-            insert_batch(&w.db, &mut batched, &w.inserts, &NoDomains, Operator::Tp, &cfg)
-                .expect("batch");
+            let batched_stats =
+                insert_batch(&w.db, &mut batched, &w.inserts, &NoDomains, Operator::Tp, &cfg)
+                    .expect("batch");
             let mut sequential = base;
             for i in &w.inserts {
                 insert_atom(&w.db, &mut sequential, i, &NoDomains, Operator::Tp, &cfg)
@@ -325,8 +349,9 @@ proptest! {
                     ..cfg.clone()
                 };
                 let mut parallel = build(&w.db, mode);
-                insert_batch(&w.db, &mut parallel, &w.inserts, &NoDomains, Operator::Tp, &par)
-                    .expect("parallel batch");
+                let parallel_stats =
+                    insert_batch(&w.db, &mut parallel, &w.inserts, &NoDomains, Operator::Tp, &par)
+                        .expect("parallel batch");
                 prop_assert!(
                     parallel.syntactically_equal(&sequential),
                     "insert/{mode:?}/pool={} diverged on\n{}\n\
@@ -334,6 +359,7 @@ proptest! {
                     pool.threads(),
                     w.db
                 );
+                assert_same_run(&format!("insert/{mode:?}/pool={}", pool.threads()), &w.db, (&parallel, parallel_stats), (&batched, batched_stats));
             }
         }
     }
@@ -353,8 +379,9 @@ proptest! {
             let base = build(&w.db, mode);
             let oracle = batch_oracle(&w.db, &base, &batch, &NoDomains, &cfg).expect("oracle");
             let mut batched = base.clone();
-            apply_batch(&w.db, &mut batched, &batch, &NoDomains, Operator::Tp, &cfg)
-                .expect("batch");
+            let batched_stats =
+                apply_batch(&w.db, &mut batched, &batch, &NoDomains, Operator::Tp, &cfg)
+                    .expect("batch");
             // `base` still shares every page with `batched`, so these are
             // the copies the batch cost a writer beside a live snapshot.
             let inline_share = batched.share_stats();
@@ -395,8 +422,10 @@ proptest! {
                 };
                 let mut parallel = build(&w.db, mode);
                 let snapshot = parallel.clone();
-                apply_batch(&w.db, &mut parallel, &batch, &NoDomains, Operator::Tp, &par)
-                    .expect("parallel batch");
+                let parallel_stats =
+                    apply_batch(&w.db, &mut parallel, &batch, &NoDomains, Operator::Tp, &par)
+                        .expect("parallel batch");
+                assert_same_run(&format!("apply_batch/{mode:?}/pool={}", pool.threads()), &w.db, (&parallel, parallel_stats), (&batched, batched_stats));
                 prop_assert!(
                     parallel.syntactically_equal(&batched),
                     "apply_batch/{mode:?}/pool={} diverged on\n{}\n\
