@@ -129,7 +129,9 @@ pub struct FixpointConfig {
     pub max_iterations: usize,
     /// Maximum live view entries before giving up. Extended DRed's
     /// `P_OUT` unfolding runs over a scratch copy of the view, so there
-    /// it counts the view's entries plus `P_OUT`'s.
+    /// it counts the view's entries plus `P_OUT`'s. A sharded service
+    /// applies it per writer lane: it bounds each lane's view, at build
+    /// as in every batch, not the whole view.
     pub max_entries: usize,
     /// Intra-round parallelism: when set (and the pool has more than
     /// one thread), each round's independent `(clause, delta-position)`

@@ -210,7 +210,9 @@ pub struct ServiceConfig {
     /// Whether view entries carry supports (StDel deletion) or not
     /// (Extended DRed).
     pub mode: SupportMode,
-    /// Budgets for fixpoint computation and batch maintenance.
+    /// Budgets for fixpoint computation and batch maintenance. They
+    /// apply per writer lane: `max_entries` bounds each lane's view,
+    /// at build as in every batch, not the whole view.
     pub fixpoint: FixpointConfig,
     /// The predicate → writer-lane partition.
     pub shards: ShardSpec,
@@ -301,7 +303,7 @@ impl ViewServiceBuilder {
     }
 
     /// Sets the fixpoint budgets (default:
-    /// [`FixpointConfig::default`]).
+    /// [`FixpointConfig::default`]), applied per writer lane.
     pub fn fixpoint(mut self, fixpoint: FixpointConfig) -> Self {
         self.config.fixpoint = fixpoint;
         self
@@ -349,10 +351,10 @@ impl ViewServiceBuilder {
         &self.config
     }
 
-    /// Builds the service over `db`: computes the initial fixpoint,
-    /// partitions it into writer lanes, publishes epoch 0 — and, when
-    /// durable, opens the WAL (the directory must hold no earlier
-    /// state; recover from that instead).
+    /// Builds the service over `db`: splits it into writer lanes,
+    /// builds each lane's view from its sub-database, publishes epoch
+    /// 0 — and, when durable, opens the WAL (the directory must hold no
+    /// earlier state; recover from that instead).
     pub fn build(self, db: ConstrainedDatabase) -> Result<ViewService, ServiceError> {
         ViewService::with_config(db, self.config)
     }

@@ -374,18 +374,20 @@ impl ViewService {
         ViewServiceBuilder::new()
     }
 
-    /// Builds the initial materialized view (`op ↑ ω (∅)` of `db`),
-    /// partitions it into writer lanes, and publishes the composite as
-    /// global epoch 0. With [`Durability::durable`] the WAL is opened
-    /// too — the directory must hold no earlier WAL/checkpoint state
-    /// (that is what [`ViewService::recover`] is for).
+    /// Splits `db` into writer lanes, builds each lane's view
+    /// (`op ↑ ω (∅)` of the lane's sub-database), and publishes the
+    /// composite as global epoch 0. With [`Durability::durable`] the
+    /// WAL is opened too — the directory must hold no earlier
+    /// WAL/checkpoint state (that is what [`ViewService::recover`] is
+    /// for).
     pub fn with_config(
         db: ConstrainedDatabase,
         config: ServiceConfig,
     ) -> Result<Self, ServiceError> {
         let shards = Arc::new(ShardMap::from_db(&db, &config.shards));
-        let lanes = Self::base_lanes(&db, &config, &shards)?;
-        let mut svc = Self::assemble(db, &config, shards, lanes, 0, 0);
+        let lane_dbs = Self::lane_dbs(&db, &shards);
+        let lanes = Self::base_lanes(&lane_dbs, &config)?;
+        let mut svc = Self::assemble(db, &config, shards, lane_dbs, lanes, 0, 0);
         if let Some(dir) = config.durability.dir() {
             Self::require_fresh_dir(dir)?;
             svc.open_durable(dir, &config, 1)?;
@@ -394,7 +396,8 @@ impl ViewService {
     }
 
     /// Recovers a durable service from `dir`: loads the newest valid
-    /// checkpoint (if any — otherwise the base fixpoint is rebuilt),
+    /// checkpoint (if any — otherwise each lane is built from its
+    /// sub-database, as [`ViewService::with_config`] builds it),
     /// replays every WAL record past it through the normal ticketed
     /// batch path, truncates a torn final frame per the torn-tail
     /// contract, and reopens the WAL for appending. Replay reissues
@@ -419,6 +422,7 @@ impl ViewService {
         let chk = checkpoint::load_newest(dir).map_err(ServiceError::Storage)?;
         let scan = wal::scan_dir(dir, true).map_err(ServiceError::Storage)?;
         let shards = Arc::new(ShardMap::from_db(&db, &config.shards));
+        let lane_dbs = Self::lane_dbs(&db, &shards);
         let mismatch = |detail: String| {
             ServiceError::Storage(StorageError::Corrupt {
                 file: dir.to_path_buf(),
@@ -426,25 +430,13 @@ impl ViewService {
                 detail,
             })
         };
-        let (lanes, base_epoch, base_tickets) = match &chk {
+        let (lanes, base_epoch, tickets) = match &chk {
             Some(c) => {
-                if c.mode != mode {
+                let found = (c.mode, c.op, c.shards.len());
+                let configured = (mode, op, shards.num_shards());
+                if found != configured {
                     return Err(mismatch(format!(
-                        "checkpoint mode {:?} != configured {:?}",
-                        c.mode, mode
-                    )));
-                }
-                if c.op != op {
-                    return Err(mismatch(format!(
-                        "checkpoint op {:?} != configured {:?}",
-                        c.op, op
-                    )));
-                }
-                if c.shards.len() != shards.num_shards() {
-                    return Err(mismatch(format!(
-                        "checkpoint has {} shards, current layout {}",
-                        c.shards.len(),
-                        shards.num_shards()
+                        "checkpoint (mode, op, shards) {found:?} != configured {configured:?}"
                     )));
                 }
                 // The lanes' variable generator must clear both the
@@ -452,42 +444,29 @@ impl ViewService {
                 // checkpointed entry uses (entries are stored with
                 // exact variable identity).
                 let mut gen = db.fresh_gen();
-                for (_, entries) in &c.shards {
-                    for e in entries {
-                        for v in e.atom.free_vars() {
-                            gen.reserve_below(v.0 + 1);
-                        }
-                        let mut vs = Vec::new();
-                        for args in &e.children_args {
-                            for t in args {
-                                t.collect_vars(&mut vs);
-                            }
-                        }
-                        for v in vs {
-                            gen.reserve_below(v.0 + 1);
-                        }
+                let entries = || c.shards.iter().flat_map(|(_, entries)| entries);
+                for e in entries() {
+                    let mut vs = e.atom.free_vars();
+                    for t in e.children_args.iter().flatten() {
+                        t.collect_vars(&mut vs);
                     }
+                    vs.iter().for_each(|v| gen.reserve_below(v.0 + 1));
                 }
-                let mut lane_views: Vec<MaterializedView> = (0..shards.num_shards())
+                let mut views: Vec<MaterializedView> = (0..shards.num_shards())
                     .map(|_| MaterializedView::new(mode, gen.clone()))
                     .collect();
-                for (_, entries) in &c.shards {
-                    for e in entries {
-                        let s = shards.shard_of(&e.atom.pred);
-                        lane_views[s].insert(
-                            e.atom.clone(),
-                            e.support.clone(),
-                            e.children_args.clone(),
-                        );
-                    }
+                for e in entries() {
+                    let (atom, support) = (e.atom.clone(), e.support.clone());
+                    let s = shards.shard_of(&atom.pred);
+                    views[s].insert(atom, support, e.children_args.clone());
                 }
                 let lane_epochs = c.shards.iter().map(|(e, _)| *e);
-                let lanes = lane_views.into_iter().zip(lane_epochs).collect();
+                let lanes = views.into_iter().zip(lane_epochs).collect();
                 (lanes, c.epoch, c.tickets)
             }
-            None => (Self::base_lanes(&db, &config, &shards)?, 0, 0),
+            None => (Self::base_lanes(&lane_dbs, &config)?, 0, 0),
         };
-        let mut svc = Self::assemble(db, &config, shards, lanes, base_epoch, base_tickets);
+        let mut svc = Self::assemble(db, &config, shards, lane_dbs, lanes, base_epoch, tickets);
         // Replay runs on the still in-memory service: the batches go
         // through the normal commit path — landing in the log as they
         // did originally — but no frame is written, since `durable` is
@@ -582,50 +561,56 @@ impl ViewService {
         Ok(())
     }
 
+    /// Each lane's sub-database: `db` restricted to the shard's clauses.
+    fn lane_dbs(db: &ConstrainedDatabase, shards: &ShardMap) -> Vec<ConstrainedDatabase> {
+        (0..shards.num_shards())
+            .map(|s| shards.restrict_db(db, s))
+            .collect()
+    }
+
     /// The lanes of a service starting from scratch, every shard at
-    /// epoch 0: the base view `op ↑ ω (∅)` of `db`, split by shard —
-    /// each lane re-hosts its predicates' entries (supports and
-    /// children metadata moved verbatim — clause numbering is global,
-    /// so they stay valid against the lane's restricted sub-database).
-    /// A single lane adopts the built view as-is.
+    /// epoch 0: each lane's view is `op ↑ ω (∅)` of its own
+    /// sub-database, and the built view is the lane's view as-is.
+    /// Shards are closed under clause dependencies, so that fixpoint is
+    /// exactly the lane's part of the whole database's view, and
+    /// `max_entries` bounds each lane, as it does in every batch. A
+    /// single-lane service builds its one lane the same way.
     fn base_lanes(
-        db: &ConstrainedDatabase,
+        lane_dbs: &[ConstrainedDatabase],
         config: &ServiceConfig,
-        shards: &ShardMap,
     ) -> Result<Vec<(MaterializedView, Epoch)>, ServiceError> {
-        let (resolver, mode) = (config.resolver.as_ref(), config.mode);
-        let (mut view, _) = fixpoint(db, resolver, config.op, mode, &config.fixpoint)
-            .map_err(ServiceError::Build)?;
-        if shards.is_single() {
-            return Ok(vec![(view, 0)]);
-        }
-        let gen = view.var_gen_mut().clone();
-        let mut lane_views: Vec<MaterializedView> = (0..shards.num_shards())
-            .map(|_| MaterializedView::new(mode, gen.clone()))
-            .collect();
-        for (_, e) in view.live_entries() {
-            let s = shards.shard_of(&e.atom.pred);
-            lane_views[s].insert(e.atom.clone(), e.support.clone(), e.children_args.clone());
-        }
-        Ok(lane_views.into_iter().map(|v| (v, 0)).collect())
+        let (resolver, op, mode) = (config.resolver.as_ref(), config.op, config.mode);
+        // The lanes build on the caller thread, one after another, off
+        // the worker pool. One pool task per lane built faster but
+        // raised peak RSS by 7–13 % on the layered and durable
+        // benchmark workloads: glibc gives each worker thread that
+        // allocates a view its own malloc arena. Pooled rounds inside
+        // each lane's build saved no time over inline rounds and still
+        // raised peak RSS by ~4 %.
+        lane_dbs
+            .iter()
+            .map(|lane_db| {
+                let (view, _) = fixpoint(lane_db, resolver, op, mode, &config.fixpoint)
+                    .map_err(ServiceError::Build)?;
+                Ok((view, 0))
+            })
+            .collect()
     }
 
     /// Assembles the in-memory service from prepared lanes — each a
-    /// shard view and its shard epoch — at global `epoch` (shared by
-    /// fresh construction and recovery).
+    /// shard view and its shard epoch, beside the shard's sub-database
+    /// — at global `epoch` (shared by fresh construction and recovery).
     fn assemble(
         db: ConstrainedDatabase,
         config: &ServiceConfig,
         shards: Arc<ShardMap>,
+        lane_dbs: Vec<ConstrainedDatabase>,
         lane_views: Vec<(MaterializedView, Epoch)>,
         epoch: Epoch,
         tickets: u64,
     ) -> ViewService {
         let resolver = config.resolver.clone();
         let mut fx = config.fixpoint.clone();
-        let lane_dbs: Vec<ConstrainedDatabase> = (0..shards.num_shards())
-            .map(|s| shards.restrict_db(&db, s))
-            .collect();
         let (lanes, published) = Lanes::new(lane_views, epoch, shards.clone());
         let health = Arc::new(Health::default());
         health.note_epoch(epoch);
@@ -637,7 +622,10 @@ impl ViewService {
         // available parallelism. Width 1 means no pool at all — every
         // lane runs its rounds on its own thread. An explicitly
         // pre-wired `config.parallel` (a caller-owned pool) is
-        // respected as-is.
+        // respected as-is. The pool serves batches only, and lane
+        // builds stay off it: one pool task per lane raised peak RSS by
+        // 7–13 %, and pooled rounds inside a lane's build saved no time
+        // (see `base_lanes`).
         let threads = Self::resolve_pool_threads(config.pool_threads);
         let pool = if threads > 1 && fx.parallel.is_none() {
             let pool = Arc::new(WorkerPool::new(threads));
@@ -1355,6 +1343,19 @@ mod tests {
         ])
     }
 
+    /// `db()` plus an independent fact predicate `c` over `[100, 109]`:
+    /// two writer lanes, {b, a} and {c}.
+    fn two_lane_db() -> ConstrainedDatabase {
+        let mut db = db();
+        let c_range = Constraint::cmp(x(), CmpOp::Ge, Term::int(100)).and(Constraint::cmp(
+            x(),
+            CmpOp::Le,
+            Term::int(109),
+        ));
+        db.push(Clause::fact("c", vec![x()], c_range));
+        db
+    }
+
     fn point(v: i64) -> ConstrainedAtom {
         ConstrainedAtom::new("b", vec![x()], Constraint::eq(x(), Term::int(v)))
     }
@@ -1394,6 +1395,37 @@ mod tests {
             })
             .build(db());
         assert!(matches!(svc, Err(ServiceError::Build(_))));
+    }
+
+    #[test]
+    fn max_entries_bounds_each_lane_at_build() {
+        // The whole view holds 3 entries and the larger lane, {b, a},
+        // 2: a budget of 2 builds; a budget of 1 fails that lane's
+        // build, fresh or recovered with no checkpoint.
+        let budget = |max_entries| FixpointConfig {
+            max_entries,
+            ..FixpointConfig::default()
+        };
+        let svc = ViewService::builder()
+            .fixpoint(budget(2))
+            .build(two_lane_db())
+            .expect("each lane fits the budget");
+        assert_eq!(svc.snapshot().len(), 3);
+        let err = ViewService::builder()
+            .fixpoint(budget(1))
+            .build(two_lane_db())
+            .unwrap_err();
+        assert!(matches!(err, ServiceError::Build(_)), "{err}");
+        let dir = std::env::temp_dir().join(format!("mmv-svc-budget-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let err = ViewService::builder()
+            .fixpoint(budget(1))
+            .durability(Durability::durable(&dir))
+            .recover(two_lane_db())
+            .unwrap_err();
+        assert!(matches!(err, ServiceError::Build(_)), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1446,33 +1478,7 @@ mod tests {
         // own, so the batch below (insert into b, propagate to a) locks
         // only the b/a lane — c's shard is not even touched, let alone
         // copied, and the publish accounting covers the touched lane.
-        let db = ConstrainedDatabase::from_clauses(vec![
-            Clause::fact(
-                "b",
-                vec![x()],
-                Constraint::cmp(x(), CmpOp::Ge, Term::int(0)).and(Constraint::cmp(
-                    x(),
-                    CmpOp::Le,
-                    Term::int(9),
-                )),
-            ),
-            Clause::new(
-                "a",
-                vec![x()],
-                Constraint::truth(),
-                vec![BodyAtom::new("b", vec![x()])],
-            ),
-            Clause::fact(
-                "c",
-                vec![x()],
-                Constraint::cmp(x(), CmpOp::Ge, Term::int(100)).and(Constraint::cmp(
-                    x(),
-                    CmpOp::Le,
-                    Term::int(109),
-                )),
-            ),
-        ]);
-        let svc = ViewService::builder().build(db).unwrap();
+        let svc = ViewService::builder().build(two_lane_db()).unwrap();
         assert_eq!(svc.shard_map().num_shards(), 2);
         let c_shard = svc.shard_map().shard_of("c");
         let applied = svc
@@ -1498,33 +1504,7 @@ mod tests {
     fn cross_shard_batches_publish_atomically() {
         // b/a and c are independent; one batch touching both publishes
         // one global epoch with both shard epochs advanced.
-        let db = ConstrainedDatabase::from_clauses(vec![
-            Clause::fact(
-                "b",
-                vec![x()],
-                Constraint::cmp(x(), CmpOp::Ge, Term::int(0)).and(Constraint::cmp(
-                    x(),
-                    CmpOp::Le,
-                    Term::int(9),
-                )),
-            ),
-            Clause::new(
-                "a",
-                vec![x()],
-                Constraint::truth(),
-                vec![BodyAtom::new("b", vec![x()])],
-            ),
-            Clause::fact(
-                "c",
-                vec![x()],
-                Constraint::cmp(x(), CmpOp::Ge, Term::int(100)).and(Constraint::cmp(
-                    x(),
-                    CmpOp::Le,
-                    Term::int(109),
-                )),
-            ),
-        ]);
-        let svc = ViewService::builder().build(db).unwrap();
+        let svc = ViewService::builder().build(two_lane_db()).unwrap();
         let del_c = ConstrainedAtom::new("c", vec![x()], Constraint::eq(x(), Term::int(105)));
         let applied = svc
             .apply(UpdateBatch::deleting(vec![point(3), del_c]))

@@ -17,13 +17,16 @@
     reason = "tests stage, corrupt and clean up WAL directories behind the Vfs on purpose"
 )]
 
-use mmv_constraints::{CmpOp, Constraint, Term, Var};
+use mmv_constraints::{CmpOp, Constraint, Term, Var, VarGen};
 use mmv_core::batch::UpdateBatch;
-use mmv_core::{BodyAtom, Clause, ConstrainedAtom, ConstrainedDatabase};
+use mmv_core::{
+    BodyAtom, Clause, ConstrainedAtom, ConstrainedDatabase, MaterializedView, ShardSpec,
+};
 use mmv_service::{Durability, FsyncPolicy, ServiceError, ViewService};
 use std::io::{BufRead, BufReader, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
+use std::sync::Arc;
 
 fn x() -> Term {
     Term::var(Var(0))
@@ -151,6 +154,66 @@ fn clean_shutdown_round_trips() {
     // logged at the right epochs.
     let a = recovered.apply(batch_for(n + 1)).expect("post-recovery");
     assert_eq!(a.epoch, n + 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The entries of `view` whose predicate is one of `preds`.
+fn restricted(view: &MaterializedView, preds: &[Arc<str>]) -> MaterializedView {
+    let mut out = MaterializedView::new(view.mode(), VarGen::starting_at(0));
+    for (_, e) in view.live_entries() {
+        if preds.contains(&e.atom.pred) {
+            out.insert(e.atom.clone(), e.support.clone(), e.children_args.clone());
+        }
+    }
+    out
+}
+
+#[test]
+fn fresh_recovered_and_single_lane_builds_agree_lane_by_lane() {
+    // Three constructions of the epoch-0 lanes: a fresh sharded build,
+    // a recovery from a directory with no checkpoint and no records,
+    // and the single-lane build's view cut along the shard map.
+    let sharded = ViewService::builder()
+        .pool_threads(2)
+        .build(two_chain_db())
+        .expect("sharded service builds");
+    let pool = sharded.pool().expect("width 2 has a pool");
+    assert_eq!(
+        pool.metrics().tasks_total.get(),
+        0,
+        "lanes build off the pool"
+    );
+    let dir = tmp_dir("no-checkpoint");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (recovered, report) = ViewService::builder()
+        .durability(durable_config(&dir))
+        .recover(two_chain_db())
+        .expect("recovery succeeds");
+    assert_eq!(report.checkpoint_epoch, None);
+    assert_eq!(report.replayed_records, 0);
+    let single = ViewService::builder()
+        .shards(ShardSpec::single_lane())
+        .build(two_chain_db())
+        .expect("single-lane service builds");
+    let single_view = single.snapshot().shard(0).view().clone();
+
+    let map = sharded.shard_map();
+    assert_eq!(map.num_shards(), 2);
+    let (fresh, recovered) = (sharded.snapshot(), recovered.snapshot());
+    for s in 0..map.num_shards() {
+        let lane = fresh.shard(s).view();
+        assert!(!lane.is_empty(), "lane {s} holds its chain");
+        let cut = restricted(&single_view, map.preds(s));
+        for (name, other) in [
+            ("recovered", recovered.shard(s).view()),
+            ("single-lane", &cut),
+        ] {
+            assert!(
+                lane.syntactically_equal(other),
+                "lane {s}: {name} differs:\nfresh:\n{lane}\n{name}:\n{other}"
+            );
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
