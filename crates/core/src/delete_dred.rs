@@ -218,6 +218,7 @@ fn dred_delete_inner(
     run.rederive(&program, view, gen, over.regions, seed)?;
 
     // ---- Hygiene: drop weakened entries that became unsolvable ------------
+    // (those the simplifier proved false went in step 2).
     for id in over.touched {
         if !view.is_live(id) {
             continue;
@@ -362,12 +363,15 @@ impl Run<'_> {
             for group in met.chunk_by(|a, b| a.0 == b.0) {
                 let id = group[0].0;
                 let atom = &view.entry(id).atom;
-                let mut constraint = atom.constraint.clone();
+                let mut constraint = Some(atom.constraint.clone());
                 let mut changed = false;
                 for &(_, r) in group {
-                    let Some((ppsi, _)) =
-                        self.overlap(&pouts[r].atom, &atom.args, &constraint, gen)
-                    else {
+                    // Proved empty: no later region can meet it.
+                    let Some(c) = constraint.take() else {
+                        break;
+                    };
+                    let Some((ppsi, _)) = self.overlap(&pouts[r].atom, &atom.args, &c, gen) else {
+                        constraint = Some(c);
                         continue;
                     };
                     // Simplify after *each* conjunct, not once at the
@@ -375,13 +379,24 @@ impl Run<'_> {
                     // a batch, every later region's) runs against this
                     // constraint, so letting raw not() chains pile up
                     // makes those solver calls quadratically slower.
-                    constraint = simplify_keep(constraint.and_lit(Lit::Not(ppsi)));
+                    constraint = simplify_keep(c.and_lit(Lit::Not(ppsi)));
                     changed = true;
                 }
-                if changed {
-                    view.replace_constraint(id, constraint);
-                    touched.push(id);
-                    self.stats.weakened += 1;
+                if !changed {
+                    continue;
+                }
+                self.stats.weakened += 1;
+                match constraint {
+                    Some(c) => {
+                        view.replace_constraint(id, c);
+                        touched.push(id);
+                    }
+                    // The simplifier proved it false: dropped now, not
+                    // left for the hygiene pass to ask the solver.
+                    None => {
+                        view.remove(id);
+                        self.stats.removed += 1;
+                    }
                 }
             }
         }

@@ -10,19 +10,29 @@
 //!
 //! Processing order: step 3 visits only the entries that depend on the
 //! deletion. It is a worklist in ascending `(support height, id)` order,
-//! seeded with the parents of the entries step 2 replaced; an entry
-//! that emits a `P_OUT` pair adds its own parents. The view's reverse
-//! support index supplies the parents. A derivation's children are
-//! strictly lower than it, so all `P_OUT` pairs of a child exist before
-//! any parent consults them, and every parent joins the worklist above
-//! the entry being processed. The entries visited are those that the
-//! whole view, sorted by height, would have changed, in the same order.
+//! seeded with the entries step 2 replaced; an entry that changed adds
+//! its parents. The view's reverse support index supplies the parents.
+//! A derivation's children are strictly lower than it, so every child
+//! is settled before any parent consults it, and every parent joins the
+//! worklist above the entry being processed. The entries visited are
+//! those that the whole view, sorted by height, would have changed, in
+//! the same order.
+//!
+//! Step 4 is folded into the walk. Each affected entry is tested for
+//! emptiness once, when the walk reaches it and its constraint is final:
+//! free when the simplifier proved it false, else one solver call, of
+//! which only `Unsat` counts (the solver over-approximates `not(..)`
+//! blocks, so `Sat` may be wrong). A derivation with an empty child is
+//! empty itself, so an entry with an emptied child is emptied without a
+//! tie, a solver call or a replacement, and emits no `P_OUT` pair; its
+//! parents still hear of it. The emptied entries are removed after the
+//! walk, in the walk's order.
 
 use crate::atom::ConstrainedAtom;
 use crate::bounds::ArgBounds;
 use crate::support::Support;
 use crate::view::{EntryId, MaterializedView, SupportMode};
-use mmv_constraints::fxhash::FxHashMap;
+use mmv_constraints::fxhash::{FxHashMap, FxHashSet};
 use mmv_constraints::{satisfiable_with, Constraint, DomainResolver, Lit, SolverConfig, Truth};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -35,12 +45,15 @@ type Pout = FxHashMap<Support, Vec<ConstrainedAtom>>;
 pub struct StDelStats {
     /// Entries replaced in step 2 (direct matches of the deletion).
     pub direct_replacements: usize,
-    /// Entries replaced in step 3 (support propagation).
+    /// Entries replaced in step 3 (support propagation), each once.
     pub propagated_replacements: usize,
     /// `P_OUT` pairs emitted.
     pub pout_pairs: usize,
-    /// Entries removed in step 4 (constraint no longer solvable).
+    /// Entries removed (constraint no longer solvable).
     pub removed: usize,
+    /// Entries emptied through an emptied child, with no tie and no
+    /// solver call (counted in `removed` too).
+    pub emptied: usize,
     /// Solvability tests performed.
     pub solver_calls: usize,
     /// Step-2 candidates dismissed by the argument-bounds pre-check,
@@ -49,8 +62,8 @@ pub struct StDelStats {
     /// Entries step 2's bounds selector visited: what the deletion's
     /// bounds meet in the interval index, not the whole predicate.
     pub selected: usize,
-    /// Entries step 3 took off its worklist: those with at least one
-    /// child that lost instances.
+    /// Entries step 3 took off its worklist with at least one child
+    /// that lost instances.
     pub walked: usize,
 }
 
@@ -62,6 +75,7 @@ impl StDelStats {
         self.propagated_replacements += o.propagated_replacements;
         self.pout_pairs += o.pout_pairs;
         self.removed += o.removed;
+        self.emptied += o.emptied;
         self.solver_calls += o.solver_calls;
         self.prefiltered += o.prefiltered;
         self.selected += o.selected;
@@ -108,12 +122,12 @@ pub fn stdel_delete(
 ///
 /// Step 2 intersects each request with the view in order, so the `P_OUT`
 /// pairs of all requests accumulate on the affected supports; one upward
-/// propagation then replaces every affected ancestor exactly once per
-/// pair, and one final sweep removes entries whose constraint became
-/// unsolvable. The upward step visits the entries that depend on what
-/// step 2 replaced, each once, in ascending support height (see the
-/// module docs); sequential single-atom deletion visits a shared
-/// ancestor once per request, the batch once in total.
+/// propagation then settles every affected entry exactly once: weakened
+/// by its children's pairs and tested, or emptied through an emptied
+/// child. The upward step visits the entries that depend on what step 2
+/// replaced, each once, in ascending support height (see the module
+/// docs); sequential single-atom deletion visits a shared ancestor once
+/// per request, the batch once in total.
 pub fn stdel_delete_batch(
     view: &mut MaterializedView,
     deletions: &[ConstrainedAtom],
@@ -124,41 +138,65 @@ pub fn stdel_delete_batch(
         return Err(StDelError::NeedsSupports);
     }
     let mut stats = StDelStats::default();
-    let mut pout = direct_deletions(view, deletions, resolver, config, &mut stats);
-    if pout.is_empty() {
-        return Ok(stats);
-    }
+    let mut walk = direct_deletions(view, deletions, resolver, config, &mut stats);
 
     // ---- Step 3: upward propagation along supports -----------------------
-    // The entries with a child in `pout`, by ascending support height:
-    // children are complete before parents.
-    let mut worklist: BTreeSet<(u32, EntryId)> = BTreeSet::new();
-    for support in pout.keys() {
-        enqueue_parents(view, support, &mut worklist);
-    }
+    // The entries step 2 replaced and, as they change, their parents, by
+    // ascending support height: children are settled before parents.
+    let mut worklist: BTreeSet<(u32, EntryId)> = walk
+        .direct
+        .iter()
+        .map(|&id| (height(view, id), id))
+        .collect();
     while let Some((_, id)) = worklist.pop_first() {
-        stats.walked += 1;
-        let support = view.entry(id).support.clone().expect("WithSupports");
-        if propagate_entry(view, id, &support, &mut pout, resolver, config, &mut stats) {
-            enqueue_parents(view, &support, &mut worklist);
+        if let Some(support) = walk.settle(view, id, resolver, config, &mut stats) {
+            let parents = view.parents_of(&support);
+            worklist.extend(parents.iter().map(|&p| (height(view, p), p)));
         }
     }
 
-    sweep(view, &pout, resolver, config, &mut stats);
+    // ---- Step 4: remove the emptied entries, in walk order ---------------
+    for &id in &walk.dead {
+        view.remove(id);
+    }
+    stats.removed = walk.dead.len();
     Ok(stats)
+}
+
+/// The support height of entry `id`: the walk's ordering key.
+fn height(view: &MaterializedView, id: EntryId) -> u32 {
+    view.entry(id)
+        .support
+        .as_ref()
+        .expect("WithSupports")
+        .height()
+}
+
+/// What a deletion has done to the view so far.
+#[derive(Default)]
+struct Walk {
+    pout: Pout,
+    /// Supports of the entries found empty: every derivation with one
+    /// of them as a child is empty too.
+    emptied: FxHashSet<Support>,
+    /// The entries step 2 replaced or emptied.
+    direct: FxHashSet<EntryId>,
+    /// The emptied entries, in the order the walk settled them.
+    dead: Vec<EntryId>,
 }
 
 /// Step 2: intersects each request with the view, replacing every entry
 /// it overlaps and recording the removed region as a `P_OUT` pair of
-/// the entry's support.
+/// the entry's support. An entry the simplifier proves empty is not
+/// replaced: its support joins `emptied`, and later requests pass it by.
 fn direct_deletions(
     view: &mut MaterializedView,
     deletions: &[ConstrainedAtom],
     resolver: &dyn DomainResolver,
     config: &SolverConfig,
     stats: &mut StDelStats,
-) -> Pout {
-    let mut pout = Pout::default();
+) -> Walk {
+    let mut walk = Walk::default();
     for deletion in deletions {
         // Only entries whose argument bounds meet the request's can lose
         // instances to it (the ids are a snapshot: the loop below
@@ -168,6 +206,9 @@ fn direct_deletions(
         for id in view.candidates(&deletion.pred, &bounds, prefiltered, selected) {
             let entry = view.entry(id);
             let support = entry.support.clone().expect("WithSupports mode");
+            if walk.emptied.contains(&support) {
+                continue; // an earlier request left nothing to delete
+            }
             let atom = entry.atom.clone();
             // The deletion's constraint over this entry's args.
             let Some((dpsi, region)) = deletion.overlap(
@@ -180,120 +221,159 @@ fn direct_deletions(
             ) else {
                 continue; // this entry contributes nothing to Del
             };
+            walk.direct.insert(id);
             // Replace F with A(X⃗) <- φ ∧ not(deletion-region).
-            let new_constraint = atom.constraint.clone().and_lit(Lit::Not(dpsi));
-            view.replace_constraint(id, simplify_keep(new_constraint));
-            stats.direct_replacements += 1;
-            // Record (removed region, spt(F)).
-            pout.entry(support)
-                .or_default()
-                .push(atom.with_constraint(region));
-            stats.pout_pairs += 1;
-        }
-    }
-    pout
-}
-
-/// Step 4: removes the affected entries whose constraint became
-/// unsolvable.
-fn sweep(
-    view: &mut MaterializedView,
-    pout: &Pout,
-    resolver: &dyn DomainResolver,
-    config: &SolverConfig,
-    stats: &mut StDelStats,
-) {
-    let affected: Vec<EntryId> = pout
-        .keys()
-        .filter_map(|s| view.entry_by_support(s))
-        .collect();
-    for id in affected {
-        let c = view.entry(id).atom.constraint.clone();
-        stats.solver_calls += 1;
-        if satisfiable_with(&c, resolver, config) == Truth::Unsat {
-            view.remove(id);
-            stats.removed += 1;
-        }
-    }
-}
-
-/// Adds the live entries whose support has `support` as a child to
-/// step 3's worklist, keyed by their support height.
-fn enqueue_parents(
-    view: &MaterializedView,
-    support: &Support,
-    worklist: &mut BTreeSet<(u32, EntryId)>,
-) {
-    let height = |p: EntryId| {
-        view.entry(p)
-            .support
-            .as_ref()
-            .expect("WithSupports")
-            .height()
-    };
-    worklist.extend(view.parents_of(support).iter().map(|&p| (height(p), p)));
-}
-
-/// Step 3 for the entry `id` (whose support is `support`): each `P_OUT`
-/// pair of each of its children is tied to that child's arguments in
-/// this derivation; every solvable region is conjoined, negated, onto
-/// the entry's constraint and emitted as a pair of the entry's own.
-/// Returns whether any pair was emitted.
-fn propagate_entry(
-    view: &mut MaterializedView,
-    id: EntryId,
-    support: &Support,
-    pout: &mut Pout,
-    resolver: &dyn DomainResolver,
-    config: &SolverConfig,
-    stats: &mut StDelStats,
-) -> bool {
-    let mut emitted = false;
-    for (j, child) in support.children().iter().enumerate() {
-        let Some(pairs) = pout.get(child) else {
-            continue;
-        };
-        let pairs = pairs.clone();
-        for pair in pairs {
-            let entry = view.entry(id);
-            let atom = entry.atom.clone();
-            let child_args = entry.children_args.get(j).cloned().unwrap_or_default();
-            // The pair's removed region over the child's argument tuple
-            // inside this derivation; condition (c): the affected region
-            // must be solvable.
-            let Some((ppsi, region)) = pair.overlap(
-                &child_args,
-                &atom.constraint,
-                view.var_gen_mut(),
-                resolver,
-                config,
-                &mut stats.solver_calls,
-            ) else {
+            let Some(weakened) = simplify_keep(atom.constraint.clone().and_lit(Lit::Not(dpsi)))
+            else {
+                walk.emptied.insert(support);
                 continue;
             };
-            // Replace F's constraint with φ ∧ not(ψ_j over child args).
-            let new_constraint = atom.constraint.clone().and_lit(Lit::Not(ppsi));
-            view.replace_constraint(id, simplify_keep(new_constraint));
-            stats.propagated_replacements += 1;
-            // Emit (removed region of F, spt(F)).
-            pout.entry(support.clone())
+            view.replace_constraint(id, weakened);
+            stats.direct_replacements += 1;
+            // Record (removed region, spt(F)).
+            walk.pout
+                .entry(support)
                 .or_default()
                 .push(atom.with_constraint(region));
             stats.pout_pairs += 1;
-            emitted = true;
         }
     }
-    emitted
+    walk
 }
 
-/// Simplifies a weakened entry's constraint, keeping a canonical `false`
-/// when the simplifier proves it unsatisfiable — the entry is replaced
-/// either way, and the deletion's sweep of unsolvable entries (StDel's
-/// step 4, Extended DRed's hygiene pass) drops it.
-pub(crate) fn simplify_keep(c: Constraint) -> Constraint {
-    mmv_constraints::simplify(&c)
-        .into_constraint()
-        .unwrap_or_else(|| Constraint::lit(Lit::Not(Constraint::truth())))
+/// How step 3 left one entry.
+enum Weakened {
+    /// No pair of its children met its constraint.
+    Unchanged,
+    /// Its constraint with every met pair conjoined, negated, and the
+    /// pairs it emits if it survives.
+    To(Constraint, Vec<ConstrainedAtom>),
+    /// The simplifier proved the weakened constraint false.
+    Empty,
+}
+
+impl Walk {
+    /// Step 3 (and 4) for the entry `id`: weakens it by its children's
+    /// `P_OUT` pairs, or empties it through an emptied child, and tests
+    /// a changed constraint for emptiness once. Returns the entry's
+    /// support when it changed, so its parents must be visited.
+    fn settle(
+        &mut self,
+        view: &mut MaterializedView,
+        id: EntryId,
+        resolver: &dyn DomainResolver,
+        config: &SolverConfig,
+        stats: &mut StDelStats,
+    ) -> Option<Support> {
+        let support = view.entry(id).support.clone().expect("WithSupports");
+        let children = support.children();
+        let direct = self.direct.contains(&id);
+        let affected = children
+            .iter()
+            .any(|c| self.pout.contains_key(c) || self.emptied.contains(c));
+        if !affected && !direct {
+            return None;
+        }
+        stats.walked += usize::from(affected);
+        let empty = if self.emptied.contains(&support) {
+            true // step 2's simplifier proved it empty
+        } else if children.iter().any(|c| self.emptied.contains(c)) {
+            stats.emptied += 1;
+            true
+        } else {
+            let weakened = if affected {
+                self.propagate_entry(view, id, &support, resolver, config, stats)
+            } else {
+                Weakened::Unchanged
+            };
+            let unsat = |c: &Constraint, stats: &mut StDelStats| {
+                stats.solver_calls += 1;
+                satisfiable_with(c, resolver, config) == Truth::Unsat
+            };
+            match weakened {
+                Weakened::Empty => true,
+                Weakened::To(c, emitted) => {
+                    let empty = unsat(&c, stats);
+                    if !empty {
+                        view.replace_constraint(id, c);
+                        stats.propagated_replacements += 1;
+                        stats.pout_pairs += emitted.len();
+                        self.pout
+                            .entry(support.clone())
+                            .or_default()
+                            .extend(emitted);
+                    }
+                    empty
+                }
+                Weakened::Unchanged if direct => unsat(&view.entry(id).atom.constraint, stats),
+                Weakened::Unchanged => return None,
+            }
+        };
+        if empty {
+            self.emptied.insert(support.clone());
+            self.dead.push(id);
+        }
+        Some(support)
+    }
+
+    /// Step 3's weakening of the entry `id` (whose support is `support`):
+    /// each `P_OUT` pair of each of its children is tied to that child's
+    /// arguments in this derivation; every solvable region is conjoined,
+    /// negated, onto the entry's constraint and becomes a pair of the
+    /// entry's own.
+    fn propagate_entry(
+        &self,
+        view: &mut MaterializedView,
+        id: EntryId,
+        support: &Support,
+        resolver: &dyn DomainResolver,
+        config: &SolverConfig,
+        stats: &mut StDelStats,
+    ) -> Weakened {
+        let entry = view.entry(id);
+        let (atom, children_args) = (entry.atom.clone(), entry.children_args.clone());
+        let mut constraint = atom.constraint.clone();
+        let mut emitted: Vec<ConstrainedAtom> = Vec::new();
+        for (child, child_args) in support.children().iter().zip(&children_args) {
+            let Some(pairs) = self.pout.get(child) else {
+                continue;
+            };
+            for pair in pairs {
+                // The pair's removed region over the child's argument
+                // tuple inside this derivation; condition (c): the
+                // affected region must be solvable.
+                let Some((ppsi, region)) = pair.overlap(
+                    child_args,
+                    &constraint,
+                    view.var_gen_mut(),
+                    resolver,
+                    config,
+                    &mut stats.solver_calls,
+                ) else {
+                    continue;
+                };
+                // F's constraint becomes φ ∧ not(ψ_j over child args).
+                let Some(weakened) = simplify_keep(constraint.and_lit(Lit::Not(ppsi))) else {
+                    return Weakened::Empty;
+                };
+                constraint = weakened;
+                // Emit (removed region of F, spt(F)).
+                emitted.push(atom.with_constraint(region));
+            }
+        }
+        if emitted.is_empty() {
+            Weakened::Unchanged
+        } else {
+            Weakened::To(constraint, emitted)
+        }
+    }
+}
+
+/// Simplifies a weakened entry's constraint; `None` when the simplifier
+/// proves it unsatisfiable — the entry is empty, and the deletion drops
+/// it without asking the solver.
+pub(crate) fn simplify_keep(c: Constraint) -> Option<Constraint> {
+    mmv_constraints::simplify(&c).into_constraint()
 }
 
 #[cfg(test)]
@@ -566,29 +646,25 @@ mod tests {
         assert_eq!(c4.len(), 1);
     }
 
-    /// Reference for step 3: every live entry in ascending (support
-    /// height, id) order, each propagated from whatever its children
-    /// have in `P_OUT`. `walked` counts the entries with such a child.
+    /// Reference for step 3's order: every live entry in ascending
+    /// (support height, id) order, each settled by the walk's own rule.
+    /// `walked` counts the entries with an affected child.
     fn whole_view_walk(view: &mut MaterializedView, deletions: &[ConstrainedAtom]) -> StDelStats {
         let cfg = SolverConfig::default();
         let mut stats = StDelStats::default();
-        let mut pout = direct_deletions(view, deletions, &NoDomains, &cfg, &mut stats);
-        if pout.is_empty() {
-            return stats;
-        }
+        let mut walk = direct_deletions(view, deletions, &NoDomains, &cfg, &mut stats);
         let mut by_height: Vec<(u32, EntryId)> = view
             .live_entries()
             .map(|(id, e)| (e.support.as_ref().unwrap().height(), id))
             .collect();
         by_height.sort_unstable();
         for (_, id) in by_height {
-            let support = view.entry(id).support.clone().unwrap();
-            if support.children().iter().any(|c| pout.contains_key(c)) {
-                stats.walked += 1;
-                propagate_entry(view, id, &support, &mut pout, &NoDomains, &cfg, &mut stats);
-            }
+            walk.settle(view, id, &NoDomains, &cfg, &mut stats);
         }
-        sweep(view, &pout, &NoDomains, &cfg, &mut stats);
+        for &id in &walk.dead {
+            view.remove(id);
+        }
+        stats.removed = walk.dead.len();
         stats
     }
 
@@ -611,6 +687,15 @@ mod tests {
         stats
     }
 
+    /// `X >= lo & X <= hi`.
+    fn interval(lo: i64, hi: i64) -> Constraint {
+        Constraint::cmp(x(), CmpOp::Ge, Term::int(lo)).and(Constraint::cmp(
+            x(),
+            CmpOp::Le,
+            Term::int(hi),
+        ))
+    }
+
     #[test]
     fn worklist_visits_what_the_whole_view_walk_changed() {
         let example6 = build(&example6_db());
@@ -618,14 +703,182 @@ mod tests {
             assert_matches_whole_view_walk(&example6, &[pair("P", Term::str("c"), Term::str("d"))]);
         // A(c,d) and the recursive A(a,d); the leaves are not walked.
         assert_eq!(stats.walked, 2);
-        // On the chain 0→1→2→3, A(1,3) derived through P(1,2) and
-        // A(2,3) has both children affected.
-        let i = Term::int;
-        let chain = build(&closure_db(&[(i(0), i(1)), (i(1), i(2)), (i(2), i(3))]));
-        let stats =
-            assert_matches_whole_view_walk(&chain, &[pair("P", i(1), i(2)), pair("A", i(2), i(3))]);
-        assert!(stats.propagated_replacements > 0);
-        assert!(stats.walked < chain.len(), "{stats:?}");
+        // Both die through the emptied P(c,d), untied and unsolved.
+        assert_eq!((stats.emptied, stats.removed), (2, 3));
+        // R(X) <- P(X), Q(X) has both children narrowed, not emptied:
+        // it is weakened by both children's pairs in one replacement and
+        // survives, and so does S above it.
+        let unary = |pred: &str, c| Clause::fact(pred, vec![x()], c);
+        let rule = |head: &str, body: &[&str]| {
+            let body = body.iter().map(|p| BodyAtom::new(p, vec![x()])).collect();
+            Clause::new(head, vec![x()], Constraint::truth(), body)
+        };
+        let join = build(&ConstrainedDatabase::from_clauses(vec![
+            unary("P", interval(0, 9)),
+            unary("Q", interval(3, 12)),
+            unary("T", interval(20, 29)),
+            rule("R", &["P", "Q"]),
+            rule("S", &["R"]),
+            rule("U", &["T"]),
+        ]));
+        let point = |pred: &str, v| {
+            ConstrainedAtom::new(pred, vec![x()], Constraint::eq(x(), Term::int(v)))
+        };
+        let stats = assert_matches_whole_view_walk(&join, &[point("P", 4), point("Q", 6)]);
+        assert_eq!(stats.propagated_replacements, 2, "{stats:?}");
+        assert_eq!((stats.walked, stats.emptied, stats.removed), (2, 0, 0));
+        assert!(stats.walked < join.len(), "{stats:?}");
+    }
+
+    /// StDel as it was before emptiness cascaded: every `P_OUT` pair is
+    /// tied onto every parent and conjoined, negated, one replacement
+    /// per pair (an entry the simplifier proves false keeps `not(true)`),
+    /// and a final sweep asks the solver about every entry with a pair.
+    fn full_weakening_and_sweep(
+        view: &mut MaterializedView,
+        deletions: &[ConstrainedAtom],
+    ) -> StDelStats {
+        let cfg = SolverConfig::default();
+        let mut stats = StDelStats::default();
+        let mut calls = 0;
+        let weaken = |c: Constraint, psi: Constraint| {
+            simplify_keep(c.and_lit(Lit::Not(psi)))
+                .unwrap_or_else(|| Constraint::lit(Lit::Not(Constraint::truth())))
+        };
+        let mut pout = Pout::default();
+        for deletion in deletions {
+            let bounds = ArgBounds::of(deletion);
+            let (prefiltered, selected) = (&mut stats.prefiltered, &mut stats.selected);
+            for id in view.candidates(&deletion.pred, &bounds, prefiltered, selected) {
+                let entry = view.entry(id);
+                let (support, atom) = (entry.support.clone().unwrap(), entry.atom.clone());
+                let Some((dpsi, region)) = deletion.overlap(
+                    &atom.args,
+                    &atom.constraint,
+                    view.var_gen_mut(),
+                    &NoDomains,
+                    &cfg,
+                    &mut calls,
+                ) else {
+                    continue;
+                };
+                view.replace_constraint(id, weaken(atom.constraint.clone(), dpsi));
+                pout.entry(support)
+                    .or_default()
+                    .push(atom.with_constraint(region));
+            }
+        }
+        let mut worklist: BTreeSet<(u32, EntryId)> = BTreeSet::new();
+        let enqueue = |view: &MaterializedView, s: &Support, w: &mut BTreeSet<(u32, EntryId)>| {
+            w.extend(view.parents_of(s).iter().map(|&p| (height(view, p), p)));
+        };
+        for support in pout.keys() {
+            enqueue(view, support, &mut worklist);
+        }
+        while let Some((_, id)) = worklist.pop_first() {
+            stats.walked += 1;
+            let entry = view.entry(id);
+            let (support, children_args) =
+                (entry.support.clone().unwrap(), entry.children_args.clone());
+            let mut emitted = false;
+            for (child, child_args) in support.children().iter().zip(&children_args) {
+                for pair in pout.get(child).cloned().unwrap_or_default() {
+                    let atom = view.entry(id).atom.clone();
+                    let Some((ppsi, region)) = pair.overlap(
+                        child_args,
+                        &atom.constraint,
+                        view.var_gen_mut(),
+                        &NoDomains,
+                        &cfg,
+                        &mut calls,
+                    ) else {
+                        continue;
+                    };
+                    view.replace_constraint(id, weaken(atom.constraint.clone(), ppsi));
+                    pout.entry(support.clone())
+                        .or_default()
+                        .push(atom.with_constraint(region));
+                    emitted = true;
+                }
+            }
+            if emitted {
+                enqueue(view, &support, &mut worklist);
+            }
+        }
+        let affected: Vec<EntryId> = pout
+            .keys()
+            .filter_map(|s| view.entry_by_support(s))
+            .collect();
+        for id in affected {
+            calls += 1;
+            let c = &view.entry(id).atom.constraint;
+            if satisfiable_with(c, &NoDomains, &cfg) == Truth::Unsat {
+                view.remove(id);
+                stats.removed += 1;
+            }
+        }
+        stats.solver_calls = calls;
+        stats
+    }
+
+    /// The cascade leaves the view full weakening and a sweep leave,
+    /// removes and walks the same entries, and asks the solver no more.
+    fn assert_cascade_matches_full_weakening(
+        view: &MaterializedView,
+        deletions: &[ConstrainedAtom],
+    ) {
+        let (mut cascaded, mut swept) = (view.clone(), view.clone());
+        let cascade = stdel_delete_batch(
+            &mut cascaded,
+            deletions,
+            &NoDomains,
+            &SolverConfig::default(),
+        )
+        .unwrap();
+        let reference = full_weakening_and_sweep(&mut swept, deletions);
+        assert!(
+            cascaded.syntactically_equal(&swept),
+            "cascade:\n{cascaded}\nreference:\n{swept}"
+        );
+        assert_eq!(
+            (cascade.removed, cascade.walked),
+            (reference.removed, reference.walked)
+        );
+        assert!(
+            cascade.solver_calls <= reference.solver_calls,
+            "{cascade:?} against {reference:?}"
+        );
+    }
+
+    /// A random layered interval program: interval facts over two
+    /// layer-0 predicates, and per higher layer two rules, each over
+    /// one or two predicates of the layer below (so a parent can have
+    /// two affected children), some with an interval of their own.
+    fn layered_db(facts: &[(u8, i64, i64)], rules: &[(u8, u8, bool, i64)]) -> ConstrainedDatabase {
+        let mut clauses: Vec<Clause> = facts
+            .iter()
+            .map(|&(p, lo, w)| Clause::fact(&format!("p0_{p}"), vec![x()], interval(lo, lo + w)))
+            .collect();
+        for (k, &(a, b, join, lo)) in rules.iter().enumerate() {
+            let (layer, j) = (k / 2 + 1, k % 2);
+            let below = |p: u8| BodyAtom::new(&format!("p{}_{p}", layer - 1), vec![x()]);
+            let mut body = vec![below(a)];
+            if join {
+                body.push(below(b));
+            }
+            let guard = if lo % 3 == 0 {
+                interval(lo, lo + 12)
+            } else {
+                Constraint::truth()
+            };
+            clauses.push(Clause::new(
+                &format!("p{layer}_{j}"),
+                vec![x()],
+                guard,
+                body,
+            ));
+        }
+        ConstrainedDatabase::from_clauses(clauses)
     }
 
     proptest::proptest! {
@@ -644,6 +897,56 @@ mod tests {
                 .map(|(p, a, b)| pair(["P", "A"][p as usize], i(a), i(b)))
                 .collect();
             assert_matches_whole_view_walk(&build(&closure_db(&edges)), &deletions);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: std::env::var("PROPTEST_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(32),
+            ..Default::default()
+        })]
+
+        #[test]
+        fn cascade_matches_full_weakening_on_random_ground_closures(
+            edges in proptest::collection::btree_set((0i64..6, 1i64..7), 1..14usize),
+            deletions in proptest::collection::vec((0u8..2, 0usize..16), 1..4usize),
+        ) {
+            let i = Term::int;
+            let edges: Vec<(Term, Term)> =
+                edges.into_iter().filter(|(a, b)| a < b).map(|(a, b)| (i(a), i(b))).collect();
+            // Mostly edges of the graph (and their closure atoms), so
+            // most requests hit.
+            let deletions: Vec<ConstrainedAtom> = deletions
+                .into_iter()
+                .map(|(p, k)| {
+                    let (a, b) = match edges.len() {
+                        0 => (i(0), i(k as i64)),
+                        n => edges[k % n].clone(),
+                    };
+                    pair(["P", "A"][p as usize], a, b)
+                })
+                .collect();
+            assert_cascade_matches_full_weakening(&build(&closure_db(&edges)), &deletions);
+        }
+
+        #[test]
+        fn cascade_matches_full_weakening_on_random_interval_programs(
+            facts in proptest::collection::vec((0u8..2, 0i64..24, 0i64..10), 1..6usize),
+            rules in proptest::collection::vec((0u8..2, 0u8..2, 0u8..2, 0i64..24), 2..7usize),
+            deletions in proptest::collection::vec((0u8..3, 0u8..2, 0i64..28, 0i64..20), 1..4usize),
+        ) {
+            let rules: Vec<(u8, u8, bool, i64)> =
+                rules.into_iter().map(|(a, b, join, lo)| (a, b, join == 1, lo)).collect();
+            let layers = rules.len().div_ceil(2);
+            let deletions: Vec<ConstrainedAtom> = deletions
+                .into_iter()
+                .map(|(layer, j, lo, w)| {
+                    let layer = usize::from(layer) % (layers + 1);
+                    let c = if w < 4 { Constraint::eq(x(), Term::int(lo)) } else { interval(lo, lo + w) };
+                    ConstrainedAtom::new(&format!("p{layer}_{j}"), vec![x()], c)
+                })
+                .collect();
+            assert_cascade_matches_full_weakening(&build(&layered_db(&facts, &rules)), &deletions);
         }
     }
 }

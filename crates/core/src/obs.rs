@@ -48,6 +48,9 @@ pub struct CoreMetrics {
     /// Entries StDel's upward step visited (those with an affected
     /// child).
     pub stdel_walked: Counter,
+    /// Entries StDel emptied through an emptied child, with no tie and
+    /// no solver call.
+    pub delete_emptied: Counter,
     /// Base entries materialized by batched insertion.
     pub insert_added: Counter,
     /// Entries derived by upward insertion propagation.
@@ -94,6 +97,7 @@ impl CoreMetrics {
                 self.stdel_replacements
                     .add((s.direct_replacements + s.propagated_replacements) as u64);
                 self.stdel_walked.add(s.walked as u64);
+                self.delete_emptied.add(s.emptied as u64);
                 self.delete_removed.add(s.removed as u64);
                 self.delete_solver_calls.add(s.solver_calls as u64);
                 self.delete_prefiltered.add(s.prefiltered as u64);
@@ -179,6 +183,11 @@ impl CoreMetrics {
             "mmv_delete_selected_total",
             "View entries and fact clauses the deletion bounds selectors visited",
             &self.delete_selected,
+        );
+        c(
+            "mmv_delete_emptied_total",
+            "Entries emptied through an emptied child, untied and unsolved",
+            &self.delete_emptied,
         );
         c(
             "mmv_stdel_replacements_total",
@@ -269,6 +278,7 @@ impl ExtDredStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delete_stdel::StDelStats;
     use crate::insert::InsertBatchStats;
 
     #[test]
@@ -317,9 +327,23 @@ mod tests {
         assert_eq!(m.delete_selected.get(), 17);
         assert_eq!(m.insert_selected.get(), 21);
 
+        m.record_batch(&BatchStats {
+            deletes: DeleteStats::StDel(StDelStats {
+                removed: 6,
+                emptied: 5,
+                walked: 4,
+                ..StDelStats::default()
+            }),
+            inserts: InsertBatchStats::default(),
+            view_entries: 94,
+        });
+        assert_eq!(m.delete_removed.get(), 3 + 6);
+        assert_eq!((m.delete_emptied.get(), m.stdel_walked.get()), (5, 4));
+
         let reg = MetricsRegistry::new();
         m.register_into(&reg);
         let text = reg.render_prometheus();
+        assert!(text.contains("mmv_delete_emptied_total 5"), "{text}");
         assert!(text.contains("mmv_fixpoint_iterations_total 2"), "{text}");
         assert!(text.contains("mmv_delete_selected_total 17"), "{text}");
         assert!(text.contains("mmv_insert_selected_total 21"), "{text}");

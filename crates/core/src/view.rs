@@ -535,10 +535,16 @@ impl MaterializedView {
 
     fn push_entry(
         &mut self,
-        atom: ConstrainedAtom,
+        mut atom: ConstrainedAtom,
         support: Option<Support>,
-        children_args: Vec<Vec<Term>>,
+        mut children_args: Vec<Vec<Term>>,
     ) -> EntryId {
+        // Stored without the builders' spare capacity: an entry stays in
+        // its slot, live or dead, until the view is dropped.
+        atom.args.shrink_to_fit();
+        atom.constraint.lits.shrink_to_fit();
+        children_args.shrink_to_fit();
+        children_args.iter_mut().for_each(Vec::shrink_to_fit);
         let id = self.store.len();
         let copies = &mut self.pred_copies;
         let pages = self.preds.entry(atom.pred.clone()).or_default();

@@ -17,8 +17,13 @@
 //! them the entries and fact clauses the update meets, while the
 //! dismissal count (`prefiltered`) still grows with the view. The
 //! resulting views are checked against the declarative oracle.
+//!
+//! On a recursive ground transitive closure, StDel's solver calls for
+//! one edge deletion do not grow with the number of derivations that
+//! depend on the edge either: the edge's entry is emptied, and every
+//! dependent derivation is emptied through it, untied and unsolved.
 
-use mmv_constraints::{CmpOp, Constraint, NoDomains, Term, Var};
+use mmv_constraints::{CmpOp, Constraint, NoDomains, Term, Value, Var};
 use mmv_core::{
     apply_batch, batch_oracle, fixpoint, BatchStats, BodyAtom, Clause, ConstrainedAtom,
     ConstrainedDatabase, DeleteStats, FixpointConfig, Operator, ParallelFixpoint, SupportMode,
@@ -256,4 +261,88 @@ fn dred_solver_calls_do_not_scale_with_the_view() {
         selected(&small),
         "Extended DRed and Add-build selected at 4,096 facts per predicate"
     );
+}
+
+/// Transitive closure `A` of the edges `P`: `0 → 1`, then `1 → c → D`
+/// through `fan` middle nodes `c`, so `2 * fan + 1` derivations of `A`
+/// depend on the edge `0 → 1` (`fan` of them reach `D` by distinct
+/// paths).
+fn fan_closure(fan: i64) -> ConstrainedDatabase {
+    const D: i64 = 1_000_000;
+    let (x, y, z) = (Term::var(Var(0)), Term::var(Var(1)), Term::var(Var(2)));
+    let mut db = ConstrainedDatabase::new();
+    let edge =
+        |a: i64, b: i64| Clause::fact("P", vec![Term::int(a), Term::int(b)], Constraint::truth());
+    db.push(edge(0, 1));
+    for c in 2..2 + fan {
+        db.push(edge(1, c));
+        db.push(edge(c, D));
+    }
+    db.push(Clause::new(
+        "A",
+        vec![x.clone(), y.clone()],
+        Constraint::truth(),
+        vec![BodyAtom::new("P", vec![x.clone(), y.clone()])],
+    ));
+    db.push(Clause::new(
+        "A",
+        vec![x.clone(), y.clone()],
+        Constraint::truth(),
+        vec![
+            BodyAtom::new("P", vec![x, z.clone()]),
+            BodyAtom::new("A", vec![z, y]),
+        ],
+    ));
+    db
+}
+
+#[test]
+fn stdel_edge_deletion_costs_the_same_however_many_paths_depend_on_it() {
+    let counters = |fan: i64| {
+        let db = fan_closure(fan);
+        let inline = FixpointConfig::default();
+        let (mut view, _) = fixpoint(
+            &db,
+            &NoDomains,
+            Operator::Tp,
+            SupportMode::WithSupports,
+            &inline,
+        )
+        .expect("build");
+        let batch = UpdateBatch {
+            deletes: vec![ConstrainedAtom::fact(
+                "P",
+                vec![Value::int(0), Value::int(1)],
+            )],
+            inserts: Vec::new(),
+        };
+        let expected = batch_oracle(&db, &view, &batch, &NoDomains, &inline).expect("oracle");
+        let stats = apply_batch(&db, &mut view, &batch, &NoDomains, Operator::Tp, &inline)
+            .expect("maintenance");
+        assert_eq!(
+            view.instances(&NoDomains, &inline.solver)
+                .expect("instances"),
+            expected,
+            "fan {fan}"
+        );
+        match stats.deletes {
+            DeleteStats::StDel(s) => (s.solver_calls, s.removed, s.walked, s.emptied),
+            _ => panic!("a view with supports deletes by StDel"),
+        }
+    };
+    let (few, hundreds) = (counters(2), counters(300));
+    // The edge and its `2 * fan + 1` dependents go; all the dependents
+    // are visited, and all are emptied through the edge.
+    assert_eq!(
+        (few.1, few.2, few.3),
+        (6, 5, 5),
+        "removed, walked and emptied at fan 2"
+    );
+    assert_eq!(
+        (hundreds.1, hundreds.2, hundreds.3),
+        (602, 601, 601),
+        "removed, walked and emptied at fan 300"
+    );
+    assert!(few.0 > 0, "the deletion meets the edge");
+    assert_eq!(few.0, hundreds.0, "StDel solver calls at fan 2 and 300");
 }
