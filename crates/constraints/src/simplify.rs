@@ -160,19 +160,23 @@ fn simplify_in_context(c: &Constraint, context: &FxHashSet<Lit>) -> Simplified {
                 match kept.len() {
                     // not(true): the whole conjunction is false.
                     0 => return Simplified::Unsat,
-                    1 => {
-                        // Unwrap single-literal negations: not(X = 6) -> X != 6.
-                        let neg = kept.pop().expect("len checked").negate();
-                        if neg.lits.len() == 1 {
-                            neg.lits.into_iter().next().expect("single literal")
-                        } else {
-                            // Negating a Not produced a conjunction; keep
-                            // as nested (recursively simplified) Not.
-                            Lit::Not(Constraint {
-                                lits: kept_to_vec(neg.lits),
-                            })
+                    1 => match kept.pop().expect("len checked") {
+                        // not(not(ψ)) is ψ: its conjuncts join the outer
+                        // conjunction.
+                        Lit::Not(psi) => {
+                            for l in psi.lits {
+                                if seen.insert(l.clone()) {
+                                    out.push(l);
+                                }
+                            }
+                            continue;
                         }
-                    }
+                        // Unwrap single-literal negations: not(X = 6) -> X != 6.
+                        prim => {
+                            let mut neg = prim.negate();
+                            neg.lits.pop().expect("a primitive literal negates to one")
+                        }
+                    },
                     _ => {
                         // Recursively simplify the inner conjunction.
                         match simplify_in_context(&Constraint { lits: kept }, &full_context) {
@@ -194,10 +198,6 @@ fn simplify_in_context(c: &Constraint, context: &FxHashSet<Lit>) -> Simplified {
         }
     }
     Simplified::Constraint(Constraint { lits: out })
-}
-
-fn kept_to_vec(lits: Vec<Lit>) -> Vec<Lit> {
-    lits
 }
 
 #[cfg(test)]
@@ -277,6 +277,20 @@ mod tests {
             .and(Constraint::eq(y, Term::str("d")))
             .and_lit(Lit::Not(inner));
         assert_eq!(simplify(&c), Simplified::Unsat);
+    }
+
+    #[test]
+    fn double_negation_is_its_conjunction() {
+        // X >= 0 & X <= 9 & not(X >= 0 & not(X >= 3 & X <= 5)): the
+        // outer not keeps one conjunct, not(3..5), and not(not(3..5)) is
+        // 3..5 itself, not not(3..5).
+        let y = |op, k| Constraint::cmp(x(), op, Term::int(k));
+        let band = y(CmpOp::Ge, 3).and(y(CmpOp::Le, 5));
+        let inner = y(CmpOp::Ge, 0).and_lit(Lit::Not(band.clone()));
+        let c = y(CmpOp::Ge, 0)
+            .and(y(CmpOp::Le, 9))
+            .and_lit(Lit::Not(inner));
+        assert_eq!(simp(&c), y(CmpOp::Ge, 0).and(y(CmpOp::Le, 9)).and(band));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Constrained atoms `A(X⃗) ← φ` and their instance semantics `[·]`
 //! (paper §2.3).
 
+use crate::bounds::ArgBounds;
 use mmv_constraints::fxhash::FxHashMap;
 use mmv_constraints::solver::{solutions_with, EnumResult};
 use mmv_constraints::{
@@ -217,6 +218,65 @@ impl ConstrainedAtom {
         *solver_calls += 1;
         (satisfiable_with(&region, resolver, config) != Truth::Unsat).then_some((tied, region))
     }
+}
+
+/// How [`weaken`] left a constraint.
+#[derive(Debug)]
+pub(crate) enum Weakened {
+    /// No tie met it.
+    Unchanged,
+    /// The constraint with every met tie conjoined, negated, and the
+    /// regions the ties met, in tie order.
+    To(Constraint, Vec<Constraint>),
+    /// The simplifier proved the weakened constraint false.
+    Empty,
+}
+
+/// The weakening rule every maintenance algorithm updates the view by:
+/// `constraint ∧ not(ψ1) ∧ not(ψ2) ∧ …`, one `not` per tie `(atom,
+/// args)` whose region the constraint built so far still meets. Each
+/// tie is tested against that constraint, first by argument bounds
+/// (free, and a necessary condition: a simplified `not` can tighten
+/// them), then by [`ConstrainedAtom::overlap`]; a tie that meets it is
+/// conjoined, negated, and simplified at once, so the next tie's solver
+/// call sees no pile of raw `not` blocks. Stops when the simplifier
+/// proves the constraint false. A refuted tie excludes nothing and is
+/// left out.
+pub(crate) fn weaken<'a>(
+    constraint: &Constraint,
+    ties: impl IntoIterator<Item = (&'a ConstrainedAtom, &'a [Term])>,
+    gen: &mut VarGen,
+    resolver: &dyn DomainResolver,
+    config: &SolverConfig,
+    solver_calls: &mut usize,
+) -> Weakened {
+    let mut weakened: Option<Constraint> = None;
+    let mut regions = Vec::new();
+    for (atom, args) in ties {
+        let current = weakened.as_ref().unwrap_or(constraint);
+        if !ArgBounds::of(atom).meets(args, current) {
+            continue;
+        }
+        let Some((tied, region)) = atom.overlap(args, current, gen, resolver, config, solver_calls)
+        else {
+            continue;
+        };
+        let Some(c) = simplify_keep(current.clone().and_lit(Lit::Not(tied))) else {
+            return Weakened::Empty;
+        };
+        weakened = Some(c);
+        regions.push(region);
+    }
+    match weakened {
+        Some(c) => Weakened::To(c, regions),
+        None => Weakened::Unchanged,
+    }
+}
+
+/// Simplifies a constraint; `None` when the simplifier proves it
+/// unsatisfiable, so the caller drops it without asking the solver.
+pub(crate) fn simplify_keep(c: Constraint) -> Option<Constraint> {
+    mmv_constraints::simplify(&c).into_constraint()
 }
 
 impl fmt::Display for ConstrainedAtom {

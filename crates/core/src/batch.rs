@@ -342,8 +342,9 @@ mod tests {
                 .expect("batch applies");
             match (mode, &stats.deletes) {
                 (SupportMode::Plain, DeleteStats::Dred(d)) => assert_eq!(d.del_atoms, 2),
+                // Both points lie in b's one entry: it is replaced once.
                 (SupportMode::WithSupports, DeleteStats::StDel(s)) => {
-                    assert_eq!(s.direct_replacements, 2)
+                    assert_eq!(s.direct_replacements, 1)
                 }
                 other => panic!("wrong deletion algorithm for {other:?}"),
             }

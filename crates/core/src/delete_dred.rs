@@ -3,22 +3,27 @@
 //! Subrahmanian \[22\] to constrained databases.
 //!
 //! Given a deletion request `A(X⃗) ← φ` against a duplicate-free
-//! ([`SupportMode::Plain`]) view `M` of database `P`:
+//! ([`SupportMode::Plain`]) view `M` of database `P`, the steps are
+//! numbered as the paper's, here and in the code:
 //!
-//! 1. **Del**: intersect the request with the matching view atoms — only
-//!    instances actually in the view are deleted.
-//! 2. **Unfold `P_OUT`**: the overestimate of possibly-deleted atoms,
+//! - **Del** (before step 1): intersect the request with the matching
+//!   view atoms — only instances actually in the view are deleted.
+//! 1. **Unfold `P_OUT`**: the overestimate of possibly-deleted atoms,
 //!    propagating the deletion through clauses (exactly one body child
 //!    from the previous layer, the rest from `M`).
-//! 3. **Over-delete to `M'`**: weaken every overlapping view atom with
+//! 2. **Over-delete to `M'`**: weaken every overlapping view atom with
 //!    `not(pout-region)`, so `[M'] = [M] \ [P_OUT]`.
-//! 4. **Rederive**: close `M'` under the *rewritten* database `P'`
+//! 3. **Rederive**: close `M'` under the *rewritten* database `P'`
 //!    (clauses for the deleted predicate carry `not(Del)`), restricted to
 //!    derivations that can restore instances inside a `P_OUT` region —
-//!    the paper's step 3 with the `P''` pruning realized as a
-//!    region-overlap test (see "Cost follows the update" below). This
-//!    rederivation is the
-//!    expensive step StDel eliminates.
+//!    the `P''` pruning realized as a region-overlap test (see "Cost
+//!    follows the update" below). This rederivation is the expensive
+//!    step StDel eliminates.
+//!
+//! Step 2's weakening and the `not(Del)` rewrite of `P'` are the crate's
+//! one weakening rule (`atom::weaken`): a region is conjoined, negated,
+//! only where the constraint built so far still meets it, and the result
+//! is simplified after each conjunct.
 //!
 //! # Cost follows the update
 //!
@@ -54,9 +59,8 @@
 //! the round driver picks, as rederivation's and `P_ADD`'s do. Building
 //! that program walks the rules of `P`, not its facts, once per batch.
 
-use crate::atom::{ConstrainedAtom, Overlap};
+use crate::atom::{simplify_keep, weaken, ConstrainedAtom, Overlap, Weakened};
 use crate::bounds::ArgBounds;
-use crate::delete_stdel::simplify_keep;
 use crate::program::{Clause, ClauseId, ConstrainedDatabase};
 // The blind rewrite is the declarative spec: it lives with the oracles.
 pub use crate::semantics::rewrite_for_deletion;
@@ -67,7 +71,7 @@ use crate::tp::{
 use crate::view::{EntryId, MaterializedView, SupportMode};
 use mmv_constraints::fxhash::FxHashMap;
 use mmv_constraints::{
-    satisfiable_with, Constraint, DomainResolver, Lit, SolverConfig, Term, Truth, ValueSet, VarGen,
+    satisfiable_with, Constraint, DomainResolver, SolverConfig, Term, Truth, ValueSet, VarGen,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -269,6 +273,23 @@ impl Run<'_> {
         satisfiable_with(c, self.resolver, &self.config.solver) == Truth::Unsat
     }
 
+    /// One counted weakening ([`weaken`]).
+    fn weaken<'a>(
+        &mut self,
+        constraint: &Constraint,
+        ties: impl IntoIterator<Item = (&'a ConstrainedAtom, &'a [Term])>,
+        gen: &mut VarGen,
+    ) -> Weakened {
+        weaken(
+            constraint,
+            ties,
+            gen,
+            self.resolver,
+            &self.config.solver,
+            &mut self.stats.solver_calls,
+        )
+    }
+
     /// One counted overlap test ([`ConstrainedAtom::overlap`]).
     fn overlap(
         &mut self,
@@ -288,7 +309,8 @@ impl Run<'_> {
     }
 
     /// `Del`, the `P_OUT` unfolding (step 1) and the weakening of `view`
-    /// to `M'` (step 2).
+    /// to `M'` (step 2), each entry by every region it meets in one
+    /// [`weaken`].
     fn over_delete(
         &mut self,
         db: &ConstrainedDatabase,
@@ -316,7 +338,7 @@ impl Run<'_> {
                 // into every over-deleted entry, so redundancy here
                 // multiplies across the whole run (acute for batches,
                 // whose Del sets are larger).
-                let Some(region) = mmv_constraints::simplify(&region).into_constraint() else {
+                let Some(region) = simplify_keep(region) else {
                     continue;
                 };
                 del.push(atom.with_constraint(region));
@@ -363,41 +385,23 @@ impl Run<'_> {
             for group in met.chunk_by(|a, b| a.0 == b.0) {
                 let id = group[0].0;
                 let atom = &view.entry(id).atom;
-                let mut constraint = Some(atom.constraint.clone());
-                let mut changed = false;
-                for &(_, r) in group {
-                    // Proved empty: no later region can meet it.
-                    let Some(c) = constraint.take() else {
-                        break;
-                    };
-                    let Some((ppsi, _)) = self.overlap(&pouts[r].atom, &atom.args, &c, gen) else {
-                        constraint = Some(c);
-                        continue;
-                    };
-                    // Simplify after *each* conjunct, not once at the
-                    // end: the next region's solvability test (and, in
-                    // a batch, every later region's) runs against this
-                    // constraint, so letting raw not() chains pile up
-                    // makes those solver calls quadratically slower.
-                    constraint = simplify_keep(c.and_lit(Lit::Not(ppsi)));
-                    changed = true;
-                }
-                if !changed {
-                    continue;
-                }
-                self.stats.weakened += 1;
-                match constraint {
-                    Some(c) => {
+                let ties = group
+                    .iter()
+                    .map(|&(_, r)| (&pouts[r].atom, atom.args.as_slice()));
+                match self.weaken(&atom.constraint, ties, gen) {
+                    Weakened::Unchanged => continue,
+                    Weakened::To(c, _) => {
                         view.replace_constraint(id, c);
                         touched.push(id);
                     }
                     // The simplifier proved it false: dropped now, not
                     // left for the hygiene pass to ask the solver.
-                    None => {
+                    Weakened::Empty => {
                         view.remove(id);
                         self.stats.removed += 1;
                     }
                 }
+                self.stats.weakened += 1;
             }
         }
         Ok(OverDeletion {
@@ -518,11 +522,13 @@ impl Run<'_> {
     /// over-deleted predicates' clauses cost, not what `P` does. Clause
     /// numbers are the originals.
     ///
-    /// The rewrite is [`rewrite_for_deletion`] with a redundancy gate: a
-    /// `not(Del-region)` is conjoined onto a clause only if the region
-    /// *overlaps* the clause's own constraint — excluding a disjoint
-    /// region excludes nothing (the same gate Algorithm 3 applies when
-    /// building `Add`). The blind rewrite is the declarative spec and
+    /// The rewrite is [`rewrite_for_deletion`] through the weakening rule
+    /// ([`weaken`]): a `not(Del-region)` is conjoined onto a clause only
+    /// if the region *overlaps* the clause's constraint built so far —
+    /// excluding a disjoint region excludes nothing (the same rule
+    /// Algorithm 3 builds `Add` by) — and a clause the simplifier proves
+    /// false is left out: it can restore nothing. The blind rewrite is
+    /// the declarative spec and
     /// stays as the oracle; this one keeps the executable clauses small.
     /// The distinction is what makes *batched* deletion viable: a batch's
     /// `Del` holds every request's regions, and conjoining all of them
@@ -562,31 +568,31 @@ impl Run<'_> {
         let mut out = ConstrainedDatabase::new();
         for cid in cids {
             let clause = db.clause(cid);
-            let mut c = clause.clone();
-            for (d, bounds) in &del {
-                if d.pred != clause.head_pred {
-                    continue;
-                }
+            let mut ties = Vec::new();
+            for (d, bounds) in del.iter().filter(|(d, _)| d.pred == clause.head_pred) {
                 // The conjoined not() blocks leave the head's bounds as
                 // the original clause's.
-                if !bounds.meets(&clause.head_args, &clause.constraint) {
+                if bounds.meets(&clause.head_args, &clause.constraint) {
+                    ties.push((*d, clause.head_args.as_slice()));
+                } else {
                     self.stats.prefiltered += 1;
-                    continue;
                 }
-                // Every derivation through the clause satisfies the clause
-                // constraint, so a region disjoint from it can never be
-                // produced — the not() would only bloat the program.
-                let Some((dpsi, _)) = self.overlap(d, &c.head_args, &c.constraint, gen) else {
-                    continue;
-                };
-                c = Clause::new(
-                    &c.head_pred,
-                    c.head_args.clone(),
-                    c.constraint.and_lit(Lit::Not(dpsi)),
-                    c.body.clone(),
-                );
             }
-            out.push_numbered(cid, c);
+            // Every derivation through the clause satisfies the clause
+            // constraint, so a region disjoint from it can never be
+            // produced: the weakening conjoins no not() for it.
+            match self.weaken(&clause.constraint, ties, gen) {
+                Weakened::Unchanged => out.push_numbered(cid, clause.clone()),
+                Weakened::To(constraint, _) => out.push_numbered(
+                    cid,
+                    Clause {
+                        constraint,
+                        ..clause.clone()
+                    },
+                ),
+                // Nothing derived through it survives: it restores nothing.
+                Weakened::Empty => {}
+            }
         }
         out
     }

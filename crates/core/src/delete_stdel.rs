@@ -8,32 +8,39 @@
 //! onto each affected entry's constraint. Entries whose constraint
 //! becomes unsolvable are removed (step 4).
 //!
-//! Processing order: step 3 visits only the entries that depend on the
-//! deletion. It is a worklist in ascending `(support height, id)` order,
-//! seeded with the entries step 2 replaced; an entry that changed adds
-//! its parents. The view's reverse support index supplies the parents.
-//! A derivation's children are strictly lower than it, so every child
-//! is settled before any parent consults it, and every parent joins the
-//! worklist above the entry being processed. The entries visited are
-//! those that the whole view, sorted by height, would have changed, in
-//! the same order.
+//! Step 2 only selects: per request, the entries whose argument bounds
+//! meet the request's, from the view's interval index. It ties, solves
+//! and replaces nothing.
 //!
-//! Step 4 is folded into the walk. Each affected entry is tested for
-//! emptiness once, when the walk reaches it and its constraint is final:
-//! free when the simplifier proved it false, else one solver call, of
-//! which only `Unsat` counts (the solver over-approximates `not(..)`
-//! blocks, so `Sat` may be wrong). A derivation with an empty child is
-//! empty itself, so an entry with an emptied child is emptied without a
-//! tie, a solver call or a replacement, and emits no `P_OUT` pair; its
-//! parents still hear of it. The emptied entries are removed after the
-//! walk, in the walk's order.
+//! Step 3 weakens, settles and replaces. It is a worklist in ascending
+//! `(support height, id)` order, seeded with the entries step 2
+//! selected; an entry that changed adds its parents. The view's reverse
+//! support index supplies the parents. A derivation's children are
+//! strictly lower than it, so every child is settled before any parent
+//! consults it, and every parent joins the worklist above the entry
+//! being processed. The entries visited are those that the whole view,
+//! sorted by height, would have changed, in the same order.
+//!
+//! Each entry the walk reaches is weakened once, by the crate's one
+//! weakening rule (`atom::weaken`): first by the requests that met it,
+//! tied to its own arguments, then by its children's `P_OUT` pairs,
+//! tied to the arguments each child has in its derivation. Its
+//! constraint is then final and is tested for emptiness once: free when
+//! the simplifier proved it false, else one solver call, of which only
+//! `Unsat` counts (the solver over-approximates `not(..)` blocks, so
+//! `Sat` may be wrong). A survivor is replaced once and records the
+//! regions it lost as its `P_OUT` pairs. A derivation with an empty
+//! child is empty itself, so an entry with an emptied child is emptied
+//! without a tie, a solver call or a replacement; its parents still
+//! hear of it. The emptied entries are removed after the walk, in the
+//! walk's order.
 
-use crate::atom::ConstrainedAtom;
+use crate::atom::{weaken, ConstrainedAtom, Weakened};
 use crate::bounds::ArgBounds;
 use crate::support::Support;
 use crate::view::{EntryId, MaterializedView, SupportMode};
 use mmv_constraints::fxhash::{FxHashMap, FxHashSet};
-use mmv_constraints::{satisfiable_with, Constraint, DomainResolver, Lit, SolverConfig, Truth};
+use mmv_constraints::{satisfiable_with, DomainResolver, SolverConfig, Truth, VarGen};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -43,11 +50,15 @@ type Pout = FxHashMap<Support, Vec<ConstrainedAtom>>;
 /// Statistics of one StDel run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StDelStats {
-    /// Entries replaced in step 2 (direct matches of the deletion).
+    /// Surviving entries replaced that step 2 selected for a request,
+    /// each once (an entry hit both directly and through a child counts
+    /// here only).
     pub direct_replacements: usize,
-    /// Entries replaced in step 3 (support propagation), each once.
+    /// Surviving entries replaced that step 2 did not select: only
+    /// their children's `P_OUT` pairs met them. Each once.
     pub propagated_replacements: usize,
-    /// `P_OUT` pairs emitted.
+    /// `P_OUT` pairs recorded: one per region a surviving entry lost,
+    /// to a request or through a child. An emptied entry records none.
     pub pout_pairs: usize,
     /// Entries removed (constraint no longer solvable).
     pub removed: usize,
@@ -120,14 +131,14 @@ pub fn stdel_delete(
 /// Deletes the instances of a whole *set* of deletion requests in one
 /// StDel pass (Algorithm 2 over the union of the requests).
 ///
-/// Step 2 intersects each request with the view in order, so the `P_OUT`
-/// pairs of all requests accumulate on the affected supports; one upward
-/// propagation then settles every affected entry exactly once: weakened
-/// by its children's pairs and tested, or emptied through an emptied
-/// child. The upward step visits the entries that depend on what step 2
-/// replaced, each once, in ascending support height (see the module
-/// docs); sequential single-atom deletion visits a shared ancestor once
-/// per request, the batch once in total.
+/// Step 2 selects, per request, the entries it may meet; one upward
+/// walk then settles every affected entry exactly once: weakened by the
+/// requests that met it and by its children's pairs, tested, and
+/// replaced once, or emptied through an emptied child. The walk visits
+/// the entries step 2 selected and those that depend on what changed,
+/// each once, in ascending support height (see the module docs);
+/// sequential single-atom deletion visits a shared ancestor once per
+/// request, the batch once in total.
 pub fn stdel_delete_batch(
     view: &mut MaterializedView,
     deletions: &[ConstrainedAtom],
@@ -138,28 +149,20 @@ pub fn stdel_delete_batch(
         return Err(StDelError::NeedsSupports);
     }
     let mut stats = StDelStats::default();
-    let mut walk = direct_deletions(view, deletions, resolver, config, &mut stats);
+    let mut walk = Walk::select(view, deletions, &mut stats);
 
-    // ---- Step 3: upward propagation along supports -----------------------
-    // The entries step 2 replaced and, as they change, their parents, by
+    // ---- Step 3: weaken along supports, each entry once ------------------
+    // The entries step 2 selected and, as they change, their parents, by
     // ascending support height: children are settled before parents.
-    let mut worklist: BTreeSet<(u32, EntryId)> = walk
-        .direct
-        .iter()
-        .map(|&id| (height(view, id), id))
-        .collect();
+    let mut worklist: BTreeSet<(u32, EntryId)> =
+        walk.met.keys().map(|&id| (height(view, id), id)).collect();
     while let Some((_, id)) = worklist.pop_first() {
         if let Some(support) = walk.settle(view, id, resolver, config, &mut stats) {
             let parents = view.parents_of(&support);
             worklist.extend(parents.iter().map(|&p| (height(view, p), p)));
         }
     }
-
-    // ---- Step 4: remove the emptied entries, in walk order ---------------
-    for &id in &walk.dead {
-        view.remove(id);
-    }
-    stats.removed = walk.dead.len();
+    walk.finish(view, &mut stats);
     Ok(stats)
 }
 
@@ -173,90 +176,54 @@ fn height(view: &MaterializedView, id: EntryId) -> u32 {
 }
 
 /// What a deletion has done to the view so far.
-#[derive(Default)]
-struct Walk {
+struct Walk<'a> {
+    /// The view's var gen, out of the view while its entries stay
+    /// borrowed (see `tp::propagate`); [`Walk::finish`] puts it back.
+    gen: VarGen,
+    /// Per entry step 2 selected, the requests whose bounds meet it, in
+    /// request order.
+    met: FxHashMap<EntryId, Vec<&'a ConstrainedAtom>>,
     pout: Pout,
     /// Supports of the entries found empty: every derivation with one
     /// of them as a child is empty too.
     emptied: FxHashSet<Support>,
-    /// The entries step 2 replaced or emptied.
-    direct: FxHashSet<EntryId>,
     /// The emptied entries, in the order the walk settled them.
     dead: Vec<EntryId>,
 }
 
-/// Step 2: intersects each request with the view, replacing every entry
-/// it overlaps and recording the removed region as a `P_OUT` pair of
-/// the entry's support. An entry the simplifier proves empty is not
-/// replaced: its support joins `emptied`, and later requests pass it by.
-fn direct_deletions(
-    view: &mut MaterializedView,
-    deletions: &[ConstrainedAtom],
-    resolver: &dyn DomainResolver,
-    config: &SolverConfig,
-    stats: &mut StDelStats,
-) -> Walk {
-    let mut walk = Walk::default();
-    for deletion in deletions {
-        // Only entries whose argument bounds meet the request's can lose
-        // instances to it (the ids are a snapshot: the loop below
-        // replaces constraints).
-        let bounds = ArgBounds::of(deletion);
-        let (prefiltered, selected) = (&mut stats.prefiltered, &mut stats.selected);
-        for id in view.candidates(&deletion.pred, &bounds, prefiltered, selected) {
-            let entry = view.entry(id);
-            let support = entry.support.clone().expect("WithSupports mode");
-            if walk.emptied.contains(&support) {
-                continue; // an earlier request left nothing to delete
+impl<'a> Walk<'a> {
+    /// Step 2: per request, in request order, the entries whose argument
+    /// bounds meet the request's. Nothing is tied, solved or replaced.
+    fn select(
+        view: &mut MaterializedView,
+        deletions: &'a [ConstrainedAtom],
+        stats: &mut StDelStats,
+    ) -> Self {
+        let mut met: FxHashMap<EntryId, Vec<&ConstrainedAtom>> = FxHashMap::default();
+        for deletion in deletions {
+            let bounds = ArgBounds::of(deletion);
+            let (prefiltered, selected) = (&mut stats.prefiltered, &mut stats.selected);
+            for id in view.candidates(&deletion.pred, &bounds, prefiltered, selected) {
+                met.entry(id).or_default().push(deletion);
             }
-            let atom = entry.atom.clone();
-            // The deletion's constraint over this entry's args.
-            let Some((dpsi, region)) = deletion.overlap(
-                &atom.args,
-                &atom.constraint,
-                view.var_gen_mut(),
-                resolver,
-                config,
-                &mut stats.solver_calls,
-            ) else {
-                continue; // this entry contributes nothing to Del
-            };
-            walk.direct.insert(id);
-            // Replace F with A(X⃗) <- φ ∧ not(deletion-region).
-            let Some(weakened) = simplify_keep(atom.constraint.clone().and_lit(Lit::Not(dpsi)))
-            else {
-                walk.emptied.insert(support);
-                continue;
-            };
-            view.replace_constraint(id, weakened);
-            stats.direct_replacements += 1;
-            // Record (removed region, spt(F)).
-            walk.pout
-                .entry(support)
-                .or_default()
-                .push(atom.with_constraint(region));
-            stats.pout_pairs += 1;
+        }
+        Walk {
+            gen: std::mem::take(view.var_gen_mut()),
+            met,
+            pout: Pout::default(),
+            emptied: FxHashSet::default(),
+            dead: Vec::new(),
         }
     }
-    walk
-}
 
-/// How step 3 left one entry.
-enum Weakened {
-    /// No pair of its children met its constraint.
-    Unchanged,
-    /// Its constraint with every met pair conjoined, negated, and the
-    /// pairs it emits if it survives.
-    To(Constraint, Vec<ConstrainedAtom>),
-    /// The simplifier proved the weakened constraint false.
-    Empty,
-}
-
-impl Walk {
-    /// Step 3 (and 4) for the entry `id`: weakens it by its children's
-    /// `P_OUT` pairs, or empties it through an emptied child, and tests
-    /// a changed constraint for emptiness once. Returns the entry's
-    /// support when it changed, so its parents must be visited.
+    /// Step 3 (and 4) for the entry `id`: weakens it once, first by the
+    /// requests that met it (tied to its own arguments), then by its
+    /// children's `P_OUT` pairs (tied to the arguments each child has in
+    /// this derivation), or empties it through an emptied child. A
+    /// weakened constraint is tested for emptiness once; a survivor is
+    /// replaced once and records the regions it lost as its pairs.
+    /// Returns the entry's support when it changed, so its parents must
+    /// be visited.
     fn settle(
         &mut self,
         view: &mut MaterializedView,
@@ -265,48 +232,60 @@ impl Walk {
         config: &SolverConfig,
         stats: &mut StDelStats,
     ) -> Option<Support> {
-        let support = view.entry(id).support.clone().expect("WithSupports");
+        let entry = view.entry(id);
+        let support = entry.support.clone().expect("WithSupports");
         let children = support.children();
-        let direct = self.direct.contains(&id);
+        let met = self.met.get(&id);
         let affected = children
             .iter()
             .any(|c| self.pout.contains_key(c) || self.emptied.contains(c));
-        if !affected && !direct {
+        if !affected && met.is_none() {
             return None;
         }
         stats.walked += usize::from(affected);
-        let empty = if self.emptied.contains(&support) {
-            true // step 2's simplifier proved it empty
-        } else if children.iter().any(|c| self.emptied.contains(c)) {
+        let empty = if children.iter().any(|c| self.emptied.contains(c)) {
             stats.emptied += 1;
             true
         } else {
-            let weakened = if affected {
-                self.propagate_entry(view, id, &support, resolver, config, stats)
-            } else {
-                Weakened::Unchanged
-            };
-            let unsat = |c: &Constraint, stats: &mut StDelStats| {
-                stats.solver_calls += 1;
-                satisfiable_with(c, resolver, config) == Truth::Unsat
-            };
+            let atom = &entry.atom;
+            let requests = met
+                .into_iter()
+                .flatten()
+                .map(|&r| (r, atom.args.as_slice()));
+            let pairs = children
+                .iter()
+                .zip(&entry.children_args)
+                .flat_map(|(child, args)| {
+                    let pairs = self.pout.get(child).into_iter().flatten();
+                    pairs.map(move |pair| (pair, args.as_slice()))
+                });
+            let weakened = weaken(
+                &atom.constraint,
+                requests.chain(pairs),
+                &mut self.gen,
+                resolver,
+                config,
+                &mut stats.solver_calls,
+            );
             match weakened {
+                Weakened::Unchanged => return None,
                 Weakened::Empty => true,
-                Weakened::To(c, emitted) => {
-                    let empty = unsat(&c, stats);
+                Weakened::To(c, regions) => {
+                    stats.solver_calls += 1;
+                    let empty = satisfiable_with(&c, resolver, config) == Truth::Unsat;
                     if !empty {
+                        stats.pout_pairs += regions.len();
+                        let lost = regions.into_iter().map(|r| atom.with_constraint(r));
+                        self.pout.insert(support.clone(), lost.collect());
+                        if met.is_some() {
+                            stats.direct_replacements += 1;
+                        } else {
+                            stats.propagated_replacements += 1;
+                        }
                         view.replace_constraint(id, c);
-                        stats.propagated_replacements += 1;
-                        stats.pout_pairs += emitted.len();
-                        self.pout
-                            .entry(support.clone())
-                            .or_default()
-                            .extend(emitted);
                     }
                     empty
                 }
-                Weakened::Unchanged if direct => unsat(&view.entry(id).atom.constraint, stats),
-                Weakened::Unchanged => return None,
             }
         };
         if empty {
@@ -316,72 +295,24 @@ impl Walk {
         Some(support)
     }
 
-    /// Step 3's weakening of the entry `id` (whose support is `support`):
-    /// each `P_OUT` pair of each of its children is tied to that child's
-    /// arguments in this derivation; every solvable region is conjoined,
-    /// negated, onto the entry's constraint and becomes a pair of the
-    /// entry's own.
-    fn propagate_entry(
-        &self,
-        view: &mut MaterializedView,
-        id: EntryId,
-        support: &Support,
-        resolver: &dyn DomainResolver,
-        config: &SolverConfig,
-        stats: &mut StDelStats,
-    ) -> Weakened {
-        let entry = view.entry(id);
-        let (atom, children_args) = (entry.atom.clone(), entry.children_args.clone());
-        let mut constraint = atom.constraint.clone();
-        let mut emitted: Vec<ConstrainedAtom> = Vec::new();
-        for (child, child_args) in support.children().iter().zip(&children_args) {
-            let Some(pairs) = self.pout.get(child) else {
-                continue;
-            };
-            for pair in pairs {
-                // The pair's removed region over the child's argument
-                // tuple inside this derivation; condition (c): the
-                // affected region must be solvable.
-                let Some((ppsi, region)) = pair.overlap(
-                    child_args,
-                    &constraint,
-                    view.var_gen_mut(),
-                    resolver,
-                    config,
-                    &mut stats.solver_calls,
-                ) else {
-                    continue;
-                };
-                // F's constraint becomes φ ∧ not(ψ_j over child args).
-                let Some(weakened) = simplify_keep(constraint.and_lit(Lit::Not(ppsi))) else {
-                    return Weakened::Empty;
-                };
-                constraint = weakened;
-                // Emit (removed region of F, spt(F)).
-                emitted.push(atom.with_constraint(region));
-            }
+    /// Step 4: puts the view's var gen back and removes the emptied
+    /// entries, in walk order.
+    fn finish(self, view: &mut MaterializedView, stats: &mut StDelStats) {
+        *view.var_gen_mut() = self.gen;
+        for &id in &self.dead {
+            view.remove(id);
         }
-        if emitted.is_empty() {
-            Weakened::Unchanged
-        } else {
-            Weakened::To(constraint, emitted)
-        }
+        stats.removed = self.dead.len();
     }
-}
-
-/// Simplifies a weakened entry's constraint; `None` when the simplifier
-/// proves it unsatisfiable — the entry is empty, and the deletion drops
-/// it without asking the solver.
-pub(crate) fn simplify_keep(c: Constraint) -> Option<Constraint> {
-    mmv_constraints::simplify(&c).into_constraint()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atom::simplify_keep;
     use crate::program::{BodyAtom, Clause, ConstrainedDatabase};
     use crate::tp::{fixpoint, FixpointConfig, Operator};
-    use mmv_constraints::{CmpOp, NoDomains, Term, Value, Var};
+    use mmv_constraints::{CmpOp, Constraint, Lit, NoDomains, Term, Value, Var};
 
     fn x() -> Term {
         Term::var(Var(0))
@@ -646,13 +577,41 @@ mod tests {
         assert_eq!(c4.len(), 1);
     }
 
+    #[test]
+    fn a_lost_region_that_carries_an_earlier_exclusion_is_lost_whole() {
+        // b(X) <- 0 <= X <= 20, and a(X) <- b(X) & 0 <= X <= 9. After
+        // deleting b's 3..5, b and a carry not(3..5). Deleting b's 0..9
+        // then hands a the region 0..20 & not(3..5) & 0..9, whose every
+        // primitive conjunct a's constraint already holds: a loses all
+        // it has left and is removed.
+        let db = ConstrainedDatabase::from_clauses(vec![
+            Clause::fact("b", vec![x()], interval(0, 20)),
+            Clause::new(
+                "a",
+                vec![x()],
+                interval(0, 9),
+                vec![BodyAtom::new("b", vec![x()])],
+            ),
+        ]);
+        let mut view = build(&db);
+        let cfg = SolverConfig::default();
+        for (lo, hi) in [(3, 5), (0, 9)] {
+            let deletion = ConstrainedAtom::new("b", vec![x()], interval(lo, hi));
+            stdel_delete(&mut view, &deletion, &NoDomains, &cfg).unwrap();
+        }
+        let inst = view.instances(&NoDomains, &cfg).unwrap();
+        let expected: Vec<String> = (10..=20).map(|v| format!("b[{v}]")).collect();
+        let got: Vec<String> = inst.iter().map(|(p, t)| format!("{p}[{}]", t[0])).collect();
+        assert_eq!(got, expected, "{view}");
+    }
+
     /// Reference for step 3's order: every live entry in ascending
     /// (support height, id) order, each settled by the walk's own rule.
     /// `walked` counts the entries with an affected child.
     fn whole_view_walk(view: &mut MaterializedView, deletions: &[ConstrainedAtom]) -> StDelStats {
         let cfg = SolverConfig::default();
         let mut stats = StDelStats::default();
-        let mut walk = direct_deletions(view, deletions, &NoDomains, &cfg, &mut stats);
+        let mut walk = Walk::select(view, deletions, &mut stats);
         let mut by_height: Vec<(u32, EntryId)> = view
             .live_entries()
             .map(|(id, e)| (e.support.as_ref().unwrap().height(), id))
@@ -661,10 +620,7 @@ mod tests {
         for (_, id) in by_height {
             walk.settle(view, id, &NoDomains, &cfg, &mut stats);
         }
-        for &id in &walk.dead {
-            view.remove(id);
-        }
-        stats.removed = walk.dead.len();
+        walk.finish(view, &mut stats);
         stats
     }
 
@@ -882,7 +838,10 @@ mod tests {
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig { cases: 48, ..Default::default() })]
+        #![proptest_config(proptest::ProptestConfig {
+            cases: std::env::var("PROPTEST_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(48),
+            ..Default::default()
+        })]
 
         #[test]
         fn worklist_matches_whole_view_walk_on_random_dags(
@@ -933,15 +892,21 @@ mod tests {
         fn cascade_matches_full_weakening_on_random_interval_programs(
             facts in proptest::collection::vec((0u8..2, 0i64..24, 0i64..10), 1..6usize),
             rules in proptest::collection::vec((0u8..2, 0u8..2, 0u8..2, 0i64..24), 2..7usize),
-            deletions in proptest::collection::vec((0u8..3, 0u8..2, 0i64..28, 0i64..20), 1..4usize),
+            deletions in proptest::collection::vec((0u8..6, 0u8..2, 0i64..28, 0i64..20), 1..8usize),
         ) {
             let rules: Vec<(u8, u8, bool, i64)> =
                 rules.into_iter().map(|(a, b, join, lo)| (a, b, join == 1, lo)).collect();
             let layers = rules.len().div_ceil(2);
+            // A layer draw of 3 or more repeats the previous request's
+            // predicate, so several requests often meet one entry.
+            let mut previous = (0, 0);
             let deletions: Vec<ConstrainedAtom> = deletions
                 .into_iter()
                 .map(|(layer, j, lo, w)| {
-                    let layer = usize::from(layer) % (layers + 1);
+                    if layer < 3 {
+                        previous = (usize::from(layer) % (layers + 1), j);
+                    }
+                    let (layer, j) = previous;
                     let c = if w < 4 { Constraint::eq(x(), Term::int(lo)) } else { interval(lo, lo + w) };
                     ConstrainedAtom::new(&format!("p{layer}_{j}"), vec![x()], c)
                 })

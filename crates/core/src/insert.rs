@@ -2,9 +2,13 @@
 //!
 //! To insert `A(X⃗) ← φ` into a materialized view `M`:
 //!
-//! 1. Build `Add`: the instances of φ *not already in* `M` (each existing
-//!    entry's constraint, tied to the insertion's arguments, is negated
-//!    and conjoined — the paper's `not(ψ) ∧ φ`).
+//! 1. Build `Add`: the instances of φ *not already in* `M` — the paper's
+//!    `not(ψ) ∧ φ`, by the crate's one weakening rule (`atom::weaken`).
+//!    Each entry whose bounds meet the insertion's is tied to the
+//!    insertion's arguments and tested against the `Add` built so far;
+//!    a region it still meets is conjoined, negated, and the result
+//!    simplified. An `Add` the simplifier proves false inserts nothing
+//!    and asks the solver nothing more.
 //! 2. Materialize `Add` as a new entry (with an external-insertion
 //!    support ticket, so StDel keeps working afterwards).
 //! 3. Unfold `P_ADD`: propagate the insertion upward through the clauses
@@ -15,13 +19,13 @@
 //! new entry as the initial delta, which is precisely the `P_ADD`
 //! construction.
 
-use crate::atom::ConstrainedAtom;
+use crate::atom::{simplify_keep, weaken, ConstrainedAtom, Weakened};
 use crate::bounds::ArgBounds;
 use crate::program::ConstrainedDatabase;
 use crate::support::{Producer, Support};
 use crate::tp::{propagate, FixpointConfig, FixpointError, FixpointStats, Operator};
 use crate::view::{EntryId, MaterializedView, SupportMode};
-use mmv_constraints::{satisfiable_with, DomainResolver, Lit, Truth};
+use mmv_constraints::{satisfiable_with, DomainResolver, Truth};
 
 /// Statistics of one insertion run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -186,35 +190,36 @@ fn materialize_add(
     let mut gen = std::mem::take(view.var_gen_mut());
     // Standardize the insertion apart from the view's variables first.
     let ins = insertion.rename(&mut gen);
-    let mut add_constraint = ins.constraint.clone();
     // Only entries whose argument bounds meet the insertion's can
     // already hold some of its instances.
     let bounds = ArgBounds::of(&ins);
     let (prefiltered, selected) = (&mut stats.prefiltered, &mut stats.selected);
-    for id in view.candidates(&ins.pred, &bounds, prefiltered, selected) {
-        // Excluding a region disjoint from the insertion excludes
-        // nothing: skip it. This keeps Add small — conjoining a not()
-        // per view entry would make the constraint (and every
-        // downstream P_ADD derivation) grow with the view.
-        let Some((epsi, _)) = view.entry(id).atom.overlap(
-            &ins.args,
-            &ins.constraint,
-            &mut gen,
-            resolver,
-            &config.solver,
-            &mut stats.solver_calls,
-        ) else {
-            continue;
-        };
-        add_constraint = add_constraint.and_lit(Lit::Not(epsi));
-    }
+    let ids = view.candidates(&ins.pred, &bounds, prefiltered, selected);
+    // Each entry is tied against the Add built so far: a region the
+    // insertion or an earlier entry already excludes excludes nothing
+    // more and is left out. This keeps Add small — conjoining a not()
+    // per view entry would make the constraint (and every downstream
+    // P_ADD derivation) grow with the view.
+    let weakened = weaken(
+        &ins.constraint,
+        ids.iter()
+            .map(|&id| (&view.entry(id).atom, ins.args.as_slice())),
+        &mut gen,
+        resolver,
+        &config.solver,
+        &mut stats.solver_calls,
+    );
     *view.var_gen_mut() = gen;
+    let add_constraint = match weakened {
+        Weakened::Unchanged => simplify_keep(ins.constraint.clone())?,
+        Weakened::To(c, _) => c,
+        Weakened::Empty => return None,
+    };
     // Solvability gate: nothing new to insert if Add is unsolvable.
     stats.solver_calls += 1;
     if satisfiable_with(&add_constraint, resolver, &config.solver) == Truth::Unsat {
         return None;
     }
-    let add_constraint = mmv_constraints::simplify(&add_constraint).into_constraint()?;
     let add_atom = ins.with_constraint(add_constraint);
 
     // ---- Materialize Add --------------------------------------------------
@@ -379,6 +384,63 @@ mod tests {
                 vec![Value::int(8)]
             ]
         );
+    }
+
+    #[test]
+    fn add_ties_each_entry_against_the_add_built_so_far() {
+        // Entries B(X) <- 0 <= X <= 5 and B(X) <- 3 <= X <= 5; insert
+        // B(X) <- 0 <= X <= 9. The first entry leaves Add at 6..9, which
+        // the second entry's region no longer meets: Add conjoins one
+        // not(..) (simplified to X > 5), not two.
+        let interval = |lo, hi| {
+            Constraint::cmp(x(), CmpOp::Ge, Term::int(lo)).and(Constraint::cmp(
+                x(),
+                CmpOp::Le,
+                Term::int(hi),
+            ))
+        };
+        let db = ConstrainedDatabase::from_clauses(vec![
+            Clause::fact("B", vec![x()], interval(0, 5)),
+            Clause::fact("B", vec![x()], interval(3, 5)),
+        ]);
+        let mut view = build(&db, SupportMode::WithSupports);
+        let ins = ConstrainedAtom::new("B", vec![x()], interval(0, 9));
+        let stats = insert_batch(
+            &db,
+            &mut view,
+            std::slice::from_ref(&ins),
+            &NoDomains,
+            Operator::Tp,
+            &FixpointConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(stats.added, 1);
+        let (_, added) = view
+            .live_entries()
+            .find(|(_, e)| {
+                matches!(
+                    e.support.as_ref().map(|s| s.producer()),
+                    Some(Producer::External(_))
+                )
+            })
+            .expect("inserted entry");
+        let lits = &added.atom.constraint.lits;
+        assert_eq!(lits.len(), 3, "{}", added.atom);
+        assert!(
+            !lits
+                .iter()
+                .any(|l| matches!(l, mmv_constraints::Lit::Not(_))),
+            "{}",
+            added.atom
+        );
+        let cfg = SolverConfig::default();
+        let expected: Vec<Vec<Value>> = (6..=9).map(|v| vec![Value::int(v)]).collect();
+        match added.atom.instances(&NoDomains, &cfg) {
+            crate::atom::Instances::Exact(t) => {
+                assert_eq!(t.into_iter().collect::<Vec<_>>(), expected)
+            }
+            other => panic!("expected exact instances, got {other:?}"),
+        }
     }
 
     #[test]

@@ -43,7 +43,8 @@ pub struct CoreMetrics {
     /// View entries and fact clauses the deletion algorithms' bounds
     /// selectors visited.
     pub delete_selected: Counter,
-    /// Entries replaced by StDel (direct + support propagation).
+    /// Entries replaced by StDel (direct + support propagation), each
+    /// at most once per batch.
     pub stdel_replacements: Counter,
     /// Entries StDel's upward step visited (those with an affected
     /// child).

@@ -22,6 +22,10 @@
 //! one edge deletion do not grow with the number of derivations that
 //! depend on the edge either: the edge's entry is emptied, and every
 //! dependent derivation is emptied through it, untied and unsolved.
+//!
+//! However many of a batch's point deletes meet one entry, StDel
+//! weakens it by all of them in one pass: it is replaced once if it
+//! survives, and removed unreplaced if they empty it.
 
 use mmv_constraints::{CmpOp, Constraint, NoDomains, Term, Value, Var};
 use mmv_core::{
@@ -345,4 +349,76 @@ fn stdel_edge_deletion_costs_the_same_however_many_paths_depend_on_it() {
     );
     assert!(few.0 > 0, "the deletion meets the edge");
     assert_eq!(few.0, hundreds.0, "StDel solver calls at fan 2 and 300");
+}
+
+/// An interval fact `[lo, lo + 3]` of `p0_0` under the three-rule chain
+/// `p{k}_0(X) <- p{k-1}_0(X)`, and a StDel batch deleting `points` of
+/// its points.
+fn chain_under_block(points: i64) -> mmv_core::StDelStats {
+    let mut db = ConstrainedDatabase::new();
+    db.push(Clause::fact(
+        &pred(0, 0),
+        vec![x()],
+        interval(BLOCK_LO, BLOCK_LO + BLOCK_POINTS - 1),
+    ));
+    for layer in 1..=3 {
+        db.push(Clause::new(
+            &pred(layer, 0),
+            vec![x()],
+            Constraint::truth(),
+            vec![BodyAtom::new(&pred(layer - 1, 0), vec![x()])],
+        ));
+    }
+    let inline = FixpointConfig::default();
+    let (mut view, _) = fixpoint(
+        &db,
+        &NoDomains,
+        Operator::Tp,
+        SupportMode::WithSupports,
+        &inline,
+    )
+    .expect("build");
+    let batch = UpdateBatch {
+        deletes: (BLOCK_LO..BLOCK_LO + points)
+            .map(|p| {
+                ConstrainedAtom::new(&pred(0, 0), vec![x()], Constraint::eq(x(), Term::int(p)))
+            })
+            .collect(),
+        inserts: Vec::new(),
+    };
+    let expected = batch_oracle(&db, &view, &batch, &NoDomains, &inline).expect("oracle");
+    let stats = apply_batch(&db, &mut view, &batch, &NoDomains, Operator::Tp, &inline)
+        .expect("maintenance");
+    assert_eq!(
+        view.instances(&NoDomains, &inline.solver)
+            .expect("instances"),
+        expected,
+        "{points} points"
+    );
+    match stats.deletes {
+        DeleteStats::StDel(s) => s,
+        _ => panic!("a view with supports deletes by StDel"),
+    }
+}
+
+#[test]
+fn stdel_replaces_an_entry_once_however_many_requests_meet_it() {
+    // All four points: the block entry is weakened by all four requests
+    // at once, found empty by one solver call and never replaced; its
+    // chain is emptied through it.
+    let all = chain_under_block(BLOCK_POINTS);
+    assert_eq!(
+        (all.direct_replacements, all.removed, all.emptied),
+        (0, 4, 3),
+        "{all:?}"
+    );
+    // Four overlap tests and one emptiness test.
+    assert!(all.solver_calls <= 5, "{all:?}");
+    // Three of them: the block entry survives and is replaced once.
+    let three = chain_under_block(BLOCK_POINTS - 1);
+    assert_eq!(
+        (three.direct_replacements, three.removed),
+        (1, 0),
+        "{three:?}"
+    );
 }
