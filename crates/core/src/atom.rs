@@ -221,7 +221,6 @@ impl ConstrainedAtom {
 }
 
 /// How [`weaken`] left a constraint.
-#[derive(Debug)]
 pub(crate) enum Weakened {
     /// No tie met it.
     Unchanged,
