@@ -49,11 +49,6 @@ impl ArgBounds {
         ArgBounds(sets)
     }
 
-    /// The bound at position `i`.
-    pub fn at(&self, i: usize) -> &ValueSet {
-        &self.0[i]
-    }
-
     /// Per position, the constant the bound pins the argument to, if it
     /// does — the pattern for [`crate::view::MaterializedView::probe_with`].
     pub fn constants(&self) -> impl Iterator<Item = Option<&Value>> {
@@ -318,7 +313,7 @@ fn max_hi(filed: &[Filed]) -> i64 {
 }
 
 /// The bound of one argument term under `constraint`.
-fn term_bound(t: &Term, constraint: &Constraint) -> ValueSet {
+pub(crate) fn term_bound(t: &Term, constraint: &Constraint) -> ValueSet {
     match t {
         Term::Const(v) => ValueSet::singleton(v.clone()),
         Term::Field(..) => ValueSet::All,
@@ -377,7 +372,7 @@ mod tests {
     #[test]
     fn reads_intervals_constants_and_equalities() {
         let b = ArgBounds::of(&interval("p", 3, 9));
-        assert_eq!(b.at(0), &ValueSet::ints_between(3, 9));
+        assert_eq!(b.0[0], ValueSet::ints_between(3, 9));
         assert!(b.meets_atom(&interval("p", 9, 12)));
         assert!(!b.meets_atom(&interval("p", 10, 12)));
         // A point request, as a constrained atom or as a ground fact.
@@ -398,7 +393,7 @@ mod tests {
             Constraint::truth()
         )));
         let loose = ConstrainedAtom::new("p", vec![x()], Constraint::neq(x(), Term::int(5)));
-        assert_eq!(ArgBounds::of(&loose).at(0), &ValueSet::All);
+        assert_eq!(ArgBounds::of(&loose).0[0], ValueSet::All);
         assert!(b.meets_atom(&loose));
     }
 

@@ -15,10 +15,10 @@
 //!    `not(pout-region)`, so `[M'] = [M] \ [P_OUT]`.
 //! 3. **Rederive**: close `M'` under the *rewritten* database `P'`
 //!    (clauses for the deleted predicate carry `not(Del)`), restricted to
-//!    derivations that can restore instances inside a `P_OUT` region —
-//!    the `P''` pruning realized as a region-overlap test (see "Cost
-//!    follows the update" below). This rederivation is the expensive
-//!    step StDel eliminates.
+//!    derivations that restore instances inside a `P_OUT` region — the
+//!    `P''` pruning, written into the program (see "`P_OUT` is a
+//!    program" below). This rederivation is the expensive step StDel
+//!    eliminates.
 //!
 //! Step 2's weakening and the `not(Del)` rewrite of `P'` are the crate's
 //! one weakening rule (`atom::weaken`): a region is conjoined, negated,
@@ -32,47 +32,54 @@
 //! selection visits what the update meets, not the predicate. `Del` and
 //! the over-deletion ask the view for the entries whose bounds meet the
 //! request or region (`MaterializedView::candidates`), which looks them
-//! up in the view's interval index. The program the rederivation runs
-//! is not all of `P'` but the clauses that can restore anything: rules
-//! whose head predicate lost a region (the database lists its rules
-//! apart from its facts), and constrained facts whose head bounds meet
-//! one, which the database's own interval index of fact clauses hands
-//! over (`ConstrainedDatabase::facts_meeting`); each is compared with a
-//! `Del` atom's bounds before the two are tied. The region gate compares
-//! a derived atom's bounds with a region's in the same way. And the
-//! rederivation is *seeded from the `P_OUT` regions*, not from the view:
-//! its first delta holds only entries that could be a child of a
-//! restoring derivation (see `rederivation_seed`, again through the
-//! view's index), so a deletion that over-deletes nothing that can come
-//! back enumerates almost nothing. `ExtDredStats::selected` counts what
-//! the selectors visit. The pre-check is a necessary condition only — it
-//! drops exactly candidates the solver would have refuted — so the
-//! maintained view is the one the whole-predicate scans produced.
+//! up in the view's interval index. The rederivation program is not all
+//! of `P'` but the clauses that can restore anything: rules whose head
+//! predicate lost a region (the database lists its rules apart from its
+//! facts), and constrained facts whose head bounds meet one, which the
+//! database's own interval index of fact clauses hands over
+//! (`ConstrainedDatabase::facts_meeting`); each is compared with a `Del`
+//! atom's bounds before the two are tied. Both programs' joins select
+//! by bounds too: under `T_P`, a body position is looked up in the
+//! view's interval index with the bounds the already-chosen children
+//! place on its variables, unless a constant narrows it to constant
+//! matches (see `tp`). `ExtDredStats::selected`
+//! counts what the selectors of `Del`, the over-deletion and `P''`
+//! visit, `candidates_scanned` what the joins visit. The pre-check is a
+//! necessary condition only — it drops exactly candidates the solver
+//! would have refuted — so the maintained view is the one the
+//! whole-predicate scans produced.
 //!
 //! # `P_OUT` is a program
 //!
-//! The unfolding has no loop of its own. It is the over-deletion program
-//! of ground DRed \[22\] (`°h ← b1,…,°bi,…,bn` for every rule and body
-//! position, `°` a reserved marker), run by `tp::propagate` over a
-//! scratch clone of the view with `Del` under marked predicates as the
-//! first delta; see `Run::unfold`. Its rounds take whichever executor
-//! the round driver picks, as rederivation's and `P_ADD`'s do. Building
-//! that program walks the rules of `P`, not its facts, once per batch.
+//! So is rederivation. Neither step has a loop of its own: each is a
+//! program run by `tp::propagate` with the `T_P` operator over a scratch
+//! clone of the view whose first delta is a set of atoms under marked
+//! predicates (`°p`, `°` a reserved marker), and each hands back what it
+//! derived past those atoms (`Run::scratch_run`).
+//!
+//! - Step 1 runs the over-deletion program of ground DRed \[22\],
+//!   `°h ← b1,…,°bi,…,bn` for every rule and body position, from `Del`.
+//!   Building it walks the rules of `P`, not its facts, once per batch.
+//! - Step 3 runs `h ← °h, b1,…,bn ∧ not(Del)` for every clause of `P''`
+//!   (a fact becomes `h ← °h ∧ not(Del)`), from `P_OUT`; the way every
+//!   `shapiro` variant's `make_alternative_derivation_program` writes
+//!   rederivation. Tying the head to `°h(h's arguments)` is the region
+//!   test, and the join does it. Its `h` atoms are inserted into `M'`: a
+//!   restored atom carries the region it restores, one entry per
+//!   derivation and region.
+//!
+//! Their rounds take whichever executor the round driver picks, as
+//! `P_ADD`'s do.
 
 use crate::atom::{simplify_keep, weaken, ConstrainedAtom, Overlap, Weakened};
 use crate::bounds::ArgBounds;
-use crate::program::{Clause, ClauseId, ConstrainedDatabase};
+use crate::program::{BodyAtom, Clause, ClauseId, ConstrainedDatabase};
 // The blind rewrite is the declarative spec: it lives with the oracles.
 pub use crate::semantics::rewrite_for_deletion;
-use crate::tp::{
-    derive, derive_combo, propagate, Candidate, Derivation, Engine, EngineStats, FixpointConfig,
-    FixpointError, FixpointStats, Gate, Operator, Split,
-};
+use crate::tp::{propagate, FixpointConfig, FixpointError, FixpointStats, Operator};
 use crate::view::{EntryId, MaterializedView, SupportMode};
 use mmv_constraints::fxhash::FxHashMap;
-use mmv_constraints::{
-    satisfiable_with, Constraint, DomainResolver, SolverConfig, Term, Truth, ValueSet, VarGen,
-};
+use mmv_constraints::{satisfiable_with, Constraint, DomainResolver, Term, Truth, VarGen};
 use std::fmt;
 use std::sync::Arc;
 
@@ -97,13 +104,12 @@ pub struct ExtDredStats {
     pub candidates_scanned: usize,
     /// Candidates dismissed by the argument-bounds pre-check, without
     /// tying or a solver call: (entry, request) pairs of `Del`, (entry,
-    /// region) pairs of the over-deletion and of the rederivation seed,
-    /// (derived atom, region) and (fact clause, region) pairs of the
-    /// rederivation, (clause, `Del` atom) pairs of the `P'` rewrite.
+    /// region) pairs of the over-deletion, (fact clause, region) pairs of
+    /// `P''`, (clause, `Del` atom) pairs of the `P'` rewrite.
     pub prefiltered: usize,
     /// Entries and fact clauses the bounds selectors visited: the view
-    /// entries of `Del`, the over-deletion and the rederivation seed,
-    /// and the fact clauses `P''` takes from the database's index.
+    /// entries of `Del` and the over-deletion, and the fact clauses
+    /// `P''` takes from the database's index.
     pub selected: usize,
 }
 
@@ -130,12 +136,13 @@ pub enum DredError {
     /// The view must be duplicate-free (`SupportMode::Plain`).
     NeedsPlainView,
     /// A fixpoint budget was exhausted during unfolding or rederivation.
-    /// The unfolding runs over a scratch copy of the view, so there the
-    /// entry budget counts the view's entries plus `P_OUT`'s.
+    /// Both run over a scratch copy of the view, so the entry budget
+    /// counts the view's entries plus the marked atoms and what the
+    /// program derived.
     Budget(FixpointError),
     /// A predicate of the database or the view already carries the
-    /// marker the `P_OUT` unfolding reserves for its own predicates; the
-    /// deletion is refused before anything changes.
+    /// marker Extended DRed reserves for its scratch programs'
+    /// predicates; the deletion is refused before anything changes.
     ReservedPredicate(Arc<str>),
 }
 
@@ -175,11 +182,10 @@ pub fn dred_delete(
 /// are intersected in order, against the same pre-update view), the
 /// `P_OUT` overestimate is unfolded once from the combined frontier, the
 /// over-deletion weakens each entry with every overlapping region, and —
-/// the payoff — a *single* rederivation fixpoint closes the view under
-/// `P'` rewritten with the whole `Del` set, seeded from the entries whose
-/// argument bounds meet a `P_OUT` region. Sequential single-atom deletion
-/// builds `P'`, selects that seed and runs the rederivation rounds once
-/// per request; the batch does each once total.
+/// the payoff — a *single* rederivation program, `P'` rewritten with the
+/// whole `Del` set, runs once from every `P_OUT` region. Sequential
+/// single-atom deletion builds and runs that program once per request;
+/// the batch does it once total.
 pub fn dred_delete_batch(
     db: &ConstrainedDatabase,
     view: &mut MaterializedView,
@@ -211,48 +217,41 @@ fn dred_delete_inner(
         resolver,
         config,
         stats: ExtDredStats::default(),
-        joins: FixpointStats::default(),
     };
     let over = run.over_delete(db, view, gen, deletions)?;
-    if over.del.is_empty() {
+    if over.pout.is_empty() {
         return Ok(run.stats);
     }
-    let program = run.rederivation_program(db, &over.del, &over.regions, gen);
-    let seed = rederivation_seed(&program, view, &over.regions, &mut run.stats);
-    run.rederive(&program, view, gen, over.regions, seed)?;
-
     // ---- Hygiene: drop weakened entries that became unsolvable ------------
-    // (those the simplifier proved false went in step 2).
-    for id in over.touched {
-        if !view.is_live(id) {
-            continue;
-        }
+    // (those the simplifier proved false went in step 2), before step 3:
+    // a derivation through one could restore nothing.
+    for &id in &over.touched {
         if run.unsat(&view.entry(id).atom.constraint) {
             view.remove(id);
             run.stats.removed += 1;
         }
     }
-    run.stats.index_probes = run.joins.index_probes;
-    run.stats.candidates_scanned = run.joins.candidates_scanned;
+    run.rederive(db, view, gen, &over)?;
     Ok(run.stats)
 }
 
-/// One `P_OUT` region with its argument bounds, read once: every entry
-/// scan, derived atom and fact clause is checked against the bounds
-/// before it is tied to the region and handed to the solver.
+/// One `P_OUT` atom with its argument bounds, read once: every entry
+/// scan and fact clause is checked against the bounds before it is tied
+/// to the region and handed to the solver.
 struct Region {
     atom: ConstrainedAtom,
     bounds: ArgBounds,
 }
 
-/// The `P_OUT` regions by predicate.
-type Regions = FxHashMap<Arc<str>, Vec<Region>>;
-
 /// What over-deletion (`Del`, steps 1 and 2) leaves for rederivation.
 struct OverDeletion {
-    /// The `Del` set; empty when the requests hit nothing in the view.
-    del: Vec<ConstrainedAtom>,
-    regions: Regions,
+    /// `P_OUT`: `Del` first (empty when the requests hit nothing in the
+    /// view), then the unfolded atoms in derivation order.
+    pout: Vec<Region>,
+    /// How many of `pout`'s atoms are `Del`'s.
+    del: usize,
+    /// The positions in `pout` of each predicate's regions.
+    by_pred: FxHashMap<Arc<str>, Vec<usize>>,
     /// The entries step 2 weakened.
     touched: Vec<EntryId>,
 }
@@ -262,8 +261,6 @@ struct Run<'a> {
     resolver: &'a dyn DomainResolver,
     config: &'a FixpointConfig,
     stats: ExtDredStats,
-    /// Join counters of the unfolding and the rederivation.
-    joins: FixpointStats,
 }
 
 impl Run<'_> {
@@ -345,37 +342,44 @@ impl Run<'_> {
             }
         }
         self.stats.del_atoms = del.len();
+        let mut over = OverDeletion {
+            pout: Vec::new(),
+            del: del.len(),
+            by_pred: FxHashMap::default(),
+            touched: Vec::new(),
+        };
         if del.is_empty() {
-            return Ok(OverDeletion {
-                del,
-                regions: Regions::default(),
-                touched: Vec::new(),
-            });
+            return Ok(over);
         }
 
         // ---- Step 1: unfold P_OUT ----------------------------------------
-        let pout = self.unfold(db, view, gen, &del)?;
-        self.stats.pout_atoms = pout.len();
-
-        // ---- Step 2: over-delete to M' ------------------------------------
-        let mut regions = Regions::default();
-        for atom in pout {
-            let bounds = ArgBounds::of(&atom);
-            regions
+        let program = over_deletion_program(db, view)?;
+        let unfolded = self.scratch_run(&program, db, view, gen, &del)?;
+        self.stats.pout_atoms = del.len() + unfolded.len();
+        let unmarked = unfolded.into_iter().map(|atom| ConstrainedAtom {
+            pred: Arc::from(&atom.pred[MARK.len()..]),
+            ..atom
+        });
+        for atom in del.into_iter().chain(unmarked) {
+            over.by_pred
                 .entry(atom.pred.clone())
                 .or_default()
-                .push(Region { atom, bounds });
+                .push(over.pout.len());
+            let bounds = ArgBounds::of(&atom);
+            over.pout.push(Region { atom, bounds });
         }
-        let mut touched: Vec<EntryId> = Vec::new();
-        for (pred, pouts) in &regions {
+
+        // ---- Step 2: over-delete to M' ------------------------------------
+        let pout = &over.pout;
+        for (pred, regions) in &over.by_pred {
             // (entry, region) pairs whose bounds meet, grouped by entry
             // with each entry's regions in P_OUT order.
             let mut met: Vec<(EntryId, usize)> = Vec::new();
-            for (r, region) in pouts.iter().enumerate() {
+            for &r in regions {
                 let stats = &mut self.stats;
                 let ids = view.candidates(
                     pred,
-                    &region.bounds,
+                    &pout[r].bounds,
                     &mut stats.prefiltered,
                     &mut stats.selected,
                 );
@@ -387,12 +391,12 @@ impl Run<'_> {
                 let atom = &view.entry(id).atom;
                 let ties = group
                     .iter()
-                    .map(|&(_, r)| (&pouts[r].atom, atom.args.as_slice()));
+                    .map(|&(_, r)| (&pout[r].atom, atom.args.as_slice()));
                 match self.weaken(&atom.constraint, ties, gen) {
                     Weakened::Unchanged => continue,
                     Weakened::To(c, _) => {
                         view.replace_constraint(id, c);
-                        touched.push(id);
+                        over.touched.push(id);
                     }
                     // The simplifier proved it false: dropped now, not
                     // left for the hygiene pass to ask the solver.
@@ -404,46 +408,37 @@ impl Run<'_> {
                 self.stats.weakened += 1;
             }
         }
-        Ok(OverDeletion {
-            del,
-            regions,
-            touched,
-        })
+        Ok(over)
     }
 
-    /// Step 1, `P_OUT`: the least fixpoint of "exactly one child from the
-    /// previous layer, the rest from `M`", as one `T_P` run of the
-    /// over-deletion program (see [`over_deletion_program`]) over a
-    /// scratch clone of `view` whose first delta is `Del` under marked
-    /// predicates. Each program rule marks one position and only marked
-    /// atoms ever enter the delta, so every other position draws from
-    /// `M`; plain-mode `insert` drops a canonical duplicate; `T_P`
-    /// admission drops an unsolvable derivation. Returns `Del` as given,
-    /// then the unfolded atoms in derivation order, unmarked. The scratch is gone
-    /// before the caller weakens `view`, so none of its pages stay
-    /// shared.
-    fn unfold(
+    /// Runs `program` with the `T_P` operator over a scratch clone of
+    /// `view` whose first delta is `atoms` under marked predicates, and
+    /// returns the atoms it derived past them, in derivation order. Plain
+    /// mode `insert` drops a canonical duplicate; `T_P` admission drops
+    /// an unsolvable derivation. The scratch is gone before the caller
+    /// changes `view`, so none of its pages stay shared.
+    fn scratch_run<'a>(
         &mut self,
+        program: &ConstrainedDatabase,
         db: &ConstrainedDatabase,
         view: &MaterializedView,
         gen: &mut VarGen,
-        del: &[ConstrainedAtom],
+        atoms: impl IntoIterator<Item = &'a ConstrainedAtom>,
     ) -> Result<Vec<ConstrainedAtom>, DredError> {
-        let program = over_deletion_program(db, view)?;
         let mut scratch = view.clone();
-        let mut delta: Vec<EntryId> = Vec::with_capacity(del.len());
-        for d in del {
+        let mut delta: Vec<EntryId> = Vec::new();
+        for a in atoms {
             let atom = ConstrainedAtom {
-                pred: mark(&d.pred, db, view)?,
-                ..d.clone()
+                pred: mark(&a.pred, db, view)?,
+                ..a.clone()
             };
             delta.extend(scratch.insert(atom, None, Vec::new()));
         }
-        let unfolded = scratch.entry_slots();
+        let watermark = scratch.entry_slots();
         *scratch.var_gen_mut() = std::mem::take(gen);
         let mut joins = FixpointStats::default();
         let result = propagate(
-            &program,
+            program,
             self.resolver,
             Operator::Tp,
             &mut scratch,
@@ -456,71 +451,51 @@ impl Run<'_> {
         // Every derivation that was not syntactically false met the `T_P`
         // solvability test.
         self.stats.solver_calls += joins.derivations_tried - joins.pruned_syntactic;
-        self.joins.absorb(&joins);
-        let mut pout = del.to_vec();
-        pout.extend((unfolded..scratch.entry_slots()).map(|id| {
-            let atom = &scratch.entry(id).atom;
-            ConstrainedAtom {
-                pred: Arc::from(&atom.pred[MARK.len()..]),
-                args: atom.args.clone(),
-                constraint: atom.constraint.clone(),
-            }
-        }));
-        Ok(pout)
+        self.stats.index_probes += joins.index_probes;
+        self.stats.candidates_scanned += joins.candidates_scanned;
+        Ok((watermark..scratch.entry_slots())
+            .map(|id| scratch.entry(id).atom.clone())
+            .collect())
     }
 
-    /// Step 3: rederive within the `P_OUT` regions — `T_{P''} ↑ ω (M')`,
-    /// the shared round driver over `program` (see
-    /// [`Run::rederivation_program`]) with the region gate in place of
-    /// the operator's, started from `seed` (see [`rederivation_seed`]).
+    /// Step 3: rederive within the `P_OUT` regions — `T_{P''} ↑ ω (M')`
+    /// as the program [`Run::rederivation_program`] builds, run from the
+    /// `P_OUT` atoms of the predicates it heads. What it derives is
+    /// inserted into `view`.
     fn rederive(
         &mut self,
-        program: &ConstrainedDatabase,
+        db: &ConstrainedDatabase,
         view: &mut MaterializedView,
         gen: &mut VarGen,
-        regions: Regions,
-        mut seed: Vec<EntryId>,
+        over: &OverDeletion,
     ) -> Result<(), DredError> {
-        let gate = RederiveGate {
-            regions: Arc::new(regions),
-            solver: self.config.solver.clone(),
-        };
+        let program = self.rederivation_program(db, view, over, gen)?;
+        // A region of a predicate the program does not head restores
+        // nothing.
+        let regions = over
+            .pout
+            .iter()
+            .map(|r| &r.atom)
+            .filter(|a| !program.clauses_for_head(&a.pred).is_empty());
+        let restored = self.scratch_run(&program, db, view, gen, regions)?;
         let before = view.len();
-        // Constrained facts (empty-body clauses) can themselves restore
-        // deleted regions — e.g. Example 4's independent `A(X) <- X >= 3`.
-        let mut facts = EngineStats::default();
-        for (_, clause) in program.clauses() {
-            if !clause.body.is_empty() {
-                continue;
-            }
-            let restored = derive(clause, &[], gen)
-                .and_then(|d| gate.restores(d.atom, self.resolver, gen, &mut facts));
-            if let Some(id) = restored.and_then(|atom| view.insert(atom, None, vec![])) {
-                seed.push(id);
-            }
+        for atom in restored {
+            view.insert(atom, None, Vec::new());
         }
-        let engine = Engine {
-            db: program,
-            resolver: self.resolver,
-            config: self.config,
-            gate,
-        };
-        let rederived = engine.run(view, gen, seed).map_err(DredError::Budget)?;
-        // Rederivation only inserts.
         self.stats.rederived = view.len() - before;
-        self.stats.solver_calls += facts.solver_calls + rederived.solver_calls;
-        self.stats.prefiltered += facts.prefiltered + rederived.prefiltered;
-        self.joins.absorb(&rederived.fixpoint);
         Ok(())
     }
 
-    /// The program rederivation runs, `P''`: the clauses of the rewritten
-    /// database `P'` that can restore anything. A rule can only if its
-    /// head predicate lost a region; a constrained fact only if, further,
-    /// its head bounds meet one of them. Everything else of `P'` is left
-    /// out rather than cloned, so building the program costs what the
-    /// over-deleted predicates' clauses cost, not what `P` does. Clause
-    /// numbers are the originals.
+    /// The program rederivation runs: for every clause of `P''`, `h ←
+    /// °h, b1,…,bn` under the clause's constraint weakened by `Del`.
+    ///
+    /// `P''` is the clauses of the rewritten database `P'` that can
+    /// restore anything. A rule can only if its head predicate lost a
+    /// region; a constrained fact only if, further, its head bounds meet
+    /// one of them. Everything else of `P'` is left out rather than
+    /// cloned, so building the program costs what the over-deleted
+    /// predicates' clauses cost, not what `P` does. Clause numbers are
+    /// the originals.
     ///
     /// The rewrite is [`rewrite_for_deletion`] through the weakening rule
     /// ([`weaken`]): a `not(Del-region)` is conjoined onto a clause only
@@ -528,52 +503,53 @@ impl Run<'_> {
     /// excluding a disjoint region excludes nothing (the same rule
     /// Algorithm 3 builds `Add` by) — and a clause the simplifier proves
     /// false is left out: it can restore nothing. The blind rewrite is
-    /// the declarative spec and
-    /// stays as the oracle; this one keeps the executable clauses small.
-    /// The distinction is what makes *batched* deletion viable: a batch's
-    /// `Del` holds every request's regions, and conjoining all of them
-    /// onto every clause of a hot predicate makes each rederivation solver
-    /// call case-split over a product of `not()` blocks — cost exponential
-    /// in the batch size. Gated, each clause keeps only the regions it can
-    /// actually lose, which is what the equivalent sequence of single-atom
-    /// runs would have confronted one at a time.
+    /// the declarative spec and stays as the oracle; this one keeps the
+    /// executable clauses small. The distinction is what makes *batched*
+    /// deletion viable: a batch's `Del` holds every request's regions,
+    /// and conjoining all of them onto every clause of a hot predicate
+    /// makes each rederivation solver call case-split over a product of
+    /// `not()` blocks — cost exponential in the batch size. Gated, each
+    /// clause keeps only the regions it can actually lose, which is what
+    /// the equivalent sequence of single-atom runs would have confronted
+    /// one at a time.
     fn rederivation_program(
         &mut self,
         db: &ConstrainedDatabase,
-        del: &[ConstrainedAtom],
-        regions: &Regions,
+        view: &MaterializedView,
+        over: &OverDeletion,
         gen: &mut VarGen,
-    ) -> ConstrainedDatabase {
-        let del: Vec<(&ConstrainedAtom, ArgBounds)> =
-            del.iter().map(|d| (d, ArgBounds::of(d))).collect();
+    ) -> Result<ConstrainedDatabase, DredError> {
         let mut cids: Vec<ClauseId> = db
             .rules()
-            .filter(|(_, rule)| regions.contains_key(&rule.head_pred))
+            .filter(|(_, rule)| over.by_pred.contains_key(&rule.head_pred))
             .map(|(cid, _)| cid)
             .collect();
         // The facts whose head bounds meet a region of their predicate,
         // from the database's interval index; every other fact is
         // dismissed against each of the predicate's regions.
-        for (pred, head_regions) in regions {
-            let mut met: Vec<ClauseId> = head_regions
+        for (pred, regions) in &over.by_pred {
+            let mut met: Vec<ClauseId> = regions
                 .iter()
-                .flat_map(|r| db.facts_meeting(pred, &r.bounds, &mut self.stats.selected))
+                .flat_map(|&r| {
+                    db.facts_meeting(pred, &over.pout[r].bounds, &mut self.stats.selected)
+                })
                 .collect();
             met.sort_unstable();
             met.dedup();
-            self.stats.prefiltered += (db.fact_count(pred) - met.len()) * head_regions.len();
+            self.stats.prefiltered += (db.fact_count(pred) - met.len()) * regions.len();
             cids.extend(met);
         }
         cids.sort_unstable();
+        let del = &over.pout[..over.del];
         let mut out = ConstrainedDatabase::new();
         for cid in cids {
             let clause = db.clause(cid);
             let mut ties = Vec::new();
-            for (d, bounds) in del.iter().filter(|(d, _)| d.pred == clause.head_pred) {
+            for d in del.iter().filter(|d| d.atom.pred == clause.head_pred) {
                 // The conjoined not() blocks leave the head's bounds as
                 // the original clause's.
-                if bounds.meets(&clause.head_args, &clause.constraint) {
-                    ties.push((*d, clause.head_args.as_slice()));
+                if d.bounds.meets(&clause.head_args, &clause.constraint) {
+                    ties.push((&d.atom, clause.head_args.as_slice()));
                 } else {
                     self.stats.prefiltered += 1;
                 }
@@ -581,30 +557,39 @@ impl Run<'_> {
             // Every derivation through the clause satisfies the clause
             // constraint, so a region disjoint from it can never be
             // produced: the weakening conjoins no not() for it.
-            match self.weaken(&clause.constraint, ties, gen) {
-                Weakened::Unchanged => out.push_numbered(cid, clause.clone()),
-                Weakened::To(constraint, _) => out.push_numbered(
-                    cid,
-                    Clause {
-                        constraint,
-                        ..clause.clone()
-                    },
-                ),
+            let constraint = match self.weaken(&clause.constraint, ties, gen) {
+                Weakened::Unchanged => clause.constraint.clone(),
+                Weakened::To(constraint, _) => constraint,
                 // Nothing derived through it survives: it restores nothing.
-                Weakened::Empty => {}
-            }
+                Weakened::Empty => continue,
+            };
+            let region = BodyAtom {
+                pred: mark(&clause.head_pred, db, view)?,
+                args: clause.head_args.clone(),
+            };
+            let body = std::iter::once(region)
+                .chain(clause.body.iter().cloned())
+                .collect();
+            out.push_numbered(
+                cid,
+                Clause {
+                    constraint,
+                    body,
+                    ..clause.clone()
+                },
+            );
         }
-        out
+        Ok(out)
     }
 }
 
-/// The reserved predicate marker of the over-deletion program: `°p`
-/// holds the `P_OUT` atoms of `p`.
+/// The reserved predicate marker of the scratch programs: `°p` holds the
+/// `P_OUT` atoms of `p`.
 const MARK: &str = "°";
 
 /// `°pred`, refused if `pred` already carries the marker or the
-/// database or view already uses the marked name: the unfolding would
-/// join that predicate's entries as `P_OUT` atoms.
+/// database or view already uses the marked name: a scratch program
+/// would join that predicate's entries as `P_OUT` atoms.
 fn mark(
     pred: &str,
     db: &ConstrainedDatabase,
@@ -639,132 +624,6 @@ fn over_deletion_program(
         }
     }
     Ok(program)
-}
-
-/// The delta rederivation starts from: per rule of `program` and per
-/// body atom, the entries whose argument bounds meet some `P_OUT` region
-/// of the head predicate at every position where the body atom and the
-/// head share a variable (a body atom sharing none contributes all its
-/// entries). A derivation can restore instances inside a region only if
-/// its head does, and a shared variable carries the child's value to the
-/// head — so *every* child of a restoring derivation passes this filter,
-/// at least one of them is in the delta, and semi-naive enumeration finds
-/// the derivation. Ascending ids, like the live-entry scan this replaces.
-fn rederivation_seed(
-    program: &ConstrainedDatabase,
-    view: &MaterializedView,
-    regions: &Regions,
-    stats: &mut ExtDredStats,
-) -> Vec<EntryId> {
-    let mut seed: Vec<EntryId> = Vec::new();
-    for (_, clause) in program.clauses() {
-        // Every clause of the program heads a predicate with regions.
-        let head_regions = &regions[&clause.head_pred];
-        for body_atom in &clause.body {
-            // (body position, head position) pairs naming one variable.
-            let shared: Vec<(usize, usize)> = body_atom
-                .args
-                .iter()
-                .enumerate()
-                .filter_map(|(k, t)| Some((k, t.as_var()?)))
-                .flat_map(|(k, v)| {
-                    clause
-                        .head_args
-                        .iter()
-                        .enumerate()
-                        .filter(move |(_, t)| t.as_var() == Some(v))
-                        .map(move |(h, _)| (k, h))
-                })
-                .collect();
-            if shared.is_empty() {
-                seed.extend_from_slice(view.entries_for_pred(&body_atom.pred));
-                continue;
-            }
-            for region in head_regions {
-                if region.atom.args.len() != clause.head_args.len() {
-                    continue;
-                }
-                let mut sets = vec![ValueSet::All; body_atom.args.len()];
-                for &(k, h) in &shared {
-                    sets[k] = sets[k].intersect(region.bounds.at(h));
-                }
-                seed.extend(view.candidates(
-                    &body_atom.pred,
-                    &ArgBounds::from_sets(sets),
-                    &mut stats.prefiltered,
-                    &mut stats.selected,
-                ));
-            }
-        }
-    }
-    seed.sort_unstable();
-    seed.dedup();
-    seed
-}
-
-/// Rederivation's gate for the shared round driver: a derivation is kept
-/// only if it can restore instances inside a `P_OUT` region of its
-/// predicate (the `P''` pruning) and is solvable.
-#[derive(Clone)]
-struct RederiveGate {
-    /// The `P_OUT` regions by predicate, shared with the pool tasks.
-    regions: Arc<Regions>,
-    solver: SolverConfig,
-}
-
-impl RederiveGate {
-    /// The region-overlap test: `atom` survives iff it overlaps some
-    /// `P_OUT` region of its predicate and is itself solvable.
-    fn restores(
-        &self,
-        atom: ConstrainedAtom,
-        resolver: &dyn DomainResolver,
-        gen: &mut VarGen,
-        stats: &mut EngineStats,
-    ) -> Option<ConstrainedAtom> {
-        let overlaps = self.regions.get(&atom.pred)?.iter().any(|r| {
-            if !r.bounds.meets_atom(&atom) {
-                stats.prefiltered += 1;
-                return false;
-            }
-            r.atom
-                .overlap(
-                    &atom.args,
-                    &atom.constraint,
-                    gen,
-                    resolver,
-                    &self.solver,
-                    &mut stats.solver_calls,
-                )
-                .is_some()
-        });
-        if !overlaps {
-            return None;
-        }
-        stats.solver_calls += 1;
-        (satisfiable_with(&atom.constraint, resolver, &self.solver) != Truth::Unsat).then_some(atom)
-    }
-}
-
-impl Gate for RederiveGate {
-    fn admit(
-        &self,
-        view: &MaterializedView,
-        split: &Split<'_>,
-        chunk: &[EntryId],
-        resolver: &dyn DomainResolver,
-        gen: &mut VarGen,
-        stats: &mut EngineStats,
-    ) -> Option<Candidate> {
-        let d = derive_combo(view, split.clause, chunk, gen)?;
-        let atom = self.restores(d.atom, resolver, gen, stats)?;
-        // A plain view keeps no derivation metadata.
-        let rederived = Derivation {
-            atom,
-            children_args: Vec::new(),
-        };
-        Some((None, Vec::new(), rederived))
-    }
 }
 
 #[cfg(test)]
@@ -1080,7 +939,7 @@ mod tests {
             .collect();
         assert_eq!(before, after);
     }
-    mod seed_filter {
+    mod rederivation {
         use super::*;
         use proptest::prelude::*;
 
@@ -1155,38 +1014,18 @@ mod tests {
                 })
         }
 
-        /// `M'` closed under `P'` from the region-filtered seed, or from
-        /// every live entry (what the seed replaced).
-        fn rederived(
-            db: &ConstrainedDatabase,
-            base: &MaterializedView,
-            deletions: &[ConstrainedAtom],
-            every_live_entry: bool,
-        ) -> MaterializedView {
-            let mut view = base.clone();
-            let mut gen = std::mem::take(view.var_gen_mut());
-            let config = FixpointConfig::default();
-            let mut run = Run {
-                resolver: &NoDomains,
-                config: &config,
-                stats: ExtDredStats::default(),
-                joins: FixpointStats::default(),
-            };
-            let over = run
-                .over_delete(db, &mut view, &mut gen, deletions)
-                .expect("over-deletion");
-            if !over.del.is_empty() {
-                let program = run.rederivation_program(db, &over.del, &over.regions, &mut gen);
-                let seed = if every_live_entry {
-                    view.live_entries().map(|(id, _)| id).collect()
-                } else {
-                    rederivation_seed(&program, &view, &over.regions, &mut ExtDredStats::default())
-                };
-                run.rederive(&program, &mut view, &mut gen, over.regions, seed)
-                    .expect("rederivation");
+        /// Runs on a width-2 pool, built once.
+        fn width_two() -> FixpointConfig {
+            use crate::pool::WorkerPool;
+            use crate::tp::ParallelFixpoint;
+            static POOL: std::sync::OnceLock<Arc<WorkerPool>> = std::sync::OnceLock::new();
+            FixpointConfig {
+                parallel: Some(ParallelFixpoint {
+                    pool: Arc::clone(POOL.get_or_init(|| Arc::new(WorkerPool::new(2)))),
+                    resolver: Arc::new(NoDomains),
+                }),
+                ..FixpointConfig::default()
             }
-            *view.var_gen_mut() = gen;
-            view
         }
 
         proptest! {
@@ -1196,14 +1035,35 @@ mod tests {
                 ..ProptestConfig::default()
             })]
 
+            /// The region-tied rederivation program restores exactly what
+            /// the declarative oracle keeps, on two-body-atom rules that
+            /// share two, one or none of their variables with the head,
+            /// and its pooled run is the inline run, entry for entry.
             #[test]
-            fn region_seed_rederives_what_the_live_seed_does((db, deletions) in workload()) {
+            fn rederivation_program_matches_the_oracle((db, deletions) in workload()) {
                 let base = build_plain(&db);
-                let filtered = rederived(&db, &base, &deletions, false);
-                let full = rederived(&db, &base, &deletions, true);
+                let inline = FixpointConfig::default();
+                let batch = crate::batch::UpdateBatch {
+                    deletes: deletions.clone(),
+                    inserts: Vec::new(),
+                };
+                let expected = crate::semantics::batch_oracle(&db, &base, &batch, &NoDomains, &inline)
+                    .expect("oracle");
+                let mut view = base.clone();
+                dred_delete_batch(&db, &mut view, &deletions, &NoDomains, &inline)
+                    .expect("inline");
+                let solver = SolverConfig::default();
+                prop_assert_eq!(
+                    view.instances(&NoDomains, &solver).expect("instances"),
+                    expected,
+                    "oracle differs on\n{}\ndeleting {:?}\nview:\n{}", db, deletions, view
+                );
+                let mut pooled = base.clone();
+                dred_delete_batch(&db, &mut pooled, &deletions, &NoDomains, &width_two())
+                    .expect("pooled");
                 prop_assert!(
-                    filtered.syntactically_equal(&full),
-                    "seeds diverged on\n{db}\ndeleting {deletions:?}\nregion seed:\n{filtered}\nlive seed:\n{full}"
+                    view.syntactically_equal(&pooled),
+                    "pool diverged on\n{db}\ndeleting {deletions:?}\ninline:\n{view}\npooled:\n{pooled}"
                 );
             }
         }

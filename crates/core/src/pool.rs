@@ -3,7 +3,7 @@
 //! Writer lanes already parallelize maintenance *across* independent
 //! clause components; a [`WorkerPool`] parallelizes *within* one — the
 //! independent `(clause, delta-position)` splits of a semi-naive round
-//! (propagation, and with it Extended DRed's `P_OUT` unfolding, or its
+//! (propagation, and with it Extended DRed's `P_OUT` unfolding and
 //! rederivation; one driver in [`tp`][crate::tp] runs them all) are
 //! tasks that only read a frozen pre-round view. One pool is shared by
 //! every lane of a service, so a skewed workload (one hot component)

@@ -36,6 +36,21 @@
 //! view contents are unchanged under both `T_P` and `W_P` (which must
 //! keep unsolvable-but-not-syntactically-false atoms).
 //!
+//! **Bound-aware selection (`T_P` only).** A probe that pins nothing
+//! returns every entry of the predicate, and one that pins a constant
+//! returns every entry with a non-constant argument there. Under `T_P`,
+//! such a position is instead selected the way maintenance selects
+//! (`MaterializedView::candidates`): by the integer points and intervals
+//! the body atom's constants and the already-chosen children's
+//! constraints place on its variables, looked up in the position's
+//! interval index. A candidate whose bounds are disjoint from them would
+//! make the derived constraint unsolvable, so `T_P` admission would
+//! refute it anyway, so leaving it out changes no view content (the
+//! order, and with it entry ids and variable numbers, may differ from a
+//! probe's). `W_P` keeps unsolvable derivations, so its joins keep
+//! every candidate; a probe holding constant matches only (a ground
+//! join) is taken as it is.
+//!
 //! The semi-naive **old/delta/all invariant**: a round's delta is the
 //! list of ids the previous round inserted (or the run's seed), grouped
 //! by predicate and ascending within each group. Each clause's
@@ -50,19 +65,15 @@
 //!
 //! # One round driver, two executors
 //!
-//! `T_P`/`W_P` propagation and Extended DRed's rederivation are the same
-//! loop — plan the round's `(clause, delta-position)` splits
-//! (`plan_splits`), enumerate and gate each split (`run_split`), fold
-//! the surviving candidates into the view in plan order — and run it
-//! through the same `Engine`. An engine contributes only its `Gate`:
-//! support-dedup → `derive` → operator admission for propagation;
-//! `derive` → "overlaps a `P_OUT` region" → solvable for rederivation
-//! (in `delete_dred`). Extended DRed's `P_OUT` unfolding is neither a
-//! third engine nor a mode of one: it is a *program*, the over-deletion
-//! rules `°h ← b1,…,°bi,…,bn`, that `propagate` runs with the `T_P` gate
-//! over a scratch clone of the view whose first delta is `Del` under
-//! marked predicates. Every delta the driver sees is therefore a list of
-//! view entries.
+//! `T_P`/`W_P` propagation runs one loop — plan the round's `(clause,
+//! delta-position)` splits (`plan_splits`), enumerate and admit each
+//! split (`run_split`), fold the admitted candidates into the view in
+//! plan order — through one `Engine`. Extended DRed adds no engine and
+//! no mode of one: its `P_OUT` unfolding and its rederivation are
+//! *programs* (`°h ← b1,…,°bi,…,bn` and `h ← °h, b1,…,bn ∧ not(Del)`)
+//! that `propagate` runs with `T_P` over a scratch clone of the view
+//! whose first delta holds atoms under marked predicates. Every delta
+//! the driver sees is therefore a list of view entries.
 //!
 //! A round has one discipline: every split enumerates the round-start
 //! view, renaming with a private variable generator started at the
@@ -81,7 +92,7 @@
 //!   dropped as soon as the tasks are back. A task panic surfaces as
 //!   [`FixpointError::WorkerPanic`] before any merge.
 //!
-//! The two executors therefore run the same enumeration, gate it against
+//! The two executors therefore run the same enumeration, admit it against
 //! the same view and merge the same outputs in the same order: their
 //! views are identical entry for entry (variable numbers included), and
 //! so are their counters — including the store's copy-on-write counters,
@@ -96,6 +107,7 @@
 //! views, stats and renderings equal across executors.
 
 use crate::atom::ConstrainedAtom;
+use crate::bounds::{term_bound, ArgBounds};
 use crate::normalize::normalize;
 use crate::pool::WorkerPool;
 use crate::program::{BodyAtom, Clause, ClauseId, ConstrainedDatabase};
@@ -103,8 +115,8 @@ use crate::support::{Producer, Support};
 use crate::view::{EntryId, MaterializedView, SupportMode};
 use mmv_constraints::fxhash::FxHashMap;
 use mmv_constraints::{
-    satisfiable_with, Constraint, DomainResolver, Lit, SolverConfig, Term, Truth, Value, Var,
-    VarGen,
+    satisfiable_with, Constraint, DomainResolver, Lit, SolverConfig, Term, Truth, Value, ValueSet,
+    Var, VarGen,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -385,6 +397,10 @@ struct ComboCtx<'a> {
     /// is decided by position, not visit order, so the enumerated
     /// combination set is unchanged.
     order: &'a [usize],
+    /// Whether unpinned positions select by the chosen children's
+    /// bounds (`T_P`; `W_P` keeps unsolvable derivations, so it keeps
+    /// every candidate).
+    bounded: bool,
 }
 
 /// Extends `bindings` by matching the child's argument tuple against the
@@ -468,7 +484,7 @@ fn combos_rec(
     // Probe the constant-argument index with everything known here: the
     // body atom's own constants plus bindings implied by already-chosen
     // children. Ground facts thus join by lookup instead of scan.
-    let cands = ctx.view.probe_with(
+    let probe = ctx.view.probe_with(
         &atom.pred,
         atom.args.iter().map(|t| match t {
             Term::Const(v) => Some(v),
@@ -476,16 +492,44 @@ fn combos_rec(
             Term::Field(..) => None,
         }),
     );
-    if cands.discriminated() {
+    if probe.discriminated() {
         stats.index_probes += 1;
     }
-    stats.candidates_scanned += cands.len();
+    // Under `T_P`, unless the probe holds constant matches only (a
+    // ground join), select by the bounds the body atom's constants and
+    // the chosen children place on its arguments, through the interval
+    // index, instead of taking every non-constant entry. A candidate
+    // whose bounds miss them is one admission would refute.
+    let (mut from_bounds, mut from_probe);
+    let ids: &mut dyn Iterator<Item = EntryId> = match (ctx.bounded && !probe.consts_only())
+        .then(|| child_bounds(ctx, combo, atom))
+        .flatten()
+    {
+        Some(bounds) => {
+            let mut dismissed = 0;
+            from_bounds = ctx
+                .view
+                .candidates(
+                    &atom.pred,
+                    &bounds,
+                    &mut dismissed,
+                    &mut stats.candidates_scanned,
+                )
+                .into_iter();
+            &mut from_bounds
+        }
+        None => {
+            stats.candidates_scanned += probe.len();
+            from_probe = probe.iter();
+            &mut from_probe
+        }
+    };
     // Old/delta/all split: positions already consumed as delta by
     // earlier splits of the plan draw from non-delta entries, the
     // remaining positions from all entries — each combination
     // enumerated exactly once per round.
     let excluded = ctx.excluded[i];
-    for id in cands.iter() {
+    for id in ids {
         if excluded.binary_search(&id).is_ok() {
             continue;
         }
@@ -497,6 +541,39 @@ fn combos_rec(
         }
         unwind(bindings, trail, mark);
     }
+}
+
+/// The bounds `atom`'s own constants and the children chosen so far
+/// (`combo`, in visit order) place on its arguments: per variable
+/// argument, the intersection of the children's argument bounds wherever
+/// the clause body names the same variable. `None` when no position gets
+/// a point or a closed integer interval to look up.
+fn child_bounds(ctx: &ComboCtx<'_>, combo: &[EntryId], atom: &BodyAtom) -> Option<ArgBounds> {
+    let sets: Vec<ValueSet> = atom
+        .args
+        .iter()
+        .map(|t| {
+            let u = match t {
+                Term::Var(u) => *u,
+                Term::Const(v) => return ValueSet::singleton(v.clone()),
+                Term::Field(..) => return ValueSet::All,
+            };
+            let mut set = ValueSet::All;
+            for (&id, &pos) in combo.iter().zip(ctx.order) {
+                let child = &ctx.view.entry(id).atom;
+                for (b, c) in ctx.body[pos].args.iter().zip(&child.args) {
+                    if b.as_var() == Some(u) {
+                        set = set.intersect(&term_bound(c, &child.constraint));
+                    }
+                }
+            }
+            set
+        })
+        .collect();
+    let bounds = ArgBounds::from_sets(sets);
+    (0..atom.args.len())
+        .any(|k| bounds.lookup(k).is_some())
+        .then_some(bounds)
 }
 
 /// The per-clause, per-round delta plan, filled into the caller-held
@@ -547,6 +624,7 @@ fn collect_combos(
     view: &MaterializedView,
     split: &Split<'_>,
     deltas: &DeltaByPred,
+    bounded: bool,
     stats: &mut FixpointStats,
     out: &mut Vec<EntryId>,
 ) {
@@ -596,6 +674,7 @@ fn collect_combos(
             })
             .collect(),
         order: &order,
+        bounded,
     };
     let mut bindings = FxHashMap::default();
     let mut trail = Vec::new();
@@ -605,8 +684,9 @@ fn collect_combos(
 
 /// Semi-naive propagation: closes `view` under the operator, starting
 /// from `delta` (ids of entries not yet combined with the rest). This is
-/// both the fixpoint engine's inner loop and the upward-propagation step
-/// of the insertion algorithm (`P_ADD`, Algorithm 3).
+/// the fixpoint engine's inner loop, the upward-propagation step of the
+/// insertion algorithm (`P_ADD`, Algorithm 3), and both of Extended
+/// DRed's programs (`P_OUT` and rederivation).
 pub(crate) fn propagate(
     db: &ConstrainedDatabase,
     resolver: &dyn DomainResolver,
@@ -624,75 +704,45 @@ pub(crate) fn propagate(
         db,
         resolver,
         config,
-        gate: OperatorGate {
+        admission: Admission {
             op,
             solver: config.solver.clone(),
         },
     };
     let result = engine.run(view, &mut gen, delta);
     *view.var_gen_mut() = gen;
-    stats.absorb(&result?.fixpoint);
+    stats.absorb(&result?);
     Ok(())
 }
 
-/// What an engine plugs into the shared round driver ([`Engine`]): which
-/// enumerated combinations become view entries. Everything else — the
-/// program (Extended DRed hands the driver only the clauses that can
-/// rederive), planning, enumeration, the
-/// choice of executor, the merge — is the driver's and identical for
-/// every engine. A gate is cloned into each pool task, so it owns
-/// (`Arc`-shares) whatever it reads.
-pub(crate) trait Gate: Clone + Send + 'static {
-    /// Decides one combination: `chunk` holds one entry id of `view` —
-    /// the round-start view, or a frozen clone of it — per body atom of
-    /// `split.clause`. Returns what to insert, or `None` to drop the
-    /// combination.
-    fn admit(
-        &self,
-        view: &MaterializedView,
-        split: &Split<'_>,
-        chunk: &[EntryId],
-        resolver: &dyn DomainResolver,
-        gen: &mut VarGen,
-        stats: &mut EngineStats,
-    ) -> Option<Candidate>;
-}
-
-/// A combination that passed its engine's gate, ready for
+/// A combination that passed [`Admission`], ready for
 /// `MaterializedView::insert_derived`: the support, the ids of the
 /// entries its children name (empty without a support) and the
 /// derivation.
-pub(crate) type Candidate = (Option<Support>, Vec<EntryId>, Derivation);
+type Candidate = (Option<Support>, Vec<EntryId>, Derivation);
 
-/// Counters of one driver run (or of one split of it): the join
-/// engine's, plus the solver calls and bounds pre-check dismissals a
-/// gate chooses to report (Extended DRed does).
-#[derive(Default)]
-pub(crate) struct EngineStats {
-    pub fixpoint: FixpointStats,
-    pub solver_calls: usize,
-    pub prefiltered: usize,
-}
-
-/// The `T_P`/`W_P` gate: support-level dedup, `derive`, then the
-/// operator's admission test.
+/// The operator's admission of enumerated combinations: support-level
+/// dedup, `derive`, then the operator's test. It is cloned into each pool
+/// task.
 #[derive(Clone)]
-struct OperatorGate {
+struct Admission {
     op: Operator,
     solver: SolverConfig,
 }
 
-impl Gate for OperatorGate {
-    fn admit(
+impl Admission {
+    /// Admits one combination: `chunk` holds one entry id of `view` —
+    /// the round-start view, or a frozen clone of it — per body atom of
+    /// `split.clause`. Returns what to insert, or `None` to drop it.
+    fn combo(
         &self,
         view: &MaterializedView,
         split: &Split<'_>,
         chunk: &[EntryId],
         resolver: &dyn DomainResolver,
         gen: &mut VarGen,
-        stats: &mut EngineStats,
+        stats: &mut FixpointStats,
     ) -> Option<Candidate> {
-        let stats = &mut stats.fixpoint;
         stats.derivations_tried += 1;
         // Support-level dedup before paying for construction; the
         // support is assembled once, from Arc-shared child supports,
@@ -712,7 +762,8 @@ impl Gate for OperatorGate {
         } else {
             (None, Vec::new())
         };
-        let Some(d) = derive_combo(view, split.clause, chunk, gen) else {
+        let atoms: Vec<&ConstrainedAtom> = chunk.iter().map(|&id| &view.entry(id).atom).collect();
+        let Some(d) = derive(split.clause, &atoms, gen) else {
             stats.pruned_syntactic += 1;
             return None;
         };
@@ -721,25 +772,14 @@ impl Gate for OperatorGate {
     }
 }
 
-/// [`derive`] over a combination of view entries.
-pub(crate) fn derive_combo(
-    view: &MaterializedView,
-    clause: &Clause,
-    chunk: &[EntryId],
-    gen: &mut VarGen,
-) -> Option<Derivation> {
-    let children: Vec<&ConstrainedAtom> = chunk.iter().map(|&id| &view.entry(id).atom).collect();
-    derive(clause, &children, gen)
-}
-
 /// One `(clause, delta-position)` split of a round: body position
 /// `dpos` draws from the round's delta entries of that position's
 /// predicate, the positions in `older` — the delta of earlier splits of
 /// the same clause's [`delta_plan`] — from the *non-delta* entries
 /// ("old"), and every other position from all entries ("all").
-pub(crate) struct Split<'a> {
-    pub cid: ClauseId,
-    pub clause: &'a Clause,
+struct Split<'a> {
+    cid: ClauseId,
+    clause: &'a Clause,
     dpos: usize,
     older: Vec<usize>,
 }
@@ -765,35 +805,36 @@ fn plan_splits<'a>(db: &'a ConstrainedDatabase, deltas: &DeltaByPred) -> Vec<Spl
     splits
 }
 
-/// What one split hands to the merge: the candidates that passed the
-/// gate, in enumeration order; the split's own counters; and the high
-/// mark of the variable generator it renamed with.
+/// What one split hands to the merge: the candidates that passed
+/// admission, in enumeration order; the split's own counters; and the
+/// high mark of the variable generator it renamed with.
 struct SplitOutput {
     candidates: Vec<Candidate>,
-    stats: EngineStats,
+    stats: FixpointStats,
     gen_high: u32,
 }
 
-/// Enumerates one split against the round-start `view` and gates every
+/// Enumerates one split against the round-start `view` and admits every
 /// combination, renaming with a private generator started at the
 /// round's `base` watermark — the only place a round calls
 /// [`collect_combos`]. The inline executor passes the view itself, the
 /// pooled one a frozen clone.
-fn run_split<G: Gate>(
+fn run_split(
+    admission: &Admission,
     view: &MaterializedView,
     split: &Split<'_>,
     deltas: &DeltaByPred,
     resolver: &dyn DomainResolver,
-    gate: &G,
     base: u32,
 ) -> SplitOutput {
-    let mut stats = EngineStats::default();
+    let mut stats = FixpointStats::default();
     let mut gen = VarGen::starting_at(base);
     let mut combos: Vec<EntryId> = Vec::new();
-    collect_combos(view, split, deltas, &mut stats.fixpoint, &mut combos);
+    let bounded = admission.op == Operator::Tp;
+    collect_combos(view, split, deltas, bounded, &mut stats, &mut combos);
     let candidates = combos
         .chunks_exact(split.clause.body.len())
-        .filter_map(|chunk| gate.admit(view, split, chunk, resolver, &mut gen, &mut stats))
+        .filter_map(|chunk| admission.combo(view, split, chunk, resolver, &mut gen, &mut stats))
         .collect();
     SplitOutput {
         candidates,
@@ -802,32 +843,31 @@ fn run_split<G: Gate>(
     }
 }
 
-/// The one semi-naive round driver, shared by `T_P`/`W_P` propagation
-/// and Extended DRed's rederivation: the engines differ only in their
-/// [`Gate`]. See [the module docs][self#one-round-driver-two-executors].
-pub(crate) struct Engine<'a, G> {
-    pub db: &'a ConstrainedDatabase,
-    pub resolver: &'a dyn DomainResolver,
-    pub config: &'a FixpointConfig,
-    pub gate: G,
+/// The one semi-naive round driver behind [`propagate`]. See [the module
+/// docs][self#one-round-driver-two-executors].
+struct Engine<'a> {
+    db: &'a ConstrainedDatabase,
+    resolver: &'a dyn DomainResolver,
+    config: &'a FixpointConfig,
+    admission: Admission,
 }
 
-impl<G: Gate> Engine<'_, G> {
+impl Engine<'_> {
     /// Closes `view` under the engine's clauses, starting from `delta`.
     /// `gen` is the view's variable generator, taken out of the view by
     /// the caller for the duration of the run.
-    pub fn run(
+    fn run(
         &self,
         view: &mut MaterializedView,
         gen: &mut VarGen,
         mut delta: Vec<EntryId>,
-    ) -> Result<EngineStats, FixpointError> {
-        let mut stats = EngineStats::default();
+    ) -> Result<FixpointStats, FixpointError> {
+        let mut stats = FixpointStats::default();
         while !delta.is_empty() {
-            stats.fixpoint.iterations += 1;
-            if stats.fixpoint.iterations > self.config.max_iterations {
+            stats.iterations += 1;
+            if stats.iterations > self.config.max_iterations {
                 return Err(FixpointError::IterationBudget {
-                    iterations: stats.fixpoint.iterations,
+                    iterations: stats.iterations,
                 });
             }
             let deltas = Arc::new(group_by_pred(view, &delta));
@@ -847,7 +887,7 @@ impl<G: Gate> Engine<'_, G> {
         gen: &mut VarGen,
         splits: Vec<Split<'_>>,
         deltas: Arc<DeltaByPred>,
-        stats: &mut EngineStats,
+        stats: &mut FixpointStats,
     ) -> Result<Vec<EntryId>, FixpointError> {
         let base = gen.watermark();
         let pooled = self
@@ -858,7 +898,7 @@ impl<G: Gate> Engine<'_, G> {
         let outputs = match pooled {
             None => splits
                 .iter()
-                .map(|split| run_split(view, split, &deltas, self.resolver, &self.gate, base))
+                .map(|split| run_split(&self.admission, view, split, &deltas, self.resolver, base))
                 .collect(),
             Some(par) => self.run_pooled(par, view, splits, deltas, base)?,
         };
@@ -890,7 +930,7 @@ impl<G: Gate> Engine<'_, G> {
                 let (cid, clause, dpos, older) =
                     (split.cid, split.clause.clone(), split.dpos, split.older);
                 let resolver = Arc::clone(&par.resolver);
-                let gate = self.gate.clone();
+                let admission = self.admission.clone();
                 move || {
                     let split = Split {
                         cid,
@@ -898,7 +938,14 @@ impl<G: Gate> Engine<'_, G> {
                         dpos,
                         older,
                     };
-                    run_split(&frozen, &split, &deltas, resolver.as_ref(), &gate, base)
+                    run_split(
+                        &admission,
+                        &frozen,
+                        &split,
+                        &deltas,
+                        resolver.as_ref(),
+                        base,
+                    )
                 }
             })
             .collect();
@@ -929,12 +976,10 @@ impl<G: Gate> Engine<'_, G> {
         view: &mut MaterializedView,
         gen: &mut VarGen,
         out: SplitOutput,
-        stats: &mut EngineStats,
+        stats: &mut FixpointStats,
         next: &mut Vec<EntryId>,
     ) -> Result<(), FixpointError> {
-        stats.fixpoint.absorb(&out.stats.fixpoint);
-        stats.solver_calls += out.stats.solver_calls;
-        stats.prefiltered += out.stats.prefiltered;
+        stats.absorb(&out.stats);
         gen.reserve_below(out.gen_high);
         for (support, children, d) in out.candidates {
             if let Some(id) = view.insert_derived(d.atom, support, d.children_args, &children) {
@@ -1160,6 +1205,38 @@ mod tests {
         )
         .unwrap();
         assert_eq!(wp_view.len(), 1);
+
+        // A join of disjoint intervals: T_P's bounds selection never
+        // pairs them and admission would refute the pair anyway, but
+        // W_P keeps the derivation.
+        let between = |lo: i64, hi: i64| {
+            Constraint::cmp(x(), CmpOp::Ge, Term::int(lo)).and(Constraint::cmp(
+                x(),
+                CmpOp::Le,
+                Term::int(hi),
+            ))
+        };
+        let db = ConstrainedDatabase::from_clauses(vec![
+            Clause::fact("B", vec![x()], between(0, 3)),
+            Clause::fact("C", vec![x()], between(5, 9)),
+            Clause::new(
+                "A",
+                vec![x()],
+                Constraint::truth(),
+                vec![BodyAtom::new("B", vec![x()]), BodyAtom::new("C", vec![x()])],
+            ),
+        ]);
+        for (op, a_entries) in [(Operator::Tp, 0), (Operator::Wp, 1)] {
+            for mode in [SupportMode::Plain, SupportMode::WithSupports] {
+                let (view, _) =
+                    fixpoint(&db, &NoDomains, op, mode, &FixpointConfig::default()).unwrap();
+                assert_eq!(
+                    view.entries_for_pred("A").len(),
+                    a_entries,
+                    "{op:?}/{mode:?}"
+                );
+            }
+        }
     }
 
     /// Example 5 with a lower bound added so instance sets are finite.

@@ -76,11 +76,12 @@
 //! position, the integer interval or constant its instances lie in
 //! (the crate's `bounds` module) — and ask `MaterializedView::candidates` for the
 //! entries whose own bounds meet them: StDel's direct step, Extended
-//! DRed's `Del`, over-deletion and rederivation seed, and insertion's
-//! `Add` build all go through that one selector, and every candidate
-//! they go on to tie goes through one overlap test,
-//! `ConstrainedAtom::overlap` (tie, one counted solver call, the tied
-//! constraint and the shared region back unless refuted).
+//! DRed's `Del` and over-deletion, and insertion's `Add` build all go
+//! through that one selector, and every candidate they go on to tie goes
+//! through one overlap test, `ConstrainedAtom::overlap` (tie, one
+//! counted solver call, the tied constraint and the shared region back
+//! unless refuted). `T_P` joins select through it too, by the bounds
+//! the already-chosen children place on a body atom (see `tp`).
 //!
 //! The selector visits only what the update can meet. Where the bounds
 //! pin a position to a constant it takes the constant-argument index's
@@ -313,6 +314,13 @@ impl<'a> Probe<'a> {
     /// as opposed to falling back to the full live list.
     pub fn discriminated(&self) -> bool {
         self.discriminated
+    }
+
+    /// Whether every candidate carries the probed constant: no entry
+    /// with a non-constant argument there (or nothing at all) was
+    /// filed.
+    pub(crate) fn consts_only(&self) -> bool {
+        self.discriminated && self.filed.is_none_or(|f| f.len() == 0)
     }
 
     /// Iterates the candidate entry ids.
@@ -756,9 +764,10 @@ impl MaterializedView {
         )
     }
 
-    /// Crate-internal: the candidate selector of the maintenance scans —
-    /// the live entries of `pred` whose argument bounds meet `bounds`
-    /// (see [`crate::bounds`]), in [`MaterializedView::probe`] order.
+    /// Crate-internal: the candidate selector of the maintenance scans
+    /// and of `T_P` joins — the live entries of `pred` whose argument
+    /// bounds meet `bounds` (see [`crate::bounds`]), in
+    /// [`MaterializedView::probe`] order.
     /// Every entry left out is proved to share no instance with the atom
     /// `bounds` was read from, so the caller's tie-and-solve runs only
     /// on the returned ids; the live entries dismissed are added to

@@ -267,6 +267,89 @@ fn dred_solver_calls_do_not_scale_with_the_view() {
     );
 }
 
+/// Two interval facts' predicates per chain, `p0_j` and `r0_j`, with
+/// `facts_per_pred` facts each, joined by `q_j(X) <- p0_j(X), r0_j(X)`.
+/// The `r0_j` facts sit in the next stretch of the line, between the
+/// `p0_j` facts and the block, so the join of the two predicates stays
+/// empty and the view grows linearly. The block is one more fact of
+/// `p0_0`, and one `r0_j` fact per chain covers the block and the
+/// batch's fresh interval, so both the deletion and the insertion join
+/// something.
+fn two_body_program(facts_per_pred: usize) -> ConstrainedDatabase {
+    let mut db = ConstrainedDatabase::new();
+    for j in 0..PREDS_PER_LAYER {
+        for (body, base) in [("p0", 0), ("r0", VALUE_SPACE + INTERVAL_WIDTH)] {
+            for i in 0..facts_per_pred as i64 {
+                let lo = base + ((i + 1) * (7919 + 2 * j as i64)) % VALUE_SPACE;
+                db.push(Clause::fact(
+                    &format!("{body}_{j}"),
+                    vec![x()],
+                    interval(lo, lo + INTERVAL_WIDTH),
+                ));
+            }
+        }
+        db.push(Clause::fact(
+            &format!("r0_{j}"),
+            vec![x()],
+            interval(BLOCK_LO, BLOCK_LO + 4 * BLOCK_POINTS),
+        ));
+        db.push(Clause::new(
+            &format!("q_{j}"),
+            vec![x()],
+            Constraint::truth(),
+            vec![
+                BodyAtom::new(&format!("p0_{j}"), vec![x()]),
+                BodyAtom::new(&format!("r0_{j}"), vec![x()]),
+            ],
+        ));
+    }
+    db.push(Clause::fact(
+        &pred(0, 0),
+        vec![x()],
+        interval(BLOCK_LO, BLOCK_LO + BLOCK_POINTS - 1),
+    ));
+    db
+}
+
+#[test]
+fn two_body_joins_select_by_bounds() {
+    // `(P_ADD derivations tried, P_ADD candidates scanned, Extended
+    // DRed's candidates scanned)`: a join's second body atom is looked
+    // up by the bounds the first places on `X`, not scanned whole.
+    let counters = |facts_per_pred: usize| {
+        let db = two_body_program(facts_per_pred);
+        let inline = FixpointConfig::default();
+        let (mut view, _) =
+            fixpoint(&db, &NoDomains, Operator::Tp, SupportMode::Plain, &inline).expect("build");
+        let batch = batch();
+        let expected = batch_oracle(&db, &view, &batch, &NoDomains, &inline).expect("oracle");
+        let stats = apply_batch(&db, &mut view, &batch, &NoDomains, Operator::Tp, &inline)
+            .expect("maintenance");
+        assert_eq!(
+            view.instances(&NoDomains, &inline.solver)
+                .expect("instances"),
+            expected,
+            "{facts_per_pred} facts per predicate"
+        );
+        let DeleteStats::Dred(d) = stats.deletes else {
+            panic!("a plain view deletes by Extended DRed")
+        };
+        (
+            stats.inserts.fixpoint.derivations_tried,
+            stats.inserts.fixpoint.candidates_scanned,
+            d.candidates_scanned,
+        )
+    };
+    let at_64 = counters(64);
+    assert!(at_64.0 > 0, "the fresh interval joins");
+    assert!(at_64.2 > 0, "the deletion unfolds through the join");
+    assert_eq!(
+        (counters(512), counters(4096)),
+        (at_64, at_64),
+        "at 512 and 4,096 facts per predicate"
+    );
+}
+
 /// Transitive closure `A` of the edges `P`: `0 → 1`, then `1 → c → D`
 /// through `fan` middle nodes `c`, so `2 * fan + 1` derivations of `A`
 /// depend on the edge `0 → 1` (`fan` of them reach `D` by distinct

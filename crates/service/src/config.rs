@@ -278,11 +278,6 @@ impl ViewServiceBuilder {
         Self::default()
     }
 
-    /// Starts from an existing configuration.
-    pub fn from_config(config: ServiceConfig) -> Self {
-        ViewServiceBuilder { config }
-    }
-
     /// Sets the shared domain resolver (default: no domains).
     pub fn resolver(mut self, resolver: SharedResolver) -> Self {
         self.config.resolver = resolver;

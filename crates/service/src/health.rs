@@ -74,12 +74,6 @@ impl RetryPolicy {
         }
     }
 
-    /// The same policy with a different retry count.
-    pub fn with_retries(mut self, retries: u32) -> RetryPolicy {
-        self.max_retries = retries;
-        self
-    }
-
     /// The same policy with different backoff bounds (tests use
     /// `Duration::ZERO` to retry without sleeping).
     pub fn with_backoff(mut self, initial: Duration, max: Duration) -> RetryPolicy {
