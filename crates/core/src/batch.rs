@@ -108,21 +108,6 @@ pub enum DeleteStats {
     StDel(StDelStats),
 }
 
-impl DeleteStats {
-    /// Accumulates another part's deletion statistics. The algorithm is
-    /// fixed by the view's support mode, so parts of one batch always
-    /// carry the same variant (or `None`).
-    pub fn absorb(&mut self, other: &DeleteStats) {
-        match (self, other) {
-            (_, DeleteStats::None) => {}
-            (this @ DeleteStats::None, o) => *this = *o,
-            (DeleteStats::Dred(a), DeleteStats::Dred(b)) => a.absorb(b),
-            (DeleteStats::StDel(a), DeleteStats::StDel(b)) => a.absorb(b),
-            _ => unreachable!("one batch never mixes deletion algorithms"),
-        }
-    }
-}
-
 /// Statistics of one applied batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchStats {
@@ -130,28 +115,8 @@ pub struct BatchStats {
     pub deletes: DeleteStats,
     /// Insertion-phase statistics.
     pub inserts: InsertBatchStats,
-    /// Live view entries after the batch (under a sharded writer, the
-    /// total across all shards).
+    /// Live view entries after the batch.
     pub view_entries: usize,
-}
-
-impl BatchStats {
-    /// An empty accumulator for merging per-shard parts.
-    pub fn empty() -> Self {
-        BatchStats {
-            deletes: DeleteStats::None,
-            inserts: InsertBatchStats::default(),
-            view_entries: 0,
-        }
-    }
-
-    /// Accumulates another part's statistics (`view_entries` is summed;
-    /// a sharded caller overwrites it with the global total afterwards).
-    pub fn absorb(&mut self, o: &BatchStats) {
-        self.deletes.absorb(&o.deletes);
-        self.inserts.absorb(&o.inserts);
-        self.view_entries += o.view_entries;
-    }
 }
 
 /// Failure to apply a batch. The view must be considered corrupt after
@@ -229,23 +194,23 @@ pub fn apply_batch(
     })
 }
 
-/// [`apply_batch`] with caller-chosen external-insertion tickets, one
-/// per insertion request (see [`insert_batch_ticketed`]).
-/// The sharded `mmv-service` writer reserves a batch's ticket range
-/// globally and applies each shard's slice with the positions its
-/// insertions held in the unsplit batch, so the union of the per-shard
-/// views is syntactically equal to the single-lane result.
+/// [`apply_batch`] with caller-chosen external-insertion tickets: the
+/// insertion requests take `first_ticket`, `first_ticket + 1`, … (see
+/// [`insert_batch_ticketed`]). The `mmv-service` writer keeps the ticket
+/// counter beside the published view, so log replay reissues each
+/// batch's recorded tickets.
 pub fn apply_batch_ticketed(
     db: &ConstrainedDatabase,
     view: &mut MaterializedView,
     batch: &UpdateBatch,
-    tickets: &[u64],
+    first_ticket: u64,
     resolver: &dyn DomainResolver,
     op: Operator,
     config: &FixpointConfig,
 ) -> Result<BatchStats, BatchError> {
     let deletes = delete_phase(db, view, batch, resolver, config)?;
-    let inserts = insert_batch_ticketed(db, view, &batch.inserts, tickets, resolver, op, config)?;
+    let inserts =
+        insert_batch_ticketed(db, view, &batch.inserts, first_ticket, resolver, op, config)?;
     Ok(BatchStats {
         deletes,
         inserts,

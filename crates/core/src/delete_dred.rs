@@ -102,6 +102,9 @@ pub struct ExtDredStats {
     pub index_probes: usize,
     /// Candidate entries scanned during unfolding/rederivation joins.
     pub candidates_scanned: usize,
+    /// Rules the round planner visited during unfolding/rederivation
+    /// ([`FixpointStats::rules_visited`]).
+    pub rules_visited: usize,
     /// Candidates dismissed by the argument-bounds pre-check, without
     /// tying or a solver call: (entry, request) pairs of `Del`, (entry,
     /// region) pairs of the over-deletion, (fact clause, region) pairs of
@@ -114,8 +117,7 @@ pub struct ExtDredStats {
 }
 
 impl ExtDredStats {
-    /// Accumulates another run's counters (used when a batch is split
-    /// across independent shards and each part reports separately).
+    /// Accumulates another run's counters.
     pub fn absorb(&mut self, o: &ExtDredStats) {
         self.del_atoms += o.del_atoms;
         self.pout_atoms += o.pout_atoms;
@@ -125,6 +127,7 @@ impl ExtDredStats {
         self.solver_calls += o.solver_calls;
         self.index_probes += o.index_probes;
         self.candidates_scanned += o.candidates_scanned;
+        self.rules_visited += o.rules_visited;
         self.prefiltered += o.prefiltered;
         self.selected += o.selected;
     }
@@ -353,7 +356,7 @@ impl Run<'_> {
         }
 
         // ---- Step 1: unfold P_OUT ----------------------------------------
-        let program = over_deletion_program(db, view)?;
+        let program = over_deletion_program(db, view, &del)?;
         let unfolded = self.scratch_run(&program, db, view, gen, &del)?;
         self.stats.pout_atoms = del.len() + unfolded.len();
         let unmarked = unfolded.into_iter().map(|atom| ConstrainedAtom {
@@ -453,6 +456,7 @@ impl Run<'_> {
         self.stats.solver_calls += joins.derivations_tried - joins.pruned_syntactic;
         self.stats.index_probes += joins.index_probes;
         self.stats.candidates_scanned += joins.candidates_scanned;
+        self.stats.rules_visited += joins.rules_visited;
         Ok((watermark..scratch.entry_slots())
             .map(|id| scratch.entry(id).atom.clone())
             .collect())
@@ -519,10 +523,12 @@ impl Run<'_> {
         over: &OverDeletion,
         gen: &mut VarGen,
     ) -> Result<ConstrainedDatabase, DredError> {
-        let mut cids: Vec<ClauseId> = db
-            .rules()
-            .filter(|(_, rule)| over.by_pred.contains_key(&rule.head_pred))
-            .map(|(cid, _)| cid)
+        let mut cids: Vec<ClauseId> = over
+            .by_pred
+            .keys()
+            .flat_map(|pred| db.clauses_for_head(pred))
+            .copied()
+            .filter(|&cid| !db.clause(cid).body.is_empty())
             .collect();
         // The facts whose head bounds meet a region of their predicate,
         // from the database's interval index; every other fact is
@@ -606,15 +612,18 @@ fn mark(
 }
 
 /// The over-deletion program — the δ⁻ rules of ground DRed \[22\]: for
-/// each rule `h ← b1,…,bn` of `db` and each position `i`,
-/// `°h ← b1,…,°bi,…,bn`, in `db` order, then position order (the order
-/// the round driver's splits come in). Facts emit nothing.
+/// each rule `h ← b1,…,bn` of `db` reachable upward from `del`'s
+/// predicates and each position `i`, `°h ← b1,…,°bi,…,bn`, in `db`
+/// order, then position order (the order the round driver's splits come
+/// in). A rule the deletion cannot reach never fires, so it is left out
+/// rather than cloned. Facts emit nothing.
 fn over_deletion_program(
     db: &ConstrainedDatabase,
     view: &MaterializedView,
+    del: &[ConstrainedAtom],
 ) -> Result<ConstrainedDatabase, DredError> {
     let mut program = ConstrainedDatabase::new();
-    for (_, rule) in db.rules() {
+    for (_, rule) in db.rules_above(del.iter().map(|a| a.pred.as_ref())) {
         let head_pred = mark(&rule.head_pred, db, view)?;
         for i in 0..rule.body.len() {
             let mut clause = rule.clone();

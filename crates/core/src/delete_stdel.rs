@@ -79,8 +79,7 @@ pub struct StDelStats {
 }
 
 impl StDelStats {
-    /// Accumulates another run's counters (used when a batch is split
-    /// across independent shards and each part reports separately).
+    /// Accumulates another run's counters.
     pub fn absorb(&mut self, o: &StDelStats) {
         self.direct_replacements += o.direct_replacements;
         self.propagated_replacements += o.propagated_replacements;

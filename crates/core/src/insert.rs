@@ -61,8 +61,7 @@ pub struct InsertBatchStats {
 }
 
 impl InsertBatchStats {
-    /// Accumulates another run's counters (used when a batch is split
-    /// across independent shards and each part reports separately).
+    /// Accumulates another run's counters.
     pub fn absorb(&mut self, o: &InsertBatchStats) {
         self.added += o.added;
         self.propagated += o.propagated;
@@ -120,41 +119,32 @@ pub fn insert_batch(
 ) -> Result<InsertBatchStats, FixpointError> {
     // One ticket per *request*, drawn upfront — so the ticket sequence
     // depends only on the request sequence, never on which requests turn
-    // out to be no-ops. That is what lets a sharded writer reserve a
-    // batch's tickets globally and hand each shard its subsequence (see
-    // `insert_batch_ticketed`) while staying syntactically equal to the
-    // single-lane run.
+    // out to be no-ops.
     let tickets: Vec<u64> = insertions
         .iter()
         .map(|_| view.fresh_external_ticket())
         .collect();
-    insert_batch_ticketed(db, view, insertions, &tickets, resolver, op, config)
+    let first = tickets.first().copied().unwrap_or_default();
+    insert_batch_ticketed(db, view, insertions, first, resolver, op, config)
 }
 
-/// [`insert_batch`] with caller-chosen external-insertion tickets, one
-/// per request (`tickets.len() == insertions.len()`). The caller is
+/// [`insert_batch`] with caller-chosen external-insertion tickets: the
+/// `k`-th request takes ticket `first_ticket + k`. The caller is
 /// responsible for ticket uniqueness across the view's lifetime; the
-/// `mmv-service` sharded writer reserves a contiguous global range per
-/// batch and routes each shard the positions its insertions held in the
-/// original batch, so a split batch issues exactly the tickets the
-/// unsplit batch would.
+/// `mmv-service` writer numbers every batch's requests from its own
+/// counter, and log replay reissues each batch's recorded first ticket.
 pub fn insert_batch_ticketed(
     db: &ConstrainedDatabase,
     view: &mut MaterializedView,
     insertions: &[ConstrainedAtom],
-    tickets: &[u64],
+    first_ticket: u64,
     resolver: &dyn DomainResolver,
     op: Operator,
     config: &FixpointConfig,
 ) -> Result<InsertBatchStats, FixpointError> {
-    assert_eq!(
-        insertions.len(),
-        tickets.len(),
-        "one ticket per insertion request"
-    );
     let mut stats = InsertBatchStats::default();
     let mut new_ids: Vec<EntryId> = Vec::with_capacity(insertions.len());
-    for (insertion, &ticket) in insertions.iter().zip(tickets) {
+    for (insertion, ticket) in insertions.iter().zip(first_ticket..) {
         if let Some(id) = materialize_add(view, insertion, ticket, resolver, config, &mut stats) {
             new_ids.push(id);
             stats.added += 1;

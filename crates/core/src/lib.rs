@@ -71,7 +71,6 @@ pub mod parser;
 pub mod pool;
 pub mod program;
 pub mod semantics;
-pub mod shard;
 pub mod store;
 pub mod support;
 pub mod tp;
@@ -94,7 +93,6 @@ pub use program::{BodyAtom, Clause, ClauseId, ConstrainedDatabase, ValidationIss
 pub use semantics::{
     batch_oracle, deletion_oracle, insertion_oracle, recompute_instances, OracleError,
 };
-pub use shard::{ShardId, ShardMap, ShardPart, ShardSpec};
 pub use store::{SharedMap, SharedVec};
 pub use support::{Producer, Support};
 pub use tp::{fixpoint, FixpointConfig, FixpointError, FixpointStats, Operator, ParallelFixpoint};

@@ -1,13 +1,10 @@
 //! A shared work-stealing worker pool for intra-batch parallelism.
 //!
-//! Writer lanes already parallelize maintenance *across* independent
-//! clause components; a [`WorkerPool`] parallelizes *within* one — the
+//! A [`WorkerPool`] parallelizes maintenance *within* a round: the
 //! independent `(clause, delta-position)` splits of a semi-naive round
 //! (propagation, and with it Extended DRed's `P_OUT` unfolding and
 //! rederivation; one driver in [`tp`][crate::tp] runs them all) are
-//! tasks that only read a frozen pre-round view. One pool is shared by
-//! every lane of a service, so a skewed workload (one hot component)
-//! still saturates the machine.
+//! tasks that only read a frozen pre-round view.
 //!
 //! Design, in the order it matters:
 //!
@@ -32,7 +29,7 @@
 //!   result (see [`WorkerPool::run`]'s contract). The round driver
 //!   converts it into
 //!   [`FixpointError::WorkerPanic`][crate::tp::FixpointError] — an
-//!   error, not a re-panic — so a lane that submitted a doomed round
+//!   error, not a re-panic — so a writer that submitted a doomed round
 //!   rolls back through the service's ordinary error path with its
 //!   mutex unpoisoned, while the pool's workers survive to serve the
 //!   next batch.
@@ -48,7 +45,7 @@
 //!   none can leave torn state. A `run` against a poisoned pool
 //!   degrades to the submitting thread draining the queues
 //!   sequentially — slower, never stuck, never unwinding into the
-//!   lane.
+//!   writer.
 //!
 //! The pool is metric-instrumented ([`PoolMetrics`]: tasks executed,
 //! steals, busy workers) and carries the same test-only fault hook
@@ -187,7 +184,7 @@ fn worker_loop(inner: Arc<Inner>, home: usize) {
     }
 }
 
-/// A fixed-size work-stealing thread pool shared across writer lanes.
+/// A fixed-size work-stealing thread pool.
 /// See the [module docs][self] for the design; the one API that matters
 /// is [`WorkerPool::run`].
 pub struct WorkerPool {
@@ -260,7 +257,7 @@ impl WorkerPool {
     /// the first one (in submission order) into
     /// [`FixpointError::WorkerPanic`][crate::tp::FixpointError], which
     /// fails the batch through the service's ordinary rollback path
-    /// without poisoning the submitting lane's mutex.
+    /// without poisoning the submitting writer's mutex.
     pub fn run<T, F>(&self, tasks: Vec<F>) -> Vec<std::thread::Result<T>>
     where
         T: Send + 'static,
@@ -453,7 +450,7 @@ mod tests {
         assert!(poisoner.join().is_err(), "died holding both guards");
         // The pool still runs every task to completion: submission,
         // worker pops, and the caller-assist drain all recover the
-        // locks instead of panicking the submitting lane.
+        // locks instead of panicking the submitting writer.
         let results = pool.run((0..32).map(|i| move || i * 3).collect::<Vec<_>>());
         let values: Vec<i32> = results.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(values, (0..32).map(|i| i * 3).collect::<Vec<_>>());

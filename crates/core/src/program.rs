@@ -2,7 +2,7 @@
 //! `A ← D1 ∧ … ∧ Dm ‖ A1, …, An` (paper §2.1).
 
 use crate::bounds::{ArgBounds, Interval, IntervalIndex};
-use mmv_constraints::fxhash::FxHashMap;
+use mmv_constraints::fxhash::{FxHashMap, FxHashSet};
 use mmv_constraints::{Constraint, Term, Var, VarGen};
 use std::fmt;
 use std::sync::Arc;
@@ -161,24 +161,22 @@ impl fmt::Display for Clause {
 /// A constrained database: an ordered, numbered set of clauses.
 ///
 /// Clause numbers are normally positional (`ClauseId(k)` is the `k`-th
-/// pushed clause), but a database produced by
-/// [`ConstrainedDatabase::restrict_to_heads`] keeps the *original*
-/// numbers of the clauses it retains — supports recorded against the
-/// restriction are identical to supports recorded against the full
-/// database, which is what lets a per-shard writer lane maintain its
-/// view with only its own clauses.
+/// pushed clause); the deletion rewrites build databases that keep the
+/// *original* numbers of the clauses they retain
+/// ([`ConstrainedDatabase::push_numbered`]).
 #[derive(Debug, Clone, Default)]
 pub struct ConstrainedDatabase {
     clauses: Vec<Clause>,
     /// The number of each clause, parallel to `clauses`, strictly
-    /// ascending. Identity (`numbers[k] == ClauseId(k)`) unless the
-    /// database is a restriction.
+    /// ascending. Identity (`numbers[k] == ClauseId(k)`) unless clauses
+    /// were pushed under explicit numbers.
     numbers: Vec<ClauseId>,
     /// Clause ids by head predicate, for head-indexed access.
     by_head: FxHashMap<Arc<str>, Vec<ClauseId>>,
-    /// Where the rules (clauses with a body) sit in `clauses`, in
-    /// database order.
-    rules: Vec<usize>,
+    /// The rules (clauses with a body) by body predicate: where each
+    /// rule reading the predicate sits in `clauses`, ascending, once per
+    /// rule however often its body reads the predicate.
+    by_body: FxHashMap<Arc<str>, Vec<usize>>,
     /// The fact clauses (empty bodies) by head predicate.
     facts: FxHashMap<Arc<str>, Facts>,
     /// First variable id guaranteed unused by any clause.
@@ -210,23 +208,15 @@ impl ConstrainedDatabase {
     }
 
     /// Appends a clause, returning its id (one past the last number in
-    /// use, so pushes after a restriction keep numbers strictly
-    /// ascending).
-    ///
-    /// Caution: on a restriction the minted id, while unused *here*,
-    /// may name an unrelated clause of the parent database — supports
-    /// recorded against a grown restriction are then incomparable with
-    /// the parent's. Treat restrictions as read-only clause views for
-    /// maintenance (as the sharded service does); grow the parent and
-    /// re-restrict instead.
+    /// use, so numbers stay strictly ascending).
     pub fn push(&mut self, clause: Clause) -> ClauseId {
         let id = ClauseId(self.numbers.last().map_or(0, |c| c.0 + 1));
         self.push_numbered(id, clause);
         id
     }
 
-    /// Appends a clause under an explicit number (used by restrictions
-    /// and the deletion rewrites to preserve original numbering).
+    /// Appends a clause under an explicit number (used by the deletion
+    /// rewrites to preserve original numbering).
     /// Numbers must arrive strictly ascending.
     pub fn push_numbered(&mut self, id: ClauseId, clause: Clause) {
         assert!(
@@ -251,18 +241,24 @@ impl ConstrainedDatabase {
                 facts.by_position[p].insert(Interval::filed(t, &clause.constraint), id.0);
             }
         } else {
-            self.rules.push(self.clauses.len());
+            let at = self.clauses.len();
+            for b in &clause.body {
+                let rules = self.by_body.entry(b.pred.clone()).or_default();
+                if rules.last() != Some(&at) {
+                    rules.push(at);
+                }
+            }
         }
         self.numbers.push(id);
         self.clauses.push(clause);
     }
 
     /// The clause with the given id. Panics if the database does not
-    /// contain it (possible only on restrictions).
+    /// contain it (possible only under explicit numbering).
     pub fn clause(&self, id: ClauseId) -> &Clause {
-        // Identity numbering (the common case) indexes directly; a
-        // restriction falls back to binary search over the (ascending)
-        // retained numbers.
+        // Identity numbering (the common case) indexes directly; explicit
+        // numbering falls back to binary search over the (ascending)
+        // numbers.
         if self.numbers.get(id.0) == Some(&id) {
             return &self.clauses[id.0];
         }
@@ -282,12 +278,55 @@ impl ConstrainedDatabase {
     }
 
     /// The rules (clauses with a body) with their ids, in database
-    /// order — the clauses a propagation round can fire, without walking
-    /// the facts.
+    /// order.
     pub fn rules(&self) -> impl Iterator<Item = (ClauseId, &Clause)> {
-        self.rules
-            .iter()
-            .map(|&k| (self.numbers[k], &self.clauses[k]))
+        self.clauses().filter(|(_, c)| !c.body.is_empty())
+    }
+
+    /// Crate-internal: the rules whose body reads one of `preds`, each
+    /// once, in database order — the rules a round whose delta holds
+    /// `preds` can fire, found through the body-predicate index without
+    /// walking the rest of the program.
+    pub(crate) fn rules_reading<'a>(
+        &self,
+        preds: impl IntoIterator<Item = &'a str>,
+    ) -> impl Iterator<Item = (ClauseId, &Clause)> {
+        let mut at: Vec<usize> = preds
+            .into_iter()
+            .filter_map(|p| self.by_body.get(p))
+            .flatten()
+            .copied()
+            .collect();
+        at.sort_unstable();
+        at.dedup();
+        at.into_iter().map(|k| (self.numbers[k], &self.clauses[k]))
+    }
+
+    /// Crate-internal: the rules reachable upward from `preds` — those
+    /// reading one of them, then those reading a head of a rule already
+    /// reached, and so on — each once, in database order. Only these can
+    /// fire in a propagation that starts from entries of `preds`.
+    pub(crate) fn rules_above<'a>(
+        &self,
+        preds: impl IntoIterator<Item = &'a str>,
+    ) -> Vec<(ClauseId, &Clause)> {
+        let mut seen: FxHashSet<&str> = FxHashSet::default();
+        let mut todo: Vec<&str> = preds.into_iter().filter(|p| seen.insert(p)).collect();
+        let mut at: Vec<usize> = Vec::new();
+        while let Some(p) = todo.pop() {
+            for &k in self.by_body.get(p).into_iter().flatten() {
+                at.push(k);
+                let head = self.clauses[k].head_pred.as_ref();
+                if seen.insert(head) {
+                    todo.push(head);
+                }
+            }
+        }
+        at.sort_unstable();
+        at.dedup();
+        at.into_iter()
+            .map(|k| (self.numbers[k], &self.clauses[k]))
+            .collect()
     }
 
     /// Crate-internal: the fact clauses of `pred` whose head bounds meet
@@ -331,24 +370,6 @@ impl ConstrainedDatabase {
     /// Crate-internal: the number of fact clauses of `pred`.
     pub(crate) fn fact_count(&self, pred: &str) -> usize {
         self.facts.get(pred).map_or(0, |f| f.count)
-    }
-
-    /// The sub-database of clauses whose head predicate satisfies
-    /// `keep`, with original clause numbers (and the variable watermark)
-    /// preserved. When `keep` is closed under clause dependencies — as a
-    /// shard of [`crate::shard::ShardMap`] is — the restriction is
-    /// self-contained: every body predicate of a retained clause is
-    /// defined by retained clauses (or by none at all, exactly as in the
-    /// full database).
-    pub fn restrict_to_heads(&self, keep: impl Fn(&str) -> bool) -> ConstrainedDatabase {
-        let mut out = ConstrainedDatabase::new();
-        for (id, clause) in self.clauses() {
-            if keep(&clause.head_pred) {
-                out.push_numbered(id, clause.clone());
-            }
-        }
-        out.var_watermark = self.var_watermark;
-        out
     }
 
     /// Ids of clauses whose head predicate is `pred`.
@@ -529,6 +550,40 @@ mod tests {
     }
 
     #[test]
+    fn rules_are_indexed_by_body_predicate() {
+        let mut db = example5();
+        // D reads A twice and B once: it is listed once per predicate.
+        db.push(Clause::new(
+            "D",
+            vec![x()],
+            Constraint::truth(),
+            vec![
+                BodyAtom::new("A", vec![x()]),
+                BodyAtom::new("B", vec![x()]),
+                BodyAtom::new("A", vec![x()]),
+            ],
+        ));
+        let ids = |rules: Vec<(ClauseId, &Clause)>| -> Vec<usize> {
+            rules.into_iter().map(|(id, _)| id.0).collect()
+        };
+        assert_eq!(ids(db.rules_reading(["A"]).collect()), vec![3, 4]);
+        assert_eq!(ids(db.rules_reading(["B", "A"]).collect()), vec![1, 3, 4]);
+        assert_eq!(
+            ids(db.rules_reading(["C", "Z"]).collect()),
+            Vec::<usize>::new()
+        );
+        // Upward from B: A <- B, then C <- A and D <- A, B, A.
+        assert_eq!(ids(db.rules_above(["B"])), vec![1, 3, 4]);
+        assert_eq!(ids(db.rules_above(["A"])), vec![3, 4]);
+        assert_eq!(ids(db.rules_above(["D"])), Vec::<usize>::new());
+        assert_eq!(
+            ids(db.rules().collect()),
+            vec![1, 3, 4],
+            "rules() walks every rule"
+        );
+    }
+
+    #[test]
     fn watermark_covers_clause_vars() {
         let db = example5();
         let mut gen = db.fresh_gen();
@@ -559,27 +614,6 @@ mod tests {
     #[test]
     fn validation_passes_clean_database() {
         assert!(example5().validate().is_empty());
-    }
-
-    #[test]
-    fn restriction_preserves_numbering_and_watermark() {
-        let db = example5();
-        let sub = db.restrict_to_heads(|p| p == "A" || p == "B");
-        assert_eq!(sub.len(), 3);
-        let ids: Vec<ClauseId> = sub.clauses().map(|(id, _)| id).collect();
-        assert_eq!(ids, vec![ClauseId(0), ClauseId(1), ClauseId(2)]);
-        // Sparse lookup still resolves original ids.
-        let only_c = db.restrict_to_heads(|p| p == "C");
-        let ids: Vec<ClauseId> = only_c.clauses().map(|(id, _)| id).collect();
-        assert_eq!(ids, vec![ClauseId(3)]);
-        assert_eq!(only_c.clause(ClauseId(3)).head_pred.as_ref(), "C");
-        assert_eq!(only_c.clauses_for_head("C"), &[ClauseId(3)]);
-        // The watermark still dominates every variable of the full db.
-        assert_eq!(only_c.fresh_gen().watermark(), db.fresh_gen().watermark());
-        // Pushing after a restriction keeps numbers ascending.
-        let mut grown = only_c;
-        let id = grown.push(Clause::fact("D", vec![x()], Constraint::truth()));
-        assert_eq!(id, ClauseId(4));
     }
 
     #[test]

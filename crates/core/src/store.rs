@@ -8,11 +8,12 @@
 //! make a snapshot a handful of `Arc` bumps instead, while keeping the
 //! writer's mutations cheap:
 //!
-//! * [`SharedVec<T>`] — a paged vector whose page table and pages all
-//!   live behind `Arc`s. `clone` is O(1); a mutation copies only the
-//!   page it lands on (and the page *table*, once), and only when that
-//!   page is still shared with an older clone — classic copy-on-write,
-//!   paid once per touched page per epoch.
+//! * [`SharedVec<T>`] — a paged vector whose two-level page table and
+//!   pages all live behind `Arc`s. `clone` is O(1); a mutation copies
+//!   only the page it lands on (and, once, the top table and the
+//!   64-page directory above it), and only when that page is still
+//!   shared with an older clone — classic copy-on-write, paid once per
+//!   touched page per epoch.
 //! * [`SharedMap<K, V>`] — a persistent hash trie (a HAMT over the
 //!   key's 64-bit hash, 6 bits per level). `clone` is O(1); `insert`,
 //!   `update` and `remove` walk O(log n) nodes, un-share (copy) only
@@ -45,20 +46,33 @@ use mmv_constraints::fxhash::FxHasher;
 const PAGE_BITS: usize = 6;
 /// Entries per [`SharedVec`] page.
 const PAGE_SIZE: usize = 1 << PAGE_BITS;
+/// log2 of the pages per [`SharedVec`] directory.
+const DIR_BITS: usize = 6;
+/// Pages per [`SharedVec`] directory.
+const DIR_SIZE: usize = 1 << DIR_BITS;
+/// log2 of the entries one directory covers.
+const DIR_SHIFT: usize = PAGE_BITS + DIR_BITS;
+
+/// A page of a [`SharedVec`].
+type Page<T> = Arc<Vec<T>>;
 
 /// A paged copy-on-write vector: O(1) `clone`, O(page) first-touch
 /// mutation cost per epoch, `&self` reads with no synchronization.
 ///
-/// Pages are fixed-size chunks behind `Arc`s; the page table itself is
-/// also behind an `Arc`, so cloning shares everything. A mutation
-/// un-shares the page table (pointer copies only) and then the touched
-/// page (element clones) via `Arc::make_mut`; pages untouched since the
-/// last clone stay physically shared. [`SharedVec::copied_pages`] counts
-/// how many page copies this handle's mutations actually performed —
-/// the "CoW traffic" the service reports per epoch.
+/// Pages are fixed-size chunks behind `Arc`s, listed in directories of
+/// 64 pages behind `Arc`s, listed in a top table behind an `Arc`, so
+/// cloning shares everything. A mutation un-shares the top table and
+/// the touched page's directory (pointer copies only: one per 4,096
+/// elements, then 64) and then the page (element clones) via
+/// `Arc::make_mut`; everything untouched since the last clone stays
+/// physically shared. With one flat page table the first write after a
+/// clone would copy one pointer per 64 elements, a cost that grows with
+/// the vector. [`SharedVec::copied_pages`] counts how many page copies
+/// this handle's mutations actually performed — the "CoW traffic" the
+/// service reports per epoch.
 #[derive(Clone)]
 pub struct SharedVec<T> {
-    pages: Arc<Vec<Arc<Vec<T>>>>,
+    dirs: Arc<Vec<Arc<Vec<Page<T>>>>>,
     len: usize,
     copied: u64,
 }
@@ -66,7 +80,7 @@ pub struct SharedVec<T> {
 impl<T> Default for SharedVec<T> {
     fn default() -> Self {
         SharedVec {
-            pages: Arc::new(Vec::new()),
+            dirs: Arc::new(Vec::new()),
             len: 0,
             copied: 0,
         }
@@ -91,7 +105,7 @@ impl<T: Clone> SharedVec<T> {
 
     /// Number of pages currently allocated.
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        self.len.div_ceil(PAGE_SIZE)
     }
 
     /// Page copies performed by this handle's mutations (cumulative; a
@@ -107,16 +121,20 @@ impl<T: Clone> SharedVec<T> {
             "SharedVec index {i} out of bounds {}",
             self.len
         );
-        &self.pages[i >> PAGE_BITS][i & (PAGE_SIZE - 1)]
+        &self.dirs[i >> DIR_SHIFT][(i >> PAGE_BITS) & (DIR_SIZE - 1)][i & (PAGE_SIZE - 1)]
     }
 
     /// Appends an element.
     pub fn push(&mut self, v: T) {
-        let pages = Arc::make_mut(&mut self.pages);
-        if self.len & (PAGE_SIZE - 1) == 0 {
-            pages.push(Arc::new(Vec::with_capacity(PAGE_SIZE)));
+        let dirs = Arc::make_mut(&mut self.dirs);
+        if self.len & ((1 << DIR_SHIFT) - 1) == 0 {
+            dirs.push(Arc::new(Vec::with_capacity(DIR_SIZE)));
         }
-        let page = pages.last_mut().expect("page just ensured");
+        let dir = Arc::make_mut(dirs.last_mut().expect("directory just ensured"));
+        if self.len & (PAGE_SIZE - 1) == 0 {
+            dir.push(Arc::new(Vec::with_capacity(PAGE_SIZE)));
+        }
+        let page = dir.last_mut().expect("page just ensured");
         unshare_counted(page, &mut self.copied).push(v);
         self.len += 1;
     }
@@ -134,14 +152,17 @@ impl<T: Clone> SharedVec<T> {
             "SharedVec index {i} out of bounds {}",
             self.len
         );
-        let pages = Arc::make_mut(&mut self.pages);
-        let page = &mut pages[i >> PAGE_BITS];
+        let dir = Arc::make_mut(&mut Arc::make_mut(&mut self.dirs)[i >> DIR_SHIFT]);
+        let page = &mut dir[(i >> PAGE_BITS) & (DIR_SIZE - 1)];
         f(&mut unshare_counted(page, &mut self.copied)[i & (PAGE_SIZE - 1)]);
     }
 
     /// Iterates the elements in index order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.pages.iter().flat_map(|p| p.iter())
+        self.dirs
+            .iter()
+            .flat_map(|d| d.iter())
+            .flat_map(|p| p.iter())
     }
 }
 
@@ -162,7 +183,12 @@ pub(crate) fn unshare_counted<'a, T: Clone>(arc: &'a mut Arc<T>, copies: &mut u6
 impl<T: fmt::Debug> fmt::Debug for SharedVec<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list()
-            .entries(self.pages.iter().flat_map(|p| p.iter()))
+            .entries(
+                self.dirs
+                    .iter()
+                    .flat_map(|d| d.iter())
+                    .flat_map(|p| p.iter()),
+            )
             .finish()
     }
 }
@@ -626,6 +652,51 @@ mod tests {
         v.set(3, -4);
         v.push(101);
         assert_eq!(v.copied_pages(), 2);
+    }
+
+    #[test]
+    fn shared_vec_crosses_a_directory() {
+        // Two directories: 4,096 elements in the first, 104 past it.
+        let n: usize = (1 << DIR_SHIFT) + 104;
+        let mut v: SharedVec<u32> = SharedVec::new();
+        for i in 0..n as u32 {
+            v.push(i);
+        }
+        assert_eq!(v.page_count(), n.div_ceil(PAGE_SIZE));
+        assert_eq!(v.copied_pages(), 0, "unshared pushes copy nothing");
+        let edge = (1 << DIR_SHIFT) - 1;
+        assert_eq!(
+            (*v.get(edge), *v.get(edge + 1)),
+            (edge as u32, edge as u32 + 1)
+        );
+        let snapshot = v.clone();
+        // One write on each side of the boundary, and a push: three
+        // first writes, three pages copied — not the directories' 64.
+        v.update(edge, |x| *x += 10_000);
+        v.set(edge + 1, 7);
+        v.push(n as u32);
+        assert_eq!(v.copied_pages(), 3);
+        // Writing the now-owned pages again copies nothing.
+        v.update(edge - 1, |x| *x += 10_000);
+        v.set(edge + 2, 8);
+        assert_eq!(v.copied_pages(), 3);
+        // A clone of the writer's side stays as it was when taken.
+        let second = v.clone();
+        v.set(edge + 1, 9);
+        assert_eq!(v.copied_pages(), 4);
+        assert_eq!((*second.get(edge + 1), *v.get(edge + 1)), (7, 9));
+        // The snapshot saw none of it, on either side.
+        assert_eq!(snapshot.len(), n);
+        assert_eq!(v.len(), n + 1);
+        let old: Vec<u32> = snapshot.iter().copied().collect();
+        assert_eq!(old, (0..n as u32).collect::<Vec<_>>());
+        let new: Vec<u32> = v.iter().copied().collect();
+        assert_eq!(new.len(), n + 1);
+        assert_eq!(
+            &new[edge - 1..edge + 3],
+            &[edge as u32 - 1 + 10_000, edge as u32 + 10_000, 9, 8]
+        );
+        assert_eq!(new[n], n as u32);
     }
 
     #[test]

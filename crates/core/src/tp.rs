@@ -141,9 +141,7 @@ pub struct FixpointConfig {
     pub max_iterations: usize,
     /// Maximum live view entries before giving up. Extended DRed's
     /// `P_OUT` unfolding runs over a scratch copy of the view, so there
-    /// it counts the view's entries plus `P_OUT`'s. A sharded service
-    /// applies it per writer lane: it bounds each lane's view, at build
-    /// as in every batch, not the whole view.
+    /// it counts the view's entries plus `P_OUT`'s.
     pub max_entries: usize,
     /// Intra-round parallelism: when set (and the pool has more than
     /// one thread), each round's independent `(clause, delta-position)`
@@ -174,8 +172,7 @@ impl Default for FixpointConfig {
 /// guarantees that by construction.
 #[derive(Clone)]
 pub struct ParallelFixpoint {
-    /// The pool the round's splits are submitted to (shared across
-    /// writer lanes).
+    /// The pool the round's splits are submitted to.
     pub pool: Arc<WorkerPool>,
     /// The resolver tasks admit derivations against.
     pub resolver: Arc<dyn DomainResolver + Send + Sync>,
@@ -209,7 +206,7 @@ pub enum FixpointError {
     /// pool's workers survive for the next batch. Surfacing this as an
     /// error (instead of re-panicking on the submitting thread) keeps
     /// the caller's locks unpoisoned — the service's normal
-    /// rollback-on-error path restores every touched lane.
+    /// rollback-on-error path restores its writer view.
     WorkerPanic {
         /// The panic payload, when it was a string.
         message: String,
@@ -256,11 +253,15 @@ pub struct FixpointStats {
     /// every position; the index keeps this near the number of
     /// derivations that actually exist.
     pub candidates_scanned: usize,
+    /// Rules the round planner visited, summed over rounds: those whose
+    /// body reads a predicate of the round's delta, found through the
+    /// database's body-predicate index. It follows the delta, not the
+    /// size of the program.
+    pub rules_visited: usize,
 }
 
 impl FixpointStats {
-    /// Accumulates another run's counters (used when a batch is split
-    /// across independent shards and each part reports separately).
+    /// Accumulates another run's counters.
     pub fn absorb(&mut self, o: &FixpointStats) {
         self.iterations += o.iterations;
         self.derivations_tried += o.derivations_tried;
@@ -268,6 +269,7 @@ impl FixpointStats {
         self.pruned_syntactic += o.pruned_syntactic;
         self.index_probes += o.index_probes;
         self.candidates_scanned += o.candidates_scanned;
+        self.rules_visited += o.rules_visited;
     }
 }
 
@@ -787,11 +789,17 @@ struct Split<'a> {
 /// The round's splits in sequential iteration order: clauses in
 /// database order, each clause's positions in [`delta_plan`] order.
 /// Both executors consume this list front to back, which is what makes
-/// their output identical.
-fn plan_splits<'a>(db: &'a ConstrainedDatabase, deltas: &DeltaByPred) -> Vec<Split<'a>> {
+/// their output identical. Only the rules reading a delta predicate are
+/// visited (and counted in `rules_visited`): no other rule has a split.
+fn plan_splits<'a>(
+    db: &'a ConstrainedDatabase,
+    deltas: &DeltaByPred,
+    stats: &mut FixpointStats,
+) -> Vec<Split<'a>> {
     let mut splits = Vec::new();
     let mut plan = Vec::new();
-    for (cid, clause) in db.rules() {
+    for (cid, clause) in db.rules_reading(deltas.keys().map(|p| p.as_ref())) {
+        stats.rules_visited += 1;
         delta_plan(&clause.body, deltas, &mut plan);
         for (k, &dpos) in plan.iter().enumerate() {
             splits.push(Split {
@@ -871,7 +879,7 @@ impl Engine<'_> {
                 });
             }
             let deltas = Arc::new(group_by_pred(view, &delta));
-            let splits = plan_splits(self.db, &deltas);
+            let splits = plan_splits(self.db, &deltas, &mut stats);
             delta = self.round(view, gen, splits, deltas, &mut stats)?;
         }
         Ok(stats)

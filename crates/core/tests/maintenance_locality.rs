@@ -26,6 +26,13 @@
 //! However many of a batch's point deletes meet one entry, StDel
 //! weakens it by all of them in one pass: it is replaced once if it
 //! survives, and removed unreplaced if they empty it.
+//!
+//! The program's size does not show either. One StDel batch and one
+//! Extended DRed batch against one copy of a 12-rule layered program
+//! visit as many rules (`rules_visited`) when 99 disjoint copies sit
+//! beside it: `P_ADD`, the `P_OUT` unfolding and the rederivation plan
+//! only the rules that read a predicate their delta holds, and the
+//! over-deletion program holds only the rules the deletion reaches.
 
 use mmv_constraints::{CmpOp, Constraint, NoDomains, Term, Value, Var};
 use mmv_core::{
@@ -504,4 +511,106 @@ fn stdel_replaces_an_entry_once_however_many_requests_meet_it() {
         (1, 0),
         "{three:?}"
     );
+}
+
+/// Layers of chain rules above layer 0 in [`layered_copies`].
+const COPY_LAYERS: usize = 3;
+/// Chains per copy in [`layered_copies`]: 3 × 4 = 12 rules per copy.
+const COPY_PREDS: usize = 4;
+
+/// `copies` disjoint copies of a layered program: per copy `c`, 8
+/// interval facts per layer-0 predicate `p0_j_c` and chain rules
+/// `pk_j_c(X) <- p{k-1}_j_c(X)` above them, plus copy 0's block as one
+/// more fact of `p0_0_0`.
+fn layered_copies(copies: usize) -> ConstrainedDatabase {
+    let name = |layer: usize, j: usize, c: usize| format!("p{layer}_{j}_{c}");
+    let mut db = ConstrainedDatabase::new();
+    for c in 0..copies {
+        for j in 0..COPY_PREDS {
+            for i in 0..8 {
+                let lo = 100 * i;
+                db.push(Clause::fact(
+                    &name(0, j, c),
+                    vec![x()],
+                    interval(lo, lo + INTERVAL_WIDTH),
+                ));
+            }
+        }
+        for layer in 1..=COPY_LAYERS {
+            for j in 0..COPY_PREDS {
+                db.push(Clause::new(
+                    &name(layer, j, c),
+                    vec![x()],
+                    Constraint::truth(),
+                    vec![BodyAtom::new(&name(layer - 1, j, c), vec![x()])],
+                ));
+            }
+        }
+    }
+    db.push(Clause::fact(
+        &name(0, 0, 0),
+        vec![x()],
+        interval(BLOCK_LO, BLOCK_LO + BLOCK_POINTS - 1),
+    ));
+    db
+}
+
+/// Copy 0's batch: retire the block and insert a fresh interval.
+fn copy_batch() -> UpdateBatch {
+    let fresh = BLOCK_LO + 2 * BLOCK_POINTS;
+    let atom = |pred: &str, c: Constraint| ConstrainedAtom::new(pred, vec![x()], c);
+    UpdateBatch {
+        deletes: (BLOCK_LO..BLOCK_LO + BLOCK_POINTS)
+            .map(|p| atom("p0_0_0", Constraint::eq(x(), Term::int(p))))
+            .collect(),
+        inserts: vec![atom("p0_1_0", interval(fresh, fresh + BLOCK_POINTS - 1))],
+    }
+}
+
+/// `(P_ADD rules visited, Extended DRed rules visited)` for the batch
+/// against `copies` copies, checked against the oracle.
+fn rules_visited(copies: usize, mode: SupportMode) -> (usize, usize) {
+    let db = layered_copies(copies);
+    assert_eq!(db.rules().count(), 12 * copies);
+    let config = FixpointConfig::default();
+    let (mut view, _) = fixpoint(&db, &NoDomains, Operator::Tp, mode, &config).expect("build");
+    let batch = copy_batch();
+    let expected = batch_oracle(&db, &view, &batch, &NoDomains, &config).expect("oracle");
+    let stats = apply_batch(&db, &mut view, &batch, &NoDomains, Operator::Tp, &config)
+        .expect("maintenance");
+    assert_eq!(
+        view.instances(&NoDomains, &config.solver)
+            .expect("instances"),
+        expected,
+        "{mode:?} at {copies} copies"
+    );
+    let dred = match stats.deletes {
+        DeleteStats::Dred(d) => {
+            // `Del` and the three layers above it.
+            assert_eq!(d.pout_atoms, 4 * (COPY_LAYERS + 1), "P_OUT atoms");
+            d.rules_visited
+        }
+        DeleteStats::StDel(_) => 0,
+        DeleteStats::None => panic!("the batch deletes"),
+    };
+    (stats.inserts.fixpoint.rules_visited, dred)
+}
+
+#[test]
+fn rules_visited_do_not_scale_with_the_program() {
+    // P_ADD walks up copy 0's chain p0_1 -> p3_1: one rule in each of
+    // three rounds. Extended DRed's unfolding walks up p0_0 -> p3_0 the
+    // same way (3), and its rederivation, over the three chain rules of
+    // P'' under `°h`, visits 4 more.
+    for (mode, expected) in [
+        (SupportMode::WithSupports, (COPY_LAYERS, 0)),
+        (SupportMode::Plain, (COPY_LAYERS, 2 * COPY_LAYERS + 1)),
+    ] {
+        assert_eq!(rules_visited(1, mode), expected, "{mode:?} at 12 rules");
+        assert_eq!(
+            rules_visited(100, mode),
+            expected,
+            "{mode:?} at 1,200 rules"
+        );
+    }
 }

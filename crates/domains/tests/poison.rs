@@ -4,8 +4,8 @@
 //! Every domain guards its store behind a poison-recovering lock (see
 //! `mmv_obs::sync`): a panic while a guard is held must
 //! cost exactly the panicking caller, never brick the domain for later
-//! readers — the per-lane recovery contract the service's writer lanes
-//! carry (PR 5) and the bench sensors fix demonstrated (PR 8). The
+//! readers — the recovery contract the service's writer lock carries
+//! and the bench sensors fix demonstrated. The
 //! in-file unit tests poison each private store lock directly; these
 //! tests cover the two poisons reachable from *outside* the crate: an
 //! external writer panicking on a shared relational catalog, and a

@@ -6,7 +6,7 @@
 //!    cloneable handles over shared atomics. Components own their
 //!    instruments *detached*; hot paths never take a lock.
 //! 2. **The [`MetricsRegistry`]** — binds handles to static names (with
-//!    optional labels, e.g. per-lane) and renders them via
+//!    optional labels, e.g. per-stage) and renders them via
 //!    [`MetricsRegistry::render_prometheus`] /
 //!    [`MetricsRegistry::render_json`]. Scrapes read the same atomics the
 //!    writers update, so exposition is concurrent with writes at zero

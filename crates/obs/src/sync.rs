@@ -12,7 +12,7 @@
 //! domain read, and the pool that exists to contain panics would
 //! re-raise one. These helpers clear the flag and hand back the guard
 //! instead. State that a panic *can* leave half-applied needs real
-//! recovery logic on top (see the service's writer lanes), not this.
+//! recovery logic on top (see the service's writer lock), not this.
 //!
 //! The workspace's `clippy.toml` disallows the raw `lock`, `read`,
 //! `write`, `wait` and `wait_timeout` calls everywhere else, so these

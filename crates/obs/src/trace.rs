@@ -13,11 +13,12 @@ use std::time::Duration;
 /// Pipeline stages a maintenance batch passes through, in order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
-    /// Routing the batch's updates to shard-local sub-batches.
+    /// Splitting the batch before maintenance. A service with one
+    /// writer view does not split, so the stage stays at zero.
     Split,
-    /// Waiting for the touched lanes' writer locks.
+    /// Waiting for the writer lock.
     LockWait,
-    /// Fixpoint / DRed maintenance against the lane databases.
+    /// Fixpoint / DRed maintenance against the database.
     Apply,
     /// Rendering the batch into WAL frame text.
     WalRender,
@@ -83,8 +84,6 @@ impl Stage {
 pub struct BatchTrace {
     /// Epoch the batch published as (0 until assigned).
     pub epoch: u64,
-    /// Number of shards the batch touched.
-    pub shards_touched: u32,
     /// Nanoseconds spent per stage, indexed in [`Stage::ALL`] order.
     pub stage_nanos: [u64; STAGE_COUNT],
 }

@@ -1,10 +1,10 @@
 //! Checkpoints: durable snapshots of the whole served view, so
 //! recovery replays only the log *tail*.
 //!
-//! Freezing the state is an `Arc` bump (the composite
-//! [`ServiceSnapshot`] physically shares the CoW store with the
-//! writer), so the hot path hands the frozen snapshot to a background
-//! thread ([`Checkpointer`]) and moves on; serialization, fsync, WAL
+//! Freezing the state is an `Arc` bump (the [`ViewSnapshot`]
+//! physically shares the CoW store with the writer), so the hot path
+//! hands the frozen snapshot to a background thread ([`Checkpointer`])
+//! and moves on; serialization, fsync, WAL
 //! rotation, and pruning all happen off the write path. If a
 //! checkpoint is requested while the previous one is still being
 //! written, the request is dropped (`skipped_busy`) — a later epoch
@@ -16,13 +16,15 @@
 //!
 //! ```text
 //! #mmv-checkpoint v1
-//! meta epoch=<global> tickets=<n> mode=<plain|supports> op=<tp|wp> shards=<k>
-//! shard 0 epoch=<shard epoch>
+//! meta epoch=<e> tickets=<n> mode=<plain|supports> op=<tp|wp> shards=1
+//! shard 0 epoch=<e>
 //! <entry line>*          (mmv_core::parser::render_entry)
-//! shard 1 epoch=<…>
-//! …
 //! #end crc=<crc32 of everything above>
 //! ```
+//!
+//! The service writes one `shard` section. The reader parses any
+//! number, so recovery can see — and refuse, by its shard count — a
+//! checkpoint written with several sections.
 //!
 //! It is written to a temp file, fsynced, renamed into place, and the
 //! directory fsynced — so a crash mid-write leaves no half-visible
@@ -54,7 +56,7 @@
 //! the checkpoint path to healthy.
 
 use crate::health::{Health, RetryPolicy};
-use crate::snapshot::ServiceSnapshot;
+use crate::snapshot::ViewSnapshot;
 use crate::vfs::{StdVfs, StorageOp, Vfs};
 use crate::wal::{crc32, prune_segments_with, StorageError, Wal};
 use mmv_core::parser::{parse_entry, render_entry, render_wal_payload, ParsedEntry, WalPayload};
@@ -174,7 +176,7 @@ impl CheckpointMetrics {
 }
 
 struct Job {
-    snapshot: Arc<ServiceSnapshot>,
+    snapshot: Arc<ViewSnapshot>,
     tickets: u64,
 }
 
@@ -253,7 +255,7 @@ impl Checkpointer {
     /// Hands a frozen snapshot to the checkpoint thread. Returns
     /// `false` (and counts `skipped_busy`) if one is already being
     /// written — checkpointing is best-effort off the hot path.
-    pub fn request(&self, snapshot: Arc<ServiceSnapshot>, tickets: u64) -> bool {
+    pub fn request(&self, snapshot: Arc<ViewSnapshot>, tickets: u64) -> bool {
         let Some(tx) = &self.tx else { return false };
         match tx.try_send(Job { snapshot, tickets }) {
             Ok(()) => true,
@@ -398,7 +400,7 @@ fn op_name(op: Operator) -> &'static str {
 /// [`write_checkpoint_with`] through the production [`StdVfs`].
 pub fn write_checkpoint(
     dir: &Path,
-    snapshot: &ServiceSnapshot,
+    snapshot: &ViewSnapshot,
     tickets: u64,
     op: Operator,
 ) -> Result<PathBuf, StorageError> {
@@ -411,7 +413,7 @@ pub fn write_checkpoint(
 pub fn write_checkpoint_with(
     vfs: &dyn Vfs,
     dir: &Path,
-    snapshot: &ServiceSnapshot,
+    snapshot: &ViewSnapshot,
     tickets: u64,
     op: Operator,
 ) -> Result<PathBuf, StorageError> {
@@ -419,20 +421,15 @@ pub fn write_checkpoint_with(
     body.push_str("#mmv-checkpoint v1\n");
     writeln!(
         body,
-        "meta epoch={} tickets={tickets} mode={} op={} shards={}",
-        snapshot.epoch(),
+        "meta epoch={epoch} tickets={tickets} mode={} op={} shards=1\nshard 0 epoch={epoch}",
         mode_name(snapshot.mode()),
         op_name(op),
-        snapshot.shard_count()
+        epoch = snapshot.epoch(),
     )
     .expect("write to String");
-    for s in 0..snapshot.shard_count() {
-        let shard = snapshot.shard(s);
-        writeln!(body, "shard {s} epoch={}", shard.epoch()).expect("write to String");
-        for (_, e) in shard.view().live_entries() {
-            body.push_str(&render_entry(&e.atom, e.support.as_ref(), &e.children_args));
-            body.push('\n');
-        }
+    for (_, e) in snapshot.view().live_entries() {
+        body.push_str(&render_entry(&e.atom, e.support.as_ref(), &e.children_args));
+        body.push('\n');
     }
     let trailer = format!("#end crc={:08x}\n", crc32(body.as_bytes()));
     let path = dir.join(format!("chk-{:012}.ckpt", snapshot.epoch()));
@@ -647,10 +644,8 @@ pub fn prune_checkpoints_with(vfs: &dyn Vfs, dir: &Path, epoch: u64) -> Result<u
 )]
 mod tests {
     use super::*;
-    use crate::snapshot::ViewSnapshot;
     use mmv_constraints::{Constraint, Term, VarGen};
-    use mmv_core::shard::{ShardMap, ShardSpec};
-    use mmv_core::{ConstrainedAtom, ConstrainedDatabase, MaterializedView};
+    use mmv_core::{ConstrainedAtom, MaterializedView};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mmv-ckpt-test-{tag}-{}", std::process::id()));
@@ -659,7 +654,7 @@ mod tests {
         dir
     }
 
-    fn snapshot_with(n: i64, epoch: u64) -> ServiceSnapshot {
+    fn snapshot_with(n: i64, epoch: u64) -> ViewSnapshot {
         let mut view = MaterializedView::new(SupportMode::Plain, VarGen::starting_at(0));
         for i in 0..n {
             view.insert(
@@ -668,11 +663,7 @@ mod tests {
                 vec![],
             );
         }
-        let map = Arc::new(ShardMap::from_db(
-            &ConstrainedDatabase::new(),
-            &ShardSpec::single_lane(),
-        ));
-        ServiceSnapshot::new(epoch, vec![Arc::new(ViewSnapshot::new(epoch, view))], map)
+        ViewSnapshot::new(epoch, view)
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Service configuration: the builder-style construction API.
 //!
 //! [`ViewService::build`][crate::ViewService] used to take five
-//! positional arguments (and its sharded variant six); every new knob
-//! threatened a seventh. This module replaces that with a
+//! positional arguments; every new knob threatened a sixth. This module replaces that with a
 //! [`ServiceConfig`] value (all knobs, all defaulted) and a
 //! [`ViewServiceBuilder`] over it:
 //!
@@ -34,7 +33,6 @@ use crate::service::{ServiceError, SharedResolver, ViewService};
 use crate::vfs::{StdVfs, StorageOp, Vfs};
 use crate::wal::{FsyncPolicy, StorageError};
 use mmv_constraints::NoDomains;
-use mmv_core::shard::ShardSpec;
 use mmv_core::tp::{FixpointConfig, Operator};
 use mmv_core::{ConstrainedDatabase, SupportMode};
 use std::fmt;
@@ -210,12 +208,9 @@ pub struct ServiceConfig {
     /// Whether view entries carry supports (StDel deletion) or not
     /// (Extended DRed).
     pub mode: SupportMode,
-    /// Budgets for fixpoint computation and batch maintenance. They
-    /// apply per writer lane: `max_entries` bounds each lane's view,
-    /// at build as in every batch, not the whole view.
+    /// Budgets for fixpoint computation and batch maintenance:
+    /// `max_entries` bounds the view, at build as in every batch.
     pub fixpoint: FixpointConfig,
-    /// The predicate → writer-lane partition.
-    pub shards: ShardSpec,
     /// The update-log backing.
     pub durability: Durability,
     /// Retry budget for transient storage faults: every WAL append,
@@ -224,11 +219,11 @@ pub struct ServiceConfig {
     pub retry: RetryPolicy,
     /// Metrics and batch-lifecycle tracing knobs.
     pub observability: ObsOptions,
-    /// Worker threads in the shared intra-lane work-stealing pool
-    /// (`None`: the `MMV_POOL_THREADS` environment variable if set,
-    /// otherwise [`std::thread::available_parallelism`]). A resolved
-    /// width of 1 disables intra-lane parallelism entirely — every
-    /// round runs on the lane's own thread.
+    /// Worker threads in the work-stealing pool that runs a round's
+    /// splits (`None`: the `MMV_POOL_THREADS` environment variable if
+    /// set, otherwise [`std::thread::available_parallelism`]). A
+    /// resolved width of 1 disables intra-round parallelism entirely —
+    /// every round runs on the writer's own thread.
     pub pool_threads: Option<usize>,
 }
 
@@ -239,7 +234,6 @@ impl Default for ServiceConfig {
             op: Operator::Tp,
             mode: SupportMode::WithSupports,
             fixpoint: FixpointConfig::default(),
-            shards: ShardSpec::auto(),
             durability: Durability::InMemory,
             retry: RetryPolicy::default(),
             observability: ObsOptions::default(),
@@ -254,7 +248,6 @@ impl fmt::Debug for ServiceConfig {
             .field("op", &self.op)
             .field("mode", &self.mode)
             .field("fixpoint", &self.fixpoint)
-            .field("shards", &self.shards)
             .field("durability", &self.durability)
             .field("retry", &self.retry)
             .field("observability", &self.observability)
@@ -298,16 +291,9 @@ impl ViewServiceBuilder {
     }
 
     /// Sets the fixpoint budgets (default:
-    /// [`FixpointConfig::default`]), applied per writer lane.
+    /// [`FixpointConfig::default`]).
     pub fn fixpoint(mut self, fixpoint: FixpointConfig) -> Self {
         self.config.fixpoint = fixpoint;
-        self
-    }
-
-    /// Sets the writer-lane layout (default: [`ShardSpec::auto`], one
-    /// lane per clause dependency component).
-    pub fn shards(mut self, spec: ShardSpec) -> Self {
-        self.config.shards = spec;
         self
     }
 
@@ -335,7 +321,7 @@ impl ViewServiceBuilder {
     /// Sets the shared work-stealing pool width (default: the
     /// `MMV_POOL_THREADS` environment variable if set, otherwise
     /// [`std::thread::available_parallelism`]). Width 1 disables
-    /// intra-lane parallelism.
+    /// intra-round parallelism.
     pub fn pool_threads(mut self, threads: usize) -> Self {
         self.config.pool_threads = Some(threads);
         self
@@ -346,10 +332,9 @@ impl ViewServiceBuilder {
         &self.config
     }
 
-    /// Builds the service over `db`: splits it into writer lanes,
-    /// builds each lane's view from its sub-database, publishes epoch
-    /// 0 — and, when durable, opens the WAL (the directory must hold no
-    /// earlier state; recover from that instead).
+    /// Builds the service over `db`: builds the view, publishes it as
+    /// epoch 0 — and, when durable, opens the WAL (the directory must
+    /// hold no earlier state; recover from that instead).
     pub fn build(self, db: ConstrainedDatabase) -> Result<ViewService, ServiceError> {
         ViewService::with_config(db, self.config)
     }
@@ -387,13 +372,13 @@ pub(crate) fn not_durable() -> ServiceError {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct RecoveryReport {
-    /// The global epoch of the checkpoint recovery started from
+    /// The epoch of the checkpoint recovery started from
     /// (`None`: no valid checkpoint — the whole WAL was replayed onto
     /// a freshly built view).
     pub checkpoint_epoch: Option<u64>,
     /// Batch records replayed from the WAL tail.
     pub replayed_records: u64,
-    /// The global epoch of the recovered, re-published state.
+    /// The epoch of the recovered, re-published state.
     pub recovered_epoch: u64,
     /// Whether the final WAL segment ended in a torn frame (dropped
     /// and truncated per the torn-tail contract).

@@ -258,12 +258,12 @@ impl Health {
         self.epoch.fetch_max(epoch, Ordering::Relaxed); // order: monotonic stamp via fetch_max; readers tolerate slight staleness
     }
 
-    /// A writer-lane recovery that did not change the coarse state —
-    /// e.g. a pool worker panic whose batch was rolled back with the
-    /// service still healthy. Journaled (with `from == to`) and counted
+    /// A writer recovery that did not change the coarse state — e.g. a
+    /// pool worker panic whose batch was rolled back with the service
+    /// still healthy. Journaled (with `from == to`) and counted
     /// in `mmv_health_transitions_total` so operators see the event in
     /// the same audit trail as storage flips.
-    pub(crate) fn lane_event(&self, reason: &str) {
+    pub(crate) fn writer_event(&self, reason: &str) {
         let mut guard = lock_clean(&self.inner);
         let state = guard.state();
         if guard.transitions.len() == HEALTH_TRANSITION_CAP {

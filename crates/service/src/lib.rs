@@ -3,35 +3,31 @@
 //! The paper's maintenance algorithms (Extended DRed, StDel, insertion)
 //! are defined over *sets* of updates; `mmv-core` exposes them as
 //! set-oriented batch entry points ([`mmv_core::batch`]). This crate
-//! turns those into a long-lived concurrent server with four pillars:
+//! turns those into a long-lived concurrent server:
 //!
 //! * **Batched update transactions** — writers group updates into an
 //!   [`UpdateBatch`]; one maintenance pass applies the whole batch,
 //!   amortizing the per-pass frontier/rederivation work that per-update
 //!   maintenance repeats.
-//! * **Per-predicate writer lanes** — the clause dependency graph
-//!   partitions predicates into provably independent shards
-//!   ([`mmv_core::shard`]); each gets its own writer lane (view, epoch,
-//!   lock, sub-database), so batches against independent predicates
-//!   maintain concurrently, each lane seeing only its own clauses and
-//!   entries. Cross-shard batches lock lanes in canonical order and
-//!   publish through an atomic two-phase swap. A lane poisoned by a
-//!   panicking batch recovers from its last published shard snapshot —
-//!   the other lanes never stop serving.
-//! * **Snapshot-isolated reads** — the service publishes immutable,
-//!   epoch-tagged per-shard [`ViewSnapshot`]s composed into a
-//!   [`ServiceSnapshot`] after every batch. Readers clone `Arc` handles
-//!   and query from any thread without synchronizing with the writers:
-//!   they observe the last *published* consistent state, never a
-//!   half-maintained view or a torn multi-shard epoch.
+//! * **One writer, one view** — writers take turns on one writer lock
+//!   over one view. Maintenance stays local without a static partition
+//!   of the program: it unfolds only from the updated predicates, and
+//!   the round driver visits only the rules that read them. A writer
+//!   view poisoned by a panicking batch recovers from the last
+//!   published snapshot.
+//! * **Snapshot-isolated reads** — the service publishes an immutable,
+//!   epoch-tagged [`ViewSnapshot`] after every batch. Readers clone an
+//!   `Arc` handle and query from any thread without synchronizing with
+//!   the writer: they observe the last *published* consistent state,
+//!   never a half-maintained view.
 //! * **An update log** — an append-only [`UpdateLog`] of applied
 //!   batches (epoch, ticket base, batch — exactly a WAL frame's
-//!   content) and lane recoveries that can be replayed onto a freshly
+//!   content) and writer recoveries that can be replayed onto a freshly
 //!   built view to reproduce the served state (recovery), and that the
 //!   equivalence tests use to pin batch determinism.
 //! * **Durability** — opt-in via [`Durability::durable`]: every batch
 //!   is appended to a segmented write-ahead log *before* it is
-//!   published, with group-commit fsync batching ([`wal`]); a
+//!   published, with a group-commit flusher ([`wal`]); a
 //!   background thread periodically checkpoints the served view
 //!   ([`checkpoint`]); and [`ViewService::recover`] rebuilds the
 //!   service after a crash from the newest valid checkpoint plus the
@@ -81,7 +77,6 @@
 pub mod checkpoint;
 pub mod config;
 pub mod health;
-mod lanes;
 pub mod log;
 mod obs;
 pub mod service;
@@ -89,23 +84,23 @@ pub mod snapshot;
 pub mod vfs;
 pub mod wal;
 pub mod worker;
+mod writer;
 
 pub use checkpoint::CheckpointStats;
 pub use config::{Durability, ObsOptions, RecoveryReport, ServiceConfig, ViewServiceBuilder};
 pub use health::{HealthTransition, RetryPolicy, ServiceHealth, HEALTH_TRANSITION_CAP};
 pub use log::{LogRecord, Recovery, ReplayError, UpdateLog};
 pub use service::{Applied, FaultHook, ServiceError, SharedResolver, ViewService};
-pub use snapshot::{Epoch, PublishStats, ServiceSnapshot, ViewSnapshot};
+pub use snapshot::{Epoch, PublishStats, ViewSnapshot};
 pub use vfs::{
     Fault, FaultPlan, FaultStats, FaultVfs, OpSel, ScriptedFault, StdVfs, StorageOp, Vfs,
 };
 pub use wal::{FsyncPolicy, StorageError, WalStats};
 pub use worker::{BatchSender, ServiceWorker};
 
-// Re-export the batch and shard vocabulary so service users need not
-// depend on mmv-core directly for the common path.
+// Re-export the batch vocabulary so service users need not depend on
+// mmv-core directly for the common path.
 pub use mmv_core::batch::{BatchError, BatchStats, DeleteStats, UpdateBatch};
-pub use mmv_core::shard::{ShardId, ShardMap, ShardSpec};
 
 // Re-export the observability vocabulary the service's own API speaks
 // ([`ViewService::metrics`], [`ViewService::recent_traces`]) so
@@ -129,8 +124,6 @@ const _SEND_SYNC_AUDIT: () = {
     assert_send_sync::<mmv_constraints::Value>();
     assert_send_sync::<UpdateBatch>();
     assert_send_sync::<ViewSnapshot>();
-    assert_send_sync::<ServiceSnapshot>();
-    assert_send_sync::<mmv_core::ShardMap>();
     assert_send_sync::<UpdateLog>();
     assert_send_sync::<ViewService>();
     assert_send_sync::<BatchSender>();

@@ -7,9 +7,7 @@
 //! tests pin exactly that property, and the batch-vs-sequential
 //! equivalence suite leans on it to compare maintenance strategies.
 //! Replay and recovery reissue each batch's recorded tickets and epoch,
-//! so both are syntactically identical to the served view under any
-//! interleaving of the writers; concurrently rolled-back batches may
-//! leave epoch and ticket gaps, which neither path depends on.
+//! so both are syntactically identical to the served view.
 //!
 //! A [`LogRecord`] is exactly the content of a WAL batch frame
 //! ([`mmv_core::parser::WalPayload::Batch`]): one format for the
@@ -17,15 +15,13 @@
 //! in [`Applied`][crate::Applied], the trace ring and the metrics
 //! registry.
 //!
-//! Besides applied batches, the log records writer-lane *recoveries*
-//! ([`Recovery`]): a lane whose mutex was poisoned by a panicking batch
-//! and was rebuilt from its last published shard snapshot.
+//! Besides applied batches, the log records writer *recoveries*
+//! ([`Recovery`]): the writer view was poisoned by a panicking batch and
+//! was rebuilt from the last published snapshot.
 //!
-//! Records support *retraction* ([`UpdateLog::retract`]): under group
-//! commit a record is mirrored when its frame is appended, but the
-//! batch only publishes once the frame is durable, so a failed
-//! durability wait rolls the mirror back too (the WAL frame itself is
-//! truncated by the flusher).
+//! A record is appended once its batch is durable and just before the
+//! batch publishes, so the log never holds a batch readers could not
+//! see.
 
 use crate::snapshot::Epoch;
 use mmv_constraints::DomainResolver;
@@ -39,22 +35,20 @@ use mmv_core::{ConstrainedDatabase, FixpointError, MaterializedView, SupportMode
 pub struct LogRecord {
     /// The epoch the batch produced (the snapshot published after it).
     pub epoch: Epoch,
-    /// The first of the batch's reserved external-insertion tickets:
-    /// insertion `i` was applied under ticket `ticket_base + i`.
+    /// The first of the batch's external-insertion tickets: insertion
+    /// `i` was applied under ticket `ticket_base + i`.
     pub ticket_base: u64,
     /// The batch itself.
     pub batch: UpdateBatch,
 }
 
-/// One writer-lane recovery: the lane's mutex was found poisoned (a
-/// previous batch panicked mid-application), the poison was cleared,
-/// and the lane's writer view was rebuilt from its last published
-/// shard snapshot — so only the panicking batch was lost.
+/// One writer recovery: the writer mutex was found poisoned (a previous
+/// batch panicked mid-application), the poison was cleared, and the
+/// writer view was rebuilt from the last published snapshot — so only
+/// the panicking batch was lost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Recovery {
-    /// The recovered lane.
-    pub shard: mmv_core::shard::ShardId,
-    /// The shard epoch the lane was rebuilt to (its last published).
+    /// The epoch the writer view was rebuilt to (the last published).
     pub epoch: Epoch,
 }
 
@@ -86,7 +80,7 @@ impl std::error::Error for ReplayError {
     }
 }
 
-/// An append-only, in-memory log of applied batches and lane
+/// An append-only, in-memory log of applied batches and writer
 /// recoveries.
 #[derive(Debug, Clone, Default)]
 pub struct UpdateLog {
@@ -101,8 +95,8 @@ impl UpdateLog {
     }
 
     /// Appends a record. Records must arrive in ascending epoch order
-    /// (the writer allocates the epoch and appends under one hold of
-    /// the log lock, so this is structural, not racy).
+    /// (the one writer allocates the epoch and appends under its lock,
+    /// so this is structural, not racy).
     pub fn append(&mut self, record: LogRecord) {
         debug_assert!(
             self.records.last().is_none_or(|r| r.epoch < record.epoch),
@@ -111,21 +105,12 @@ impl UpdateLog {
         self.records.push(record);
     }
 
-    /// Removes the record at `epoch`, if present — the rollback of a
-    /// mirrored-but-never-durable batch. Searches from the back:
-    /// retractions always target a recent epoch.
-    pub fn retract(&mut self, epoch: Epoch) {
-        if let Some(i) = self.records.iter().rposition(|r| r.epoch == epoch) {
-            self.records.remove(i);
-        }
-    }
-
-    /// Records a writer-lane recovery.
+    /// Records a writer recovery.
     pub fn record_recovery(&mut self, recovery: Recovery) {
         self.recoveries.push(recovery);
     }
 
-    /// Lane recoveries, in occurrence order.
+    /// Writer recoveries, in occurrence order.
     pub fn recoveries(&self) -> &[Recovery] {
         &self.recoveries
     }
@@ -166,10 +151,8 @@ impl UpdateLog {
         let (mut view, _) =
             fixpoint(db, resolver, op, mode, config).map_err(ReplayError::Fixpoint)?;
         for record in &self.records {
-            let tickets: Vec<u64> = (0..record.batch.inserts.len() as u64)
-                .map(|i| record.ticket_base + i)
-                .collect();
-            apply_batch_ticketed(db, &mut view, &record.batch, &tickets, resolver, op, config)
+            let (batch, first) = (&record.batch, record.ticket_base);
+            apply_batch_ticketed(db, &mut view, batch, first, resolver, op, config)
                 .map_err(|e| ReplayError::Batch(record.epoch, e))?;
         }
         Ok(view)

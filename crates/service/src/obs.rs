@@ -3,7 +3,7 @@
 //!
 //! Every [`ViewService`][crate::ViewService] owns one [`ServiceObs`]:
 //! a [`MetricsRegistry`] that every subsystem's detached counters are
-//! registered into (writer lanes, WAL, checkpointer, health machine,
+//! registered into (writer lock, WAL, checkpointer, health machine,
 //! fault-injecting Vfs, core maintenance), a [`TraceRing`] of the last
 //! N [`BatchTrace`]s, and the batch-level instruments the apply
 //! pipeline feeds directly. Scrapers call
@@ -40,11 +40,9 @@ pub(crate) struct ServiceObs {
     pub(crate) batches_failed: Counter,
     /// Per-stage latency histograms, indexed in [`Stage::ALL`] order.
     stage_hist: Vec<Histogram>,
-    /// Batches applied per writer lane (`lane` label).
-    lane_batches: Vec<Counter>,
-    /// Threads currently waiting for (or holding into) each lane's
-    /// writer lock — the per-lane queue-depth gauge.
-    pub(crate) lane_waiters: Vec<Gauge>,
+    /// Threads currently waiting for the writer lock — the writers'
+    /// queue-depth gauge.
+    pub(crate) writer_waiters: Gauge,
     /// Batches sitting in [`ServiceWorker`][crate::ServiceWorker]
     /// channels, submitted but not yet picked up.
     pub(crate) queue_depth: Gauge,
@@ -56,9 +54,8 @@ pub(crate) struct ServiceObs {
 }
 
 impl ServiceObs {
-    /// Builds the registry and registers every batch-level instrument,
-    /// with one labeled series per writer lane.
-    pub(crate) fn new(opts: &ObsOptions, num_lanes: usize) -> ServiceObs {
+    /// Builds the registry and registers every batch-level instrument.
+    pub(crate) fn new(opts: &ObsOptions) -> ServiceObs {
         let registry = Arc::new(MetricsRegistry::new());
         let batches_applied = registry.counter(
             "mmv_batches_applied_total",
@@ -82,27 +79,10 @@ impl ServiceObs {
                 h
             })
             .collect();
-        let mut lane_batches = Vec::with_capacity(num_lanes);
-        let mut lane_waiters = Vec::with_capacity(num_lanes);
-        for lane in 0..num_lanes {
-            let label = lane.to_string();
-            let c = Counter::new();
-            registry.register_counter(
-                "mmv_lane_batches_total",
-                "Batches that touched this writer lane",
-                &[("lane", &label)],
-                &c,
-            );
-            lane_batches.push(c);
-            let g = Gauge::new();
-            registry.register_gauge(
-                "mmv_lane_lock_waiters",
-                "Threads currently queued on this lane's writer lock",
-                &[("lane", &label)],
-                &g,
-            );
-            lane_waiters.push(g);
-        }
+        let writer_waiters = registry.gauge(
+            "mmv_writer_lock_waiters",
+            "Threads currently queued on the writer lock",
+        );
         let queue_depth = registry.gauge(
             "mmv_worker_queue_depth",
             "Batches submitted to service workers and not yet applied",
@@ -124,8 +104,7 @@ impl ServiceObs {
             batches_applied,
             batches_failed,
             stage_hist,
-            lane_batches,
-            lane_waiters,
+            writer_waiters,
             queue_depth,
             publish_epoch,
             view_entries,
@@ -150,17 +129,12 @@ impl ServiceObs {
     }
 
     /// Records one published batch: the trace (ring + per-stage
-    /// histograms, skipping stages that did not run), the batch and
-    /// per-lane counters, the epoch/view-size gauges, and the core
-    /// maintenance counters. Only called when `enabled`.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one argument per recorded counter family"
-    )]
+    /// histograms, skipping stages that did not run), the batch counter,
+    /// the epoch/view-size gauges, and the core maintenance counters.
+    /// Only called when `enabled`.
     pub(crate) fn record_applied(
         &self,
         trace: BatchTrace,
-        touched: impl Iterator<Item = usize>,
         stats: &BatchStats,
         copied_pages: u64,
         copied_indexes: u64,
@@ -173,9 +147,6 @@ impl ServiceObs {
             if nanos != 0 {
                 self.stage_hist[i].observe(nanos);
             }
-        }
-        for lane in touched {
-            self.lane_batches[lane].inc();
         }
         self.publish_epoch.set_max(trace.epoch as i64);
         self.view_entries.set(stats.view_entries as i64);
@@ -272,28 +243,31 @@ mod tests {
 
     #[test]
     fn record_applied_feeds_registry_and_ring() {
-        let obs = ServiceObs::new(&ObsOptions::default(), 2);
+        let obs = ServiceObs::new(&ObsOptions::default());
         let mut trace = BatchTrace {
             epoch: 7,
-            shards_touched: 1,
             ..BatchTrace::default()
         };
         trace.record(Stage::Apply, std::time::Duration::from_micros(10));
-        let stats = BatchStats::empty();
-        obs.record_applied(trace, [1usize].into_iter(), &stats, 3, 1, 5, 2);
+        let stats = BatchStats {
+            deletes: mmv_core::DeleteStats::None,
+            inserts: mmv_core::InsertBatchStats::default(),
+            view_entries: 0,
+        };
+        obs.record_applied(trace, &stats, 3, 1, 5, 2);
         assert_eq!(obs.traces.recent().len(), 1);
         assert_eq!(obs.stage_histogram(Stage::Apply).snapshot().count(), 1);
         assert_eq!(obs.stage_histogram(Stage::Split).snapshot().count(), 0);
         let text = obs.registry.render_prometheus();
         assert!(text.contains("mmv_batches_applied_total 1"));
-        assert!(text.contains("mmv_lane_batches_total{lane=\"1\"} 1"));
+        assert!(text.contains("mmv_writer_lock_waiters 0"));
         assert!(text.contains("mmv_publish_epoch 7"));
         mmv_obs::validate_prometheus(&text).expect("scrape parses");
     }
 
     #[test]
     fn disabled_obs_keeps_trace_ring_empty() {
-        let obs = ServiceObs::new(&ObsOptions::disabled(), 1);
+        let obs = ServiceObs::new(&ObsOptions::disabled());
         assert!(!obs.enabled);
         assert_eq!(obs.traces.capacity(), 0);
     }

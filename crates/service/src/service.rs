@@ -1,65 +1,53 @@
-//! The concurrent view service: per-predicate writer lanes, many
-//! snapshot readers.
+//! The concurrent view service: one writer, many snapshot readers.
 //!
 //! # Concurrency model
 //!
-//! The clause dependency graph partitions the database's predicates
-//! into independent groups ([`ShardMap`]); the service gives each group
-//! its own **writer lane** — a mutable shard view plus a shard epoch,
-//! guarded by the lane's own `Mutex` — and each lane maintains its
-//! slice of the view with the sub-database of its own clauses (original
-//! clause numbering preserved, so supports are identical to the
-//! unsharded run). Batches that touch one shard take only that lane's
-//! lock, so updates to independent predicates maintain concurrently;
-//! cross-shard batches acquire their lanes in canonical (ascending
-//! shard id) order, which makes lane deadlock impossible.
+//! The service keeps one writer view behind one writer mutex and
+//! publishes one [`ViewSnapshot`] per applied batch. Writers take turns
+//! on the lock; readers never take it. Maintenance needs no static
+//! partition of the program to stay local: `P_OUT`, rederivation and
+//! `P_ADD` unfold only from the updated predicates, and the round
+//! driver visits only the rules that read a predicate of its delta.
 //!
 //! # The commit path
 //!
-//! Every batch runs one pipeline, one function per stage: route it to
-//! its lanes, lock them, maintain each lane's view, **commit**, then
-//! hand a due checkpoint to the background thread and record
-//! telemetry. Commit is the only way a batch becomes visible, and it
-//! publishes in **two phases**: after maintenance, each touched lane's
-//! view is frozen into a per-shard [`ViewSnapshot`] (phase one, an
-//! `Arc`-bump clone under the CoW store); then, under the log lock, the
-//! batch is given its global epoch and its [`LogRecord`] is appended,
-//! and all frozen snapshots are swapped into the published table
-//! inside one critical section of a small publication lock, which also
-//! advances the global epoch (phase two). Readers call
-//! [`ViewService::snapshot`], which clones the prebuilt composite
-//! [`ServiceSnapshot`] under the same lock — so a reader observes
-//! either none or all of a cross-shard batch's shard snapshots, never
-//! a torn multi-shard epoch. Queries then run entirely on the caller's
-//! own handles, unsynchronized: readers are never blocked by
-//! maintenance and never observe a half-applied batch. The global
-//! epoch (one tick per batch) and every shard epoch (one tick per
-//! batch touching the shard) increase monotonically.
+//! Every batch runs one pipeline, one function per stage: lock the
+//! writer view, maintain it, **commit**, then hand a due checkpoint to
+//! the background thread and record telemetry. Commit is the only way a
+//! batch becomes visible: the maintained view is frozen into the next
+//! [`ViewSnapshot`] (an `Arc`-bump clone under the CoW store), the
+//! batch's WAL frame is written, its [`LogRecord`] appended, and the
+//! snapshot swapped into the published table under a small publication
+//! lock. Readers call [`ViewService::snapshot`], which clones the
+//! published snapshot under the same lock, and then query entirely on
+//! their own handle, unsynchronized: readers are never blocked by
+//! maintenance and never observe a half-applied batch. The epoch (one
+//! tick per batch) increases monotonically.
 //!
 //! # Durability
 //!
 //! With [`Durability::durable`] commit first writes the record as a
-//! write-ahead-log frame, under the same hold of the log lock and
-//! *before* the record is mirrored or anything is swapped — a frame
-//! that fails to reach the OS rejects the batch like any other error.
-//! Where the append itself settles durability ([`FsyncPolicy::Always`],
-//! [`FsyncPolicy::Never`]) the swap follows at once; under
-//! [`FsyncPolicy::GroupCommit`] the writer releases the log lock and
-//! waits — its lanes still locked — for the flusher to make the frame
-//! durable ([`crate::wal`]), and only then swaps. A background thread
-//! periodically checkpoints the whole served view
+//! write-ahead-log frame, *before* the record is mirrored or anything is
+//! swapped — a frame that fails to reach the OS rejects the batch like
+//! any other error. Where the append itself settles durability
+//! ([`FsyncPolicy::Always`], [`FsyncPolicy::Never`]) the swap follows at
+//! once; under [`FsyncPolicy::GroupCommit`] the writer waits, still
+//! holding the writer lock, for the flusher to make the frame durable
+//! ([`crate::wal`]), and only then swaps. So group commit coalesces the
+//! frames of one writer's wait, not those of several writers. A
+//! background thread periodically checkpoints the served view
 //! ([`crate::checkpoint`]); [`ViewService::recover`] rebuilds the
 //! service from the newest valid checkpoint plus the WAL tail.
 //!
 //! # Failure semantics
 //!
 //! A batch can fail at three points — maintenance, the WAL append, the
-//! durability wait — and all three undo it through the same abort:
-//! every locked lane's writer view and shard epoch are restored from
-//! its last published shard snapshot (an `Arc` re-adoption, not a
-//! rebuild), its tickets and epoch are handed back, and a record
-//! already mirrored is retracted. Nothing was swapped before any of
-//! them, so no reader could observe the batch; it is rejected with
+//! durability wait — and all three undo it through the same abort: the
+//! writer view re-adopts the last published snapshot's view (an `Arc`
+//! re-adoption, not a rebuild). The epoch and the ticket counter live
+//! in the published table and move only at the swap, so a failed batch
+//! hands nothing back. Nothing was swapped before any failure point, so
+//! no reader could observe the batch; it is rejected with
 //! [`ServiceError::Batch`] (or [`ServiceError::Storage`], when the WAL
 //! failed).
 //!
@@ -71,49 +59,45 @@
 //! [`ServiceConfig::retry`][crate::ServiceConfig]) inside the WAL and
 //! checkpointer and never surface. A *persistent* WAL failure rejects
 //! the batch and flips the service [`ServiceHealth::ReadOnly`]:
-//! subsequent writes fail fast with [`ServiceError::ReadOnly`] (no
-//! lane is locked, no ticket burned) while readers keep being served
-//! the last published composite snapshot, untouched. A background
-//! probe periodically re-opens the WAL and restores
-//! [`ServiceHealth::Healthy`] when storage recovers; every transition
-//! is journaled ([`ViewService::health_transitions`]) and written to
-//! the WAL as a `health` frame. Persistent *checkpoint* failures only
-//! degrade health ([`ServiceHealth::Degraded`]) — writes and reads
-//! continue, recovery just replays a longer WAL tail — and the
-//! checkpointer retries in the background rather than dying.
+//! subsequent writes fail fast with [`ServiceError::ReadOnly`] (the
+//! writer lock is not taken) while readers keep being served the last
+//! published snapshot, untouched. A background probe periodically
+//! re-opens the WAL and restores [`ServiceHealth::Healthy`] when storage
+//! recovers; every transition is journaled
+//! ([`ViewService::health_transitions`]) and written to the WAL as a
+//! `health` frame. Persistent *checkpoint* failures only degrade health
+//! ([`ServiceHealth::Degraded`]) — writes and reads continue, recovery
+//! just replays a longer WAL tail — and the checkpointer retries in the
+//! background rather than dying.
 //!
-//! A batch that *panics* mid-application poisons the mutexes of the
-//! lanes it held. Poison is not fatal and not contagious: the other
-//! lanes keep accepting batches and readers keep being served from the
-//! published table throughout. The next `apply` that routes a batch to
-//! a poisoned lane recovers it — the poison is cleared, the lane's
-//! writer view is rebuilt from its last published shard snapshot, and a
-//! [`Recovery`] record is logged — so exactly the panicking batch is
-//! lost, and the service keeps serving and accepting batches on every
-//! lane.
+//! A batch that *panics* mid-application poisons the writer mutex.
+//! Poison is not fatal: readers keep being served from the published
+//! table throughout, and the next `apply` recovers the writer — the
+//! poison is cleared, the writer view is rebuilt from the last published
+//! snapshot, and a [`Recovery`] record is logged — so exactly the
+//! panicking batch is lost, and the service keeps serving and accepting
+//! batches.
 
 use crate::checkpoint::{self, CheckpointStats, Checkpointer};
 use crate::config::{not_durable, Durability, RecoveryReport, ServiceConfig, ViewServiceBuilder};
 use crate::health::{Health, HealthProbe, HealthTransition, ServiceHealth};
-use crate::lanes::{Frozen, LaneGuard, Lanes, Publication, Retired};
 use crate::log::{LogRecord, Recovery, ReplayError, UpdateLog};
 use crate::obs::{ServiceObs, StageClock};
-use crate::snapshot::{Epoch, PublishStats, ServiceSnapshot, ViewSnapshot};
+use crate::snapshot::{Epoch, PublishStats, ViewSnapshot};
 use crate::vfs::StorageOp;
 use crate::wal::{self, FsyncPolicy, StorageError, Wal, WalStats};
+use crate::writer::{Publication, Writer};
 use mmv_constraints::solver::SolverConfig;
 use mmv_constraints::{DomainResolver, Value};
 use mmv_core::batch::{apply_batch_ticketed, BatchError, BatchStats, UpdateBatch};
 use mmv_core::delete_dred::DredError;
 use mmv_core::parser::{render_wal_batch, render_wal_payload, WalPayload};
 use mmv_core::pool::WorkerPool;
-use mmv_core::shard::{ShardId, ShardMap};
 use mmv_core::tp::{fixpoint, FixpointConfig, FixpointError, Operator, ParallelFixpoint};
 use mmv_core::view::ShareStats;
 use mmv_core::{ConstrainedDatabase, InstanceError, MaterializedView};
 use mmv_obs::sync::lock_clean;
 use mmv_obs::{BatchTrace, HistogramSnapshot, MetricsRegistry, Stage};
-use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
@@ -123,10 +107,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// A resolver the service can share across reader and writer threads.
 pub type SharedResolver = Arc<dyn DomainResolver + Send + Sync>;
 
-/// A fault-injection hook: called with the shard id right before each
-/// per-lane maintenance step. Tests install one that panics to exercise
-/// the poisoned-lane recovery path.
-pub type FaultHook = Box<dyn FnMut(ShardId) + Send>;
+/// A fault-injection hook: called after each batch's maintenance, before
+/// its commit. Tests install one that panics to exercise the
+/// poisoned-writer recovery path: the writer view then holds a batch
+/// that was never published.
+pub type FaultHook = Box<dyn FnMut() + Send>;
 
 /// Service failure — the one error type every `mmv-service` entry
 /// point reports, layered over the lower-level errors it wraps
@@ -136,7 +121,7 @@ pub type FaultHook = Box<dyn FnMut(ShardId) + Send>;
 pub enum ServiceError {
     /// Building the initial view failed.
     Build(FixpointError),
-    /// Applying a batch failed; every touched lane was rolled back and
+    /// Applying a batch failed; the writer view was rolled back and
     /// nothing was published.
     Batch(BatchError),
     /// Re-applying a logged batch during recovery failed.
@@ -145,8 +130,8 @@ pub enum ServiceError {
     /// on-disk state during recovery.
     Storage(StorageError),
     /// The service is read-only after a persistent storage failure:
-    /// the batch was rejected before touching any lane. Readers are
-    /// unaffected; the background probe restores write service when
+    /// the batch was rejected before taking the writer lock. Readers
+    /// are unaffected; the background probe restores write service when
     /// storage recovers (watch [`ViewService::health`]).
     ReadOnly,
     /// The worker channel is closed (the worker already shut down).
@@ -190,17 +175,15 @@ impl std::error::Error for ServiceError {
 /// The outcome of one applied batch.
 #[derive(Debug, Clone, Copy)]
 pub struct Applied {
-    /// The global epoch the batch produced.
+    /// The epoch the batch produced.
     pub epoch: Epoch,
-    /// Maintenance statistics (merged across the touched shards).
+    /// Maintenance statistics.
     pub stats: BatchStats,
     /// Wall-clock maintenance latency (excluding snapshot publication).
     pub latency: std::time::Duration,
-    /// Publication cost: the two-phase freeze-and-swap time and the
-    /// batch's copied-vs-shared page accounting over touched shards.
+    /// Publication cost: the freeze-and-swap time and the batch's
+    /// copied-vs-shared page accounting.
     pub publish: PublishStats,
-    /// Writer lanes the batch touched (≥ 2: a cross-shard publish).
-    pub shards_touched: usize,
 }
 
 /// The durable half of the service: the open WAL, the background
@@ -213,54 +196,6 @@ struct DurableState {
     checkpoint_every: u64,
 }
 
-/// A batch's reserved external-insertion ticket range, rolled back on
-/// drop unless committed. The rollback covers every way maintenance
-/// can fail to publish — an error return *or a panic unwinding out of
-/// `apply`* (a panicked batch must not burn tickets: its lanes recover
-/// to the pre-batch published state). It is conditional on nothing
-/// having interleaved, so numbering stays gapless under sequential
-/// use; a concurrently rolled-back batch may leave a gap, which
-/// neither replay nor recovery depends on — both reissue each batch's
-/// recorded tickets (see `crate::log`).
-struct TicketReservation<'a> {
-    counter: &'a Mutex<u64>,
-    base: u64,
-    n: u64,
-    committed: bool,
-}
-
-impl<'a> TicketReservation<'a> {
-    fn reserve(counter: &'a Mutex<u64>, n: u64) -> Self {
-        let mut t = lock_clean(counter);
-        let base = *t;
-        *t += n;
-        TicketReservation {
-            counter,
-            base,
-            n,
-            committed: false,
-        }
-    }
-
-    /// Marks the tickets as consumed — called at the swap that
-    /// publishes the batch (the point of no return).
-    fn commit(&mut self) {
-        self.committed = true;
-    }
-}
-
-impl Drop for TicketReservation<'_> {
-    fn drop(&mut self) {
-        if self.committed || self.n == 0 {
-            return;
-        }
-        let mut t = lock_clean(self.counter);
-        if *t == self.base + self.n {
-            *t = self.base;
-        }
-    }
-}
-
 /// Replay context for one logged batch: publish under the *recorded*
 /// epoch with the *recorded* ticket base. (Recovery replays before the
 /// durable stack is opened, so the record being replayed — already on
@@ -270,44 +205,22 @@ struct ReplayCtx {
     ticket_base: u64,
 }
 
-/// One lane's share of a routed batch: its requests, and the positions
-/// its insertions held in the whole batch (the ticket offsets).
-struct LanePart<'b> {
-    shard: ShardId,
-    batch: Cow<'b, UpdateBatch>,
-    insert_positions: Vec<usize>,
-}
-
-/// A batch in flight between lane acquisition and publication: the
-/// locked lanes (ascending shard order) and the ticket range — the
-/// state [`ViewService::abort`] restores.
-struct Txn<'a> {
-    lanes: Vec<(ShardId, LaneGuard<'a>)>,
-    ticket_base: u64,
-    /// `None` during replay, which reuses the recorded tickets.
-    reservation: Option<TicketReservation<'a>>,
-}
-
 /// What [`ViewService::commit`] published.
 struct Committed {
-    epoch: Epoch,
-    /// Entries in the published composite right after the swap.
-    view_entries: usize,
-    /// The composite to hand to the checkpointer, when the batch
-    /// landed on the checkpoint cadence.
-    checkpoint: Option<Arc<ServiceSnapshot>>,
+    /// The snapshot to hand to the checkpointer, with the ticket counter
+    /// after it, when the batch landed on the checkpoint cadence.
+    checkpoint: Option<(Arc<ViewSnapshot>, u64)>,
     /// What the swap took out of the published table, for the writer
-    /// to reclaim once the log lock is released.
-    retired: Vec<Retired>,
+    /// to reclaim.
+    retired: Arc<ViewSnapshot>,
 }
 
 /// A long-lived concurrent view service over one constrained database.
 ///
 /// Construct with [`ViewService::builder`] (all knobs defaulted —
-/// shard layout, durability, resolver, operator, support mode,
-/// fixpoint budgets), share behind an `Arc`, read via
-/// [`ViewService::snapshot`] from any thread, and write via
-/// [`ViewService::apply`] (directly, or through a
+/// durability, resolver, operator, support mode, fixpoint budgets),
+/// share behind an `Arc`, read via [`ViewService::snapshot`] from any
+/// thread, and write via [`ViewService::apply`] (directly, or through a
 /// [`ServiceWorker`][crate::ServiceWorker]). A durable service is
 /// rebuilt after a crash with [`ViewService::recover`].
 pub struct ViewService {
@@ -315,38 +228,21 @@ pub struct ViewService {
     resolver: SharedResolver,
     op: Operator,
     config: FixpointConfig,
-    /// The shared intra-lane work-stealing pool, `None` when the
-    /// resolved width is 1 (parallelism disabled — every round runs on
-    /// the lane's own thread). When present, `config.parallel` lets the
-    /// round driver submit every lane's rounds to it.
+    /// The work-stealing pool, `None` when the resolved width is 1
+    /// (parallelism disabled — every round runs on the writer's own
+    /// thread). When present, `config.parallel` lets the round driver
+    /// submit rounds to it.
     pool: Option<Arc<WorkerPool>>,
-    shards: Arc<ShardMap>,
-    /// Per lane: the sub-database of the shard's clauses.
-    lane_dbs: Vec<ConstrainedDatabase>,
-    lanes: Lanes,
+    writer: Writer,
     published: Publication,
-    /// The update log; a durable service writes each record's WAL
-    /// frame under the same lock, first. Lock order: the log lock is
-    /// always taken *before* the publication lock by any thread that
-    /// holds both.
+    /// The update log, one record per published batch.
     log: Mutex<UpdateLog>,
-    /// Global external-insertion ticket counter: each batch reserves
-    /// one ticket per insertion request, so a split batch issues the
-    /// same tickets the unsplit batch would.
-    tickets: Mutex<u64>,
-    /// The next-global-epoch allocator (the last allocated epoch).
-    /// Under deferred publication the *published* epoch lags frames
-    /// already in the WAL, so allocation cannot read it; this counter
-    /// is the source of truth, advanced under the log lock so WAL
-    /// frames append in epoch order.
-    next_epoch: Mutex<Epoch>,
     /// Health state machine + transition journal (shared with the
     /// checkpointer and the storage probe).
     health: Arc<Health>,
     durable: Option<DurableState>,
     /// Cheap "a fault hook is installed" flag so the hot write path
-    /// never touches the hook mutex (a cross-lane serialization point)
-    /// outside of tests.
+    /// never touches the hook mutex outside of tests.
     fault_armed: AtomicBool,
     fault: Mutex<Option<FaultHook>>,
     /// Unified metrics registry + batch-lifecycle trace ring; every
@@ -359,7 +255,6 @@ impl fmt::Debug for ViewService {
         let snap = self.snapshot();
         f.debug_struct("ViewService")
             .field("epoch", &snap.epoch())
-            .field("shards", &snap.shard_count())
             .field("entries", &snap.len())
             .field("mode", &snap.mode())
             .field("durable", &self.durable.is_some())
@@ -374,20 +269,16 @@ impl ViewService {
         ViewServiceBuilder::new()
     }
 
-    /// Splits `db` into writer lanes, builds each lane's view
-    /// (`op ↑ ω (∅)` of the lane's sub-database), and publishes the
-    /// composite as global epoch 0. With [`Durability::durable`] the
-    /// WAL is opened too — the directory must hold no earlier
-    /// WAL/checkpoint state (that is what [`ViewService::recover`] is
-    /// for).
+    /// Builds the view (`op ↑ ω (∅)` of `db`) and publishes it as epoch
+    /// 0. With [`Durability::durable`] the WAL is opened too — the
+    /// directory must hold no earlier WAL/checkpoint state (that is what
+    /// [`ViewService::recover`] is for).
     pub fn with_config(
         db: ConstrainedDatabase,
         config: ServiceConfig,
     ) -> Result<Self, ServiceError> {
-        let shards = Arc::new(ShardMap::from_db(&db, &config.shards));
-        let lane_dbs = Self::lane_dbs(&db, &shards);
-        let lanes = Self::base_lanes(&lane_dbs, &config)?;
-        let mut svc = Self::assemble(db, &config, shards, lane_dbs, lanes, 0, 0);
+        let view = Self::base_view(&db, &config)?;
+        let mut svc = Self::assemble(db, &config, view, 0, 0);
         if let Some(dir) = config.durability.dir() {
             Self::require_fresh_dir(dir)?;
             svc.open_durable(dir, &config, 1)?;
@@ -396,20 +287,19 @@ impl ViewService {
     }
 
     /// Recovers a durable service from `dir`: loads the newest valid
-    /// checkpoint (if any — otherwise each lane is built from its
-    /// sub-database, as [`ViewService::with_config`] builds it),
-    /// replays every WAL record past it through the normal ticketed
-    /// batch path, truncates a torn final frame per the torn-tail
-    /// contract, and reopens the WAL for appending. Replay reissues
-    /// each batch's recorded tickets and epoch, so the recovered view
-    /// is syntactically identical to the pre-crash served view under
-    /// any interleaving of the original writers.
+    /// checkpoint (if any — otherwise the view is built from the
+    /// database, as [`ViewService::with_config`] builds it), replays
+    /// every WAL record past it through the normal ticketed batch path,
+    /// truncates a torn final frame per the torn-tail contract, and
+    /// reopens the WAL for appending. Replay reissues each batch's
+    /// recorded tickets and epoch, so the recovered view is
+    /// syntactically identical to the pre-crash served view.
     ///
     /// `config` must match the database the WAL was written against
-    /// (same operator, support mode, and shard layout) and be durable
-    /// (anything else is a [`ServiceError::Storage`]); its fsync and
-    /// checkpoint knobs apply, its directory is ignored in favor of
-    /// `dir`.
+    /// (same operator and support mode), and the checkpoint must hold
+    /// one view section; `config` must be durable (anything else is a
+    /// [`ServiceError::Storage`]). Its fsync and checkpoint knobs apply,
+    /// its directory is ignored in favor of `dir`.
     pub fn recover(
         dir: &Path,
         db: ConstrainedDatabase,
@@ -421,8 +311,6 @@ impl ViewService {
         let (op, mode) = (config.op, config.mode);
         let chk = checkpoint::load_newest(dir).map_err(ServiceError::Storage)?;
         let scan = wal::scan_dir(dir, true).map_err(ServiceError::Storage)?;
-        let shards = Arc::new(ShardMap::from_db(&db, &config.shards));
-        let lane_dbs = Self::lane_dbs(&db, &shards);
         let mismatch = |detail: String| {
             ServiceError::Storage(StorageError::Corrupt {
                 file: dir.to_path_buf(),
@@ -430,43 +318,38 @@ impl ViewService {
                 detail,
             })
         };
-        let (lanes, base_epoch, tickets) = match &chk {
+        let (view, base_epoch, tickets) = match &chk {
             Some(c) => {
                 let found = (c.mode, c.op, c.shards.len());
-                let configured = (mode, op, shards.num_shards());
+                let configured = (mode, op, 1);
                 if found != configured {
                     return Err(mismatch(format!(
                         "checkpoint (mode, op, shards) {found:?} != configured {configured:?}"
                     )));
                 }
-                // The lanes' variable generator must clear both the
+                // The view's variable generator must clear both the
                 // database's own variables and every variable a
                 // checkpointed entry uses (entries are stored with
                 // exact variable identity).
                 let mut gen = db.fresh_gen();
-                let entries = || c.shards.iter().flat_map(|(_, entries)| entries);
-                for e in entries() {
+                let entries = &c.shards[0].1;
+                for e in entries {
                     let mut vs = e.atom.free_vars();
                     for t in e.children_args.iter().flatten() {
                         t.collect_vars(&mut vs);
                     }
                     vs.iter().for_each(|v| gen.reserve_below(v.0 + 1));
                 }
-                let mut views: Vec<MaterializedView> = (0..shards.num_shards())
-                    .map(|_| MaterializedView::new(mode, gen.clone()))
-                    .collect();
-                for e in entries() {
+                let mut view = MaterializedView::new(mode, gen);
+                for e in entries {
                     let (atom, support) = (e.atom.clone(), e.support.clone());
-                    let s = shards.shard_of(&atom.pred);
-                    views[s].insert(atom, support, e.children_args.clone());
+                    view.insert(atom, support, e.children_args.clone());
                 }
-                let lane_epochs = c.shards.iter().map(|(e, _)| *e);
-                let lanes = views.into_iter().zip(lane_epochs).collect();
-                (lanes, c.epoch, c.tickets)
+                (view, c.epoch, c.tickets)
             }
-            None => (Self::base_lanes(&lane_dbs, &config)?, 0, 0),
+            None => (Self::base_view(&db, &config)?, 0, 0),
         };
-        let mut svc = Self::assemble(db, &config, shards, lane_dbs, lanes, base_epoch, tickets);
+        let mut svc = Self::assemble(db, &config, view, base_epoch, tickets);
         // Replay runs on the still in-memory service: the batches go
         // through the normal commit path — landing in the log as they
         // did originally — but no frame is written, since `durable` is
@@ -494,11 +377,8 @@ impl ViewService {
                     })?;
                     replayed += 1;
                 }
-                WalPayload::Recovery { shard, epoch } => {
-                    lock_clean(&svc.log).record_recovery(Recovery {
-                        shard: *shard,
-                        epoch: *epoch,
-                    })
+                WalPayload::Recovery { epoch, .. } => {
+                    lock_clean(&svc.log).record_recovery(Recovery { epoch: *epoch })
                 }
                 _ => {}
             }
@@ -561,71 +441,48 @@ impl ViewService {
         Ok(())
     }
 
-    /// Each lane's sub-database: `db` restricted to the shard's clauses.
-    fn lane_dbs(db: &ConstrainedDatabase, shards: &ShardMap) -> Vec<ConstrainedDatabase> {
-        (0..shards.num_shards())
-            .map(|s| shards.restrict_db(db, s))
-            .collect()
-    }
-
-    /// The lanes of a service starting from scratch, every shard at
-    /// epoch 0: each lane's view is `op ↑ ω (∅)` of its own
-    /// sub-database, and the built view is the lane's view as-is.
-    /// Shards are closed under clause dependencies, so that fixpoint is
-    /// exactly the lane's part of the whole database's view, and
-    /// `max_entries` bounds each lane, as it does in every batch. A
-    /// single-lane service builds its one lane the same way.
-    fn base_lanes(
-        lane_dbs: &[ConstrainedDatabase],
+    /// The view of a service starting from scratch: `op ↑ ω (∅)` of
+    /// `db`, with `max_entries` bounding it as in every batch.
+    fn base_view(
+        db: &ConstrainedDatabase,
         config: &ServiceConfig,
-    ) -> Result<Vec<(MaterializedView, Epoch)>, ServiceError> {
+    ) -> Result<MaterializedView, ServiceError> {
         let (resolver, op, mode) = (config.resolver.as_ref(), config.op, config.mode);
-        // The lanes build on the caller thread, one after another, off
-        // the worker pool. One pool task per lane built faster but
-        // raised peak RSS by 7–13 % on the layered and durable
-        // benchmark workloads: glibc gives each worker thread that
-        // allocates a view its own malloc arena. Pooled rounds inside
-        // each lane's build saved no time over inline rounds and still
-        // raised peak RSS by ~4 %.
-        lane_dbs
-            .iter()
-            .map(|lane_db| {
-                let (view, _) = fixpoint(lane_db, resolver, op, mode, &config.fixpoint)
-                    .map_err(ServiceError::Build)?;
-                Ok((view, 0))
-            })
-            .collect()
+        // The view builds on the caller thread, off the worker pool:
+        // `config.fixpoint` is not yet wired to the pool here. Pooled
+        // build rounds saved no time over inline rounds and raised peak
+        // RSS by ~4 % on the layered benchmark workloads (glibc gives
+        // each worker thread that allocates its own malloc arena).
+        let (view, _) =
+            fixpoint(db, resolver, op, mode, &config.fixpoint).map_err(ServiceError::Build)?;
+        Ok(view)
     }
 
-    /// Assembles the in-memory service from prepared lanes — each a
-    /// shard view and its shard epoch, beside the shard's sub-database
-    /// — at global `epoch` (shared by fresh construction and recovery).
+    /// Assembles the in-memory service around `view`, published at
+    /// `epoch` with ticket counter `tickets` (shared by fresh
+    /// construction and recovery).
     fn assemble(
         db: ConstrainedDatabase,
         config: &ServiceConfig,
-        shards: Arc<ShardMap>,
-        lane_dbs: Vec<ConstrainedDatabase>,
-        lane_views: Vec<(MaterializedView, Epoch)>,
+        view: MaterializedView,
         epoch: Epoch,
         tickets: u64,
     ) -> ViewService {
         let resolver = config.resolver.clone();
         let mut fx = config.fixpoint.clone();
-        let (lanes, published) = Lanes::new(lane_views, epoch, shards.clone());
+        let (writer, published) = Writer::new(view, epoch, tickets);
         let health = Arc::new(Health::default());
         health.note_epoch(epoch);
-        let obs = ServiceObs::new(&config.observability, shards.num_shards());
+        let obs = ServiceObs::new(&config.observability);
         health.register_into(&obs.registry);
         obs.publish_epoch_hint(epoch);
-        // The shared work-stealing pool: builder override, then the
+        // The work-stealing pool: builder override, then the
         // MMV_POOL_THREADS environment variable, then the host's
         // available parallelism. Width 1 means no pool at all — every
-        // lane runs its rounds on its own thread. An explicitly
+        // round runs on the writer's own thread. An explicitly
         // pre-wired `config.parallel` (a caller-owned pool) is
-        // respected as-is. The pool serves batches only, and lane
-        // builds stay off it: one pool task per lane raised peak RSS by
-        // 7–13 %, and pooled rounds inside a lane's build saved no time
-        // (see `base_lanes`).
+        // respected as-is. The pool serves batches only; the build
+        // stays off it (see `base_view`).
         let threads = Self::resolve_pool_threads(config.pool_threads);
         let pool = if threads > 1 && fx.parallel.is_none() {
             let pool = Arc::new(WorkerPool::new(threads));
@@ -644,13 +501,9 @@ impl ViewService {
             op: config.op,
             config: fx,
             pool,
-            shards,
-            lane_dbs,
-            lanes,
+            writer,
             published,
             log: Mutex::new(UpdateLog::new()),
-            tickets: Mutex::new(tickets),
-            next_epoch: Mutex::new(epoch),
             health,
             durable: None,
             fault_armed: AtomicBool::new(false),
@@ -708,9 +561,8 @@ impl ViewService {
         &self.config
     }
 
-    /// The shared intra-lane work-stealing pool, `None` when the
-    /// resolved width is 1 (parallelism disabled). All lanes submit
-    /// their hot-loop tasks here; its instruments
+    /// The work-stealing pool that runs a round's splits, `None` when
+    /// the resolved width is 1 (parallelism disabled). Its instruments
     /// (`mmv_pool_tasks_total`, `mmv_pool_steals_total`,
     /// `mmv_pool_workers_busy`) are registered in
     /// [`ViewService::metrics`].
@@ -736,11 +588,6 @@ impl ViewService {
                     .map(|n| n.get())
                     .unwrap_or(1)
             })
-    }
-
-    /// The predicate → writer-lane partition.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.shards
     }
 
     /// Cumulative WAL I/O counters (`None` for an in-memory service).
@@ -779,7 +626,7 @@ impl ViewService {
         self.health.transitions_total()
     }
 
-    /// The service's unified metrics registry: writer-lane, WAL,
+    /// The service's unified metrics registry: writer-lock, WAL,
     /// checkpoint, health, storage-fault, and core maintenance
     /// counters, all behind lock-free handles. Scrape with
     /// [`MetricsRegistry::render_prometheus`] or
@@ -791,8 +638,8 @@ impl ViewService {
     }
 
     /// The most recent completed batch traces, oldest first: per-stage
-    /// wall-clock through split → lock wait → apply → WAL render →
-    /// append → fsync wait → publish → checkpoint staging. Bounded by
+    /// wall-clock through lock wait → apply → WAL render → append →
+    /// fsync wait → publish → checkpoint staging. Bounded by
     /// [`ObsOptions::trace_capacity`][crate::config::ObsOptions];
     /// empty when observability is disabled.
     pub fn recent_traces(&self) -> Vec<BatchTrace> {
@@ -806,69 +653,65 @@ impl ViewService {
         self.obs.stage_histogram(stage).snapshot()
     }
 
-    /// Hands the current composite snapshot to the background
-    /// checkpointer regardless of cadence. Returns `false` for an
-    /// in-memory service or when a checkpoint is already in flight.
+    /// Hands the current snapshot to the background checkpointer
+    /// regardless of cadence. Returns `false` for an in-memory service
+    /// or when a checkpoint is already in flight.
     pub fn request_checkpoint(&self) -> bool {
         let Some(d) = &self.durable else { return false };
-        let snap = self.snapshot();
-        let tickets = *lock_clean(&self.tickets);
+        let (snap, tickets) = self.published.state();
         d.checkpointer.request(snap, tickets)
     }
 
-    /// Installs (or clears) the fault-injection hook called with the
-    /// shard id right before each per-lane maintenance step. Test
-    /// support: a hook that panics exercises exactly the mid-batch
-    /// writer panic the poisoned-lane recovery exists for.
+    /// Installs (or clears) the fault-injection hook called after each
+    /// batch's maintenance, before its commit. Test support: a hook that
+    /// panics exercises exactly the mid-batch writer panic the
+    /// poisoned-writer recovery exists for.
     pub fn set_fault_hook(&self, hook: Option<FaultHook>) {
         self.fault_armed.store(hook.is_some(), Ordering::Release); // order: armed is a fast-path hint; the fault mutex orders the hook value itself
         *lock_clean(&self.fault) = hook;
     }
 
-    /// Journals a poisoned lane's recovery (see [`Lanes::lock`]) in
-    /// the log and, best-effort, the WAL — with the global epoch as the
-    /// frame's epoch lower bound: a WAL append failure only costs the
-    /// audit trail, never the lane recovery itself.
+    /// Journals a poisoned writer's recovery (see [`Writer::lock`]) in
+    /// the log and, best-effort, the WAL — as the `recovery shard=0`
+    /// frame, with the published epoch as the frame's epoch lower bound:
+    /// a WAL append failure only costs the audit trail, never the
+    /// recovery itself.
     fn journal_recovery(&self, recovery: Recovery) {
-        let mut log = lock_clean(&self.log);
         if let Some(d) = &self.durable {
             let frame = render_wal_payload(&WalPayload::Recovery {
-                shard: recovery.shard,
+                shard: 0,
                 epoch: recovery.epoch,
             });
             let _ = d.wal.append(self.published.epoch(), &frame);
         }
-        log.record_recovery(recovery);
+        lock_clean(&self.log).record_recovery(recovery);
     }
 
-    /// The current composite snapshot, prebuilt at publish time. The
-    /// publication lock is held only for one `Arc` clone; all queries
-    /// on the returned snapshot run without any synchronization with
-    /// the writer lanes.
-    pub fn snapshot(&self) -> Arc<ServiceSnapshot> {
+    /// The current published snapshot. The publication lock is held
+    /// only for one `Arc` clone; all queries on the returned snapshot
+    /// run without any synchronization with the writer.
+    pub fn snapshot(&self) -> Arc<ViewSnapshot> {
         self.published.snapshot()
     }
 
-    /// The global epoch of the current published state.
+    /// The epoch of the current published state.
     pub fn epoch(&self) -> Epoch {
         self.published.epoch()
     }
 
-    /// Applies one batch as a transaction: split it by shard, lock the
-    /// touched lanes in canonical order, maintain each lane's view with
-    /// its own sub-database, then commit — append the log record (for
-    /// a durable service the WAL frame first, write-ahead; under group
-    /// commit the writer then waits for the flusher to make the frame
-    /// durable) and publish all touched shard snapshots atomically
-    /// (two-phase publish). Batches on disjoint shards run
-    /// concurrently; readers are never blocked.
+    /// Applies one batch as a transaction: lock the writer view,
+    /// maintain it, then commit — append the log record (for a durable
+    /// service the WAL frame first, write-ahead; under group commit the
+    /// writer then waits for the flusher to make the frame durable) and
+    /// publish the next snapshot. Writers take turns on the writer
+    /// lock; readers are never blocked.
     ///
-    /// On error every touched lane's writer view is restored from its
-    /// published shard snapshot and nothing is published or logged —
-    /// the failed batch is simply rejected. A persistent storage
-    /// failure additionally flips the service read-only: later writes
-    /// fail fast with [`ServiceError::ReadOnly`] until the background
-    /// probe restores storage (see [`ViewService::health`]).
+    /// On error the writer view is restored from the published snapshot
+    /// and nothing is published or logged — the failed batch is simply
+    /// rejected. A persistent storage failure additionally flips the
+    /// service read-only: later writes fail fast with
+    /// [`ServiceError::ReadOnly`] until the background probe restores
+    /// storage (see [`ViewService::health`]).
     pub fn apply(&self, batch: UpdateBatch) -> Result<Applied, ServiceError> {
         let result = self.apply_inner(batch, None);
         if result.is_err() && self.obs.enabled {
@@ -877,17 +720,17 @@ impl ViewService {
         result
     }
 
-    /// The writer pipeline, one call per [`Stage`] seam: route → lock
-    /// lanes → maintain → commit → checkpoint hand-off and telemetry.
+    /// The writer pipeline, one call per [`Stage`] seam: lock → maintain
+    /// → commit → checkpoint hand-off and telemetry.
     fn apply_inner(
         &self,
         batch: UpdateBatch,
         replay: Option<ReplayCtx>,
     ) -> Result<Applied, ServiceError> {
-        // Fail fast while read-only: the batch is rejected before any
-        // lane is locked or ticket reserved, so degraded-mode writes
-        // cost almost nothing and never contend with readers. (Replay
-        // runs before the durable stack that flips health exists.)
+        // Fail fast while read-only: the batch is rejected before the
+        // writer lock is taken, so degraded-mode writes cost almost
+        // nothing. (Replay runs before the durable stack that flips
+        // health exists.)
         if self.health.current() == ServiceHealth::ReadOnly {
             return Err(ServiceError::ReadOnly);
         }
@@ -895,61 +738,60 @@ impl ViewService {
         // which rebuilds history rather than serving it), it is inert:
         // no clock reads on the uninstrumented path.
         let mut clock = StageClock::new(self.obs.enabled && replay.is_none());
-        let parts = self.route(&batch);
-        clock.lap(Stage::Split);
-        let (ticket_base, reservation) =
-            self.tickets_for(batch.inserts.len() as u64, replay.as_ref());
-        let mut txn = Txn {
-            lanes: self.lock_lanes(&parts),
-            ticket_base,
-            reservation,
-        };
+        let mut view = self
+            .writer
+            .lock(&self.published, &self.obs, |r| self.journal_recovery(r));
         clock.lap(Stage::LockWait);
-        let befores: Vec<ShareStats> = txn
-            .lanes
-            .iter()
-            .map(|(_, g)| g.view.share_stats())
-            .collect();
+        // Only the lock holder publishes, so the published epoch and
+        // ticket counter are this batch's to advance. Replay reissues
+        // the recorded ones.
+        let (last_epoch, next_ticket) = {
+            let (published, next_ticket) = self.published.state();
+            (published.epoch(), next_ticket)
+        };
+        let (epoch, ticket_base) = match &replay {
+            Some(ctx) => (ctx.epoch, ctx.ticket_base),
+            None => (last_epoch + 1, next_ticket),
+        };
+        let tickets = next_ticket.max(ticket_base + batch.inserts.len() as u64);
+        let before = view.share_stats();
 
         // Obs-gated: `None` (no clock read) when observability is off,
         // so the reported batch latency is zero rather than measured.
         let start = clock.now();
-        // `parts` moves in: its borrow of `batch` ends with the stage,
-        // freeing the batch for the log record.
-        let mut stats = match self.maintain(parts, &mut txn) {
+        let stats = match self.maintain(&mut view, &batch, ticket_base) {
             Ok(stats) => stats,
             Err(e) => {
-                self.abort(&mut txn, None);
+                self.abort(&mut view);
                 return Err(ServiceError::Batch(e));
             }
         };
         let latency = clock.since(start);
         clock.lap(Stage::Apply);
 
-        let (frozen, mut publish) = Self::freeze(&mut txn, &befores, &clock);
-        let replay_epoch = replay.map(|ctx| ctx.epoch);
-        let committed = self.commit(&mut txn, batch, frozen, replay_epoch, &mut clock)?;
+        let (frozen, mut publish) = Self::freeze(&view, epoch, &before, &clock);
+        let record = LogRecord {
+            epoch,
+            ticket_base,
+            batch,
+        };
+        let committed = self.commit(&mut view, record, frozen, tickets, &mut clock)?;
+        drop(view);
         // The writer, not a reader, frees the epochs this swap retired.
         clock.mark();
         self.published.reclaim(committed.retired);
         clock.lap(Stage::Publish);
         publish.publish_latency += clock.trace.stage(Stage::Publish);
-        stats.view_entries = committed.view_entries;
-        // Release the lanes, keeping their ids for the lane counters.
-        let touched: Vec<ShardId> = txn.lanes.into_iter().map(|(s, _)| s).collect();
 
-        if let (Some(snap), Some(d)) = (committed.checkpoint, &self.durable) {
+        if let (Some((snap, tickets)), Some(d)) = (committed.checkpoint, &self.durable) {
             clock.mark();
-            let tickets = *lock_clean(&self.tickets);
             d.checkpointer.request(snap, tickets);
             clock.lap(Stage::Checkpoint);
         }
         if let Some(mut trace) = clock.finish() {
-            trace.epoch = committed.epoch;
-            trace.shards_touched = touched.len() as u32;
+            trace.epoch = epoch;
             self.obs.record_applied(
                 trace,
-                touched.iter().copied(),
                 &stats,
                 publish.entry_pages_copied,
                 publish.pred_indexes_copied,
@@ -958,312 +800,173 @@ impl ViewService {
             );
         }
         Ok(Applied {
-            epoch: committed.epoch,
+            epoch,
             stats,
             latency,
             publish,
-            shards_touched: touched.len(),
         })
     }
 
-    /// Stage 1 — route: each request goes to the lane of its
-    /// predicate; parts come back in ascending shard order. The common
-    /// case — every request in one shard (always true single-lane) —
-    /// borrows the batch as-is; only genuinely cross-shard batches pay
-    /// the split's per-atom clones.
-    fn route<'b>(&self, batch: &'b UpdateBatch) -> Vec<LanePart<'b>> {
-        let mut lanes = batch
-            .deletes
-            .iter()
-            .chain(&batch.inserts)
-            .map(|a| self.shards.shard_of(&a.pred));
-        let Some(first) = lanes.next() else {
-            return Vec::new();
-        };
-        if lanes.all(|s| s == first) {
-            return vec![LanePart {
-                shard: first,
-                batch: Cow::Borrowed(batch),
-                insert_positions: (0..batch.inserts.len()).collect(),
-            }];
-        }
-        self.shards
-            .split(batch)
-            .into_iter()
-            .map(|p| LanePart {
-                shard: p.shard,
-                batch: Cow::Owned(p.batch),
-                insert_positions: p.insert_positions,
-            })
-            .collect()
-    }
-
-    /// The batch's external-insertion tickets: one per request,
-    /// globally ordered, so shard-split insertion supports match the
-    /// single-lane (and log-replay) numbering. A live batch reserves
-    /// its range — the RAII reservation hands it back if the batch
-    /// errors or panics before publication. Replay reuses the recorded
-    /// base and only keeps the counter's high-water mark past it.
-    fn tickets_for(
-        &self,
-        n: u64,
-        replay: Option<&ReplayCtx>,
-    ) -> (u64, Option<TicketReservation<'_>>) {
-        match replay {
-            Some(ctx) => {
-                let mut t = lock_clean(&self.tickets);
-                *t = (*t).max(ctx.ticket_base + n);
-                (ctx.ticket_base, None)
-            }
-            None => {
-                let r = TicketReservation::reserve(&self.tickets, n);
-                (r.base, Some(r))
-            }
-        }
-    }
-
-    /// Stage 2 — lock the touched lanes in ascending shard order
-    /// (`parts` is sorted), recovering and journaling any lane a
-    /// panicked batch poisoned.
-    fn lock_lanes(&self, parts: &[LanePart<'_>]) -> Vec<(ShardId, LaneGuard<'_>)> {
-        let shards = parts.iter().map(|p| p.shard);
-        self.lanes.lock(shards, &self.published, &self.obs, |r| {
-            self.journal_recovery(r)
-        })
-    }
-
-    /// Stage 3 — maintain: each locked lane applies its part with the
-    /// lane's own sub-database and the tickets of its insertions. The
-    /// first error stops the batch; the caller aborts it.
+    /// Maintains the writer view: the whole batch in one
+    /// [`apply_batch_ticketed`] pass, its insertions numbered from
+    /// `ticket_base`. The caller aborts the batch on error.
     fn maintain(
         &self,
-        parts: Vec<LanePart<'_>>,
-        txn: &mut Txn<'_>,
+        view: &mut MaterializedView,
+        batch: &UpdateBatch,
+        ticket_base: u64,
     ) -> Result<BatchStats, BatchError> {
-        let mut stats = BatchStats::empty();
-        for (part, (_, lane)) in parts.iter().zip(txn.lanes.iter_mut()) {
-            // Fault injection (tests): may panic, poisoning every lane
-            // this call still holds — exactly a mid-batch writer panic.
-            // The armed flag keeps the hot path off the shared hook
-            // mutex when no hook is installed.
-            // order: pairs with set_fault_hook's Release; the mutex orders the hook value
-            if self.fault_armed.load(Ordering::Acquire) {
-                if let Some(hook) = lock_clean(&self.fault).as_mut() {
-                    hook(part.shard);
-                }
+        let (resolver, op) = (self.resolver.as_ref(), self.op);
+        let stats = apply_batch_ticketed(
+            &self.db,
+            view,
+            batch,
+            ticket_base,
+            resolver,
+            op,
+            &self.config,
+        )
+        .inspect_err(|e| {
+            // A contained pool-worker panic arrives here as an
+            // ordinary batch error — the writer mutex was never
+            // poisoned — and the caller's abort *is* the
+            // recovery. Journal it in the health audit trail.
+            if let Some(msg) = worker_panic(e) {
+                self.health.writer_event(&format!(
+                    "writer view recovered after pool worker panic: {msg}"
+                ));
             }
-            let tickets: Vec<u64> = part
-                .insert_positions
-                .iter()
-                .map(|&i| txn.ticket_base + i as u64)
-                .collect();
-            let applied = apply_batch_ticketed(
-                &self.lane_dbs[part.shard],
-                &mut lane.view,
-                &part.batch,
-                &tickets,
-                self.resolver.as_ref(),
-                self.op,
-                &self.config,
-            );
-            match applied {
-                Ok(s) => stats.absorb(&s),
-                Err(e) => {
-                    // A contained pool-worker panic arrives here as an
-                    // ordinary batch error — the lane mutex was never
-                    // poisoned — and the caller's abort *is* the lane
-                    // recovery. Journal it in the health audit trail.
-                    if let Some(msg) = worker_panic(&e) {
-                        self.health.lane_event(&format!(
-                            "writer lane {} recovered after pool worker panic: {msg}",
-                            part.shard
-                        ));
-                    }
-                    return Err(e);
-                }
+        })?;
+        // Fault injection (tests): may panic with the batch maintained
+        // but unpublished, poisoning the writer mutex — exactly a
+        // mid-batch writer panic. The armed flag keeps the hot path off
+        // the hook mutex when no hook is installed.
+        // order: pairs with set_fault_hook's Release; the mutex orders the hook value
+        if self.fault_armed.load(Ordering::Acquire) {
+            if let Some(hook) = lock_clean(&self.fault).as_mut() {
+                hook();
             }
         }
         Ok(stats)
     }
 
-    /// Publication phase one: freeze each touched lane into its next
-    /// shard snapshot (Arc bumps under the shared store, O(touched))
-    /// and account what the batch copied versus left shared.
+    /// Freezes the maintained view into the next snapshot (Arc bumps
+    /// under the shared store) and accounts what the batch copied versus
+    /// left shared.
     fn freeze(
-        txn: &mut Txn<'_>,
-        befores: &[ShareStats],
+        view: &MaterializedView,
+        epoch: Epoch,
+        before: &ShareStats,
         clock: &StageClock,
-    ) -> (Frozen, PublishStats) {
+    ) -> (Arc<ViewSnapshot>, PublishStats) {
         let start = clock.now();
-        let mut publish = PublishStats::default();
-        let mut frozen: Frozen = Vec::with_capacity(txn.lanes.len());
-        for ((shard, lane), before) in txn.lanes.iter_mut().zip(befores) {
-            lane.epoch += 1;
-            let after = lane.view.share_stats();
-            publish.entry_pages_copied += after.entry_pages_copied - before.entry_pages_copied;
-            publish.entry_pages_total += after.entry_pages;
-            publish.pred_indexes_copied += after.pred_indexes_copied - before.pred_indexes_copied;
-            publish.pred_indexes_total += after.pred_indexes;
-            let (by_const_copied, slot_copied) = after.key_copies_since(before);
-            publish.by_const_keys_copied += by_const_copied;
-            publish.by_const_keys_total += after.by_const_keys;
-            publish.slot_keys_copied += slot_copied;
-            frozen.push((
-                *shard,
-                Arc::new(ViewSnapshot::new(lane.epoch, lane.view.clone())),
-            ));
-        }
-        publish.publish_latency = clock.since(start);
+        let after = view.share_stats();
+        let (by_const_keys_copied, slot_keys_copied) = after.key_copies_since(before);
+        let frozen = Arc::new(ViewSnapshot::new(epoch, view.clone()));
+        let publish = PublishStats {
+            publish_latency: clock.since(start),
+            entry_pages_copied: after.entry_pages_copied - before.entry_pages_copied,
+            entry_pages_total: after.entry_pages,
+            pred_indexes_copied: after.pred_indexes_copied - before.pred_indexes_copied,
+            pred_indexes_total: after.pred_indexes,
+            by_const_keys_copied,
+            by_const_keys_total: after.by_const_keys,
+            slot_keys_copied,
+        };
         (frozen, publish)
     }
 
-    /// Stage 4 — commit, the one path every batch publishes through:
-    /// append the record, wait for durability where the append did not
-    /// already settle it, swap (phase two). Readers see the whole
+    /// Commit, the one path every batch publishes through: append the
+    /// WAL frame, wait for durability where the append did not already
+    /// settle it, append the log record, swap. Readers see the whole
     /// batch or none of it.
     ///
-    /// The epoch allocator is bumped under the log lock, so WAL frames
-    /// and log records append in epoch order even when disjoint
-    /// batches commit concurrently. The frame is written *before* the
-    /// record is mirrored or anything is swapped (write-ahead): a
-    /// failed append rejects the batch with nothing published or
-    /// logged. Under an inline fsync policy (and in memory) the append
-    /// settles durability, so the swap follows right away, still under
-    /// the log lock. Under group commit the frame is not yet durable:
-    /// the log lock is released — disjoint batches keep appending and
-    /// coalesce into the same fsync — and the swap waits, with the
-    /// touched lanes still locked over their unpublished writer views,
+    /// The frame is written *before* anything is logged or swapped
+    /// (write-ahead): a failed append rejects the batch with nothing
+    /// published or logged. Under an inline fsync policy (and in
+    /// memory) the append settles durability, so the swap follows right
+    /// away. Under group commit the frame is not yet durable: the writer
+    /// waits, still holding the writer lock over its unpublished view,
     /// until the flusher reports the frame durable, so no reader ever
     /// observes an epoch that an fsync failure could still roll back.
-    /// Lock order: log before publication, for every thread that
-    /// holds both.
     fn commit(
         &self,
-        txn: &mut Txn<'_>,
-        batch: UpdateBatch,
-        frozen: Frozen,
-        replay_epoch: Option<Epoch>,
+        view: &mut MaterializedView,
+        record: LogRecord,
+        frozen: Arc<ViewSnapshot>,
+        tickets: u64,
         clock: &mut StageClock,
     ) -> Result<Committed, ServiceError> {
-        let mut log = lock_clean(&self.log);
-        let epoch = {
-            // Replay reissues the recorded epoch and keeps the
-            // allocator's high-water mark at or past it.
-            let mut ne = lock_clean(&self.next_epoch);
-            let epoch = replay_epoch.unwrap_or(*ne + 1);
-            *ne = (*ne).max(epoch);
-            epoch
-        };
-        self.published.begin();
-        let mut undurable = None;
         if let Some(d) = &self.durable {
             clock.mark();
-            let frame = render_wal_batch(epoch, txn.ticket_base, &batch);
+            let frame = render_wal_batch(record.epoch, record.ticket_base, &record.batch);
             clock.lap(Stage::WalRender);
-            let appended = d.wal.append(epoch, &frame);
+            let appended = d.wal.append(record.epoch, &frame);
             clock.lap(Stage::WalAppend);
-            match appended {
-                Ok(lsn) => {
-                    let deferred = matches!(d.wal.policy(), FsyncPolicy::GroupCommit(_));
-                    undurable = deferred.then_some((&d.wal, lsn));
-                }
+            let lsn = match appended {
+                Ok(lsn) => lsn,
                 Err(e) => {
                     // A persistent fault (transients were already
                     // retried away below us) flips the service
                     // read-only.
-                    self.abort(txn, Some((epoch, &mut *log)));
+                    self.abort(view);
                     if !e.is_transient() {
                         self.health.wal_failed(&format!("WAL append failed: {e}"));
                     }
                     return Err(ServiceError::Storage(e));
                 }
+            };
+            if matches!(d.wal.policy(), FsyncPolicy::GroupCommit(_)) {
+                clock.mark();
+                if let Err(e) = d.wal.wait_durable(lsn) {
+                    // The flusher gave up on this frame: it never became
+                    // durable and was truncated from (or queued for
+                    // truncation in) its segment. Un-publish everything
+                    // and go read-only.
+                    self.abort(view);
+                    self.health.wal_failed(&format!("WAL flush failed: {e}"));
+                    return Err(ServiceError::Storage(e));
+                }
+                clock.lap(Stage::FsyncWait);
             }
-        }
-        log.append(LogRecord {
-            epoch,
-            ticket_base: txn.ticket_base,
-            batch,
-        });
-        if let Some((wal, lsn)) = undurable {
-            drop(log);
-            clock.mark();
-            if let Err(e) = wal.wait_durable(lsn) {
-                // The flusher gave up on this frame: it never became
-                // durable and was truncated from (or queued for
-                // truncation in) its segment. Un-publish everything
-                // and go read-only.
-                self.abort(txn, Some((epoch, &mut *lock_clean(&self.log))));
-                self.health.wal_failed(&format!("WAL flush failed: {e}"));
-                return Err(ServiceError::Storage(e));
-            }
-            clock.lap(Stage::FsyncWait);
         }
         clock.mark();
-        let committed = self.publish(epoch, frozen, txn);
+        let epoch = record.epoch;
+        lock_clean(&self.log).append(record);
+        let committed = self.publish(epoch, frozen, tickets);
         clock.lap(Stage::Publish);
         Ok(committed)
     }
 
-    /// Publication phase two, the only swap into the published table:
-    /// all of the batch's frozen shard snapshots land, and the global
-    /// epoch advances, inside one publication critical section. The
-    /// epoch moves monotonically — a publication that waited on the
-    /// flusher can complete after a higher-epoch batch on disjoint
-    /// shards. The swap is the point of no return, so the ticket
-    /// reservation commits here. The composite is handed back for the
-    /// checkpointer when the batch lands on the checkpoint cadence —
-    /// only while no other logged batch is still unpublished, so a
-    /// checkpoint never claims WAL coverage its snapshot does not
-    /// contain.
-    fn publish(&self, epoch: Epoch, frozen: Frozen, txn: &mut Txn<'_>) -> Committed {
-        if let Some(r) = &mut txn.reservation {
-            r.commit();
-        }
-        let swapped = self.published.swap(frozen, epoch);
-        self.health.note_epoch(swapped.epoch);
+    /// The only swap into the published table: the batch's snapshot
+    /// and the ticket counter after it land inside one publication
+    /// critical section. The snapshot is handed back for the
+    /// checkpointer when the batch lands on the checkpoint cadence.
+    fn publish(&self, epoch: Epoch, frozen: Arc<ViewSnapshot>, tickets: u64) -> Committed {
+        let retired = self.published.swap(Arc::clone(&frozen), tickets);
+        self.health.note_epoch(epoch);
         let on_cadence = self
             .durable
             .as_ref()
             .is_some_and(|d| d.checkpoint_every > 0 && epoch % d.checkpoint_every == 0);
         Committed {
-            epoch,
-            view_entries: swapped.composite.len(),
-            checkpoint: (on_cadence && swapped.quiescent).then_some(swapped.composite),
-            retired: swapped.retired,
+            checkpoint: on_cadence.then_some((frozen, tickets)),
+            retired,
         }
     }
 
     /// Undoes an unpublished batch — the one rollback, called from
     /// every failure point (maintenance error, WAL append failure,
-    /// failed durability wait). Every locked lane re-adopts its last
-    /// published shard snapshot, view *and* epoch: the failing part may
-    /// have half-applied, earlier parts must not outlive a rejected
-    /// transaction, and the freeze already bumped the lane epochs. The
-    /// ticket range is un-reserved. A batch that had allocated `epoch`
-    /// (the caller passes the log it holds, or re-locks it) also has
-    /// its record retracted if it was already mirrored, gives up the
-    /// unpublished count it held, and hands the epoch back to the
-    /// allocator — conditional on nothing having interleaved, like the
-    /// ticket rollback, so numbering stays gapless under sequential
-    /// use. Readers keep the last published composite untouched
-    /// throughout.
-    fn abort(&self, txn: &mut Txn<'_>, allocated: Option<(Epoch, &mut UpdateLog)>) {
-        for (s, lane) in txn.lanes.iter_mut() {
-            lane.readopt(&self.published.shard(*s));
-        }
-        txn.reservation = None;
-        if let Some((epoch, log)) = allocated {
-            log.retract(epoch);
-            self.published.cancel();
-            let mut ne = lock_clean(&self.next_epoch);
-            if *ne == epoch {
-                *ne = epoch - 1;
-            }
-        }
+    /// failed durability wait): the writer view re-adopts the last
+    /// published snapshot's. The epoch and the ticket counter move only
+    /// at the swap, so there is nothing else to hand back. Readers keep
+    /// the last published snapshot untouched throughout.
+    fn abort(&self, view: &mut MaterializedView) {
+        *view = self.published.snapshot().view().clone();
     }
 
     /// Locks the update log (epoch-ordered records of every applied
-    /// batch, plus lane recoveries) for replay or inspection. Writers
+    /// batch, plus writer recoveries) for replay or inspection. Writers
     /// block while the guard lives, and calling [`ViewService::apply`]
     /// from the same thread while holding one deadlocks — so read what
     /// you need and drop it (or `clone()` the [`UpdateLog`] out for
@@ -1343,9 +1046,8 @@ mod tests {
         ])
     }
 
-    /// `db()` plus an independent fact predicate `c` over `[100, 109]`:
-    /// two writer lanes, {b, a} and {c}.
-    fn two_lane_db() -> ConstrainedDatabase {
+    /// `db()` plus an independent fact predicate `c` over `[100, 109]`.
+    fn with_c() -> ConstrainedDatabase {
         let mut db = db();
         let c_range = Constraint::cmp(x(), CmpOp::Ge, Term::int(100)).and(Constraint::cmp(
             x(),
@@ -1369,7 +1071,6 @@ mod tests {
         let svc = service(SupportMode::WithSupports);
         let before = svc.snapshot();
         assert_eq!(before.epoch(), 0);
-        assert_eq!(before.shard_count(), 1, "b and a share a component");
         let cfg = SolverConfig::default();
         assert!(before.ask("a", &[Value::int(3)], &NoDomains, &cfg).unwrap());
 
@@ -1377,7 +1078,6 @@ mod tests {
             .apply(UpdateBatch::deleting(vec![point(3)]))
             .expect("batch applies");
         assert_eq!(applied.epoch, 1);
-        assert_eq!(applied.shards_touched, 1);
         assert_eq!(svc.epoch(), 1);
         // The old snapshot still answers with the pre-batch state.
         assert!(before.ask("a", &[Value::int(3)], &NoDomains, &cfg).unwrap());
@@ -1398,31 +1098,31 @@ mod tests {
     }
 
     #[test]
-    fn max_entries_bounds_each_lane_at_build() {
-        // The whole view holds 3 entries and the larger lane, {b, a},
-        // 2: a budget of 2 builds; a budget of 1 fails that lane's
-        // build, fresh or recovered with no checkpoint.
+    fn max_entries_bounds_the_view_at_build() {
+        // The view holds 3 entries (b, a and c): a budget of 3 builds; a
+        // budget of 2 fails the build, fresh or recovered with no
+        // checkpoint, though b and a alone would fit it.
         let budget = |max_entries| FixpointConfig {
             max_entries,
             ..FixpointConfig::default()
         };
         let svc = ViewService::builder()
-            .fixpoint(budget(2))
-            .build(two_lane_db())
-            .expect("each lane fits the budget");
+            .fixpoint(budget(3))
+            .build(with_c())
+            .expect("the view fits the budget");
         assert_eq!(svc.snapshot().len(), 3);
         let err = ViewService::builder()
-            .fixpoint(budget(1))
-            .build(two_lane_db())
+            .fixpoint(budget(2))
+            .build(with_c())
             .unwrap_err();
         assert!(matches!(err, ServiceError::Build(_)), "{err}");
         let dir = std::env::temp_dir().join(format!("mmv-svc-budget-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let err = ViewService::builder()
-            .fixpoint(budget(1))
+            .fixpoint(budget(2))
             .durability(Durability::durable(&dir))
-            .recover(two_lane_db())
+            .recover(with_c())
             .unwrap_err();
         assert!(matches!(err, ServiceError::Build(_)), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1433,7 +1133,7 @@ mod tests {
         // max_entries = 3 admits the 2-entry base view; the batch's
         // deletion goes through, then its insertion (1 add + a
         // propagated `a` entry) overflows the budget — a maintenance
-        // error with the lane's writer view half-applied.
+        // error with the writer view half-applied.
         let svc = ViewService::builder()
             .fixpoint(FixpointConfig {
                 max_entries: 3,
@@ -1456,15 +1156,15 @@ mod tests {
         assert!(matches!(err, ServiceError::Batch(_)));
         assert_eq!(svc.epoch(), 0, "failed batch must not publish");
         assert!(svc.log().is_empty());
-        // The abort restored lane view, lane epoch and ticket counter:
-        // a subsequent in-budget batch applies cleanly, publishes the
-        // lane's next shard epoch, still serves the point the rejected
-        // batch deleted (and not the interval it inserted), and is
-        // logged under the ticket the rejected batch had reserved.
+        // The abort restored the writer view, and the epoch and ticket
+        // counter never moved: a subsequent in-budget batch applies
+        // cleanly, publishes the next epoch, still serves the point the
+        // rejected batch deleted (and not the interval it inserted), and
+        // is logged under the ticket the rejected batch had taken.
         let ok = svc.apply(UpdateBatch::deleting(vec![point(5)])).unwrap();
         assert_eq!(ok.epoch, 1);
         let snap = svc.snapshot();
-        assert_eq!(snap.shard_epoch(0), 1);
+        assert_eq!(snap.epoch(), 1);
         let cfg = SolverConfig::default();
         assert!(snap.ask("a", &[Value::int(3)], &NoDomains, &cfg).unwrap());
         assert!(!snap.ask("a", &[Value::int(35)], &NoDomains, &cfg).unwrap());
@@ -1474,50 +1174,22 @@ mod tests {
 
     #[test]
     fn publication_counts_copied_vs_shared_pages() {
-        // Three predicates; b/a form one dependency component and c its
-        // own, so the batch below (insert into b, propagate to a) locks
-        // only the b/a lane — c's shard is not even touched, let alone
-        // copied, and the publish accounting covers the touched lane.
-        let svc = ViewService::builder().build(two_lane_db()).unwrap();
-        assert_eq!(svc.shard_map().num_shards(), 2);
-        let c_shard = svc.shard_map().shard_of("c");
+        // Three predicates; the batch below inserts into b and
+        // propagates to a, so c's index is not touched, let alone
+        // copied: it stays shared with epoch 0.
+        let svc = ViewService::builder().build(with_c()).unwrap();
         let applied = svc
             .apply(UpdateBatch::inserting(vec![point(30)]))
             .expect("batch applies");
-        assert_eq!(applied.shards_touched, 1);
         let p = applied.publish;
-        assert_eq!(p.pred_indexes_total, 2, "the touched lane hosts b and a");
+        assert_eq!(p.pred_indexes_total, 3, "the view hosts b, a and c");
         assert_eq!(
             p.pred_indexes_copied, 2,
             "b (insert) and a (propagation) copied: {p:?}"
         );
         assert!(p.entry_pages_copied >= 1, "the batch touched the slab");
         assert!(p.entry_pages_copied <= p.entry_pages_total as u64);
-        // c's shard stayed at epoch 0 while the global epoch moved.
-        let snap = svc.snapshot();
-        assert_eq!(snap.epoch(), 1);
-        assert_eq!(snap.shard_epoch(c_shard), 0);
-        assert_eq!(snap.shard_epoch(1 - c_shard), 1);
-    }
-
-    #[test]
-    fn cross_shard_batches_publish_atomically() {
-        // b/a and c are independent; one batch touching both publishes
-        // one global epoch with both shard epochs advanced.
-        let svc = ViewService::builder().build(two_lane_db()).unwrap();
-        let del_c = ConstrainedAtom::new("c", vec![x()], Constraint::eq(x(), Term::int(105)));
-        let applied = svc
-            .apply(UpdateBatch::deleting(vec![point(3), del_c]))
-            .expect("cross-shard batch applies");
-        assert_eq!(applied.shards_touched, 2);
-        assert_eq!(applied.epoch, 1);
-        let snap = svc.snapshot();
-        assert_eq!(snap.shard_epoch(0), 1);
-        assert_eq!(snap.shard_epoch(1), 1);
-        let cfg = SolverConfig::default();
-        assert!(!snap.ask("b", &[Value::int(3)], &NoDomains, &cfg).unwrap());
-        assert!(!snap.ask("c", &[Value::int(105)], &NoDomains, &cfg).unwrap());
-        assert!(snap.ask("c", &[Value::int(104)], &NoDomains, &cfg).unwrap());
+        assert_eq!(svc.snapshot().epoch(), 1);
     }
 
     #[test]
@@ -1529,13 +1201,13 @@ mod tests {
             svc.apply(UpdateBatch::deleting(vec![point(k % 10)]))
                 .expect("batch applies");
             assert!(
-                svc.published.retired_len() <= 2,
+                svc.published.retired_len() <= 1,
                 "batch {k}: {} retired snapshots kept",
                 svc.published.retired_len()
             );
         }
-        // The held composite and the one shard snapshot it holds.
-        assert_eq!(svc.published.retired_len(), 2);
+        // The held snapshot.
+        assert_eq!(svc.published.retired_len(), 1);
         drop(held);
         assert!(
             held_weak.upgrade().is_some(),
@@ -1547,14 +1219,39 @@ mod tests {
     }
 
     #[test]
-    fn empty_batches_publish_an_epoch_touching_no_lane() {
+    fn empty_batches_publish_an_epoch_copying_nothing() {
         let svc = service(SupportMode::WithSupports);
+        let before = svc.snapshot();
         let applied = svc.apply(UpdateBatch::new()).expect("empty batch applies");
         assert_eq!(applied.epoch, 1);
-        assert_eq!(applied.shards_touched, 0);
+        assert_eq!(applied.publish.entry_pages_copied, 0);
+        assert_eq!(applied.publish.pred_indexes_copied, 0);
         let snap = svc.snapshot();
         assert_eq!(snap.epoch(), 1);
-        assert_eq!(snap.shard_epoch(0), 0, "no lane was touched");
+        assert!(snap.view().syntactically_equal(before.view()));
+    }
+
+    #[test]
+    fn recovery_refuses_a_checkpoint_with_several_sections() {
+        // A checkpoint holding several `shard` sections (written by a
+        // service that kept one writer view per section) is not loaded
+        // into one view.
+        let dir = std::env::temp_dir().join(format!("mmv-svc-sections-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let svc = service(SupportMode::WithSupports);
+        let path = checkpoint::write_checkpoint(&dir, &svc.snapshot(), 0, Operator::Tp).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let body = &text[..text.rfind("#end crc=").unwrap()];
+        let body = format!("{}shard 1 epoch=0\n", body.replace("shards=1", "shards=2"));
+        let crc = crate::wal::crc32(body.as_bytes());
+        std::fs::write(&path, format!("{body}#end crc={crc:08x}\n")).unwrap();
+        let err = ViewService::builder()
+            .durability(Durability::durable(&dir))
+            .recover(db())
+            .unwrap_err();
+        assert!(err.to_string().contains("(mode, op, shards)"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

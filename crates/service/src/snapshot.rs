@@ -19,13 +19,11 @@
 //! publication actually cost.
 
 use mmv_constraints::solver::SolverConfig;
-use mmv_constraints::{DomainResolver, Value, VarGen};
-use mmv_core::shard::{ShardId, ShardMap};
+use mmv_constraints::{DomainResolver, Value};
 use mmv_core::view::GroundFact;
 use mmv_core::{InstanceError, MaterializedView, SupportMode};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// The cost of publishing one epoch: how long the freeze-and-swap took,
@@ -34,33 +32,26 @@ use std::time::Duration;
 ///
 /// `*_copied` counts are per-epoch deltas; `*_total` are the store's
 /// current totals, so `total - copied` pages stayed physically shared.
-/// Under a sharded writer the counts aggregate over the shards the
-/// batch touched (lanes it never locked copied nothing by
-/// construction, and their pages are not counted in the totals).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PublishStats {
     /// Wall-clock time to freeze the view into a snapshot and swap it
     /// in — pointer bumps under the shared store, never a deep copy.
-    /// For a cross-shard batch this covers the whole two-phase publish:
-    /// freezing every touched lane and the single atomic multi-shard
-    /// swap.
     pub publish_latency: Duration,
     /// Entry-slab pages the batch copied because they were still
     /// shared with an older epoch.
     pub entry_pages_copied: u64,
-    /// Entry-slab pages currently allocated (touched shards).
+    /// Entry-slab pages currently allocated.
     pub entry_pages_total: usize,
     /// Per-predicate index pages the batch copied.
     pub pred_indexes_copied: u64,
-    /// Per-predicate index pages currently allocated (touched shards).
+    /// Per-predicate index pages currently allocated.
     pub pred_indexes_total: usize,
     /// Sub-page CoW: `by_const` key/value pairs the batch physically
     /// cloned while un-sharing trie leaves — O(touched keys), to be
     /// compared against `by_const_keys_total` (what whole-index copying
     /// would have paid).
     pub by_const_keys_copied: u64,
-    /// `by_const` keys currently held across the touched shards'
-    /// indexes.
+    /// `by_const` keys currently held across the view's indexes.
     pub by_const_keys_total: usize,
     /// Sub-page CoW: live-slot pairs the batch cloned while un-sharing
     /// trie leaves.
@@ -68,15 +59,12 @@ pub struct PublishStats {
 }
 
 /// A monotonically increasing snapshot version. Epoch 0 is the freshly
-/// built view; every applied batch publishes the next epoch. Under a
-/// sharded writer there are two epoch counters: the service-wide
-/// *global* epoch (one tick per applied batch) and each shard's own
-/// epoch (one tick per batch that touched the shard) — both monotone.
+/// built view; every applied batch publishes the next epoch.
 pub type Epoch = u64;
 
-/// An immutable materialized view frozen at one epoch. Under a sharded
-/// writer this is *one shard's* slice of the view, tagged with the
-/// shard's own epoch; [`ServiceSnapshot`] composes all shards.
+/// An immutable materialized view frozen at one epoch: what
+/// [`ViewService::snapshot`][crate::ViewService::snapshot] hands
+/// readers.
 #[derive(Debug, Clone)]
 pub struct ViewSnapshot {
     epoch: Epoch,
@@ -97,6 +85,14 @@ impl ViewSnapshot {
     /// The frozen view (for APIs not mirrored below).
     pub fn view(&self) -> &MaterializedView {
         &self.view
+    }
+
+    /// A standalone deep copy of the snapshot's live entries
+    /// ([`MaterializedView::compact`]), for equality checks (log replay,
+    /// recovery) and offline inspection, O(view). It shares no page
+    /// with the service, so holding it keeps no epoch's store alive.
+    pub fn merged_view(&self) -> MaterializedView {
+        self.view.compact()
     }
 
     /// The snapshot's support mode.
@@ -152,135 +148,5 @@ impl fmt::Display for ViewSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "epoch {}", self.epoch)?;
         self.view.fmt(f)
-    }
-}
-
-/// A consistent composite snapshot of every shard of a sharded
-/// [`ViewService`][crate::ViewService]: one frozen per-shard
-/// [`ViewSnapshot`] per writer lane, the predicate → shard routing
-/// table, and the global epoch at which the composite was taken.
-///
-/// The service assembles it under the publication lock, so the
-/// composite can never be *torn*: a cross-shard batch's two-phase
-/// publish swaps all of its shards' snapshots inside one critical
-/// section, and a snapshot taken before or after sees either none or
-/// all of them. Cloning is a handful of `Arc` bumps; queries route by
-/// predicate and run without any synchronization with the writer lanes.
-#[derive(Debug, Clone)]
-pub struct ServiceSnapshot {
-    epoch: Epoch,
-    shards: Vec<Arc<ViewSnapshot>>,
-    map: Arc<ShardMap>,
-}
-
-impl ServiceSnapshot {
-    pub(crate) fn new(epoch: Epoch, shards: Vec<Arc<ViewSnapshot>>, map: Arc<ShardMap>) -> Self {
-        debug_assert_eq!(shards.len(), map.num_shards());
-        ServiceSnapshot { epoch, shards, map }
-    }
-
-    /// The global epoch at which this composite was published (one tick
-    /// per applied batch, monotone service-wide).
-    pub fn epoch(&self) -> Epoch {
-        self.epoch
-    }
-
-    /// Number of writer lanes (shards).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// One shard's frozen slice of the view.
-    pub fn shard(&self, shard: ShardId) -> &Arc<ViewSnapshot> {
-        &self.shards[shard]
-    }
-
-    /// One shard's epoch (ticks only when a batch touches the shard).
-    pub fn shard_epoch(&self, shard: ShardId) -> Epoch {
-        self.shards[shard].epoch()
-    }
-
-    /// The predicate → shard routing table the snapshot was taken under.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    /// The snapshot's support mode.
-    pub fn mode(&self) -> SupportMode {
-        self.shards[0].mode()
-    }
-
-    /// Total live entries across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    /// Whether no shard has a live entry.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
-    }
-
-    /// Answers `pred(pattern)` against the shard owning `pred` (`None`
-    /// positions are free); see [`MaterializedView::query`].
-    pub fn query(
-        &self,
-        pred: &str,
-        pattern: &[Option<Value>],
-        resolver: &dyn DomainResolver,
-        config: &SolverConfig,
-    ) -> Result<BTreeSet<Vec<Value>>, InstanceError> {
-        self.shards[self.map.shard_of(pred)].query(pred, pattern, resolver, config)
-    }
-
-    /// Boolean query against the shard owning `pred`; see
-    /// [`MaterializedView::ask`].
-    pub fn ask(
-        &self,
-        pred: &str,
-        args: &[Value],
-        resolver: &dyn DomainResolver,
-        config: &SolverConfig,
-    ) -> Result<bool, InstanceError> {
-        self.shards[self.map.shard_of(pred)].ask(pred, args, resolver, config)
-    }
-
-    /// The full instance set `[M]`: the union over all shards.
-    pub fn instances(
-        &self,
-        resolver: &dyn DomainResolver,
-        config: &SolverConfig,
-    ) -> Result<BTreeSet<GroundFact>, InstanceError> {
-        let mut out = BTreeSet::new();
-        for s in &self.shards {
-            out.extend(s.instances(resolver, config)?);
-        }
-        Ok(out)
-    }
-
-    /// Deep-merges every shard's live entries into one standalone
-    /// [`MaterializedView`] — the single-view rendering of the sharded
-    /// state, O(view). For equality checks (log replay, the
-    /// sharded-vs-single-lane tests) and offline inspection, not the
-    /// serving path; the merged view is not set up for further
-    /// maintenance (its variable generator is fresh).
-    pub fn merged_view(&self) -> MaterializedView {
-        let mut out = MaterializedView::new(self.mode(), VarGen::starting_at(0));
-        for s in &self.shards {
-            for (_, e) in s.view().live_entries() {
-                out.insert(e.atom.clone(), e.support.clone(), e.children_args.clone());
-            }
-        }
-        out
-    }
-}
-
-impl fmt::Display for ServiceSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "global epoch {}", self.epoch)?;
-        for (s, shard) in self.shards.iter().enumerate() {
-            writeln!(f, "-- shard {s} (epoch {})", shard.epoch())?;
-            shard.view().fmt(f)?;
-        }
-        Ok(())
     }
 }

@@ -1,12 +1,9 @@
 //! The dedicated writer thread: submission-ordered batch application.
 //!
 //! A [`ServiceWorker`] serializes batches from any number of
-//! [`BatchSender`] clones into one application order. With a sharded
-//! [`ViewService`] the worker is one convenient writer among possibly
-//! many — callers that want independent shards maintained in parallel
-//! call [`ViewService::apply`] from their own threads instead (single-
-//! shard batches only contend on their own lane), or run one worker per
-//! workload stream.
+//! [`BatchSender`] clones into one application order. It is one
+//! convenient writer: callers may also call [`ViewService::apply`] from
+//! their own threads, and the service's writer lock orders them.
 
 use crate::service::{ServiceError, ViewService};
 use mmv_core::batch::UpdateBatch;
@@ -72,8 +69,8 @@ impl ServiceWorker {
     /// reports [`ServiceError::WorkerGone`] — carrying the panic
     /// message when the payload was a string, as `panic!` payloads
     /// almost always are — rather than re-panicking the supervisor;
-    /// the service itself recovers the poisoned lanes on their next
-    /// use (see [`crate::service`]).
+    /// the service itself recovers the poisoned writer on the next
+    /// batch (see [`crate::service`]).
     pub fn join(self) -> Result<usize, ServiceError> {
         self.handle.join().unwrap_or_else(|payload| {
             let msg = payload

@@ -41,7 +41,7 @@ fn x() -> Term {
     Term::var(Var(0))
 }
 
-/// `n` independent chains bk → ak, one writer lane each.
+/// `n` independent chains bk → ak.
 fn chain_db(n: usize) -> ConstrainedDatabase {
     let mut clauses = Vec::new();
     for k in 0..n {
@@ -97,7 +97,7 @@ fn next(rng: &mut u64) -> u64 {
 }
 
 /// A random batch: point deletes walking the base intervals, fresh
-/// interval insertions (external tickets), occasional cross-shard.
+/// interval insertions (external tickets), occasionally on both chains.
 fn random_batch(rng: &mut u64, step: u64) -> UpdateBatch {
     let r = next(rng);
     let comp = (r % 2) as usize;
@@ -147,15 +147,15 @@ fn fast_retry() -> RetryPolicy {
 
 /// A batch the scripted fault will reject: it deletes the served point
 /// `v` *and* inserts a fresh interval (one external ticket) on `pred`,
-/// so a rollback that restored only part of the lane shows either way.
+/// so a rollback that restored only part of the view shows either way.
 fn doomed(pred: &str, v: i64) -> UpdateBatch {
     UpdateBatch::deleting(vec![point(pred, v)]).insert(interval(pred, 500, 502))
 }
 
-/// A lane's published shard epoch and the service's next external
-/// ticket, taken before a batch is rejected.
-fn before_reject(svc: &ViewService, pred: &str) -> (u64, u64) {
-    let shard_epoch = svc.snapshot().shard_epoch(svc.shard_map().shard_of(pred));
+/// The published epoch and the service's next external ticket, taken
+/// before a batch is rejected.
+fn before_reject(svc: &ViewService) -> (u64, u64) {
+    let epoch = svc.epoch();
     let next_ticket = svc
         .log()
         .records()
@@ -163,29 +163,27 @@ fn before_reject(svc: &ViewService, pred: &str) -> (u64, u64) {
         .map(|r| r.ticket_base + r.batch.inserts.len() as u64)
         .max()
         .unwrap_or(0);
-    (shard_epoch, next_ticket)
+    (epoch, next_ticket)
 }
 
-/// The abort contract, read off the next successful batch on the lane
-/// `doomed(pred, v)` was rejected on: it publishes the lane's next
-/// shard epoch, the lane still serves `v` and not the doomed interval
-/// (up the chain), and — where the failure was `sequential`, so no
-/// concurrent rollback could leave a gap — the batch is logged under
-/// the ticket the rejected one had reserved. Together: the abort
-/// restored lane view, lane epoch and ticket counter.
+/// The abort contract, read off the next successful batch on the chain
+/// `doomed(pred, v)` was rejected on: it publishes the next epoch, the
+/// view still serves `v` and not the doomed interval (up the chain), and
+/// the batch is logged under the ticket the rejected one had taken.
+/// Together: the abort restored the writer view, and the epoch and
+/// ticket counter never moved.
 fn next_batch_after_abort(
     svc: &ViewService,
     pred: &str,
     v: i64,
-    (shard_epoch, next_ticket): (u64, u64),
-    sequential: bool,
+    (epoch, next_ticket): (u64, u64),
 ) -> Applied {
     let applied = svc
         .apply(UpdateBatch::deleting(vec![point(pred, 40)]).insert(interval(pred, 600, 601)))
-        .expect("the next batch on the lane applies");
+        .expect("the next batch on the chain applies");
     let snap = svc.snapshot();
-    let lane = svc.shard_map().shard_of(pred);
-    assert_eq!(snap.shard_epoch(lane), shard_epoch + 1);
+    assert_eq!(snap.epoch(), epoch + 1);
+    assert_eq!(applied.epoch, epoch + 1);
     let derived = pred.replace('b', "a");
     let cfg = SolverConfig::default();
     let served = |x: i64| {
@@ -200,12 +198,10 @@ fn next_batch_after_abort(
     assert!(served(v), "the rejected deletion of {v} left a trace");
     assert!(!served(501), "the rejected insertion left a trace");
     assert!(!served(40) && served(600), "the next batch itself landed");
-    if sequential {
-        let log = svc.log();
-        let record = log.records().last().expect("the next batch is logged");
-        assert_eq!(record.epoch, applied.epoch);
-        assert_eq!(record.ticket_base, next_ticket);
-    }
+    let log = svc.log();
+    let record = log.records().last().expect("the next batch is logged");
+    assert_eq!(record.epoch, applied.epoch);
+    assert_eq!(record.ticket_base, next_ticket);
     applied
 }
 
@@ -455,7 +451,7 @@ fn persistent_fault_flips_read_only_while_readers_keep_serving() {
             svc.apply(UpdateBatch::deleting(vec![point("b0", i)]))
                 .expect("pre-fault batches apply");
         }
-        let before = before_reject(&svc, "b0");
+        let before = before_reject(&svc);
         let err = svc
             .apply(doomed("b0", 4))
             .expect_err("the faulted append must reject the batch");
@@ -491,8 +487,8 @@ fn persistent_fault_flips_read_only_while_readers_keep_serving() {
             assert!(Instant::now() < deadline, "probe never healed the service");
             std::thread::sleep(Duration::from_millis(1));
         }
-        // Writes resume after the probe heals, on a cleanly aborted lane.
-        let applied = next_batch_after_abort(&svc, "b0", 4, before, true);
+        // Writes resume after the probe heals, on a cleanly aborted view.
+        let applied = next_batch_after_abort(&svc, "b0", 4, before);
         assert_eq!(applied.epoch, 4);
 
         drop(stop_readers);
@@ -525,9 +521,11 @@ fn persistent_fault_flips_read_only_while_readers_keep_serving() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A group-commit window shared by several writers: when the window's
-/// one fsync fails, *every* writer in the batch gets the error and
-/// none of their epochs is ever published.
+/// Several writers race into a group-commit window whose fsync fails.
+/// The writer lock lets one in at a time: the first waits on the doomed
+/// fsync and gets its error, and every writer behind it gets an error
+/// too — the WAL's sticky error, or `ReadOnly` once the service has
+/// flipped. None of their epochs is ever published.
 #[test]
 fn group_commit_fsync_failure_fails_every_writer_in_the_window() {
     let dir = tmp_dir("gc-broadcast");
@@ -548,11 +546,9 @@ fn group_commit_fsync_failure_fails_every_writer_in_the_window() {
             .build(chain_db(4))
             .expect("build"),
     );
-    assert_eq!(svc.shard_map().num_shards(), 4);
 
-    // Four writers on four disjoint lanes, all inside one coalescing
-    // window, all waiting on the same doomed fsync.
-    let before = before_reject(&svc, "b0");
+    // Four writers on four disjoint chains, racing into the window.
+    let before = before_reject(&svc);
     let errors: Vec<ServiceError> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..4)
             .map(|k| {
@@ -565,13 +561,20 @@ fn group_commit_fsync_failure_fails_every_writer_in_the_window() {
             .map(|h| {
                 h.join()
                     .expect("writer thread")
-                    .expect_err("every writer in the failed window gets the error")
+                    .expect_err("every writer in or behind the failed window gets an error")
             })
             .collect()
     });
     for e in &errors {
-        assert!(matches!(e, ServiceError::Storage(_)), "{e}");
+        assert!(
+            matches!(e, ServiceError::Storage(_) | ServiceError::ReadOnly),
+            "{e}"
+        );
     }
+    assert!(
+        errors.iter().any(|e| matches!(e, ServiceError::Storage(_))),
+        "the writer that reached the WAL saw the storage error"
+    );
     assert_eq!(
         svc.epoch(),
         0,
@@ -579,9 +582,6 @@ fn group_commit_fsync_failure_fails_every_writer_in_the_window() {
     );
     assert!(svc.log().is_empty(), "the failed batches left no records");
     assert_eq!(svc.health(), ServiceHealth::ReadOnly);
-    for k in 0..4 {
-        assert_eq!(svc.snapshot().shard_epoch(k), 0);
-    }
 
     // Heal; the probe brings writes back and the next window commits.
     vfs.heal();
@@ -590,12 +590,11 @@ fn group_commit_fsync_failure_fails_every_writer_in_the_window() {
         assert!(Instant::now() < deadline, "probe never healed the service");
         std::thread::sleep(Duration::from_millis(1));
     }
-    // Concurrent rolled-back writers may leave epoch and ticket gaps
-    // (both rewinds are conditional); what matters is that the
-    // post-heal batch finds its lane cleanly aborted and is the first
-    // and only published one.
-    let applied = next_batch_after_abort(&svc, "b0", 1, before, false);
-    assert!(applied.epoch >= 1);
+    // The rejected writers handed nothing back, so the post-heal batch
+    // finds the view cleanly aborted and is the first and only
+    // published one, at epoch 1 under ticket 0.
+    let applied = next_batch_after_abort(&svc, "b0", 1, before);
+    assert_eq!(applied.epoch, 1);
     assert_eq!(svc.epoch(), applied.epoch);
     assert_eq!(svc.log().len(), 1, "exactly the post-heal batch is logged");
     let _ = std::fs::remove_dir_all(&dir);
@@ -625,7 +624,7 @@ fn never_policy_append_error_fails_cleanly() {
         .expect("build");
     svc.apply(UpdateBatch::deleting(vec![point("b0", 1)]))
         .expect("first batch applies");
-    let before = before_reject(&svc, "b0");
+    let before = before_reject(&svc);
     let err = svc
         .apply(doomed("b0", 2))
         .expect_err("the faulted append rejects the batch");
@@ -643,7 +642,7 @@ fn never_policy_append_error_fails_cleanly() {
         assert!(Instant::now() < deadline, "probe never healed the service");
         std::thread::sleep(Duration::from_millis(1));
     }
-    let applied = next_batch_after_abort(&svc, "b0", 2, before, true);
+    let applied = next_batch_after_abort(&svc, "b0", 2, before);
     assert_eq!(applied.epoch, 2);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -22,9 +22,8 @@ fn x() -> Term {
     Term::var(Var(0))
 }
 
-/// Two independent dependency components (b→a and c), so the service
-/// runs two writer lanes.
-fn two_lane_db() -> ConstrainedDatabase {
+/// Two independent dependency components (b→a and c).
+fn two_component_db() -> ConstrainedDatabase {
     ConstrainedDatabase::from_clauses(vec![
         Clause::fact(
             "b",
@@ -81,13 +80,13 @@ fn scrapes_stay_valid_and_monotone_under_write_load() {
     const WRITERS: usize = 4;
     const BATCHES: i64 = 40;
     const SCRAPERS: usize = 2;
-    let svc = Arc::new(ViewService::builder().build(two_lane_db()).unwrap());
+    let svc = Arc::new(ViewService::builder().build(two_component_db()).unwrap());
     let mut handles = Vec::new();
     for w in 0..WRITERS as i64 {
         let svc = svc.clone();
         handles.push(std::thread::spawn(move || {
-            // Writers alternate between the two lanes with disjoint
-            // value ranges so every batch succeeds.
+            // Writers alternate between the two components with
+            // disjoint value ranges so every batch succeeds.
             for i in 0..BATCHES {
                 let v = 1000 * (w + 1) + i;
                 let pred = if (w + i) % 2 == 0 { "b" } else { "c" };
@@ -128,9 +127,9 @@ fn scrapes_stay_valid_and_monotone_under_write_load() {
         sample_value(&text, "mmv_batches_applied_total"),
         Some(total)
     );
-    // Both lanes saw work, and the stage histograms filled in.
-    assert!(text.contains("mmv_lane_batches_total{lane=\"0\"}"));
-    assert!(text.contains("mmv_lane_batches_total{lane=\"1\"}"));
+    // The writer-lock gauge is one series, back at zero, and the stage
+    // histograms filled in.
+    assert_eq!(sample_value(&text, "mmv_writer_lock_waiters"), Some(0.0));
     assert_eq!(
         svc.stage_timings(Stage::Apply).count(),
         WRITERS as u64 * BATCHES as u64
@@ -142,7 +141,7 @@ fn scrapes_stay_valid_and_monotone_under_write_load() {
 }
 
 /// ISSUE 8 acceptance: one scrape of a durable service under write
-/// load exposes all five subsystems — writer lanes, WAL, checkpoints,
+/// load exposes all five subsystems — the writer, WAL, checkpoints,
 /// health + storage faults, and core fixpoint counters.
 #[test]
 fn one_scrape_exposes_all_five_subsystems() {
@@ -155,7 +154,7 @@ fn one_scrape_exposes_all_five_subsystems() {
                 .checkpoint_every(4)
                 .vfs(Arc::new(vfs.clone())),
         )
-        .build(two_lane_db())
+        .build(two_component_db())
         .unwrap();
     for v in 0..8 {
         svc.apply(UpdateBatch::inserting(vec![point("b", 1000 + v)]))
@@ -170,9 +169,9 @@ fn one_scrape_exposes_all_five_subsystems() {
     let text = svc.metrics().render_prometheus();
     validate_prometheus(&text).expect("scrape parses");
     for family in [
-        // Lanes + batch lifecycle.
+        // Writer + batch lifecycle.
         "mmv_batches_applied_total",
-        "mmv_lane_batches_total",
+        "mmv_writer_lock_waiters",
         "mmv_batch_stage_seconds_bucket",
         // WAL.
         "mmv_wal_records_total",
@@ -215,7 +214,6 @@ fn one_scrape_exposes_all_five_subsystems() {
     assert_eq!(traces.len(), 8, "one trace per applied batch");
     let last = traces.last().unwrap();
     assert_eq!(last.epoch, svc.epoch());
-    assert_eq!(last.shards_touched, 1);
     assert!(last.stage(Stage::WalRender) > Duration::ZERO);
     assert!(last.stage(Stage::Apply) > Duration::ZERO);
     assert!(last.total() > Duration::ZERO);
@@ -234,7 +232,7 @@ fn one_scrape_exposes_all_five_subsystems() {
 fn pool_instruments_register_and_count_tasks() {
     let svc = ViewService::builder()
         .pool_threads(4)
-        .build(two_lane_db())
+        .build(two_component_db())
         .unwrap();
     assert_eq!(svc.pool().expect("pool enabled").threads(), 4);
     for v in 0..6 {
@@ -258,7 +256,7 @@ fn pool_instruments_register_and_count_tasks() {
 
     let seq = ViewService::builder()
         .pool_threads(1)
-        .build(two_lane_db())
+        .build(two_component_db())
         .unwrap();
     assert!(seq.pool().is_none(), "width 1 disables the pool");
     assert!(!seq
@@ -272,7 +270,7 @@ fn pool_instruments_register_and_count_tasks() {
 fn trace_ring_is_bounded_and_ordered() {
     let svc = ViewService::builder()
         .observability(ObsOptions::default().trace_capacity(4))
-        .build(two_lane_db())
+        .build(two_component_db())
         .unwrap();
     for v in 0..10 {
         svc.apply(UpdateBatch::inserting(vec![point("b", 1000 + v)]))
@@ -290,7 +288,7 @@ fn trace_ring_is_bounded_and_ordered() {
 fn disabled_observability_records_nothing() {
     let svc = ViewService::builder()
         .observability(ObsOptions::disabled())
-        .build(two_lane_db())
+        .build(two_component_db())
         .unwrap();
     for v in 0..5 {
         svc.apply(UpdateBatch::inserting(vec![point("c", 2000 + v)]))
@@ -308,7 +306,7 @@ fn disabled_observability_records_nothing() {
 /// drains.
 #[test]
 fn worker_queue_depth_returns_to_zero() {
-    let svc = Arc::new(ViewService::builder().build(two_lane_db()).unwrap());
+    let svc = Arc::new(ViewService::builder().build(two_component_db()).unwrap());
     let (tx, worker) = ServiceWorker::spawn(svc.clone());
     for v in 0..6 {
         tx.submit(UpdateBatch::inserting(vec![point("b", 3000 + v)]))

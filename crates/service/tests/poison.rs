@@ -1,15 +1,15 @@
-//! Panic-injection: a batch that panics mid-application poisons its
-//! writer lanes, and the service must *recover* — keep serving reads,
-//! keep accepting batches on every lane, and lose exactly the
-//! panicking batch. (The pre-sharding service bricked instead: one
-//! poisoned writer mutex made every later `apply`/`log` call panic.)
+//! Panic-injection: a batch that panics mid-application poisons the
+//! writer mutex, and the service must *recover* — keep serving reads,
+//! keep accepting batches, and lose exactly the panicking batch. (An
+//! earlier service bricked instead: one poisoned writer mutex made every
+//! later `apply`/`log` call panic.)
 
 use mmv_constraints::solver::SolverConfig;
 use mmv_constraints::{CmpOp, Constraint, NoDomains, Term, Value, Var};
 use mmv_core::batch::UpdateBatch;
 use mmv_core::tp::{FixpointConfig, Operator};
 use mmv_core::{BodyAtom, Clause, ConstrainedAtom, ConstrainedDatabase, SupportMode};
-use mmv_service::{ServiceError, ViewService};
+use mmv_service::{Recovery, ServiceError, ViewService};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -18,7 +18,7 @@ fn x() -> Term {
     Term::var(Var(0))
 }
 
-/// Two independent chains: b0 → a0 and b1 → a1 (two shards).
+/// Two independent chains: b0 → a0 and b1 → a1.
 fn two_chain_db() -> ConstrainedDatabase {
     let mut clauses = Vec::new();
     for k in 0..2 {
@@ -52,7 +52,6 @@ fn poisoned_lanes_recover(mode: SupportMode) {
             .build(two_chain_db())
             .expect("service builds"),
     );
-    assert_eq!(svc.shard_map().num_shards(), 2);
     let cfg = SolverConfig::default();
 
     // A healthy batch first, so the published state is epoch 1.
@@ -61,21 +60,20 @@ fn poisoned_lanes_recover(mode: SupportMode) {
     let before = svc.snapshot();
     assert_eq!(before.epoch(), 1);
 
-    // Inject a panic on the *second* lane of a cross-shard batch: the
-    // first lane's view is already mutated when the panic fires, so
-    // both held lanes end up poisoned with one of them half-applied.
+    // Inject a panic into a batch on both chains: the hook fires once
+    // the writer view is maintained, so the writer mutex ends up
+    // poisoned over a view holding a batch that was never published.
     let calls = Arc::new(AtomicUsize::new(0));
     let hook_calls = calls.clone();
-    svc.set_fault_hook(Some(Box::new(move |_shard| {
-        if hook_calls.fetch_add(1, Ordering::SeqCst) == 1 {
-            panic!("injected writer panic");
-        }
+    svc.set_fault_hook(Some(Box::new(move || {
+        hook_calls.fetch_add(1, Ordering::SeqCst);
+        panic!("injected writer panic");
     })));
     let poisoned = UpdateBatch::deleting(vec![point("b0", 1), point("b1", 1)]);
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| svc.apply(poisoned)));
     assert!(result.is_err(), "the injected panic must escape apply");
     svc.set_fault_hook(None);
-    assert_eq!(calls.load(Ordering::SeqCst), 2, "panicked on the 2nd lane");
+    assert_eq!(calls.load(Ordering::SeqCst), 1, "one hook call per batch");
 
     // Readers were never at risk: the published state is untouched.
     let snap = svc.snapshot();
@@ -87,35 +85,29 @@ fn poisoned_lanes_recover(mode: SupportMode) {
         );
     }
 
-    // Every lane accepts batches again: locking a poisoned lane clears
-    // the poison and rebuilds the writer view from the last published
-    // shard snapshot, dropping the half-applied state.
+    // The writer accepts batches again: locking the poisoned writer
+    // clears the poison and rebuilds the writer view from the last
+    // published snapshot, dropping the unpublished batch.
     let a = svc
         .apply(UpdateBatch::deleting(vec![point("b0", 2)]))
-        .expect("lane 0 recovered");
+        .expect("writer recovered");
     assert_eq!(a.epoch, 2);
     let b = svc
         .apply(UpdateBatch::deleting(vec![point("b1", 3)]))
-        .expect("lane 1 recovered");
+        .expect("second batch after recovery");
     assert_eq!(b.epoch, 3);
-    let cross = svc
+    let both = svc
         .apply(UpdateBatch::deleting(vec![point("b0", 4), point("b1", 4)]))
-        .expect("cross-shard batch after recovery");
-    assert_eq!(cross.shards_touched, 2);
+        .expect("two-chain batch after recovery");
+    assert_eq!(both.epoch, 4);
 
-    // The recoveries were logged, one per poisoned lane, each rebuilt
-    // to its lane's last published *shard* epoch (b0's lane saw the
-    // healthy batch, b1's lane never advanced).
+    // The recovery was logged once, rebuilt to the last published
+    // epoch (the healthy batch's).
     {
         // `log()` borrows the live log (guard-scoped: drop it before
         // the next `apply`/`log` call).
         let log = svc.log();
-        assert_eq!(log.recoveries().len(), 2);
-        let b0_shard = svc.shard_map().shard_of("b0");
-        for r in log.recoveries() {
-            let expected = if r.shard == b0_shard { 1 } else { 0 };
-            assert_eq!(r.epoch, expected, "lane {} published epoch", r.shard);
-        }
+        assert_eq!(log.recoveries(), &[Recovery { epoch: 1 }]);
     }
 
     // Exactly the panicked batch is lost: the served state equals a
@@ -155,46 +147,6 @@ fn poisoned_lanes_recover_plain() {
 }
 
 #[test]
-fn unpoisoned_lanes_keep_serving_while_another_lane_is_poisoned() {
-    // Poison only lane 0 (single-shard batch) and leave it unrecovered;
-    // lane 1 must keep applying batches as if nothing happened.
-    let svc = Arc::new(
-        ViewService::builder()
-            .build(two_chain_db())
-            .expect("service builds"),
-    );
-    let b0_shard = svc.shard_map().shard_of("b0");
-    svc.set_fault_hook(Some(Box::new(move |shard| {
-        if shard == b0_shard {
-            panic!("injected: poison lane b0 only");
-        }
-    })));
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        svc.apply(UpdateBatch::deleting(vec![point("b0", 5)]))
-    }));
-    assert!(result.is_err());
-
-    // The b1 lane was never locked by the panicking batch: healthy.
-    let cfg = SolverConfig::default();
-    for v in [1, 2, 3] {
-        svc.apply(UpdateBatch::deleting(vec![point("b1", v)]))
-            .expect("healthy lane applies");
-    }
-    assert_eq!(svc.epoch(), 3);
-    assert!(!svc.ask("a1", &[Value::int(2)], &cfg).unwrap());
-    assert!(svc.ask("a0", &[Value::int(5)], &cfg).unwrap());
-    assert!(svc.log().recoveries().is_empty(), "nothing recovered yet");
-
-    // First touch of the poisoned lane recovers it (the hook now lets
-    // the batch through).
-    svc.set_fault_hook(None);
-    svc.apply(UpdateBatch::deleting(vec![point("b0", 5)]))
-        .expect("poisoned lane recovers on next use");
-    assert_eq!(svc.log().recoveries().len(), 1);
-    assert!(!svc.ask("a0", &[Value::int(5)], &cfg).unwrap());
-}
-
-#[test]
 fn panicking_insert_batch_does_not_burn_tickets() {
     // A panicked batch must not consume external-insertion tickets:
     // otherwise every later insert's `External(t)` support diverges
@@ -217,18 +169,18 @@ fn panicking_insert_batch_does_not_burn_tickets() {
         )
     };
     // Panic mid-application of a batch carrying two insertions.
-    svc.set_fault_hook(Some(Box::new(|_| panic!("injected insert-batch panic"))));
+    svc.set_fault_hook(Some(Box::new(|| panic!("injected insert-batch panic"))));
     let poisoned =
         UpdateBatch::inserting(vec![interval("b0", 20), interval("b1", 20)]).delete(point("b0", 1));
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| svc.apply(poisoned)));
     assert!(result.is_err());
     svc.set_fault_hook(None);
 
-    // A later insert-carrying batch applies on the recovered lanes and
+    // A later insert-carrying batch applies on the recovered writer and
     // must reuse the un-burned tickets: replaying the log reproduces
     // the served view *syntactically*, External tickets included.
     svc.apply(UpdateBatch::inserting(vec![interval("b0", 30)]).delete(point("b1", 2)))
-        .expect("recovered lanes accept inserts");
+        .expect("the recovered writer accepts inserts");
     svc.apply(UpdateBatch::inserting(vec![interval("b1", 40)]))
         .expect("second insert batch");
     let replayed = svc
@@ -252,13 +204,13 @@ fn panicking_insert_batch_does_not_burn_tickets() {
 fn worker_killed_by_panicking_batch_reports_instead_of_repanicking() {
     // The worker thread dies with the panicking batch, but join()
     // reports WorkerGone rather than panicking the supervisor — and
-    // the service itself recovers the lane on its next use.
+    // the service itself recovers the writer on the next batch.
     let svc = Arc::new(
         ViewService::builder()
             .build(two_chain_db())
             .expect("service builds"),
     );
-    svc.set_fault_hook(Some(Box::new(|_| panic!("injected worker-batch panic"))));
+    svc.set_fault_hook(Some(Box::new(|| panic!("injected worker-batch panic"))));
     let (tx, worker) = mmv_service::ServiceWorker::spawn(svc.clone());
     tx.submit(UpdateBatch::deleting(vec![point("b0", 1)]))
         .expect("submit");
@@ -274,7 +226,7 @@ fn worker_killed_by_panicking_batch_reports_instead_of_repanicking() {
     );
     svc.set_fault_hook(None);
     svc.apply(UpdateBatch::deleting(vec![point("b0", 1)]))
-        .expect("lane recovers after the worker's panic");
+        .expect("the writer recovers after the worker's panic");
     assert_eq!(svc.log().recoveries().len(), 1);
 }
 
@@ -315,19 +267,18 @@ fn worker_surfaces_batch_errors_not_poison() {
     let err = svc.apply(big).unwrap_err();
     assert!(matches!(err, ServiceError::Batch(_)));
     assert_eq!(svc.epoch(), 0);
-    // The lane still works.
+    // The writer still works.
     svc.apply(UpdateBatch::deleting(vec![point("b0", 1)]))
-        .expect("lane healthy after rejected batch");
+        .expect("writer healthy after rejected batch");
 }
 
 #[test]
 fn pool_worker_panic_does_not_poison_the_lane() {
-    // A panic inside a *pool worker* (mid-round, intra-lane
-    // parallelism) must NOT poison the writer lane: the round's merge
-    // never runs, the error propagates through the ordinary
-    // rollback-on-error path, and the next batch applies without any
-    // lane recovery being logged. The event is journaled in the health
-    // transition ring instead.
+    // A panic inside a *pool worker* (mid-round parallelism) must NOT
+    // poison the writer mutex: the round's merge never runs, the error
+    // propagates through the ordinary rollback-on-error path, and the
+    // next batch applies without any writer recovery being logged. The
+    // event is journaled in the health transition ring instead.
     let svc = Arc::new(
         ViewService::builder()
             .pool_threads(2)
@@ -373,7 +324,7 @@ fn pool_worker_panic_does_not_poison_the_lane() {
     let journal = svc.health_transitions();
     let event = journal
         .last()
-        .expect("the lane event is in the transition ring");
+        .expect("the writer event is in the transition ring");
     assert_eq!(event.from, event.to, "containment is not a state change");
     assert!(
         event.reason.contains("pool worker panic"),
@@ -381,10 +332,10 @@ fn pool_worker_panic_does_not_poison_the_lane() {
         event.reason
     );
 
-    // The lane was never poisoned: the same batch applies cleanly with
-    // no lane recovery logged, and the pool's workers survived.
+    // The writer was never poisoned: the same batch applies cleanly
+    // with no writer recovery logged, and the pool's workers survived.
     svc.apply(UpdateBatch::inserting(vec![interval]))
-        .expect("lane healthy, workers alive");
+        .expect("writer healthy, workers alive");
     assert_eq!(svc.epoch(), 2);
     assert!(svc.ask("a0", &[Value::int(21)], &cfg).unwrap());
     assert!(

@@ -17,23 +17,20 @@
     reason = "tests stage, corrupt and clean up WAL directories behind the Vfs on purpose"
 )]
 
-use mmv_constraints::{CmpOp, Constraint, Term, Var, VarGen};
+use mmv_constraints::{CmpOp, Constraint, Term, Var};
 use mmv_core::batch::UpdateBatch;
-use mmv_core::{
-    BodyAtom, Clause, ConstrainedAtom, ConstrainedDatabase, MaterializedView, ShardSpec,
-};
+use mmv_core::{BodyAtom, Clause, ConstrainedAtom, ConstrainedDatabase};
 use mmv_service::{Durability, FsyncPolicy, ServiceError, ViewService};
 use std::io::{BufRead, BufReader, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-use std::sync::Arc;
 
 fn x() -> Term {
     Term::var(Var(0))
 }
 
-/// Two independent chains b0 → a0 and b1 → a1 (two writer lanes), so
-/// the batch stream exercises single- and cross-shard recovery.
+/// Two independent chains b0 → a0 and b1 → a1, so the batch stream
+/// exercises batches on one chain and on both.
 fn two_chain_db() -> ConstrainedDatabase {
     let mut clauses = Vec::new();
     for k in 0..2 {
@@ -75,7 +72,7 @@ fn interval(pred: &str, lo: i64, hi: i64) -> ConstrainedAtom {
 /// The deterministic batch stream both the killed child and the
 /// never-killed reference apply: point deletions walking the base
 /// intervals, a fresh-space insertion (external tickets!) every third
-/// batch, and a cross-shard batch every fourth.
+/// batch, and a batch on both chains every fourth.
 fn batch_for(i: u64) -> UpdateBatch {
     let comp = (i % 2) as usize;
     let pred = format!("b{comp}");
@@ -157,31 +154,19 @@ fn clean_shutdown_round_trips() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The entries of `view` whose predicate is one of `preds`.
-fn restricted(view: &MaterializedView, preds: &[Arc<str>]) -> MaterializedView {
-    let mut out = MaterializedView::new(view.mode(), VarGen::starting_at(0));
-    for (_, e) in view.live_entries() {
-        if preds.contains(&e.atom.pred) {
-            out.insert(e.atom.clone(), e.support.clone(), e.children_args.clone());
-        }
-    }
-    out
-}
-
 #[test]
-fn fresh_recovered_and_single_lane_builds_agree_lane_by_lane() {
-    // Three constructions of the epoch-0 lanes: a fresh sharded build,
-    // a recovery from a directory with no checkpoint and no records,
-    // and the single-lane build's view cut along the shard map.
-    let sharded = ViewService::builder()
+fn fresh_and_no_checkpoint_recovered_builds_agree() {
+    // Two constructions of the epoch-0 view: a fresh build, and a
+    // recovery from a directory with no checkpoint and no records.
+    let fresh = ViewService::builder()
         .pool_threads(2)
         .build(two_chain_db())
-        .expect("sharded service builds");
-    let pool = sharded.pool().expect("width 2 has a pool");
+        .expect("service builds");
+    let pool = fresh.pool().expect("width 2 has a pool");
     assert_eq!(
         pool.metrics().tasks_total.get(),
         0,
-        "lanes build off the pool"
+        "the view builds off the pool"
     );
     let dir = tmp_dir("no-checkpoint");
     std::fs::create_dir_all(&dir).unwrap();
@@ -191,39 +176,22 @@ fn fresh_recovered_and_single_lane_builds_agree_lane_by_lane() {
         .expect("recovery succeeds");
     assert_eq!(report.checkpoint_epoch, None);
     assert_eq!(report.replayed_records, 0);
-    let single = ViewService::builder()
-        .shards(ShardSpec::single_lane())
-        .build(two_chain_db())
-        .expect("single-lane service builds");
-    let single_view = single.snapshot().shard(0).view().clone();
-
-    let map = sharded.shard_map();
-    assert_eq!(map.num_shards(), 2);
-    let (fresh, recovered) = (sharded.snapshot(), recovered.snapshot());
-    for s in 0..map.num_shards() {
-        let lane = fresh.shard(s).view();
-        assert!(!lane.is_empty(), "lane {s} holds its chain");
-        let cut = restricted(&single_view, map.preds(s));
-        for (name, other) in [
-            ("recovered", recovered.shard(s).view()),
-            ("single-lane", &cut),
-        ] {
-            assert!(
-                lane.syntactically_equal(other),
-                "lane {s}: {name} differs:\nfresh:\n{lane}\n{name}:\n{other}"
-            );
-        }
-    }
+    let (fresh, recovered) = (fresh.snapshot(), recovered.snapshot());
+    assert_eq!(fresh.len(), 4, "both chains are built");
+    assert!(
+        fresh.view().syntactically_equal(recovered.view()),
+        "recovered differs:\nfresh:\n{fresh}\nrecovered:\n{recovered}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn concurrent_inserters_recover_syntactically() {
-    // 2 lanes × 2 racing writers × 6 two-insert batches under group
+    // 4 racing writers (2 per chain) × 6 two-insert batches under group
     // commit with a checkpoint every 5 epochs: frames land in commit
-    // order, tickets were reserved in arrival order, checkpoints are
-    // cut mid-race — and recovery still serves the syntactically
-    // identical view, because every frame carries its ticket base.
+    // order, tickets are taken in lock order, checkpoints are cut
+    // mid-race — and recovery still serves the syntactically identical
+    // view, because every frame carries its ticket base.
     for round in 0..8 {
         let dir = tmp_dir("racing-inserters");
         let durability = || Durability::durable(&dir).checkpoint_every(5);

@@ -232,8 +232,8 @@ fn concurrent_direct_appliers_serialize() {
     }
 }
 
-/// Two independent chains b0 → a0 and b1 → a1: two writer lanes.
-fn two_lane_db() -> ConstrainedDatabase {
+/// Two independent chains b0 → a0 and b1 → a1.
+fn two_chain_db() -> ConstrainedDatabase {
     let mut clauses = Vec::new();
     for k in 0..2 {
         clauses.push(Clause::fact(
@@ -257,19 +257,16 @@ fn two_lane_db() -> ConstrainedDatabase {
 
 #[test]
 fn concurrent_inserters_replay_syntactically() {
-    // 2 lanes × 2 racing writers × 6 two-insert batches. A writer
-    // reserves its tickets before it queues on its lane, so commit
-    // (= log) order and ticket order disagree in nearly every round;
-    // replay must reproduce the served view syntactically all the
-    // same, because each record carries the tickets its batch was
-    // applied under.
-    let mut permuted_rounds = 0;
+    // 4 racing writers (2 per chain) × 6 two-insert batches. A writer
+    // takes its tickets under the writer lock, so commit (= log) order
+    // and ticket order agree, gaplessly, however the writers race; and
+    // replay reproduces the served view syntactically, because each
+    // record carries the tickets its batch was applied under.
     for round in 0..24 {
         let svc = ViewService::builder()
             .mode(SupportMode::WithSupports)
-            .build(two_lane_db())
+            .build(two_chain_db())
             .expect("base view builds");
-        assert_eq!(svc.shard_map().num_shards(), 2);
         let start = Barrier::new(4);
         std::thread::scope(|s| {
             for w in 0..4i64 {
@@ -291,9 +288,7 @@ fn concurrent_inserters_replay_syntactically() {
         let log = svc.log();
         assert_eq!(log.len(), 24);
         let bases: Vec<u64> = log.records().iter().map(|r| r.ticket_base).collect();
-        if bases.windows(2).any(|pair| pair[0] > pair[1]) {
-            permuted_rounds += 1;
-        }
+        assert_eq!(bases, (0..24).map(|i| 2 * i).collect::<Vec<u64>>());
         let replayed = log
             .replay(
                 svc.db(),
@@ -308,8 +303,4 @@ fn concurrent_inserters_replay_syntactically() {
             "round {round}: replay diverged from the served view; ticket bases in log order: {bases:?}"
         );
     }
-    assert!(
-        permuted_rounds > 0,
-        "log order matched ticket order in every round: the race was never exercised"
-    );
 }

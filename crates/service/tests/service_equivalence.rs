@@ -1,17 +1,17 @@
-//! Sharding must be invisible: a service with per-predicate writer
-//! lanes must serve *syntactically* the same view as the single-lane
-//! service (and, instance-level, the same state as the declarative
-//! `batch_oracle`) on any sequence of mixed single-/cross-shard
-//! batches, in both support modes — and concurrent readers must see
-//! per-shard and global epochs move monotonically, never a torn
-//! cross-shard publication.
+//! The service must be invisible: at every pool width it serves
+//! *syntactically* the same view as bare `apply_batch` on one view (and,
+//! instance-level, the same state as the declarative `batch_oracle`) on
+//! any sequence of batches over several independent chains, in both
+//! support modes, and replaying its log reproduces it — and concurrent
+//! readers must see the epoch move monotonically and every chain agree
+//! with its base inside one snapshot.
 
 use mmv_constraints::solver::SolverConfig;
 use mmv_constraints::{CmpOp, Constraint, NoDomains, Term, Value, Var};
-use mmv_core::batch::UpdateBatch;
+use mmv_core::batch::{apply_batch, UpdateBatch};
 use mmv_core::semantics::batch_oracle;
 use mmv_core::tp::{fixpoint, FixpointConfig, Operator};
-use mmv_core::{BodyAtom, Clause, ConstrainedAtom, ConstrainedDatabase, ShardSpec, SupportMode};
+use mmv_core::{BodyAtom, Clause, ConstrainedAtom, ConstrainedDatabase, SupportMode};
 use mmv_service::{ServiceWorker, ViewService};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -103,7 +103,7 @@ proptest! {
     })]
 
     #[test]
-    fn sharded_equals_single_lane_and_oracle(batches in batches_strategy()) {
+    fn service_equals_apply_batch_and_oracle(batches in batches_strategy()) {
         let db = multi_chain_db();
         let cfg = FixpointConfig::default();
         let scfg = SolverConfig::default();
@@ -116,57 +116,33 @@ proptest! {
                 &db, &base_view, &to_batch(&batches[0]), &NoDomains, &cfg,
             ).expect("oracle evaluates");
 
-            // The sharded service sweeps the intra-lane pool width
-            // (1 = no pool, 2 and 4 = pooled rounds); the
-            // single-lane reference always runs inline, so every
-            // width is checked against the same inline state.
+            // The service sweeps the pool width (1 = no pool, 2 and 4 =
+            // pooled rounds); the bare reference always runs inline, so
+            // every width is checked against the same inline state.
             for pool_threads in [1usize, 2, 4] {
-            let sharded = ViewService::builder()
+            let svc = ViewService::builder()
                 .mode(mode)
                 .fixpoint(cfg.clone())
                 .pool_threads(pool_threads)
                 .build(db.clone())
-                .expect("sharded service builds");
-            prop_assert_eq!(sharded.shard_map().num_shards(), COMPONENTS);
-            prop_assert_eq!(sharded.pool().is_some(), pool_threads > 1);
-            let single = ViewService::builder()
-                .mode(mode)
-                .fixpoint(cfg.clone())
-                .shards(ShardSpec::single_lane())
-                .pool_threads(1)
-                .build(db.clone())
-                .expect("single-lane service builds");
-            prop_assert!(single.shard_map().is_single());
+                .expect("service builds");
+            prop_assert_eq!(svc.pool().is_some(), pool_threads > 1);
+            let mut bare = base_view.clone();
 
-            let mut last_shard_epochs = [0u64; COMPONENTS];
             for (i, ops) in batches.iter().enumerate() {
                 let batch = to_batch(ops);
-                let touched: std::collections::BTreeSet<usize> = batch
-                    .deletes.iter().chain(&batch.inserts)
-                    .map(|a| sharded.shard_map().shard_of(&a.pred))
-                    .collect();
-                let a = sharded.apply(batch.clone()).expect("sharded apply");
-                let b = single.apply(batch).expect("single-lane apply");
-                prop_assert_eq!(a.epoch, b.epoch, "global epochs advance in lockstep");
-                prop_assert_eq!(a.shards_touched, touched.len());
-                prop_assert_eq!(b.shards_touched.min(1), 1);
+                let applied = svc.apply(batch.clone()).expect("service apply");
+                apply_batch(&db, &mut bare, &batch, &NoDomains, Operator::Tp, &cfg)
+                    .expect("bare apply");
+                prop_assert_eq!(applied.epoch, i as u64 + 1, "one epoch per batch");
 
-                // Shard epochs advance exactly for touched shards.
-                let snap = sharded.snapshot();
-                for (s, last) in last_shard_epochs.iter_mut().enumerate() {
-                    let expect = *last + u64::from(touched.contains(&s));
-                    prop_assert_eq!(snap.shard_epoch(s), expect, "shard {} epoch", s);
-                    *last = snap.shard_epoch(s);
-                }
-
-                // The served states are syntactically identical (atoms,
+                // The served state is syntactically identical (atoms,
                 // supports, external tickets — everything).
-                let merged = snap.merged_view();
+                let snap = svc.snapshot();
                 prop_assert!(
-                    merged.syntactically_equal(&single.snapshot().merged_view()),
-                    "{mode:?} diverged after batch {i}:\nsharded:\n{merged}\nsingle:\n{sv}",
-                    mode = mode, i = i, merged = merged,
-                    sv = single.snapshot().merged_view(),
+                    snap.view().syntactically_equal(&bare),
+                    "{mode:?} diverged after batch {i}:\nserved:\n{served}\nbare:\n{bare}",
+                    mode = mode, i = i, served = snap.view(), bare = bare,
                 );
                 if i == 0 {
                     let inst = snap.instances(&NoDomains, &scfg).expect("instances");
@@ -174,22 +150,21 @@ proptest! {
                 }
             }
 
-            // Replaying the sharded service's log onto one fresh view
-            // reproduces the merged served state.
-            let replayed = sharded
+            // Replaying the service's log onto one fresh view
+            // reproduces the served state.
+            let replayed = svc
                 .log()
                 .replay(&db, &NoDomains, Operator::Tp, mode, &cfg)
                 .expect("replay");
-            prop_assert!(replayed.syntactically_equal(&sharded.snapshot().merged_view()));
+            prop_assert!(replayed.syntactically_equal(svc.snapshot().view()));
             }
         }
     }
 }
 
-/// Concurrent readers racing writers on independent lanes: per-shard
-/// epochs and the global epoch must be monotone on every read, and a
-/// cross-shard batch must never be observed torn (both its shards move
-/// in one publication).
+/// Concurrent readers racing writers on independent chains: the epoch
+/// must be monotone on every read, and every chain must agree with its
+/// base inside one snapshot — never a torn publication.
 #[test]
 fn concurrent_readers_observe_monotone_untorn_epochs() {
     let db = multi_chain_db();
@@ -201,38 +176,17 @@ fn concurrent_readers_observe_monotone_untorn_epochs() {
             let stop = stop.clone();
             std::thread::spawn(move || {
                 let cfg = SolverConfig::default();
-                let mut last_global = 0u64;
-                let mut last_shard = [0u64; COMPONENTS];
+                let mut last_epoch = 0u64;
                 let mut reads = 0u64;
                 // At least one read before honouring `stop`: a reader
                 // first scheduled after the writers finish still checks
                 // the final state.
                 loop {
                     let snap = svc.snapshot();
-                    assert!(snap.epoch() >= last_global, "global epoch regressed");
-                    last_global = snap.epoch();
-                    let mut sum = 0;
-                    for (s, last) in last_shard.iter_mut().enumerate() {
-                        let e = snap.shard_epoch(s);
-                        assert!(e >= *last, "shard {s} epoch regressed");
-                        *last = e;
-                        sum += e;
-                    }
-                    // Each batch bumps the global epoch once and every
-                    // touched shard once; with single- and two-shard
-                    // batches in flight, the shard-epoch sum can never
-                    // exceed twice the global epoch — a torn two-phase
-                    // publish (one shard visible without its sibling
-                    // *and* the global bump) would break the bound the
-                    // other way: shard movement with no global tick.
-                    assert!(
-                        sum <= 2 * snap.epoch(),
-                        "shard epochs moved without a global publication: \
-                         sum {sum} > 2 x global {}",
-                        snap.epoch()
-                    );
-                    // And the snapshot is internally consistent per
-                    // shard: the chain agrees with its base.
+                    assert!(snap.epoch() >= last_epoch, "epoch regressed");
+                    last_epoch = snap.epoch();
+                    // The snapshot is internally consistent: the chain
+                    // agrees with its base.
                     let probe = Value::int((reads % 10) as i64);
                     let k = (reads as usize) % COMPONENTS;
                     let in_b = snap
@@ -246,7 +200,7 @@ fn concurrent_readers_observe_monotone_untorn_epochs() {
                     let in_a = snap
                         .ask(&format!("a{k}"), &[probe], &NoDomains, &cfg)
                         .expect("read a");
-                    assert_eq!(in_b, in_a, "torn chain inside one shard snapshot");
+                    assert_eq!(in_b, in_a, "torn chain inside one snapshot");
                     reads += 1;
                     if stop.load(Ordering::Relaxed) {
                         break;
@@ -257,7 +211,8 @@ fn concurrent_readers_observe_monotone_untorn_epochs() {
         })
         .collect();
 
-    // One worker per component plus a main-thread cross-shard mixer.
+    // One worker per component plus a main-thread writer whose batches
+    // span two chains.
     let workers: Vec<_> = (0..COMPONENTS)
         .map(|k| {
             let (tx, worker) = ServiceWorker::spawn(svc.clone());
@@ -274,7 +229,7 @@ fn concurrent_readers_observe_monotone_untorn_epochs() {
             del_point(i % COMPONENTS, 6 + i as i64),
             del_point((i + 1) % COMPONENTS, 6 + i as i64),
         ]))
-        .expect("cross-shard batch");
+        .expect("two-chain batch");
     }
     for w in workers {
         w.join().expect("worker");
